@@ -34,8 +34,6 @@ import inspect
 from typing import Callable, Optional, Sequence, Union
 
 from repro.analysis.figures import TimeToFindSeries, time_to_find_series
-from repro.baselines import BayesOptSearch, RandomSearch
-from repro.baselines.genetic import GeneticSearch
 from repro.core import Collie
 from repro.core.collie import SearchReport
 from repro.core.evalcache import EvalCache
@@ -44,27 +42,37 @@ from repro.core.faults import FaultPlan, RetryPolicy
 
 
 # -- approach factories (module-level: picklable for process fan-out) -------
+# The baselines import scipy (about a second of start-up), so they are
+# imported by the factories that run them, not by this module.
 
 
 def _run_random(sub, hours, seed, cache=None, batch=True):
+    from repro.baselines.random_search import RandomSearch
+
     return RandomSearch(
         sub, budget_hours=hours, seed=seed, cache=cache, batch=batch
     ).run()
 
 
 def _run_genetic(sub, hours, seed, cache=None):
+    from repro.baselines.genetic import GeneticSearch
+
     return GeneticSearch(
         sub, budget_hours=hours, seed=seed, cache=cache
     ).run()
 
 
 def _run_bayesopt(sub, hours, seed, cache=None):
+    from repro.baselines.bayesopt import BayesOptSearch
+
     return BayesOptSearch(
         sub, budget_hours=hours, seed=seed, use_mfs=False, cache=cache
     ).run()
 
 
 def _run_bayesopt_mfs(sub, hours, seed, cache=None):
+    from repro.baselines.bayesopt import BayesOptSearch
+
     return BayesOptSearch(
         sub, budget_hours=hours, seed=seed, use_mfs=True, cache=cache
     ).run()

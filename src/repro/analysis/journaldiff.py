@@ -10,7 +10,7 @@ Three metrics are *gated* — a regression in any of them fails the diff:
 
 * ``anomalies`` — distinct MFSes found (higher is better);
 * ``time_to_first_anomaly_seconds`` — simulated seconds until the first
-  anomalous experiment (lower is better);
+  anomalous experiment, the minimum over runs (lower is better);
 * ``coverage_fraction`` — mean per-dimension fraction of the workload
   space visited, recomputed from the journal's experiment records so a
   self-diff is exactly zero (higher is better).
@@ -30,14 +30,9 @@ benign jitter does not gate.
 from __future__ import annotations
 
 import dataclasses
-import math
 from typing import Optional
 
-from repro.obs.coverage import coverage_from_records
-from repro.obs.journal import journal_summary
-from repro.obs.profiler import events_from_records, self_times
-from repro.obs.sadiag import acceptance_rate, time_to_first_anomaly
-from repro.obs.schema import RECORD_FIELDS
+from repro.obs.folds import JournalMetrics, run_folds
 
 #: Default relative tolerance before a worse value counts as a regression.
 DEFAULT_TOLERANCE = 0.05
@@ -66,161 +61,15 @@ INFO_METRICS = (
 )
 
 
-def unknown_record_kinds(records: list[dict]) -> dict:
-    """Kind → count of records the current schema does not know.
-
-    Journals written by a *newer* build may carry record types this
-    build's :data:`~repro.obs.schema.RECORD_FIELDS` has never heard of.
-    Readers skip them, but silently dropping data is how cross-version
-    diffs grow quiet blind spots — so every skipping surface reports
-    what it skipped through this one helper.
-    """
-    counts: dict[str, int] = {}
-    for record in records:
-        kind = record.get("t", "?")
-        if kind not in RECORD_FIELDS:
-            counts[kind] = counts.get(kind, 0) + 1
-    return dict(sorted(counts.items()))
-
-
-def describe_unknown_kinds(records: list[dict]) -> list[str]:
-    """One log line per unknown record kind (empty when none)."""
-    return [
-        f"unknown record kind skipped: {kind} (n={count})"
-        for kind, count in unknown_record_kinds(records).items()
-    ]
-
-
-def latency_metrics(records: list[dict]) -> dict:
-    """The journal's latency family: count, median p99, worst inflation.
-
-    A journal without latency records (schema v3, or a run with the
-    trigger disabled) yields count 0 and ``None`` aggregates, which the
-    diff renders as "-" rather than inventing a zero latency.
-    """
-    p99s: list[float] = []
-    inflations: list[float] = []
-    for record in records:
-        if record.get("t") != "latency":
-            continue
-        p99s.append(float(record["p99_us"]))
-        inflations.append(float(record["inflation"]))
-    p99s.sort()
-    median: Optional[float] = None
-    if p99s:
-        mid = len(p99s) // 2
-        if len(p99s) % 2:
-            median = p99s[mid]
-        else:
-            median = (p99s[mid - 1] + p99s[mid]) / 2.0
-    return {
-        "latency_records": len(p99s),
-        "latency_p99_us_median": median,
-        "latency_inflation_max": max(inflations) if inflations else None,
-    }
-
-
-def isolation_metrics(records: list[dict]) -> dict:
-    """The journal's isolation family: co-run experiments, worst case.
-
-    Solo journals (schema ≤ v5, or any run without ``--victim``) carry
-    no ``interference`` fields and yield count 0 with a ``None``
-    minimum, rendered as "-" by the diff.  Non-finite interference
-    values (the zero-fair-share sentinel) are excluded from the
-    minimum — NaN would poison the comparison, not inform it.
-    """
-    values: list[float] = []
-    for record in records:
-        if record.get("t") != "experiment":
-            continue
-        interference = record.get("interference")
-        if interference is None:
-            continue
-        value = float(interference)
-        if math.isfinite(value):
-            values.append(value)
-    return {
-        "isolation_experiments": len(values),
-        "interference_min": min(values) if values else None,
-    }
-
-
-def mfs_shape_key(mfs_record: dict) -> str:
-    """Canonical shape label of one journaled MFS.
-
-    The shape abstracts the region away from its exact bounds: symptom
-    class, how many interval and membership conditions constrain it,
-    and whether it needs a mixed message pattern.  Refactors that move a
-    bound slightly keep the shape; refactors that change *what kind* of
-    anomaly regions the search extracts do not — which is exactly the
-    granularity the canary's population gate wants.
-    """
-    return (
-        f"{mfs_record.get('symptom', '?')}"
-        f"|i{len(mfs_record.get('intervals', ()))}"
-        f"|m{len(mfs_record.get('memberships', ()))}"
-        f"|x{int(bool(mfs_record.get('requires_mix')))}"
-    )
-
-
-def mfs_shape_counts(records: list[dict]) -> dict:
-    """Multiset (shape → count) of every MFS journaled as an anomaly."""
-    counts: dict[str, int] = {}
-    for record in records:
-        if record.get("t") != "anomaly":
-            continue
-        key = mfs_shape_key(record.get("mfs", {}))
-        counts[key] = counts.get(key, 0) + 1
-    return dict(sorted(counts.items()))
-
-
-def mfs_condition_sizes(records: list[dict]) -> list[int]:
-    """Sorted multiset of per-MFS condition counts (the MFS 'sizes')."""
-    sizes = []
-    for record in records:
-        if record.get("t") != "anomaly":
-            continue
-        mfs = record.get("mfs", {})
-        sizes.append(
-            len(mfs.get("intervals", ()))
-            + len(mfs.get("memberships", ()))
-            + (1 if mfs.get("requires_mix") else 0)
-        )
-    return sorted(sizes)
-
-
 def journal_metrics(records: list[dict]) -> dict:
     """Distil one journal into the comparable metric dict.
 
-    Coverage is recomputed from the journal's experiment/skip/anomaly
-    records (not read from ``coverage`` snapshots) so that diffing a
-    journal against itself yields exactly zero on every gated metric.
+    One pass of the :class:`~repro.obs.folds.JournalMetrics` folds —
+    the same fold classes the live aggregator runs.
     """
-    summary = journal_summary(records)
-    trackers = coverage_from_records(records)
-    coverage: Optional[float] = None
-    if trackers:
-        coverage = sum(t.touched_fraction() for t in trackers) / len(trackers)
-    elapsed = sum(
-        float(r.get("elapsed_seconds", 0.0))
-        for r in records if r.get("t") == "run_end"
-    )
-    spans = self_times(events_from_records(records))
-    metrics = {
-        "anomalies": summary["anomalies"],
-        "time_to_first_anomaly_seconds": time_to_first_anomaly(records),
-        "coverage_fraction": coverage,
-        "experiments": summary["experiments"],
-        "skips": summary["skips"],
-        "elapsed_seconds": elapsed,
-        "acceptance_rate": acceptance_rate(records),
-        "span_self_seconds": dict(sorted(spans.items())),
-        "mfs_shape_counts": mfs_shape_counts(records),
-        "mfs_condition_sizes": mfs_condition_sizes(records),
-    }
-    metrics.update(latency_metrics(records))
-    metrics.update(isolation_metrics(records))
-    return metrics
+    metrics = JournalMetrics()
+    run_folds(records, *metrics.folds)
+    return metrics.result()
 
 
 @dataclasses.dataclass(frozen=True)
@@ -251,6 +100,14 @@ class DiffResult:
         return not self.regressions
 
 
+def relative_change(baseline, candidate, higher_better: bool) -> tuple:
+    """``(delta, worse)``: the candidate's change over the larger of the
+    two magnitudes, and that change signed so that positive is worse
+    (shared by ``journal diff`` and the ``repro top`` drift rows)."""
+    delta = (candidate - baseline) / max(abs(baseline), abs(candidate), 1e-12)
+    return delta, -delta if higher_better else delta
+
+
 def _compare(
     metric: str, baseline, candidate, higher_better: bool, tolerance: float
 ) -> DiffEntry:
@@ -267,12 +124,10 @@ def _compare(
         )
     baseline = float(baseline)
     candidate = float(candidate)
-    scale = max(abs(baseline), abs(candidate), 1e-12)
-    delta = (candidate - baseline) / scale
-    worse = -delta if higher_better else delta
-    regressed = worse > tolerance
-    note = f"{delta:+.1%}"
-    return DiffEntry(metric, baseline, candidate, True, regressed, note)
+    delta, worse = relative_change(baseline, candidate, higher_better)
+    return DiffEntry(
+        metric, baseline, candidate, True, worse > tolerance, f"{delta:+.1%}"
+    )
 
 
 def diff_journals(
@@ -281,8 +136,17 @@ def diff_journals(
     tolerance: float = DEFAULT_TOLERANCE,
 ) -> DiffResult:
     """Compare two journals; only :data:`GATED_METRICS` can regress."""
-    base = journal_metrics(baseline_records)
-    cand = journal_metrics(candidate_records)
+    return diff_metrics(
+        journal_metrics(baseline_records),
+        journal_metrics(candidate_records),
+        tolerance,
+    )
+
+
+def diff_metrics(
+    base: dict, cand: dict, tolerance: float = DEFAULT_TOLERANCE
+) -> DiffResult:
+    """Compare two :func:`journal_metrics` dicts."""
     entries = [
         _compare(name, base[name], cand[name], higher_better, tolerance)
         for name, higher_better in GATED_METRICS.items()

@@ -22,7 +22,6 @@ import dataclasses
 import os
 from typing import Callable, Optional, Union
 
-from repro.analysis.journaldiff import describe_unknown_kinds
 from repro.canary.corpus import (
     CorpusError,
     code_fingerprint,
@@ -39,6 +38,7 @@ from repro.canary.drift import (
 from repro.canary.invariants import InvariantViolation, run_invariants
 from repro.canary.matrix import MatrixSpec, run_matrix
 from repro.core.reproducer import REPRODUCE_ATTEMPTS
+from repro.obs.folds import RecordCounts, run_folds
 from repro.obs.journal import read_journal_prefix
 
 #: Exit codes, mirroring ``repro journal diff``.
@@ -130,7 +130,7 @@ def canary_check(
     skipped_kinds = [
         f"corpus cell {cell.subsystem}-s{cell.seed}: {note}"
         for cell in cells
-        for note in describe_unknown_kinds(cell.records)
+        for note in run_folds(cell.records, RecordCounts())[0].unknown_notes()
     ]
 
     violations: list[InvariantViolation] = []

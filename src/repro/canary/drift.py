@@ -32,7 +32,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.analysis.journaldiff import journal_metrics
+from repro.obs import folds
 
 #: Metric name → higher-level family, for rendering.
 #: ``latency_p99_us_median`` gates like TTFA: a corpus recorded before
@@ -93,23 +93,26 @@ class CellMetrics:
 
 
 def cell_metrics(subsystem: str, seed: int, records: list) -> CellMetrics:
-    """Fold one journal into its :class:`CellMetrics`."""
-    metrics = journal_metrics(records)
-    shapes: list[str] = []
-    for shape, count in metrics["mfs_shape_counts"].items():
-        shapes.extend([shape] * count)
+    """Fold one journal into its :class:`CellMetrics` (one pass, only
+    the folds the drift gates read)."""
+    counts, ttfa, coverage, shapes, latency = folds.run_folds(
+        records, folds.RecordCounts(), folds.FirstAnomaly(),
+        folds.Coverage(), folds.MFSShapes(), folds.Latency(),
+    )
     return CellMetrics(
         subsystem=subsystem,
         seed=seed,
-        anomalies=int(metrics["anomalies"]),
-        time_to_first_anomaly_seconds=metrics[
-            "time_to_first_anomaly_seconds"
-        ],
-        coverage_fraction=metrics["coverage_fraction"],
-        experiments=int(metrics["experiments"]),
-        mfs_shapes=tuple(sorted(shapes)),
-        mfs_condition_sizes=tuple(metrics["mfs_condition_sizes"]),
-        latency_p99_us_median=metrics["latency_p99_us_median"],
+        anomalies=counts.count("anomaly"),
+        time_to_first_anomaly_seconds=ttfa.result(),
+        coverage_fraction=coverage.result(),
+        experiments=counts.count("experiment"),
+        mfs_shapes=tuple(sorted(
+            shape
+            for shape, count in shapes.result().items()
+            for _ in range(count)
+        )),
+        mfs_condition_sizes=tuple(sorted(shapes.sizes)),
+        latency_p99_us_median=latency.median(),
     )
 
 

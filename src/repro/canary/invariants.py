@@ -28,6 +28,7 @@ from repro.analysis.serialize import mfs_from_dict
 from repro.canary.corpus import CorpusCell
 from repro.core.reproducer import REPRODUCE_ATTEMPTS, reproduce_mfs
 from repro.core.space import ORDERED_DIMENSIONS, SearchSpace
+from repro.obs.folds import RecordCounts, run_folds
 from repro.obs.schema import validate_journal
 
 
@@ -176,9 +177,8 @@ def run_invariants(
         found = check_cell(cell, attempts=attempts)
         violations.extend(found)
         if progress is not None:
-            anomalies = sum(
-                1 for r in cell.records if r.get("t") == "anomaly"
-            )
+            (counts,) = run_folds(cell.records, RecordCounts())
+            anomalies = counts.count("anomaly")
             progress(
                 f"invariants {cell.name}: {anomalies} anomalies, "
                 f"{len(found)} violation(s)"

@@ -67,6 +67,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import os
 import sys
 from typing import Optional, Sequence
 
@@ -579,10 +580,15 @@ def _report_one(
     """Render one journal (appends to ``payloads`` under ``--json``)."""
     from repro.analysis.figures import counter_trace
     from repro.obs import (
-        journal_summary,
         read_journal_prefix,
         reports_from_records,
         validate_journal,
+    )
+    from repro.obs.folds import (
+        Isolation,
+        JournalMetrics,
+        RecordCounts,
+        run_folds,
     )
 
     try:
@@ -609,21 +615,23 @@ def _report_one(
             f"({len(errors)} error(s))"
         )
         return 2
-    shape = journal_summary(records)
     if getattr(args, "json", False):
-        from repro.analysis.journaldiff import journal_metrics
         from repro.analysis.serialize import report_to_dict
 
+        metrics = JournalMetrics()
+        run_folds(records, *metrics.folds)
         payloads.append({
             "journal": str(path),
-            "summary": shape,
-            "metrics": journal_metrics(records),
+            "summary": metrics.counts.result(),
+            "metrics": metrics.result(),
             "runs": [
                 report_to_dict(report)
                 for report in reports_from_records(records)
             ],
         })
         return 0
+    counts, isolation = run_folds(records, RecordCounts(), Isolation())
+    shape = counts.result()
     logger.info(
         f"journal {path}: {shape['records']} records, "
         f"{shape['runs']} run(s), {shape['experiments']} experiments, "
@@ -636,7 +644,7 @@ def _report_one(
             f"resilience: {shape['retries']} retried attempt(s), "
             f"{shape['quarantines']} quarantined host(s)"
         )
-    _report_isolation(records)
+    _report_isolation(isolation)
     if shape["crashed_runs"]:
         logger.warning(
             f"{shape['crashed_runs']} of {shape['runs']} run(s) are "
@@ -644,7 +652,7 @@ def _report_one(
             f"still in flight; resume it with 'repro campaign --resume "
             f"{path}'"
         )
-    completeness = _run_completeness(records)
+    completeness = counts.runs()
     reports = reports_from_records(records)
     for index, report in enumerate(reports, 1):
         logger.info("")
@@ -685,15 +693,11 @@ def _report_one(
     return 0
 
 
-def _report_isolation(records) -> None:
+def _report_isolation(isolation) -> None:
     """Log the co-run context of an isolation journal (no-op for solo)."""
-    isolation = [r for r in records if r.get("t") == "isolation"]
-    if not isolation:
-        return
-    from repro.analysis.journaldiff import isolation_metrics
     from repro.analysis.serialize import workload_from_dict
 
-    for record in isolation:
+    for record in isolation.preambles:
         victim = workload_from_dict(record["victim"])
         logger.info(
             f"isolation run: victim {victim.summary()} — "
@@ -701,11 +705,10 @@ def _report_isolation(records) -> None:
             f"{record['alone_gbps']:.1f} Gbps / p99 "
             f"{record['alone_p99_us']:.2f} us"
         )
-    metrics = isolation_metrics(records)
-    if metrics["isolation_experiments"]:
+    if isolation.preambles and isolation.experiments:
         logger.info(
-            f"  co-run experiments: {metrics['isolation_experiments']}, "
-            f"worst interference {metrics['interference_min']:.2f} of "
+            f"  co-run experiments: {isolation.experiments}, "
+            f"worst interference {isolation.worst[0]:.2f} of "
             f"fair share"
         )
 
@@ -731,21 +734,6 @@ def _latency_line(summaries) -> Optional[str]:
     )
 
 
-def _run_completeness(records) -> list:
-    """Per-run completion flags (False = no run_end).
-
-    Delegates the run grouping to :func:`run_records` so the flags line
-    up with ``reports_from_records`` on population journals, where N
-    chains' runs interleave in one file.
-    """
-    from repro.obs import run_records
-
-    return [
-        any(record.get("t") == "run_end" for record in run)
-        for run in run_records(records)
-    ]
-
-
 def _cmd_journal(args: argparse.Namespace) -> int:
     """``journal verify``: machine-checkable journal health."""
     from repro.obs import VERIFY_OK, verify_journal
@@ -761,12 +749,14 @@ def _cmd_journal(args: argparse.Namespace) -> int:
     return code
 
 
-def _read_journal_or_none(path: str):
-    """Read a journal's valid prefix, logging read errors (None = fail)."""
-    from repro.obs import read_journal_prefix
+def _fold_journal_or_none(path: str, *folds) -> Optional[int]:
+    """Stream a journal's valid prefix through ``folds``, logging read
+    errors; returns how many records it read (None = fail)."""
+    from repro.obs.folds import dispatcher
+    from repro.obs.journal import scan_journal
 
     try:
-        records, tail_error = read_journal_prefix(path)
+        count, tail_error = scan_journal(path, dispatcher(*folds))
     except OSError as error:
         logger.error(f"cannot read journal {path}: {error}")
         return None
@@ -775,48 +765,42 @@ def _read_journal_or_none(path: str):
         return None
     if tail_error is not None:
         logger.warning(
-            f"{tail_error} — using the valid prefix "
-            f"({len(records)} records)"
+            f"{tail_error} — using the valid prefix ({count} records)"
         )
-    return records
+    return count
 
 
 def _cmd_journal_diff(args: argparse.Namespace) -> int:
-    """``journal diff``: gate a candidate journal against a baseline."""
-    from repro.analysis.journaldiff import (
-        describe_unknown_kinds,
-        diff_journals,
-        render_diff,
-    )
+    """``journal diff``: gate a candidate journal against a baseline
+    (each streamed once through the metric folds)."""
+    from repro.analysis.journaldiff import diff_metrics, render_diff
+    from repro.obs.folds import JournalMetrics
 
-    baseline = _read_journal_or_none(args.baseline)
-    candidate = _read_journal_or_none(args.candidate)
-    if baseline is None or candidate is None:
+    paths = (args.baseline, args.candidate)
+    metrics = [JournalMetrics() for _ in paths]
+    read = [
+        _fold_journal_or_none(path, *folded.folds)
+        for path, folded in zip(paths, metrics)
+    ]
+    if None in read:
         return 2
-    for path, records in (
-        (args.baseline, baseline), (args.candidate, candidate)
-    ):
-        for line in describe_unknown_kinds(records):
+    for path, folded in zip(paths, metrics):
+        for line in folded.counts.unknown_notes():
             logger.warning(f"{path}: {line}")
     # An empty (or truncated-to-zero-records) journal has no metrics to
     # compare: diffing it would either crash or — worse — pass silently
     # with every metric "absent in both".  That is unreadable input,
     # not a clean diff: exit 2, like any other unreadable journal.
-    unusable = [
-        path
-        for path, records in (
-            (args.baseline, baseline), (args.candidate, candidate)
-        )
-        if not records
-    ]
+    unusable = [path for path, count in zip(paths, read) if not count]
     if unusable:
         for path in unusable:
             logger.error(
                 f"journal {path} contains no records — nothing to diff"
             )
         return 2
-    result = diff_journals(
-        baseline, candidate, tolerance=args.baseline_tolerance
+    result = diff_metrics(
+        metrics[0].result(), metrics[1].result(),
+        tolerance=args.baseline_tolerance,
     )
     logger.info(f"baseline:  {args.baseline}")
     logger.info(f"candidate: {args.candidate}")
@@ -826,12 +810,14 @@ def _cmd_journal_diff(args: argparse.Namespace) -> int:
 
 def _cmd_coverage(args: argparse.Namespace) -> int:
     """``coverage``: render a journal's workload-space occupancy maps."""
-    from repro.obs import coverage_from_records, render_latency_panel
+    from repro.obs.folds import Coverage, Isolation, Latency
 
-    records = _read_journal_or_none(args.journal)
-    if records is None:
+    coverage, latency, isolation = Coverage(), Latency(), Isolation()
+    if _fold_journal_or_none(
+        args.journal, coverage, latency, isolation
+    ) is None:
         return 2
-    trackers = coverage_from_records(records)
+    trackers = coverage.runs()
     if not trackers:
         logger.warning(f"no runs found in {args.journal}")
         return 1
@@ -840,33 +826,27 @@ def _cmd_coverage(args: argparse.Namespace) -> int:
             logger.info(f"run {index}:")
         logger.info(tracker.render())
         logger.info("")
-    panel = render_latency_panel(records)
+    panel = latency.render()
     if panel is not None:
         logger.info(panel)
-    from repro.analysis.journaldiff import isolation_metrics
-
-    metrics = isolation_metrics(records)
-    if metrics["isolation_experiments"]:
+    if isolation.experiments:
         logger.info(
-            f"co-run coverage: {metrics['isolation_experiments']} "
+            f"co-run coverage: {isolation.experiments} "
             f"experiments carried victim interference, worst "
-            f"{metrics['interference_min']:.2f} of fair share"
+            f"{isolation.worst[0]:.2f} of fair share"
         )
     return 0
 
 
 def _cmd_profile(args: argparse.Namespace) -> int:
     """``profile``: render a journal's span profile / export a trace."""
-    from repro.obs import (
-        chrome_trace,
-        events_from_records,
-        render_span_table,
-    )
+    from repro.obs import chrome_trace, render_span_table
+    from repro.obs.folds import Spans
 
-    records = _read_journal_or_none(args.journal)
-    if records is None:
+    spans = Spans()
+    if _fold_journal_or_none(args.journal, spans) is None:
         return 2
-    events = events_from_records(records)
+    events = spans.events
     if not events:
         logger.warning(
             f"no spans recorded in {args.journal} "
@@ -920,17 +900,24 @@ def _stats_on_journal(path: str) -> Optional[int]:
     to its cache-store error path).  Partial/crashed runs are surfaced
     explicitly — a truncated journal must never read as a finished one.
     """
-    from repro.obs import journal_summary, read_journal_prefix, run_records
+    from repro.obs.folds import RecordCounts, Traffic, dispatcher
+    from repro.obs.journal import scan_journal
+
+    counts, traffic = RecordCounts(), Traffic()
+    step = dispatcher(counts, traffic)
+
+    def journal_record(record) -> None:
+        if not (isinstance(record, dict) and "t" in record and "v" in record):
+            raise ValueError("not a journal record")
+        step(record)
 
     try:
-        records, tail_error = read_journal_prefix(path)
+        count, tail_error = scan_journal(path, journal_record)
     except (OSError, ValueError):
         return None
-    if not records or not all(
-        isinstance(r, dict) and "t" in r and "v" in r for r in records
-    ):
+    if not count:
         return None
-    shape = journal_summary(records)
+    shape = counts.result()
     logger.info(
         f"{path} is a run journal: {shape['records']} records, "
         f"{shape['complete_runs']} complete run(s), "
@@ -938,18 +925,14 @@ def _stats_on_journal(path: str) -> Optional[int]:
         f"{shape['anomalies']} anomalies, {shape['retries']} retries, "
         f"{shape['quarantines']} quarantines"
     )
-    for index, run in enumerate(run_records(records), 1):
-        wires = [
-            float(r["counters"].get("tx_bytes_per_sec", 0.0)) * 8.0 / 1e9
-            for r in run if r.get("t") == "experiment"
-        ]
-        if not wires:
+    for index, (tx_gbps, latencies) in enumerate(traffic.runs(), 1):
+        if not tx_gbps:
             continue
-        latency = _latency_line(
-            [r for r in run if r.get("t") == "latency"]
-        ) or "latency: - (no latency records)"
+        latency = _latency_line(latencies) or (
+            "latency: - (no latency records)"
+        )
         logger.info(
-            f"  run {index}: mean tx {float(np.mean(wires)):.1f} Gbps, "
+            f"  run {index}: mean tx {float(np.mean(tx_gbps)):.1f} Gbps, "
             f"{latency}"
         )
     if tail_error is not None:
@@ -1651,12 +1634,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: Exit code after the reader closed stdout: 128 + SIGPIPE, as a shell
+#: reports it.
+EXIT_BROKEN_PIPE = 141
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     from repro.obs.logging import setup_logging
 
     args = build_parser().parse_args(argv)
     setup_logging(level=args.log_level, json_format=args.log_json)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except BrokenPipeError:
+        # The reader closed stdout: stop quietly, and let the exit-time
+        # flush write to /dev/null instead of raising again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via __main__

@@ -16,6 +16,9 @@ makes the search itself explainable while in flight:
 
 The *search observatory* builds the read side on top of the journal:
 
+* :mod:`repro.obs.folds` — every journal metric, defined once as an
+  incremental fold that the post-hoc readers and the live aggregator
+  share;
 * :mod:`repro.obs.coverage` — 4-D workload-space occupancy maps
   (visited vs MFS-skipped buckets per dimension);
 * :mod:`repro.obs.sadiag` — SA diagnostics: per-temperature-epoch
@@ -30,8 +33,8 @@ written (the substrate for the ``repro serve`` campaign daemon):
 * :mod:`repro.obs.stream` — incremental journal tail-following with
   torn-tail semantics and resume-from-offset;
 * :mod:`repro.obs.aggregate` — live multiplexing of per-worker /
-  per-chain journals into one rollup (heartbeat liveness, TTFA,
-  coverage, cache hit rate, streaming latency p99);
+  per-chain journals into one rollup, fed through the same folds
+  (heartbeat liveness, TTFA, coverage, cache hit rate, latency p99);
 * :mod:`repro.obs.export` — Prometheus text exposition of any metrics
   registry plus aggregator rollups, served by a stdlib ``http.server``
   thread (``/metrics`` + ``/status``, the ``--export-metrics`` flag);
@@ -41,10 +44,7 @@ Everything is off by default and adds no work to a run that does not
 request it.
 """
 
-from repro.obs.aggregate import (
-    CampaignAggregator,
-    WorkerLiveness,
-)
+from repro.obs.aggregate import CampaignAggregator
 from repro.obs.coverage import (
     CoverageTracker,
     coverage_from_records,
@@ -72,22 +72,14 @@ from repro.obs.stream import JournalFollower, follow_journal
 from repro.obs.profiler import (
     SpanProfiler,
     chrome_trace,
-    events_from_records,
     render_span_table,
     validate_chrome_trace,
 )
 from repro.obs.recorder import FlightRecorder
+from repro.obs.folds import ChainDiagnostics
 from repro.obs.sadiag import (
-    ChainDiagnostics,
-    acceptance_rate,
-    fold_epochs,
-    mutation_effectiveness,
     per_chain_diagnostics,
     render_sa_diagnostics,
-    split_by_chain,
-    time_to_first_anomaly,
-    time_to_first_anomaly_by_symptom,
-    worst_interference,
 )
 from repro.obs.schema import (
     SCHEMA_VERSION,
@@ -111,16 +103,11 @@ __all__ = [
     "VERIFY_CORRUPT",
     "VERIFY_INCOMPLETE",
     "VERIFY_OK",
-    "WorkerLiveness",
-    "acceptance_rate",
     "chrome_trace",
     "coverage_from_records",
-    "events_from_records",
-    "fold_epochs",
     "follow_journal",
     "journal_summary",
     "load_baseline_metrics",
-    "mutation_effectiveness",
     "open_journal_text",
     "per_chain_diagnostics",
     "read_journal",
@@ -134,10 +121,6 @@ __all__ = [
     "reports_from_records",
     "run_records",
     "setup_logging",
-    "split_by_chain",
-    "time_to_first_anomaly",
-    "time_to_first_anomaly_by_symptom",
-    "worst_interference",
     "validate_chrome_trace",
     "validate_journal",
     "validate_record",

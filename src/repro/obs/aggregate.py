@@ -6,23 +6,16 @@ an operator watching several fleets, many); the exporter and the
 and anomalies so far, which workers are alive, what the tail latency
 and cache hit rate look like *right now*.  :class:`CampaignAggregator`
 owns one :class:`~repro.obs.stream.JournalFollower` per journal and
-folds their records incrementally:
+feeds each polled record, once, to that journal's folds — the
+:mod:`repro.obs.folds` classes ``repro report`` and ``journal diff``
+run post-hoc, so the per-source rollups (TTFA, coverage, acceptance,
+latency-p99 median, per-chain SA rows) equal the finished run's by
+construction.  Heartbeats classify each (source, worker slot) alive or
+stale by wall-clock age.
 
-* **per-source rollups** fold each record exactly once, maintaining the
-  same definitions the post-hoc readers use
-  (:func:`~repro.analysis.journaldiff.journal_metrics`,
-  :mod:`repro.obs.sadiag`) incrementally — a scrape costs O(records
-  since the last scrape), not O(history), and the live numbers agree
-  with what ``repro report`` / ``journal diff`` will say once the run
-  finishes (pinned by the telemetry test suite);
-* **per-worker liveness** folds schema-v7 ``heartbeat`` records: the
-  latest heartbeat per (source, worker slot) plus its wall-clock age
-  classifies a worker alive or stale;
-* **streaming tail latency** merges every ``latency`` record's p99 into
-  one :class:`~repro.obs.metrics.HistogramSummary` across sources;
-* an **anomaly timeline tail** keeps the most recent anomalous
-  experiments for the dashboard.
-
+No record outlives the poll that read it: a refresh costs O(records
+since the last refresh), and memory holds fold state, not records (the
+exact latency median keeps one float per ``latency`` record).
 The aggregator is strictly a *reader*: it never touches the writer's
 process, RNG, or journal, so an aggregated run stays bit-identical to
 an unobserved one.
@@ -30,166 +23,72 @@ an unobserved one.
 
 from __future__ import annotations
 
-import dataclasses
+import heapq
 import os
 import time
-from collections import deque
 from typing import Optional, Sequence, Union
 
-from repro.analysis.serialize import mfs_from_dict, workload_from_dict
-from repro.obs.coverage import CoverageTracker
-from repro.obs.metrics import HistogramSummary
-from repro.obs.sadiag import (
-    DECISION_ACTIONS,
-    HEALTHY,
-    per_chain_diagnostics,
+from repro.obs.folds import (
+    TIMELINE_TAIL,
+    Annealing,
+    Coverage,
+    FirstAnomaly,
+    Latency,
+    RecordCounts,
+    Telemetry,
+    dispatcher,
 )
+from repro.obs.metrics import HistogramSummary
 from repro.obs.stream import JournalFollower
 
 #: A worker whose last heartbeat is older than this many wall-clock
 #: seconds is reported stale (the default ``repro top`` threshold).
 DEFAULT_STALE_AFTER = 30.0
 
-#: Anomalous experiments kept for the dashboard's timeline tail.
-TIMELINE_TAIL = 8
-
-
-@dataclasses.dataclass
-class WorkerLiveness:
-    """Latest heartbeat of one (source, worker-slot) pair."""
-
-    source: str
-    worker: int
-    done: int
-    total: int
-    wall_time: float
-
-    def age_seconds(self, now: float) -> float:
-        return max(0.0, now - self.wall_time)
-
-    def alive(self, now: float, stale_after: float) -> bool:
-        return self.age_seconds(now) <= stale_after
-
 
 class _SourceState:
-    """One journal's incremental fold.
-
-    Every record is folded exactly once, on arrival, into running
-    counts, the first-anomaly time, per-run coverage trackers (demuxed
-    by chain stamp, mirroring
-    :func:`~repro.obs.coverage.coverage_from_records`), the Metropolis
-    acceptance tallies and the latency-p99 population — so a scrape
-    pays for the records since the last scrape, not for the whole
-    history again.  Agreement with the post-hoc
-    :func:`~repro.analysis.journaldiff.journal_metrics` is pinned by
-    ``tests/obs/test_telemetry.py``.
-    """
+    """One journal's follower and folds; :attr:`records` holds only the
+    last poll's records."""
 
     def __init__(self, path: str) -> None:
         self.path = path
         self.follower = JournalFollower(path)
         self.records: list[dict] = []
         self.error: Optional[str] = None
-        self._by_type: dict[str, int] = {}
-        self._complete_runs = 0
-        self._in_run: dict = {}
-        self._ttfa: Optional[float] = None
-        self._accepted = 0
-        self._decided = 0
-        #: Every run's tracker (kept) + the live one per chain stream.
-        self._trackers: list[CoverageTracker] = []
-        self._current_tracker: dict = {}
-        self._p99s: list[float] = []
-        self._median: Optional[float] = None
-        self._median_dirty = False
+        folds = (
+            RecordCounts(), FirstAnomaly(), Annealing(), Coverage(),
+            Latency(), Telemetry(),
+        )
+        (self.counts, self.ttfa, self.annealing, self.coverage,
+         self.latency, self.telemetry) = folds
+        self._step = dispatcher(*folds)
 
     def absorb(self) -> list[dict]:
-        """Poll the follower; returns the fresh records (maybe none)."""
+        """Poll the follower and fold what it read (maybe nothing)."""
         try:
-            fresh = self.follower.poll()
+            self.records = self.follower.poll()
         except ValueError as error:  # mid-file corruption
             self.error = str(error)
-            return []
-        for record in fresh:
-            self.records.append(record)
-            self._fold_metrics(record)
-        return fresh
+            self.records = []
+        for record in self.records:
+            self._step(record)
+        return self.records
 
-    def _fold_metrics(self, record: dict) -> None:
-        kind = record.get("t", "?")
-        self._by_type[kind] = self._by_type.get(kind, 0) + 1
-        chain = record.get("chain")
-        if kind == "run_start":
-            self._in_run[chain] = True
-            tracker = CoverageTracker.for_subsystem(record["subsystem"])
-            self._current_tracker[chain] = tracker
-            self._trackers.append(tracker)
-        elif kind == "run_end":
-            if self._in_run.get(chain):
-                self._complete_runs += 1
-                self._in_run[chain] = False
-        elif kind == "experiment":
-            if (
-                self._ttfa is None
-                and record.get("symptom", HEALTHY) != HEALTHY
-            ):
-                self._ttfa = float(record["time_seconds"])
-            tracker = self._current_tracker.get(chain)
-            if tracker is not None:
-                tracker.visit(workload_from_dict(record["workload"]))
-        elif kind == "skip":
-            tracker = self._current_tracker.get(chain)
-            if tracker is not None:
-                workload = record.get("workload")
-                tracker.skip(
-                    workload_from_dict(workload)
-                    if workload is not None else None
-                )
-        elif kind == "anomaly":
-            tracker = self._current_tracker.get(chain)
-            if tracker is not None:
-                tracker.mark_mfs(mfs_from_dict(record["mfs"]))
-        elif kind == "transition":
-            if record.get("action") in DECISION_ACTIONS:
-                self._decided += 1
-                if record["action"] != "reject":
-                    self._accepted += 1
-        elif kind == "latency":
-            self._p99s.append(float(record["p99_us"]))
-            self._median_dirty = True
-
-    # -- derived rollups (cheap: no pass over the history) ------------------
-
-    def count(self, kind: str) -> int:
-        return self._by_type.get(kind, 0)
-
-    def time_to_first_anomaly(self) -> Optional[float]:
-        return self._ttfa
-
-    def coverage_fraction(self) -> Optional[float]:
-        if not self._trackers:
-            return None
-        return sum(
-            tracker.touched_fraction() for tracker in self._trackers
-        ) / len(self._trackers)
-
-    def acceptance_rate(self) -> Optional[float]:
-        return self._accepted / self._decided if self._decided else None
-
-    def latency_p99_median(self) -> Optional[float]:
-        if self._median_dirty:
-            ordered = sorted(self._p99s)
-            mid = len(ordered) // 2
-            self._median = (
-                ordered[mid] if len(ordered) % 2
-                else (ordered[mid - 1] + ordered[mid]) / 2.0
-            )
-            self._median_dirty = False
-        return self._median
-
-    @property
-    def complete_runs(self) -> int:
-        return self._complete_runs
+    def rollup(self) -> dict:
+        return {
+            "path": self.path,
+            "records": self.counts.records,
+            "error": self.error,
+            "runs": self.counts.count("run_start"),
+            "complete_runs": self.counts.complete_runs,
+            "experiments": self.counts.count("experiment"),
+            "anomalies": self.counts.count("anomaly"),
+            "skips": self.counts.count("skip"),
+            "time_to_first_anomaly_seconds": self.ttfa.result(),
+            "coverage_fraction": self.coverage.result(),
+            "acceptance_rate": self.annealing.result(),
+            "latency_p99_us_median": self.latency.median(),
+        }
 
 
 class CampaignAggregator:
@@ -202,64 +101,10 @@ class CampaignAggregator:
     ) -> None:
         self.sources = [_SourceState(os.fspath(p)) for p in paths]
         self.stale_after = stale_after
-        #: (source path, worker slot) → latest heartbeat.
-        self.workers: dict[tuple, WorkerLiveness] = {}
-        #: Most recent anomalous experiments, oldest first.
-        self.timeline: deque = deque(maxlen=TIMELINE_TAIL)
-        #: p99 of every latency record seen, merged across sources.
-        self.latency_p99 = HistogramSummary()
-        self._cache_hits = 0
-        self._cache_lookups = 0
-
-    # -- ingest -------------------------------------------------------------
 
     def refresh(self) -> int:
         """Poll every source; returns how many new records arrived."""
-        fresh_total = 0
-        for source in self.sources:
-            for record in source.absorb():
-                self._fold(source.path, record)
-                fresh_total += 1
-        return fresh_total
-
-    def _fold(self, path: str, record: dict) -> None:
-        kind = record.get("t")
-        if kind == "heartbeat":
-            beat = WorkerLiveness(
-                source=path,
-                worker=int(record["worker"]),
-                done=int(record["done"]),
-                total=int(record["total"]),
-                wall_time=float(record["wall_time"]),
-            )
-            self.workers[(path, beat.worker)] = beat
-        elif kind == "experiment":
-            if record.get("symptom", HEALTHY) != HEALTHY:
-                self.timeline.append({
-                    "source": path,
-                    "chain": record.get("chain"),
-                    "time_seconds": record["time_seconds"],
-                    "symptom": record["symptom"],
-                    "counter": record.get("counter", "?"),
-                    "counter_value": record.get("counter_value", 0.0),
-                })
-        elif kind == "latency":
-            self.latency_p99.observe(float(record["p99_us"]))
-        elif kind == "cache":
-            self._cache_lookups += 1
-            if record.get("hit"):
-                self._cache_hits += 1
-
-    # -- read side ----------------------------------------------------------
-
-    @property
-    def records_seen(self) -> int:
-        return sum(len(source.records) for source in self.sources)
-
-    def cache_hit_rate(self) -> Optional[float]:
-        if not self._cache_lookups:
-            return None
-        return self._cache_hits / self._cache_lookups
+        return sum(len(source.absorb()) for source in self.sources)
 
     def snapshot(self, now: Optional[float] = None) -> dict:
         """The whole telemetry view as one JSON-able dict.
@@ -268,60 +113,45 @@ class CampaignAggregator:
         liveness classification is testable without sleeping.
         """
         now = time.time() if now is None else now
-        sources = []
+        sources = [source.rollup() for source in self.sources]
         totals = {
-            "experiments": 0, "anomalies": 0, "skips": 0,
-            "runs": 0, "complete_runs": 0, "records": 0,
-        }
-        ttfas: list[float] = []
-        coverages: list[float] = []
-        for source in self.sources:
-            entry = {
-                "path": source.path,
-                "records": len(source.records),
-                "error": source.error,
-                "runs": source.count("run_start"),
-                "complete_runs": source.complete_runs,
-                "experiments": source.count("experiment"),
-                "anomalies": source.count("anomaly"),
-                "skips": source.count("skip"),
-                "time_to_first_anomaly_seconds":
-                    source.time_to_first_anomaly(),
-                "coverage_fraction": source.coverage_fraction(),
-                "acceptance_rate": source.acceptance_rate(),
-                "latency_p99_us_median": source.latency_p99_median(),
-            }
-            sources.append(entry)
+            key: sum(entry[key] for entry in sources)
             for key in ("experiments", "anomalies", "skips", "runs",
-                        "complete_runs"):
-                totals[key] += entry[key]
-            totals["records"] += len(source.records)
-            ttfa = entry["time_to_first_anomaly_seconds"]
-            if ttfa is not None:
-                ttfas.append(float(ttfa))
-            if entry["coverage_fraction"] is not None:
-                coverages.append(float(entry["coverage_fraction"]))
-        workers = [
-            {
-                "source": beat.source,
-                "worker": beat.worker,
-                "done": beat.done,
-                "total": beat.total,
-                "wall_time": beat.wall_time,
-                "age_seconds": beat.age_seconds(now),
-                "alive": beat.alive(now, self.stale_after),
-            }
-            for (_, _), beat in sorted(self.workers.items())
+                        "complete_runs", "records")
+        }
+        ttfas = [
+            entry["time_to_first_anomaly_seconds"] for entry in sources
+            if entry["time_to_first_anomaly_seconds"] is not None
         ]
+        coverages = [
+            entry["coverage_fraction"] for entry in sources
+            if entry["coverage_fraction"] is not None
+        ]
+        workers = []
+        for path, worker, done, total, wall_time in sorted(
+            (source.path, worker, *beat)
+            for source in self.sources
+            for worker, beat in source.telemetry.workers.items()
+        ):
+            age = max(0.0, now - wall_time)
+            workers.append({
+                "source": path, "worker": worker, "done": done,
+                "total": total, "wall_time": wall_time,
+                "age_seconds": age, "alive": age <= self.stale_after,
+            })
+        lookups = sum(s.telemetry.cache_lookups for s in self.sources)
+        hits = sum(s.telemetry.cache_hits for s in self.sources)
+        latency = HistogramSummary()
+        for source in self.sources:
+            latency.merge(source.latency.histogram)
         totals.update({
             "time_to_first_anomaly_seconds": min(ttfas) if ttfas else None,
             "coverage_fraction": max(coverages) if coverages else None,
-            "cache_hit_rate": self.cache_hit_rate(),
+            "cache_hit_rate": hits / lookups if lookups else None,
             "latency_p99_us": (
-                self.latency_p99.percentile(0.99)
-                if self.latency_p99.count else None
+                latency.percentile(0.99) if latency.count else None
             ),
-            "latency_records": self.latency_p99.count,
+            "latency_records": latency.count,
             "workers_alive": sum(1 for w in workers if w["alive"]),
             "workers_total": len(workers),
         })
@@ -329,22 +159,26 @@ class CampaignAggregator:
             "sources": sources,
             "totals": totals,
             "workers": workers,
-            "timeline": list(self.timeline),
+            "timeline": self._timeline(),
             "stale_after": self.stale_after,
         }
 
+    def _timeline(self) -> list:
+        """The latest anomalies, sources merged by simulated time."""
+        tails = [
+            [{"source": source.path, **entry}
+             for entry in source.telemetry.result()]
+            for source in self.sources
+        ]
+        merged = list(
+            heapq.merge(*tails, key=lambda entry: entry["time_seconds"])
+        )
+        return merged[-TIMELINE_TAIL:]
+
     def chain_diagnostics(self) -> list:
         """Per-chain SA rows across every source (``repro top``)."""
-        rows = []
-        for source in self.sources:
-            for diag in per_chain_diagnostics(source.records):
-                rows.append((source.path, diag))
-        return rows
-
-    def first_anomaly_seconds(self) -> Optional[float]:
-        """Earliest TTFA across sources (None while all healthy)."""
-        values = [
-            ttfa for source in self.sources
-            if (ttfa := source.time_to_first_anomaly()) is not None
+        return [
+            (source.path, diag)
+            for source in self.sources
+            for diag in source.annealing.diagnostics(source.ttfa)
         ]
-        return min(values) if values else None

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.analysis.serialize import mfs_from_dict, workload_from_dict
 from repro.core.mfs import MinimalFeatureSet
 from repro.core.space import DIMENSION_GROUPS, SearchSpace
 from repro.hardware.workload import WorkloadDescriptor
@@ -185,75 +184,20 @@ class CoverageTracker:
         return "\n".join(lines)
 
 
-#: Order-of-magnitude buckets of the latency panel's p99 histogram.
-_LATENCY_BUCKETS = (
-    ("<10us", 10.0),
-    ("10-100us", 100.0),
-    ("100us-1ms", 1000.0),
-    ("1-10ms", 10000.0),
-    (">=10ms", float("inf")),
-)
-
-
 def render_latency_panel(records) -> Optional[str]:
-    """Distribution of modeled per-WR p99 over a journal's latency records.
+    """The :class:`~repro.obs.folds.Latency` p99 panel of a journal
+    (``None`` without latency records)."""
+    from repro.obs.folds import Latency, run_folds
 
-    Pure read-side fold over schema-v4 ``latency`` records — journals
-    written before the latency signal (or with it disabled) have none,
-    and the panel returns ``None`` instead of an empty chart.
-    """
-    latencies = [r for r in records if r.get("t") == "latency"]
-    if not latencies:
-        return None
-    p99s = sorted(float(r["p99_us"]) for r in latencies)
-    counts = {label: 0 for label, _ in _LATENCY_BUCKETS}
-    for p99 in p99s:
-        for label, upper in _LATENCY_BUCKETS:
-            if p99 < upper:
-                counts[label] += 1
-                break
-    peak = max(counts.values())
-    lines = [f"per-WR p99 latency ({len(p99s)} latency records)"]
-    for label, _ in _LATENCY_BUCKETS:
-        count = counts[label]
-        if not count:
-            continue
-        bar = "#" * max(1, round(count * 40 / peak))
-        lines.append(f"  {label:>10} {count:>6} {bar}")
-    median = p99s[len(p99s) // 2]
-    worst = max(float(r["inflation"]) for r in latencies)
-    quirky = sum(1 for r in latencies if r.get("tags"))
-    lines.append(
-        f"  median p99 {median:.1f} us, worst inflation {worst:.2f}x, "
-        f"{quirky} experiment(s) with a fired latency quirk"
-    )
-    return "\n".join(lines)
+    (latency,) = run_folds(records, Latency())
+    return latency.render()
 
 
 def coverage_from_records(records) -> list[CoverageTracker]:
-    """Recompute coverage post-hoc: one tracker per run in a journal.
+    """Recompute coverage post-hoc: one tracker per run, in
+    :func:`~repro.obs.journal.run_records` order (the
+    :class:`~repro.obs.folds.Coverage` fold)."""
+    from repro.obs.folds import Coverage, run_folds
 
-    Runs are grouped by :func:`~repro.obs.journal.run_records`, which
-    demultiplexes chain-stamped population journals — each chain gets
-    its own tracker instead of attributing its visits to whichever run
-    started last in file order.
-    """
-    from repro.obs.journal import run_records
-
-    trackers: list[CoverageTracker] = []
-    for run in run_records(records):
-        current = CoverageTracker.for_subsystem(run[0]["subsystem"])
-        trackers.append(current)
-        for record in run[1:]:
-            kind = record.get("t")
-            if kind == "experiment":
-                current.visit(workload_from_dict(record["workload"]))
-            elif kind == "skip":
-                workload = record.get("workload")
-                current.skip(
-                    workload_from_dict(workload)
-                    if workload is not None else None
-                )
-            elif kind == "anomaly":
-                current.mark_mfs(mfs_from_dict(record["mfs"]))
-    return trackers
+    (coverage,) = run_folds(records, Coverage())
+    return coverage.runs()

@@ -18,14 +18,6 @@ from typing import Optional
 #: Home + clear-screen, emitted between live refreshes only.
 CLEAR = "\x1b[H\x1b[2J"
 
-#: Gated drift metrics: name → (snapshot totals key, higher is better).
-_DRIFT_METRICS = (
-    ("anomalies", "anomalies", True),
-    ("time_to_first_anomaly_seconds",
-     "time_to_first_anomaly_seconds", False),
-    ("coverage_fraction", "coverage_fraction", True),
-)
-
 
 def _fmt(value, digits: int = 3) -> str:
     if value is None:
@@ -141,12 +133,14 @@ def render_dashboard(
                 f"{entry['counter']}={entry['counter_value']:g}{chain}"
             )
     if baseline is not None:
+        from repro.analysis.journaldiff import GATED_METRICS
+
         lines.append("")
         label = baseline_path or "baseline"
         lines.append(f"  drift vs {label}")
-        for name, key, higher_better in _DRIFT_METRICS:
+        for name, higher_better in GATED_METRICS.items():
             base = baseline.get(name)
-            live = totals.get(key)
+            live = totals.get(name)
             lines.append(
                 f"    {name:<34} baseline {_fmt(base):>9}   "
                 f"live {_fmt(live):>9}   {_drift_note(base, live, higher_better)}"
@@ -155,13 +149,11 @@ def render_dashboard(
 
 
 def _drift_note(base, live, higher_better: bool) -> str:
+    from repro.analysis.journaldiff import relative_change
+
     if base is None or live is None:
         return "-"
-    base = float(base)
-    live = float(live)
-    scale = max(abs(base), abs(live), 1e-12)
-    delta = (live - base) / scale
-    worse = -delta if higher_better else delta
+    delta, worse = relative_change(float(base), float(live), higher_better)
     arrow = "=" if abs(delta) < 1e-9 else ("▼" if worse > 0 else "▲")
     return f"{delta:+.1%} {arrow}"
 
@@ -169,13 +161,14 @@ def _drift_note(base, live, higher_better: bool) -> str:
 def load_baseline_metrics(path: str) -> dict:
     """``journal_metrics`` of a baseline journal (gzip-transparent).
 
-    Accepts anything :func:`~repro.obs.journal.read_journal_prefix`
-    reads — including committed canary corpus cells
-    (``canary/corpus/*.jsonl.gz``) — tolerating a torn tail so a
-    baseline can itself be a still-warm journal.
+    Streams the file through the metric folds.  Accepts anything
+    :func:`~repro.obs.journal.scan_journal` reads — including committed
+    canary corpus cells (``canary/corpus/*.jsonl.gz``) — tolerating a
+    torn tail so a baseline can itself be a still-warm journal.
     """
-    from repro.analysis.journaldiff import journal_metrics
-    from repro.obs.journal import read_journal_prefix
+    from repro.obs.folds import JournalMetrics, dispatcher
+    from repro.obs.journal import scan_journal
 
-    records, _tail = read_journal_prefix(path)
-    return journal_metrics(records)
+    metrics = JournalMetrics()
+    scan_journal(path, dispatcher(*metrics.folds))
+    return metrics.result()

@@ -22,7 +22,7 @@ import dataclasses
 import gzip
 import json
 import os
-from typing import IO, Iterable, Optional, Union
+from typing import IO, Callable, Iterable, Optional, Union
 
 from repro.analysis.serialize import (
     mfs_from_dict,
@@ -32,6 +32,7 @@ from repro.analysis.serialize import (
 )
 from repro.core.annealing import TraceEvent
 from repro.core.collie import SearchReport
+from repro.obs.folds import PerRun, RecordCounts, run_folds
 from repro.obs.schema import SCHEMA_VERSION
 
 
@@ -118,14 +119,26 @@ def read_journal_prefix(
 ) -> tuple[list[dict], Optional[str]]:
     """Parse a journal's valid prefix, tolerating a truncated tail.
 
-    A run killed mid-write leaves at most one partial line, and it is
-    the *last* one (the journal is append-only and line-buffered).
-    Returns ``(records, tail_error)`` where ``tail_error`` describes a
-    dropped final partial line (``None`` for a clean journal).  An
-    undecodable line anywhere *before* the last is not crash
-    truncation — it is corruption, and still raises ``ValueError``.
+    Returns ``(records, tail_error)``; see :func:`scan_journal`.
     """
     records: list[dict] = []
+    _, tail_error = scan_journal(path, records.append)
+    return records, tail_error
+
+
+def scan_journal(
+    path: Union[str, os.PathLike], step: Callable[[dict], None]
+) -> tuple[int, Optional[str]]:
+    """Stream a journal's valid prefix into ``step``, record by record.
+
+    A run killed mid-write leaves at most one partial line, and it is
+    the *last* one (the journal is append-only and line-buffered).
+    Returns ``(count, tail_error)``: how many records were stepped,
+    and what dropped final partial line there was (``None`` for a clean
+    journal).  An undecodable line anywhere *before* the last is
+    corruption, and raises ``ValueError``.
+    """
+    count = 0
     pending_error: Optional[str] = None
     with open_journal_text(path) as handle:
         for line_number, line in enumerate(handle, 1):
@@ -136,17 +149,18 @@ def read_journal_prefix(
                 # The bad line was not the last one: real corruption.
                 raise ValueError(pending_error)
             try:
-                records.append(json.loads(stripped))
+                record = json.loads(stripped)
             except json.JSONDecodeError as error:
                 pending_error = (
                     f"{os.fspath(path)}: line {line_number} is not valid "
                     f"JSON: {error}"
                 )
+                continue
+            step(record)
+            count += 1
     if pending_error is not None:
-        return records, (
-            pending_error + " (truncated tail dropped)"
-        )
-    return records, None
+        return count, pending_error + " (truncated tail dropped)"
+    return count, None
 
 
 # -- record constructors (the write side the recorder uses) ------------------
@@ -297,6 +311,17 @@ def _report_from_run(records: list[dict]) -> SearchReport:
     )
 
 
+class _RunGroups(PerRun):
+    """Each run's records, as a list."""
+
+    def start_run(self, record: dict) -> list[dict]:
+        return [record]
+
+    def step_run(self, run: list, kind: str, record: dict) -> list[dict]:
+        run.append(record)
+        return run
+
+
 def run_records(records: Iterable[dict]) -> list[list[dict]]:
     """Per-run record groups, split on ``run_start`` delimiters.
 
@@ -308,27 +333,10 @@ def run_records(records: Iterable[dict]) -> list[list[dict]]:
     Population journals (schema v5) interleave N chains' records in one
     file; records are first demultiplexed by their ``chain`` stamp — in
     first-appearance order — then each chain's stream splits on its own
-    ``run_start``.  Journals without chain stamps take the single-stream
-    path unchanged.
+    ``run_start`` (:class:`~repro.obs.folds.PerRun`).
     """
-    streams: dict = {}
-    order: list = []
-    for record in records:
-        key = record.get("chain")
-        if key not in streams:
-            streams[key] = []
-            order.append(key)
-        streams[key].append(record)
-    runs: list[list[dict]] = []
-    for key in order:
-        current: Optional[list[dict]] = None
-        for record in streams[key]:
-            if record.get("t") == "run_start":
-                current = [record]
-                runs.append(current)
-            elif current is not None:
-                current.append(record)
-    return runs
+    (groups,) = run_folds(records, _RunGroups())
+    return groups.runs()
 
 
 def reports_from_records(records: Iterable[dict]) -> list[SearchReport]:
@@ -343,43 +351,11 @@ def reports_from_journal(
 
 
 def journal_summary(records: Iterable[dict]) -> dict:
-    """Shape overview of a journal: record counts, runs, anomalies.
-
-    A run is *complete* when its ``run_start`` is matched by a
-    ``run_end`` before the next run begins; anything else is a crashed
-    (partial) run — ``crashed_runs`` surfaces it explicitly rather
-    than letting a truncated journal masquerade as a finished one.
-    Start/end matching is per chain stream (population journals
-    interleave N concurrent runs in one file).
-    """
-    by_type: dict[str, int] = {}
-    complete = 0
-    in_run: dict = {}
-    for record in records:
-        kind = record.get("t", "?")
-        by_type[kind] = by_type.get(kind, 0) + 1
-        chain = record.get("chain")
-        if kind == "run_start":
-            in_run[chain] = True
-        elif kind == "run_end" and in_run.get(chain):
-            complete += 1
-            in_run[chain] = False
-    runs = by_type.get("run_start", 0)
-    return {
-        "records": sum(by_type.values()),
-        "runs": runs,
-        "complete_runs": complete,
-        "crashed_runs": runs - complete,
-        "experiments": by_type.get("experiment", 0),
-        "anomalies": by_type.get("anomaly", 0),
-        "transitions": by_type.get("transition", 0),
-        "skips": by_type.get("skip", 0),
-        "cache_events": by_type.get("cache", 0),
-        "retries": by_type.get("retry", 0),
-        "quarantines": by_type.get("quarantine", 0),
-        "heartbeats": by_type.get("heartbeat", 0),
-        "by_type": dict(sorted(by_type.items())),
-    }
+    """Shape overview of a journal: record counts, runs, anomalies,
+    and ``crashed_runs`` (see :class:`~repro.obs.folds.RecordCounts`),
+    so a truncated journal never masquerades as a finished one."""
+    (counts,) = run_folds(records, RecordCounts())
+    return counts.result()
 
 
 # -- verification (the ``repro journal verify`` surface) ----------------------
@@ -400,19 +376,29 @@ def verify_journal(path: Union[str, os.PathLike]) -> tuple[int, list[str]]:
     :data:`VERIFY_CORRUPT` — the file is unreadable, corrupt before
     its final line, or fails schema validation.
     """
-    from repro.obs.schema import validate_journal
+    from repro.obs.schema import validate_record
+
+    counts = RecordCounts()
+    errors: list[str] = []
+    line = 0
+
+    def check(record: dict) -> None:
+        nonlocal line
+        line += 1
+        errors.extend(validate_record(record, line=line))
+        if not errors:
+            counts.step(record)
 
     messages: list[str] = []
     try:
-        records, tail_error = read_journal_prefix(path)
+        count, tail_error = scan_journal(path, check)
     except OSError as error:
         return VERIFY_CORRUPT, [f"cannot read journal: {error}"]
     except ValueError as error:
         return VERIFY_CORRUPT, [str(error)]
-    errors = validate_journal(records)
-    if errors and records:
+    if errors:
         return VERIFY_CORRUPT, errors
-    if not records:
+    if not count:
         messages.append("journal is empty")
         if tail_error is not None:
             messages.append(tail_error)
@@ -421,7 +407,7 @@ def verify_journal(path: Union[str, os.PathLike]) -> tuple[int, list[str]]:
     if tail_error is not None:
         verdict = VERIFY_INCOMPLETE
         messages.append(tail_error)
-    shape = journal_summary(records)
+    shape = counts.result()
     if shape["crashed_runs"]:
         verdict = VERIFY_INCOMPLETE
         messages.append(

@@ -41,6 +41,16 @@ class _MaxLevelFilter(logging.Filter):
         return record.levelno < self.below
 
 
+class _StreamHandler(logging.StreamHandler):
+    """Lets a closed pipe (``repro report J | head -1``) reach the
+    CLI's ``main`` instead of printing a traceback per record."""
+
+    def handleError(self, record: logging.LogRecord) -> None:
+        if isinstance(sys.exc_info()[1], BrokenPipeError):
+            raise
+        super().handleError(record)
+
+
 class JsonFormatter(logging.Formatter):
     """One JSON object per record: level, logger name, message."""
 
@@ -76,10 +86,10 @@ def setup_logging(
     formatter: logging.Formatter = (
         JsonFormatter() if json_format else logging.Formatter("%(message)s")
     )
-    out = logging.StreamHandler(sys.stdout)
+    out = _StreamHandler(sys.stdout)
     out.setLevel(logging.DEBUG)
     out.addFilter(_MaxLevelFilter(logging.WARNING))
-    err = logging.StreamHandler(sys.stderr)
+    err = _StreamHandler(sys.stderr)
     err.setLevel(logging.WARNING)
     for handler in (out, err):
         handler.setFormatter(formatter)

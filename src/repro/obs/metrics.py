@@ -68,6 +68,15 @@ class HistogramSummary:
             self.maximum = value
         self.bucket_counts[bisect.bisect_left(BUCKET_BOUNDS, value)] += 1
 
+    def merge(self, other: "HistogramSummary") -> None:
+        """Fold another summary's observations into this one."""
+        self.count += other.count
+        self.total += other.total
+        self.minimum = min(self.minimum, other.minimum)
+        self.maximum = max(self.maximum, other.maximum)
+        for index, bucket_count in enumerate(other.bucket_counts):
+            self.bucket_counts[index] += bucket_count
+
     @property
     def mean(self) -> float:
         return self.total / self.count if self.count else 0.0

@@ -15,7 +15,8 @@ The recorded events render three ways:
 * :func:`chrome_trace` — Chrome trace-event JSON for chrome://tracing
   or Perfetto (:func:`validate_chrome_trace` schema-checks it);
 * :func:`spans_records` — schema-v3 ``spans`` journal records, from
-  which :func:`events_from_records` round-trips the event list.
+  which the :class:`~repro.obs.folds.Spans` fold round-trips the
+  event list.
 """
 
 from __future__ import annotations
@@ -231,15 +232,3 @@ def spans_records(events, chunk: int = SPANS_CHUNK):
                 for path, start, duration in events[offset:offset + chunk]
             ],
         }
-
-
-def events_from_records(records) -> list[tuple[str, float, float]]:
-    """Span events inlined in a journal's ``spans`` records."""
-    events: list[tuple[str, float, float]] = []
-    for record in records:
-        if record.get("t") == "spans":
-            events.extend(
-                (str(path), float(start), float(duration))
-                for path, start, duration in record["events"]
-            )
-    return events

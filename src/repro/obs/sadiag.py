@@ -1,284 +1,57 @@
 """Simulated-annealing diagnostics from a run journal.
 
-Folds the recorder's ``transition`` stream (improve / accept / reject /
-restart / reheat) into the numbers behind the paper's Fig. 5 ablation:
-
-* per-temperature-epoch acceptance rates — is the Metropolis schedule
-  actually cooling, or is the search a random walk?
-* per-dimension mutation effectiveness — which mutated dimension's
-  moves improve the objective (schema-v3 journals label transitions
-  with the dimensions the candidate mutation changed);
-* time-to-first-anomaly — the single highest-leverage search metric,
-  computed from ``experiment`` records so it also works for baselines
-  that never record transitions.
-
-Population journals (schema v5) interleave N chains' records, each
-stamped with its chain id; :func:`per_chain_diagnostics` splits the
-acceptance rate, mutation effectiveness and TTFA per chain — and, for
-parallel tempering, per ladder rung (a chain's rung is the hottest
-temperature its transitions ever recorded, i.e. its ``t0``).  Journals
-from before the population driver carry no stamps and fold into a
-single unnamed chain, so every caller degrades gracefully.
-
-Everything here is a pure fold over journal records; nothing touches
-the search.
+Renders the SA folds of :mod:`repro.obs.folds` — the numbers behind the
+paper's Fig. 5 ablation: per-temperature-epoch acceptance rates (is the
+Metropolis schedule cooling, or is the search a random walk?),
+per-dimension mutation effectiveness and time to first anomaly, split
+per chain (and so per tempering rung) for population journals.
 """
 
 from __future__ import annotations
 
-import dataclasses
-import math
-from typing import Optional
-
-#: Actions that participate in acceptance-rate denominators.  restart
-#: and reheat are schedule events, not Metropolis decisions.
-DECISION_ACTIONS = ("improve", "accept", "reject")
-
-HEALTHY = "healthy"
-
-
-@dataclasses.dataclass
-class EpochStats:
-    """One temperature epoch: consecutive transitions at one temperature."""
-
-    temperature: float
-    improve: int = 0
-    accept: int = 0
-    reject: int = 0
-    restart: int = 0
-    reheat: int = 0
-    exchange: int = 0  #: replica swaps adopted (tempering runs only).
-
-    @property
-    def decisions(self) -> int:
-        return self.improve + self.accept + self.reject
-
-    @property
-    def acceptance_rate(self) -> Optional[float]:
-        if self.decisions == 0:
-            return None
-        return (self.improve + self.accept) / self.decisions
-
-
-@dataclasses.dataclass
-class DimensionStats:
-    """Mutation outcomes attributed to one mutated dimension."""
-
-    dimension: str
-    mutations: int = 0
-    improvements: int = 0
-    accepts: int = 0
-    rejects: int = 0
-
-    @property
-    def effectiveness(self) -> Optional[float]:
-        if self.mutations == 0:
-            return None
-        return self.improvements / self.mutations
-
-
-def _transitions(records):
-    for record in records:
-        if record.get("t") == "transition":
-            yield record
-
-
-def fold_epochs(records) -> list[EpochStats]:
-    """Temperature epochs, in journal order."""
-    epochs: list[EpochStats] = []
-    for record in _transitions(records):
-        temperature = float(record["temperature"])
-        if not epochs or epochs[-1].temperature != temperature:
-            epochs.append(EpochStats(temperature=temperature))
-        epoch = epochs[-1]
-        action = record["action"]
-        setattr(epoch, action, getattr(epoch, action) + 1)
-    return epochs
-
-
-def acceptance_rate(records) -> Optional[float]:
-    """Overall Metropolis acceptance rate (None without decisions)."""
-    accepted = decided = 0
-    for record in _transitions(records):
-        action = record["action"]
-        if action in DECISION_ACTIONS:
-            decided += 1
-            if action != "reject":
-                accepted += 1
-    return accepted / decided if decided else None
-
-
-def mutation_effectiveness(records) -> list[DimensionStats]:
-    """Per-dimension mutation outcomes, most effective first.
-
-    Requires schema-v3 ``mutated`` labels on transition records; older
-    journals yield an empty list.  A transition that mutated two
-    dimensions credits (or debits) both.
-    """
-    stats: dict[str, DimensionStats] = {}
-    for record in _transitions(records):
-        action = record["action"]
-        if action not in DECISION_ACTIONS:
-            continue
-        for dimension in record.get("mutated", ()):
-            entry = stats.setdefault(dimension, DimensionStats(dimension))
-            entry.mutations += 1
-            if action == "improve":
-                entry.improvements += 1
-            elif action == "accept":
-                entry.accepts += 1
-            else:
-                entry.rejects += 1
-    return sorted(
-        stats.values(),
-        key=lambda entry: (-(entry.effectiveness or 0.0), entry.dimension),
-    )
-
-
-def split_by_chain(records) -> dict:
-    """Chain id → that chain's records, in first-appearance order.
-
-    Population journals (schema v5) stamp every record with its chain;
-    journals from before the population driver carry no stamps, so the
-    whole journal folds into a single ``{None: records}`` stream and
-    every per-chain caller degrades gracefully to whole-run numbers.
-    """
-    streams: dict = {}
-    for record in records:
-        streams.setdefault(record.get("chain"), []).append(record)
-    return streams
-
-
-@dataclasses.dataclass
-class ChainDiagnostics:
-    """One population chain's slice of the SA diagnostic fold."""
-
-    chain: Optional[int]  #: None for unstamped (pre-population) journals.
-    t0: Optional[float]  #: hottest transition temperature = ladder rung.
-    decisions: int
-    acceptance: Optional[float]
-    exchanges: int  #: replica swaps this chain adopted (tempering).
-    dimensions: list  #: per-chain :class:`DimensionStats`, best first.
-    ttfa: Optional[float]
-
-    @property
-    def best_dimension(self) -> Optional[str]:
-        return self.dimensions[0].dimension if self.dimensions else None
+from repro.obs.folds import (
+    Annealing,
+    ChainDiagnostics,
+    FirstAnomaly,
+    Isolation,
+    TemperatureEpochs,
+    run_folds,
+)
 
 
 def per_chain_diagnostics(records) -> list[ChainDiagnostics]:
-    """Acceptance, effectiveness, exchanges and TTFA split per chain.
-
-    For parallel-tempering journals the ``t0`` column identifies the
-    ladder rung (every chain's schedule starts at its rung, so the
-    hottest temperature it ever journaled *is* the rung).  Unstamped
-    journals yield a single entry with ``chain=None`` holding the same
-    numbers the whole-journal folds report.
-    """
-    diagnostics: list[ChainDiagnostics] = []
-    for chain, stream in split_by_chain(records).items():
-        transitions = list(_transitions(stream))
-        decided = sum(
-            1 for r in transitions if r["action"] in DECISION_ACTIONS
-        )
-        diagnostics.append(ChainDiagnostics(
-            chain=chain,
-            t0=max(
-                (float(r["temperature"]) for r in transitions),
-                default=None,
-            ),
-            decisions=decided,
-            acceptance=acceptance_rate(transitions),
-            exchanges=sum(
-                1 for r in transitions if r["action"] == "exchange"
-            ),
-            dimensions=mutation_effectiveness(transitions),
-            ttfa=time_to_first_anomaly(stream),
-        ))
-    return diagnostics
-
-
-def time_to_first_anomaly(records) -> Optional[float]:
-    """Simulated seconds until the first anomalous experiment.
-
-    Uses ``experiment`` records (symptom != healthy), so it works for
-    any recorded approach — Collie, baselines, replays — whether or
-    not transitions were journaled.  None when the run stayed healthy.
-    """
-    for record in records:
-        if (
-            record.get("t") == "experiment"
-            and record.get("symptom", HEALTHY) != HEALTHY
-        ):
-            return float(record["time_seconds"])
-    return None
-
-
-def time_to_first_anomaly_by_symptom(records) -> dict:
-    """Symptom → simulated seconds until its first anomalous experiment.
-
-    Splits TTFA by anomaly class, so a search that finds pause frames in
-    minutes but needs hours for its first latency inflation shows both
-    numbers instead of only the earlier one.  Symptoms the run never
-    exhibited are simply absent.
-    """
-    first: dict[str, float] = {}
-    for record in records:
-        if record.get("t") != "experiment":
-            continue
-        symptom = record.get("symptom", HEALTHY)
-        if symptom != HEALTHY and symptom not in first:
-            first[symptom] = float(record["time_seconds"])
-    return dict(sorted(first.items(), key=lambda item: item[1]))
-
-
-def worst_interference(records) -> Optional[tuple]:
-    """``(interference, time_seconds)`` of the worst co-run experiment.
-
-    Isolation journals (schema v6) stamp every co-run experiment with
-    the victim's interference (shared throughput over fair share); the
-    minimum is the search's deepest cut into the victim.  ``None`` for
-    solo journals.  Non-finite values (the zero-fair-share sentinel)
-    are ignored — they mark an undefined comparison, not a deep cut.
-    """
-    worst: Optional[tuple] = None
-    for record in records:
-        if record.get("t") != "experiment":
-            continue
-        value = record.get("interference")
-        if value is None:
-            continue
-        value = float(value)
-        if not math.isfinite(value):
-            continue
-        if worst is None or value < worst[0]:
-            worst = (value, float(record["time_seconds"]))
-    return worst
+    """Acceptance, effectiveness, exchanges, TTFA and tempering rung
+    (``t0``) per chain; an unstamped journal is one ``chain=None``."""
+    annealing, ttfa = run_folds(records, Annealing(), FirstAnomaly())
+    return annealing.diagnostics(ttfa)
 
 
 def render_sa_diagnostics(records) -> str:
     """Terminal rendering of the full SA diagnostic fold."""
+    ttfa, isolation, schedule, annealing = run_folds(
+        records, FirstAnomaly(), Isolation(), TemperatureEpochs(), Annealing()
+    )
     lines = ["simulated-annealing diagnostics"]
-    ttfa = time_to_first_anomaly(records)
+    first = ttfa.result()
     lines.append(
         "  time to first anomaly: "
-        + (f"{ttfa:.0f}s simulated" if ttfa is not None else "never")
+        + (f"{first:.0f}s simulated" if first is not None else "never")
     )
-    by_symptom = time_to_first_anomaly_by_symptom(records)
+    by_symptom = ttfa.symptoms()
     if len(by_symptom) > 1:
         for symptom, seconds in by_symptom.items():
             lines.append(f"    {symptom}: {seconds:.0f}s simulated")
-    interference = worst_interference(records)
-    if interference is not None:
+    if isolation.worst is not None:
+        interference, seconds = isolation.worst
         lines.append(
-            f"  worst victim interference: {interference[0]:.2f} of fair "
-            f"share at {interference[1]:.0f}s simulated"
+            f"  worst victim interference: {interference:.2f} of fair "
+            f"share at {seconds:.0f}s simulated"
         )
     prelude = len(lines)
-    overall = acceptance_rate(records)
+    overall = annealing.result()
     if overall is not None:
         lines.append(f"  overall acceptance rate: {overall:.1%}")
-    epochs = fold_epochs(records)
+    epochs = schedule.result()
     if epochs:
         lines.append("  temperature epochs:")
         lines.append(
@@ -293,7 +66,7 @@ def render_sa_diagnostics(records) -> str:
                 f"{epoch.reheat:>7d} "
                 + (f"{rate:>8.1%}" if rate is not None else f"{'—':>9}")
             )
-    dimensions = mutation_effectiveness(records)
+    dimensions = annealing.dimensions()
     if dimensions:
         lines.append("  mutation effectiveness by dimension:")
         lines.append(
@@ -313,7 +86,7 @@ def render_sa_diagnostics(records) -> str:
             )
     if len(lines) == prelude:
         lines.append("  no transition records in this journal")
-    chains = per_chain_diagnostics(records)
+    chains = annealing.diagnostics(ttfa)
     if any(entry.chain is not None for entry in chains):
         lines.append("  per-chain split:")
         lines.append(
@@ -327,10 +100,12 @@ def render_sa_diagnostics(records) -> str:
                 f"{entry.acceptance:.1%}"
                 if entry.acceptance is not None else "—"
             )
-            ttfa = f"{entry.ttfa:.0f}s" if entry.ttfa is not None else "never"
+            ttfa_text = (
+                f"{entry.ttfa:.0f}s" if entry.ttfa is not None else "never"
+            )
             lines.append(
                 f"    {chain:>5} {t0:>8} {entry.decisions:>9d} "
-                f"{accept:>9} {entry.exchanges:>9d} {ttfa:>8}  "
+                f"{accept:>9} {entry.exchanges:>9d} {ttfa_text:>8}  "
                 + (entry.best_dimension or "—")
             )
     return "\n".join(lines)

@@ -1,8 +1,32 @@
 """Campaign orchestration."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.analysis.campaign import APPROACHES, compare, run_campaign
+
+
+def test_import_leaves_scipy_unloaded():
+    """``search --chains``/``--seeds`` import this module; only the
+    baseline approaches need scipy."""
+    src = str(Path(__file__).resolve().parents[2] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, (src, env.get("PYTHONPATH")))
+    )
+    probe = (
+        "import sys, repro.analysis.campaign; print('scipy' in sys.modules)"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True,
+        env=env, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"
 
 
 class TestRunCampaign:

@@ -6,15 +6,25 @@ import pytest
 
 from repro.analysis.journaldiff import (
     DEFAULT_TOLERANCE,
-    describe_unknown_kinds,
     diff_journals,
     journal_metrics,
-    latency_metrics,
     render_diff,
-    unknown_record_kinds,
 )
 from repro.cli import main
 from repro.obs import read_journal
+from repro.obs.folds import Latency, RecordCounts, run_folds
+
+
+def unknown_record_kinds(records):
+    return run_folds(records, RecordCounts())[0].unknown_kinds()
+
+
+def describe_unknown_kinds(records):
+    return run_folds(records, RecordCounts())[0].unknown_notes()
+
+
+def latency_metrics(records):
+    return run_folds(records, Latency())[0].result()
 
 BUDGET_HOURS = 1.0
 SEED = 2

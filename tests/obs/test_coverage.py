@@ -17,6 +17,7 @@ from repro.obs import (
     read_journal,
     render_latency_panel,
 )
+from repro.obs.folds import Latency, run_folds
 from repro.obs.schema import validate_record
 
 BUDGET_HOURS = 0.5
@@ -181,6 +182,12 @@ class TestLatencyPanel:
         assert ">=10ms" not in panel  # empty buckets are skipped
         assert "worst inflation 6.50x" in panel
         assert "1 experiment(s) with a fired latency quirk" in panel
+
+    def test_even_count_median_is_the_journal_metrics_median(self):
+        records = [self._latency(1.0), self._latency(3.0)]
+        assert "median p99 2.0 us" in render_latency_panel(records)
+        (latency,) = run_folds(records, Latency())
+        assert latency.result()["latency_p99_us_median"] == 2.0
 
     def test_panel_reads_a_real_latency_run(self, tmp_path):
         path = tmp_path / "run.jsonl"

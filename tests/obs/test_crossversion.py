@@ -30,9 +30,14 @@ from repro.obs import (
     reports_from_records,
     validate_journal,
 )
+from repro.obs.folds import RecordCounts, run_folds
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 FIXTURE_SUBSYSTEM = "F"  # the subsystem the fixture journals recorded
+
+
+def describe_unknown_kinds(records) -> list:
+    return run_folds(records, RecordCounts())[0].unknown_notes()
 
 
 def fixture_records(version: int) -> list:
@@ -152,7 +157,6 @@ class TestPreTelemetryReaderSkipsWithNote:
     """A pre-v7 reader sees ``heartbeat`` as an unknown record kind."""
 
     def test_skip_is_noted_and_reads_still_work(self, monkeypatch):
-        from repro.analysis.journaldiff import describe_unknown_kinds
         from repro.obs import schema
 
         monkeypatch.delitem(schema.RECORD_FIELDS, "heartbeat")
@@ -171,11 +175,10 @@ class TestPreIsolationReaderSkipsWithNote:
     Simulated the way the repo's other old-reader tests do: the
     ``isolation`` entry is removed from the live schema table, so every
     skipping surface (report, stats, journal diff, canary check) flows
-    through :func:`describe_unknown_kinds` and says what it dropped.
+    through :meth:`RecordCounts.unknown_notes` and says what it dropped.
     """
 
     def test_skip_is_noted_and_reads_still_work(self, monkeypatch):
-        from repro.analysis.journaldiff import describe_unknown_kinds
         from repro.obs import schema
 
         monkeypatch.delitem(schema.RECORD_FIELDS, "isolation")

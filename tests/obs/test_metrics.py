@@ -75,6 +75,19 @@ class TestHistograms:
         copy.observe(100.0)
         assert metrics.histogram("x").count == 1
 
+    def test_merge_equals_observing_both_streams(self):
+        """The aggregator merges per-journal summaries into one."""
+        first, second, both = (HistogramSummary() for _ in range(3))
+        for value in (0.5, 3.0, 40.0):
+            first.observe(value)
+            both.observe(value)
+        for value in (7.0, 900.0):
+            second.observe(value)
+            both.observe(value)
+        first.merge(second)
+        first.merge(HistogramSummary())  # an idle journal changes nothing
+        assert first == both
+
 
 class TestPercentiles:
     def test_as_dict_reports_percentiles(self):

@@ -6,10 +6,10 @@ import time
 from repro.obs import (
     SpanProfiler,
     chrome_trace,
-    events_from_records,
     render_span_table,
     validate_chrome_trace,
 )
+from repro.obs.folds import Spans, run_folds
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.profiler import (
     measured_wall_seconds,
@@ -109,7 +109,8 @@ class TestJournalRoundTrip:
         events = nested_events()
         records = list(spans_records(events, chunk=3))
         assert len(records) > 1  # chunking actually chunked
-        assert events_from_records(records) == events
+        (spans,) = run_folds(records, Spans())
+        assert spans.events == events
 
     def test_spans_records_validate_under_schema(self):
         for record in spans_records(nested_events()):

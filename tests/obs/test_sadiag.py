@@ -4,16 +4,36 @@ from repro.core import Collie
 from repro.obs import (
     FlightRecorder,
     RunJournal,
-    acceptance_rate,
-    fold_epochs,
-    mutation_effectiveness,
     per_chain_diagnostics,
     read_journal,
     render_sa_diagnostics,
-    split_by_chain,
-    time_to_first_anomaly,
-    time_to_first_anomaly_by_symptom,
 )
+from repro.obs.folds import (
+    Annealing,
+    FirstAnomaly,
+    TemperatureEpochs,
+    run_folds,
+)
+
+
+def fold_epochs(records):
+    return run_folds(records, TemperatureEpochs())[0].result()
+
+
+def acceptance_rate(records):
+    return run_folds(records, Annealing())[0].result()
+
+
+def mutation_effectiveness(records):
+    return run_folds(records, Annealing())[0].dimensions()
+
+
+def time_to_first_anomaly(records):
+    return run_folds(records, FirstAnomaly())[0].result()
+
+
+def time_to_first_anomaly_by_symptom(records):
+    return run_folds(records, FirstAnomaly())[0].symptoms()
 
 
 def transition(action, temperature, mutated=(), chain=None):
@@ -124,15 +144,14 @@ POPULATION = [
 
 class TestPerChainSplit:
     def test_split_keys_in_first_appearance_order(self):
-        streams = split_by_chain(POPULATION)
-        assert list(streams) == [0, 1]
-        assert len(streams[0]) == 2
-        assert len(streams[1]) == 5
+        chains = per_chain_diagnostics(POPULATION)
+        assert [d.chain for d in chains] == [0, 1]
+        assert [d.decisions for d in chains] == [2, 3]
 
     def test_unstamped_journal_folds_into_one_stream(self):
-        streams = split_by_chain(SYNTHETIC)
-        assert list(streams) == [None]
-        assert streams[None] == SYNTHETIC
+        (entry,) = per_chain_diagnostics(SYNTHETIC)
+        assert entry.chain is None
+        assert entry.decisions == 6
 
     def test_per_chain_acceptance_and_exchanges(self):
         by_chain = {d.chain: d for d in per_chain_diagnostics(POPULATION)}

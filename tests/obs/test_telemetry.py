@@ -14,7 +14,9 @@ import urllib.request
 import pytest
 
 from repro.analysis.campaign import run_campaign
+from repro.analysis.journaldiff import journal_metrics
 from repro.canary.corpus import canonical_journal_bytes
+from repro.cli import main
 from repro.core import Collie
 from repro.obs import (
     CampaignAggregator,
@@ -24,6 +26,7 @@ from repro.obs import (
     TelemetryServer,
     journal_summary,
     load_baseline_metrics,
+    per_chain_diagnostics,
     read_journal,
     render_dashboard,
     render_prometheus,
@@ -107,8 +110,6 @@ class TestHeartbeats:
 
 class TestAggregator:
     def test_rollup_agrees_with_post_hoc_metrics(self, campaign_journals):
-        from repro.analysis.journaldiff import journal_metrics
-
         _, telem = campaign_journals
         agg = CampaignAggregator([telem])
         agg.refresh()
@@ -158,6 +159,61 @@ class TestAggregator:
         ):
             row.pop("source", None)
         assert a == b
+
+    def test_population_torn_chunks_equal_post_hoc_folds(self, tmp_path):
+        """Live == post-hoc on a chain-stamped journal, while the
+        aggregator holds no more than the last poll's records."""
+        journal = tmp_path / "population.jsonl"
+        assert main([
+            "search", "H", "--hours", "1", "--seed", "2", "--chains", "3",
+            "--journal", str(journal),
+        ]) == 0
+        data = journal.read_bytes()
+        partial = tmp_path / "partial.jsonl"
+        agg = CampaignAggregator([partial])
+        (source,) = agg.sources
+        step = max(1, len(data) // 11)  # deliberately tears lines
+        for end in range(step, len(data) + step, step):
+            partial.write_bytes(data[:end])
+            fresh = agg.refresh()
+            assert len(source.records) == fresh
+        records = read_journal(journal)
+        expected = journal_metrics(records)
+        live = agg.snapshot(now=0.0)["sources"][0]
+        assert live["records"] == len(records)
+        for key in (
+            "experiments", "anomalies", "skips",
+            "time_to_first_anomaly_seconds", "coverage_fraction",
+            "acceptance_rate", "latency_p99_us_median",
+        ):
+            assert live[key] == expected[key], key
+        assert [diag for _, diag in agg.chain_diagnostics()] == (
+            per_chain_diagnostics(records)
+        )
+        assert {diag.chain for _, diag in agg.chain_diagnostics()} == {
+            0, 1, 2,
+        }
+        agg.refresh()
+        assert source.records == []
+
+    def test_two_sources_roll_up_as_one(self, campaign_journals):
+        """The same campaign journaled twice: counts double, and the
+        minimum TTFA and the merged p99 histogram stay put."""
+        bare, telem = campaign_journals
+        one = CampaignAggregator([telem])
+        two = CampaignAggregator([bare, telem])
+        one.refresh()
+        two.refresh()
+        single = one.snapshot(now=0.0)["totals"]
+        double = two.snapshot(now=0.0)["totals"]
+        assert single["latency_records"] > 0
+        for key in ("experiments", "anomalies", "runs", "latency_records"):
+            assert double[key] == 2 * single[key], key
+        for key in ("time_to_first_anomaly_seconds", "coverage_fraction"):
+            assert double[key] == single[key], key
+        assert double["latency_p99_us"] == pytest.approx(
+            single["latency_p99_us"]
+        )
 
     def test_corrupt_source_reports_error_not_crash(self, tmp_path):
         path = tmp_path / "bad.jsonl"

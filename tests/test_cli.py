@@ -1,11 +1,15 @@
 """The command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from repro.analysis.serialize import workload_to_dict
-from repro.cli import main
+from repro.cli import EXIT_BROKEN_PIPE, main
 from repro.hardware.workload import WorkloadDescriptor
 
 
@@ -19,6 +23,29 @@ class TestTables:
         assert main(["table2"]) == 0
         out = capsys.readouterr().out
         assert "A18" in out and "pause frame" in out
+
+
+class TestClosedStdout:
+    @pytest.mark.parametrize("flags", [(), ("--json",)])
+    def test_report_into_a_closed_pipe_ends_quietly(self, flags):
+        """``repro report J | head -1``: no traceback, no logging
+        errors, a defined exit code."""
+        tests = Path(__file__).resolve().parent
+        src = str(tests.parent / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, (src, env.get("PYTHONPATH")))
+        )
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "report", *flags,
+             str(tests / "obs" / "fixtures" / "v7.jsonl")],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        proc.stdout.close()  # the reader leaves before the first write
+        stderr = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=120) == EXIT_BROKEN_PIPE
+        assert stderr == b""
 
 
 class TestReplay:
