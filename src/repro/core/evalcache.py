@@ -29,8 +29,8 @@ import json
 import os
 import threading
 import time
-from contextlib import nullcontext
-from typing import TYPE_CHECKING, Callable, Optional
+from contextlib import nullcontext, suppress
+from typing import IO, TYPE_CHECKING, Callable, Optional
 
 from repro.hardware.model import DirectionRates
 from repro.hardware.rules import FiredRule
@@ -46,6 +46,11 @@ DEFAULT_PHASE = "search"
 
 #: Reusable no-op context for profiler-disabled span sites.
 _NO_SPAN = nullcontext()
+
+#: The store's one encoder.  ``encode`` of a whole value takes the C
+#: encoder (``json.dump`` to a file never does), and ``sort_keys`` with
+#: the default separators is the store's on-disk layout.
+_STORE_ENCODER = json.JSONEncoder(sort_keys=True)
 
 
 def canonical_point(workload: WorkloadDescriptor) -> str:
@@ -150,7 +155,9 @@ class EvalCache:
         #: lookup (rule objects need the live subsystem to resolve tags).
         self._raw_entries: dict[str, dict] = {}
         self._phases: dict[str, PhaseStats] = {}
-        self._fingerprints: dict[int, str] = {}
+        #: ``id(subsystem) -> (subsystem, fingerprint)``; holding the
+        #: object keeps its ``id`` from being reused by another one.
+        self._fingerprints: dict[int, tuple["Subsystem", str]] = {}
         #: Keys that arrived via import/load (vs computed here).
         self._imported_keys: set[str] = set()
         self.path = path
@@ -168,12 +175,12 @@ class EvalCache:
 
     def _fingerprint(self, subsystem: "Subsystem") -> str:
         """Memoized fingerprint of a live subsystem object."""
-        by_id = id(subsystem)
-        fingerprint = self._fingerprints.get(by_id)
-        if fingerprint is None:
-            fingerprint = subsystem_fingerprint(subsystem)
-            with self._lock:
-                self._fingerprints[by_id] = fingerprint
+        memo = self._fingerprints.get(id(subsystem))
+        if memo is not None and memo[0] is subsystem:
+            return memo[1]
+        fingerprint = subsystem_fingerprint(subsystem)
+        with self._lock:
+            self._fingerprints[id(subsystem)] = (subsystem, fingerprint)
         return fingerprint
 
     def key(self, subsystem: "Subsystem", workload: WorkloadDescriptor) -> str:
@@ -422,17 +429,46 @@ class EvalCache:
     # -- disk store ------------------------------------------------------------
 
     def save(self, path: Optional[str] = None) -> str:
+        """Write the store atomically; returns its path.
+
+        The file holds what ``json.dumps(payload, sort_keys=True)`` gives
+        for ``{"format_version": FORMAT_VERSION, "entries":
+        export_entries(), "stats": stats_dict()}``, but is encoded one
+        entry at a time (flat memory) into a temporary file beside the
+        store, which then replaces it: a failed save leaves the previous
+        store intact.
+        """
         path = path or self.path
         if path is None:
             raise ValueError("no cache path given")
-        payload = {
-            "format_version": FORMAT_VERSION,
-            "entries": self.export_entries(),
-            "stats": self.stats_dict(),
-        }
-        with open(path, "w") as handle:
-            json.dump(payload, handle, sort_keys=True)
+        partial = f"{path}.{os.getpid()}.tmp"
+        with self._lock:
+            try:
+                with open(partial, "w") as handle:
+                    self._write_store(handle)
+                os.replace(partial, path)
+            except BaseException:
+                with suppress(FileNotFoundError):
+                    os.remove(partial)
+                raise
         return path
+
+    def _write_store(self, handle: IO[str]) -> None:
+        """Encode the store into ``handle`` entry by entry (lock held)."""
+        encode = _STORE_ENCODER.encode
+        handle.write('{"entries": {')
+        separator = ""
+        for key in sorted(self._entries.keys() | self._raw_entries.keys()):
+            # Never-looked-up disk entries go out as they came in.
+            entry = self._raw_entries.get(key)
+            if entry is None:
+                entry = _solve_to_dict(self._entries[key])
+            handle.write(f"{separator}{encode(key)}: {encode(entry)}")
+            separator = ", "
+        handle.write(
+            f'}}, "format_version": {FORMAT_VERSION}, '
+            f'"stats": {encode(self.stats_dict())}}}'
+        )
 
     def load(self, path: str) -> int:
         """Warm-start from a JSON store; returns entries absorbed."""
@@ -502,9 +538,19 @@ class _PhaseTimer:
 # -- (de)serialisation of solve entries --------------------------------------
 
 
+#: ``DirectionRates`` fields, read directly (``dataclasses.asdict``
+#: deep-copies every value on the way).
+_DIRECTION_FIELDS = tuple(
+    field.name for field in dataclasses.fields(DirectionRates)
+)
+
+
 def _solve_to_dict(solve: CachedSolve) -> dict:
     return {
-        "directions": [dataclasses.asdict(d) for d in solve.directions],
+        "directions": [
+            {name: getattr(d, name) for name in _DIRECTION_FIELDS}
+            for d in solve.directions
+        ],
         "fired": [{"tag": f.rule.tag, "factor": f.factor} for f in solve.fired],
         "features": dict(solve.features),
         "ideal": dict(solve.ideal_counters),

@@ -47,6 +47,13 @@ def _json_default(value):
     )
 
 
+#: One encoder for every record (``json.dumps`` with options builds a
+#: fresh ``JSONEncoder`` per call).
+_RECORD_ENCODER = json.JSONEncoder(
+    separators=(",", ":"), default=_json_default
+)
+
+
 class RunJournal:
     """Append-only NDJSON writer with the schema version stamped in.
 
@@ -66,12 +73,7 @@ class RunJournal:
             raise ValueError("journal is closed")
         payload = {"v": SCHEMA_VERSION}
         payload.update(record)
-        self._handle.write(
-            json.dumps(
-                payload, separators=(",", ":"), default=_json_default
-            )
-            + "\n"
-        )
+        self._handle.write(_RECORD_ENCODER.encode(payload) + "\n")
         self.records_written += 1
 
     def close(self) -> None:

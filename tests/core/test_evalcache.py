@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import os
 import threading
 
 import numpy as np
@@ -116,6 +117,34 @@ class TestKeys:
         prints = {subsystem_fingerprint(get_subsystem(x)) for x in LETTERS}
         assert len(prints) == len(LETTERS)
 
+    def test_freed_subsystem_never_lends_its_fingerprint(self):
+        """A subsystem allocated where a freed one lived gets its own key.
+
+        A short-lived copy (``corun_subsystem``, a fix ledger step) is
+        keyed and dropped; the fixed subsystem built next may land at
+        the same address, and must not inherit the copy's fingerprint.
+        """
+        original = get_subsystem("F")
+        point = random_point("F", 1)
+        cache = EvalCache()
+
+        def true_key(subsystem):
+            fingerprint = subsystem_fingerprint(subsystem)
+            return f"{fingerprint}|{canonical_point(point)}"
+
+        for _ in range(200):
+            copy = dataclasses.replace(original)
+            assert cache.key(copy, point) == true_key(copy)
+            # What apply_fixes does: drop one rule, rebuild the subsystem
+            # (the copy is freed just before it is allocated).
+            rnic = dataclasses.replace(
+                original.rnic, rules=original.rnic.rules[1:]
+            )
+            del copy
+            fixed = dataclasses.replace(original, rnic=rnic)
+            assert cache.key(fixed, point) == true_key(fixed)
+            del fixed
+
 
 class TestDiskStore:
     def test_round_trip_serves_hits(self, tmp_path):
@@ -164,6 +193,38 @@ class TestDiskStore:
         )
         assert served.counters == fresh.counters
 
+    def test_interrupted_save_keeps_the_previous_store(self, tmp_path):
+        subsystem = get_subsystem("H")
+        path = tmp_path / "cache.json"
+        cache = EvalCache(path=str(path))
+        model = SteadyStateModel(subsystem, cache=cache)
+        points = [random_point("H", seed) for seed in range(6)]
+        for point in points[:3]:
+            model.evaluate(point, np.random.default_rng(0))
+        cache.save()
+        previous = path.read_bytes()
+
+        for point in points[3:]:
+            model.evaluate(point, np.random.default_rng(0))
+        # Poison the last new entry in store order: the encoder raises
+        # after at least the other two new entries have been written.
+        last = max(points[3:], key=lambda point: cache.key(subsystem, point))
+        solve = cache.lookup(subsystem, last)
+        cache.store(subsystem, last, dataclasses.replace(
+            solve, features={**solve.features, "bad": object()}
+        ))
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            cache.save()
+
+        assert path.read_bytes() == previous
+        assert os.listdir(tmp_path) == ["cache.json"]
+        warm = EvalCache(path=str(path))
+        assert warm.loaded_entries == 3
+        for point in points[:3]:
+            assert warm.lookup(subsystem, point) == cache.lookup(
+                subsystem, point
+            )
+
     def test_version_mismatch_rejected(self, tmp_path):
         path = tmp_path / "cache.json"
         path.write_text(json.dumps(
@@ -183,6 +244,53 @@ class TestDiskStore:
         assert stats["misses"] == 1
         assert "probe" in stats["phases"]
         assert "probe" in describe_stats(stats)
+
+
+class TestStoreFormat:
+    """``save`` streams the bytes a one-shot ``json.dumps`` would write."""
+
+    @pytest.mark.parametrize("letter", ["F", "H"])
+    def test_save_matches_the_one_shot_encoding(self, tmp_path, letter):
+        subsystem = get_subsystem(letter)
+        points = [random_point(letter, seed) for seed in range(9)]
+        first = tmp_path / "first.json"
+        donor = EvalCache(path=str(first))
+        model = SteadyStateModel(subsystem, cache=donor)
+        for point in points[:6]:
+            model.evaluate(point, np.random.default_rng(0))
+        donor.save()
+        payload = json.loads(first.read_text())
+        stale_key = donor.key(subsystem, points[0])
+        payload["entries"][stale_key]["fired"].append(
+            {"tag": "GONE-AFTER-FIX", "factor": 1.0}
+        )
+        first.write_text(json.dumps(payload))
+
+        # points[0..3]: loaded, never looked up (points[0] stale);
+        # points[4..5]: loaded and rehydrated; points[6..8]: fresh.
+        cache = EvalCache(path=str(first))
+        model = SteadyStateModel(subsystem, cache=cache)
+        for point in points[4:]:
+            model.evaluate(point, np.random.default_rng(0))
+        assert cache.stats_dict()["hits"] == 2
+        path = tmp_path / "second.json"
+        cache.save(str(path))
+
+        assert path.read_text() == json.dumps(
+            {
+                "format_version": 1,
+                "entries": cache.export_entries(),
+                "stats": cache.stats_dict(),
+            },
+            sort_keys=True,
+        )
+        reloaded = EvalCache(path=str(path))
+        assert reloaded.loaded_entries == len(points)
+        assert reloaded.lookup(subsystem, points[0]) is None
+        for point in points[1:]:
+            served = reloaded.lookup(subsystem, point)
+            assert served is not None
+            assert served == cache.lookup(subsystem, point)
 
 
 class TestTransportAndStats:
