@@ -70,37 +70,13 @@ def observe_many(
     normal draw covers the whole batch and is sliced into each point's
     ``(seconds, active)`` block in original order.
     """
-    n = len(workloads)
     window = int(sample_seconds)
-    count = len(ALL_COUNTERS)
-    base = np.array(
-        [
-            [float(s.ideal_counters.get(name, 0.0)) for name in ALL_COUNTERS]
-            for s in solves
-        ]
-    ).reshape(n, count)
-    rows = np.repeat(base[:, None, :], window, axis=1)
-    noise = model.noise
-    if noise > 0 and window > 0:
-        jitter = base > 0
-        active = jitter.sum(axis=1)
-        total_active = int(active.sum())
-        if total_active:
-            flat = rng.normal(0.0, noise, size=window * total_active)
-            clipped = np.maximum(0.0, 1.0 + flat)
-            point_idx, cols = np.nonzero(jitter)
-            starts = np.concatenate(([0], np.cumsum(window * active)))[:-1]
-            group_starts = np.concatenate(([0], np.cumsum(active)))[:-1]
-            within = np.arange(point_idx.size) - np.repeat(
-                group_starts, active
-            )
-            first = starts[point_idx] + within
-            step = active[point_idx]
-            for second in range(window):
-                rows[point_idx, second, cols] *= clipped[
-                    first + second * step
-                ]
-    return _measurements_from_rows(model, workloads, solves, rows, window)
+    return _observe(
+        model, workloads, solves, window,
+        lambda active: rng.normal(
+            0.0, model.noise, size=window * int(active.sum())
+        ),
+    )
 
 
 def observe_each(
@@ -119,38 +95,42 @@ def observe_each(
     scalar evaluation would leave it in, while the deterministic row
     construction and averaging stay vectorized across the batch.
     """
-    n = len(workloads)
     window = int(sample_seconds)
-    count = len(ALL_COUNTERS)
+
+    def draw(active: np.ndarray) -> np.ndarray:
+        # Raveling each (row-major) block and concatenating in point
+        # order yields the flat layout observe_many draws in one request.
+        return np.concatenate([
+            rngs[i].normal(0.0, model.noise, size=(window, count)).ravel()
+            for i, count in enumerate(active.tolist())
+            if count
+        ])
+
+    return _observe(model, workloads, solves, window, draw)
+
+
+def _observe(model, workloads, solves, window, draw) -> list[Measurement]:
+    """Sample, average and assemble the batch's measurements.
+
+    ``draw(active)`` returns the flat noise for every point's
+    ``(window, active[i])`` block in point order, row-major.  Only a
+    point's active counters (ideal value > 0) are jittered, as in
+    :class:`~repro.hardware.counters.VendorMonitor`.
+    """
+    n = len(workloads)
     base = np.array(
         [
-            [float(s.ideal_counters.get(name, 0.0)) for name in ALL_COUNTERS]
+            [s.ideal_counters.get(name, 0.0) for name in ALL_COUNTERS]
             for s in solves
-        ]
-    ).reshape(n, count)
+        ],
+        dtype=np.float64,
+    ).reshape(n, len(ALL_COUNTERS))
     rows = np.repeat(base[:, None, :], window, axis=1)
-    noise = model.noise
-    if noise > 0 and window > 0:
+    if model.noise > 0 and window > 0:
         jitter = base > 0
         active = jitter.sum(axis=1)
-        total_active = int(active.sum())
-        if total_active:
-            # The only per-point step is the mandatory draw from that
-            # chain's generator — exactly the ``(window, active)``
-            # request the scalar path makes.  Raveling each (row-major)
-            # block and concatenating in point order yields the same
-            # flat layout ``observe_many`` draws in one request, so the
-            # application below is the shared vectorized scatter.
-            flat = np.concatenate(
-                [
-                    rngs[i].normal(
-                        0.0, noise, size=(window, int(active[i]))
-                    ).ravel()
-                    for i in range(n)
-                    if active[i]
-                ]
-            )
-            clipped = np.maximum(0.0, 1.0 + flat)
+        if active.any():
+            clipped = np.maximum(0.0, 1.0 + draw(active))
             point_idx, cols = np.nonzero(jitter)
             starts = np.concatenate(([0], np.cumsum(window * active)))[:-1]
             group_starts = np.concatenate(([0], np.cumsum(active)))[:-1]
@@ -174,7 +154,6 @@ def _measurements_from_rows(
     window: int,
 ) -> list[Measurement]:
     """Assemble Measurements from a solved+sampled ``(n, window, c)`` cube."""
-    n = len(workloads)
     measurements = []
     subsystem_name = model.subsystem.name
     if window:
@@ -182,29 +161,42 @@ def _measurements_from_rows(
         # short windows in play the summation order (sequential below
         # numpy's pairwise threshold) and thus every bit is the same as
         # scalar ``average_counters``.
-        means = rows.mean(axis=1)
-        means_list = means.tolist()
-    for i in range(n):
+        means_list = rows.mean(axis=1).tolist()
+        # AnomalyMonitor.is_stable's CV, by its own reductions over each
+        # point's tx_bytes_per_sec readings: a last-axis sum adds a row
+        # exactly as the 1-d ``mean``/``std`` of one point's readings do
+        # (the middle-axis means above can differ in the last bit).
+        readings = rows[:, :, ALL_COUNTERS.index("tx_bytes_per_sec")]
+        tx_mean = readings.sum(axis=1) / window
+        deviation = readings - tx_mean[:, None]
+        tx_std = np.sqrt((deviation * deviation).sum(axis=1) / window)
+        positive = tx_mean > 0
+        cvs = np.divide(
+            tx_std, tx_mean, out=np.zeros_like(tx_mean), where=positive
+        ).tolist()
+        primed = positive.tolist()
+    for i, solve in enumerate(solves):
         samples = [
-            CounterSample(second=second, row=rows[i, second])
-            for second in range(window)
+            CounterSample(second, row=row)
+            for second, row in enumerate(rows[i])
         ]
         if window:
             counters = dict(zip(ALL_COUNTERS, means_list[i]))
         else:
             counters = average_counters(samples)
-        measurements.append(
-            Measurement(
-                workload=workloads[i],
-                subsystem_name=subsystem_name,
-                samples=samples,
-                counters=counters,
-                directions=solves[i].directions,
-                fired=solves[i].fired,
-                features=solves[i].features,
-                latency=latency_for_solve(model.subsystem, solves[i]),
-            )
+        measurement = Measurement(
+            workload=workloads[i],
+            subsystem_name=subsystem_name,
+            samples=samples,
+            counters=counters,
+            directions=solve.directions,
+            fired=solve.fired,
+            features=solve.features,
+            latency=latency_for_solve(model.subsystem, solve),
         )
+        if window and primed[i]:
+            measurement.tx_cv = cvs[i]
+        measurements.append(measurement)
     return measurements
 
 

@@ -20,8 +20,12 @@ enabling it never relabels a paper-symptom anomaly — it can only
 surface anomalies the throughput signals miss (an RNIC crawling through
 cache refills can still fill the wire).
 
-The monitor also performs the paper's stability check: it compares the
-per-second samples and only classifies once the traffic is steady.
+Each verdict also records whether the traffic looked steady: the
+coefficient of variation of the per-second ``tx_bytes_per_sec`` readings
+is at most ``stability_cv`` (``AnomalyVerdict.stable``).  No verdict
+depends on it; the time a testbed waits for traffic to settle is charged
+to the simulated clock instead
+(:meth:`~repro.core.engine.WorkloadEngine.measurement_seconds`).
 """
 
 from __future__ import annotations
@@ -181,14 +185,22 @@ class AnomalyMonitor:
         return not (bits_ok or pps_ok)
 
     def is_stable(self, measurement: Measurement) -> bool:
-        """Coefficient-of-variation check across the per-second samples."""
-        readings = np.array(
-            [s.get("tx_bytes_per_sec") for s in measurement.samples]
-        )
-        mean = readings.mean()
-        if mean <= 0:
-            return True
-        return float(readings.std() / mean) <= self.stability_cv
+        """Coefficient-of-variation check across the per-second samples.
+
+        A measurement from the batched observation carries the CV of its
+        ``tx_bytes_per_sec`` readings (``Measurement.tx_cv``), computed
+        by the same reductions as below; others are read here.
+        """
+        cv = measurement.tx_cv
+        if cv is None:
+            readings = np.array(
+                [s.get("tx_bytes_per_sec") for s in measurement.samples]
+            )
+            mean = readings.mean()
+            if mean <= 0:
+                return True
+            cv = float(readings.std() / mean)
+        return cv <= self.stability_cv
 
 
 class IsolationMonitor(AnomalyMonitor):

@@ -16,10 +16,19 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from repro.hardware.caches import steady_state_miss_rate
-from repro.hardware.workload import WorkloadDescriptor
-from repro.verbs.constants import ROCE_HEADER_BYTES, Opcode, QPType
+from repro.hardware.workload import (
+    LARGE_MESSAGE_BYTES,
+    SMALL_MESSAGE_BYTES,
+    Colocation,
+    Direction,
+    SGLayout,
+    WorkloadDescriptor,
+)
+from repro.verbs.constants import ROCE_HEADER_BYTES, Opcode
+from repro.verbs.wr import WQE_BASE_BYTES, WQE_SEGMENT_BYTES
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.hardware.model import BatchPlan
     from repro.hardware.subsystems import Subsystem
 
 
@@ -111,226 +120,189 @@ def extract_features(
     return features
 
 
-# -- batched (column-wise) extraction -----------------------------------------
 
 
-def _miss_column(working_set: np.ndarray, capacity: int) -> np.ndarray:
-    """Vector :func:`steady_state_miss_rate` for a scalar capacity."""
-    if capacity <= 0:
-        return np.where(working_set > 0.0, 1.0, 0.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        rate = np.maximum(0.0, 1.0 - capacity / working_set)
-    return np.where(working_set > 0.0, rate, 0.0)
+# -- batched extraction: one feature matrix per batch ------------------------
+
+#: The keys of :func:`extract_features`, in its order.
+FEATURE_NAMES = (
+    "qp_type", "opcode", "bidirectional", "mtu", "num_qps", "total_qps",
+    "wqe_batch", "sge_per_wqe", "wq_depth", "avg_msg", "min_msg", "max_msg",
+    "avg_pkts_per_msg", "small_frac", "large_frac", "mixes_small_and_large",
+    "sg_entry_mix", "sg_layout", "mrs_per_qp", "total_mrs", "mr_bytes",
+    "rxq_capacity_miss", "rxq_burst_miss", "qpc_miss", "mtt_miss",
+    "short_req_outstanding", "wqe_outstanding_bytes", "src_device",
+    "dst_device", "crosses_socket", "via_root_complex",
+    "sink_via_root_complex", "uses_gpu_memory", "loopback", "duty_cycle",
+    "strict_ordering", "weak_cross_socket", "loopback_unlimited",
+)
+
+#: The string-valued features; a category-table row carries their values.
+CATEGORICAL_FEATURES = (
+    "qp_type", "opcode", "sg_layout", "src_device", "dst_device"
+)
+
+#: Row of each numeric feature in the batched feature matrix.
+FEATURE_ROWS = {
+    name: row for row, name in enumerate(
+        n for n in FEATURE_NAMES if n not in CATEGORICAL_FEATURES
+    )
+}
+
+#: The leading columns of a category-table row: the six flag features a
+#: categorical combination decides (feature-matrix order), the two flags
+#: the other features read, and the two DMA-path bandwidths.
+CATEGORY_FEATURES = (
+    "bidirectional", "crosses_socket", "via_root_complex",
+    "sink_via_root_complex", "uses_gpu_memory", "loopback",
+    "mixed_sg_layout", "uses_recv", "src_bw", "dst_bw",
+)
+
+
+def category_features(topology, key: tuple) -> tuple[tuple, tuple]:
+    """One categorical combination's feature values, computed once.
+
+    ``key`` is ``(qp_type, opcode, direction, colocation, sg_layout,
+    src_device, dst_device)``.  Returns its ``CATEGORICAL_FEATURES``
+    values and its ``CATEGORY_FEATURES`` columns, as
+    :func:`extract_features` derives them.
+    """
+    qp_type, opcode, direction, colocation, sg_layout, src, dst = key
+    source = topology.dma_path(src)
+    sink = topology.dma_path(dst)
+    bidi = direction is Direction.BIDIRECTIONAL
+    return (qp_type.value, opcode.value, sg_layout.value, src, dst), (
+        bidi,
+        source.crosses_socket or sink.crosses_socket,
+        source.via_root_complex or sink.via_root_complex,
+        # The sink, and with bidirectional traffic the source too.
+        sink.via_root_complex or (bidi and source.via_root_complex),
+        source.device.kind == "gpu" or sink.device.kind == "gpu",
+        colocation is Colocation.MIXED_LOOPBACK,
+        sg_layout is SGLayout.MIXED,
+        opcode is Opcode.SEND,
+        source.bandwidth_gbps,
+        sink.bandwidth_gbps,
+    )
+
+
+def _pattern(sizes: tuple, mtu: int) -> tuple:
+    """Message-pattern columns of one (sizes, MTU) pair.
+
+    ``avg_msg``, ``min_msg``, ``max_msg``, ``avg_pkts_per_msg``,
+    ``small_frac``, ``large_frac``, ``mixes_small_and_large`` and the wire
+    bytes per message: the integer sums of the
+    :class:`WorkloadDescriptor` properties the scalar path calls, each
+    over its count once.  Sizes are positive, so ``-(-size // mtu)`` is
+    ``max(1, math.ceil(size / mtu))``.
+    """
+    count = len(sizes)
+    total = sum(sizes)
+    packets = sum([-(-size // mtu) for size in sizes])
+    low, high = min(sizes), max(sizes)
+    return (
+        total / count,
+        low,
+        high,
+        packets / count,
+        sum([size <= SMALL_MESSAGE_BYTES for size in sizes]) / count,
+        sum([size >= LARGE_MESSAGE_BYTES for size in sizes]) / count,
+        low <= SMALL_MESSAGE_BYTES and high >= LARGE_MESSAGE_BYTES,
+        (total + packets * ROCE_HEADER_BYTES) / count,
+    )
 
 
 def extract_feature_columns(
-    workloads: Sequence[WorkloadDescriptor], subsystem: "Subsystem"
-) -> tuple[dict, dict]:
-    """Column-wise :func:`extract_features` over a batch of workloads.
+    plan: "BatchPlan", workloads: Sequence[WorkloadDescriptor]
+) -> tuple:
+    """Batched :func:`extract_features`: one float64 matrix for the batch.
 
-    Returns ``(columns, extra)``: ``columns`` maps each feature name to a
-    float64 array (or a list of strings for categorical features) in the
-    exact key order of the scalar feature dict, and ``extra`` carries the
-    ``_``-prefixed solver inputs (boolean masks, wire bytes per message,
-    DMA bandwidths) that the batched steady-state solve needs but that
-    are not features.  Every arithmetic step mirrors the scalar path
-    operation-for-operation so materialized rows are bit-identical.
+    Returns ``(features, categories, wire_per_msg, rows)``: ``features``
+    has one row per numeric feature (``FEATURE_ROWS``), one column per
+    point; ``categories`` holds each point's row of the category table of
+    ``plan`` (a :class:`~repro.hardware.model.BatchPlan`), as a column;
+    ``wire_per_msg`` is the wire bytes per message the solve prices;
+    ``rows`` indexes each point's category.  Every value comes from the
+    scalar path's IEEE operations in its order, so it is bit-identical to
+    the scalar feature dict's.  The (message sizes, MTU) pattern memo
+    lives for this call only.
     """
-    rnic = subsystem.rnic
-    rxq = rnic.rx_wqe_cache
-    topology = subsystem.topology
-    n = len(workloads)
-    paths: dict = {}
-
-    def path_of(device: str):
-        cached = paths.get(device)
-        if cached is None:
-            cached = topology.dma_path(device)
-            paths[device] = cached
-        return cached
-
-    qp_type = [w.qp_type.value for w in workloads]
-    opcode = [w.opcode.value for w in workloads]
-    sg_layout = [w.sg_layout.value for w in workloads]
-    src_device = [w.src_device for w in workloads]
-    dst_device = [w.dst_device for w in workloads]
-
-    bidi = np.array([w.is_bidirectional for w in workloads], dtype=bool)
-    is_rc = np.array([w.qp_type == QPType.RC for w in workloads], dtype=bool)
-    is_read = np.array([w.opcode == Opcode.READ for w in workloads], dtype=bool)
-    uses_recv = np.array([w.uses_recv_wqes for w in workloads], dtype=bool)
-    loopback = np.array([w.has_loopback for w in workloads], dtype=bool)
-
-    mtu = np.array([w.mtu for w in workloads], dtype=np.float64)
-    num_qps = np.array([w.num_qps for w in workloads], dtype=np.float64)
-    wqe_batch = np.array([w.wqe_batch for w in workloads], dtype=np.float64)
-    sge = np.array([w.sge_per_wqe for w in workloads], dtype=np.float64)
-    wq_depth = np.array([w.wq_depth for w in workloads], dtype=np.float64)
-    mrs_per_qp = np.array([w.mrs_per_qp for w in workloads], dtype=np.float64)
-    total_mrs = np.array([w.total_mrs for w in workloads], dtype=np.float64)
-    mr_bytes = np.array([w.mr_bytes for w in workloads], dtype=np.float64)
-    duty = np.array([w.duty_cycle for w in workloads], dtype=np.float64)
-    wqe_bytes = np.array([w.wqe_bytes for w in workloads], dtype=np.float64)
-    total_recv = np.array(
-        [w.total_outstanding_recv_wqes for w in workloads], dtype=np.float64
-    )
-
-    # Message-pattern aggregates come from the same per-point property
-    # code as the scalar path (tuple sums and divisions, not re-derived
-    # array math) so the floats match bit-for-bit; they depend only on
-    # (msg sizes, MTU), which batches of related points mostly share, so
-    # the rows are memoized by that key.
-    pattern_memo: dict = {}
-    pattern_rows = []
+    index = plan.index
+    patterns: dict = {}
+    rows = []
+    fields = []
     for w in workloads:
-        key = (w.msg_sizes_bytes, w.mtu)
-        row = pattern_memo.get(key)
+        key = (
+            w.qp_type, w.opcode, w.direction, w.colocation, w.sg_layout,
+            w.src_device, w.dst_device,
+        )
+        row = index.get(key)
         if row is None:
-            row = (
-                w.avg_msg_bytes,
-                float(w.min_msg_bytes),
-                float(w.max_msg_bytes),
-                w.packets_per_message(),
-                w.small_message_fraction,
-                w.large_message_fraction,
-                w.mixes_small_and_large,
-                sum(
-                    s + w.packets_per_message(s) * ROCE_HEADER_BYTES
-                    for s in w.msg_sizes_bytes
-                )
-                / len(w.msg_sizes_bytes),
-            )
-            pattern_memo[key] = row
-        pattern_rows.append(row)
-    (
-        avg_list, min_list, max_list, pkts_list,
-        small_list, large_list, mixes_list, wire_list,
-    ) = zip(*pattern_rows)
-    avg_msg = np.array(avg_list, dtype=np.float64)
-    min_msg = np.array(min_list, dtype=np.float64)
-    max_msg = np.array(max_list, dtype=np.float64)
-    avg_pkts = np.array(pkts_list, dtype=np.float64)
-    small_frac = np.array(small_list, dtype=np.float64)
-    large_frac = np.array(large_list, dtype=np.float64)
-    mixes = np.array(mixes_list, dtype=bool)
-    sg_mix = np.array([w.sg_entry_mix for w in workloads], dtype=bool)
-    wire_per_msg = np.array(wire_list, dtype=np.float64)
+            row = plan.add_category(key)
+        rows.append(row)
+        pattern_key = (w.msg_sizes_bytes, w.mtu)
+        pattern = patterns.get(pattern_key)
+        if pattern is None:
+            pattern = patterns[pattern_key] = _pattern(*pattern_key)
+        fields.append((
+            w.mtu, w.num_qps, w.wqe_batch, w.sge_per_wqe, w.wq_depth,
+            *pattern[:7], w.mrs_per_qp, w.mr_bytes, w.duty_cycle, pattern[7],
+        ))
+    raw = np.array(fields, dtype=np.float64).T
+    num_qps, wqe_batch, sge, wq_depth = raw[1:5]
+    categories = plan.table[rows].T
+    uses_recv = categories[7]
+    rnic = plan.rnic
+    rxq = rnic.rx_wqe_cache
 
-    src_paths = [path_of(d) for d in src_device]
-    dst_paths = [path_of(d) for d in dst_device]
-    crosses = np.array(
-        [s.crosses_socket or d.crosses_socket
-         for s, d in zip(src_paths, dst_paths)],
-        dtype=bool,
+    features = np.empty((len(FEATURE_ROWS), len(rows)))
+    features[0] = categories[0]  # bidirectional
+    features[1:3] = raw[0:2]  # mtu, num_qps
+    features[3] = num_qps * (1.0 + categories[0])  # total_qps
+    features[4:14] = raw[2:12]  # wqe_batch .. mixes_small_and_large
+    features[14] = (  # sg_entry_mix
+        categories[6] * (sge >= 2.0) * (raw[7] >= LARGE_MESSAGE_BYTES)
     )
-    via_rc = np.array(
-        [s.via_root_complex or d.via_root_complex
-         for s, d in zip(src_paths, dst_paths)],
-        dtype=bool,
+    features[15] = raw[12]  # mrs_per_qp
+    features[16] = num_qps * raw[12]  # total_mrs
+    features[17] = raw[13]  # mr_bytes
+    # Receive-WQE cache paths only exist for 2-sided traffic; every
+    # working set below holds at least one entry.
+    features[18] = uses_recv * np.maximum(
+        0.0, 1.0 - rxq.total_entries / (num_qps * wq_depth)
     )
-    sink_via_rc = np.array(
-        [
-            d.via_root_complex or (b and s.via_root_complex)
-            for s, d, b in zip(src_paths, dst_paths, bidi.tolist())
-        ],
-        dtype=bool,
+    features[19] = (
+        uses_recv
+        * (wq_depth > rxq.per_qp_entries)
+        * np.maximum(0.0, 1.0 - rxq.prefetch_window / wqe_batch)
     )
-    uses_gpu = np.array(
-        [s.device.kind == "gpu" or d.device.kind == "gpu"
-         for s, d in zip(src_paths, dst_paths)],
-        dtype=bool,
+    for row, working_set, capacity in (
+        (20, features[3], rnic.qpc_cache_entries),
+        (21, features[16], rnic.mtt_cache_entries),
+    ):
+        features[row] = (
+            np.maximum(0.0, 1.0 - capacity / working_set)
+            if capacity > 0 else 1.0
+        )
+    outstanding = num_qps * wqe_batch
+    features[22] = outstanding * raw[9]  # short_req_outstanding
+    features[23] = outstanding * (  # wqe_outstanding_bytes
+        WQE_BASE_BYTES + WQE_SEGMENT_BYTES * sge
     )
-    src_bw = np.array(
-        [p.bandwidth_gbps for p in src_paths], dtype=np.float64
-    )
-    dst_bw = np.array(
-        [p.bandwidth_gbps for p in dst_paths], dtype=np.float64
-    )
-
-    total_qps = np.where(bidi, num_qps * 2.0, num_qps)
-    rxq_capacity_miss = np.where(
-        uses_recv & (total_recv > 0.0),
-        np.maximum(0.0, 1.0 - rxq.total_entries / np.maximum(total_recv, 1.0)),
-        0.0,
-    )
-    rxq_burst_miss = np.where(
-        uses_recv & (wq_depth > rxq.per_qp_entries) & (wqe_batch > 0.0),
-        np.maximum(
-            0.0, 1.0 - rxq.prefetch_window / np.maximum(wqe_batch, 1.0)
-        ),
-        0.0,
-    )
-    qpc_miss = _miss_column(total_qps, rnic.qpc_cache_entries)
-    mtt_miss = _miss_column(total_mrs, rnic.mtt_cache_entries)
-
-    columns: dict = {
-        "qp_type": qp_type,
-        "opcode": opcode,
-        "bidirectional": np.where(bidi, 1.0, 0.0),
-        "mtu": mtu,
-        "num_qps": num_qps,
-        "total_qps": total_qps,
-        "wqe_batch": wqe_batch,
-        "sge_per_wqe": sge,
-        "wq_depth": wq_depth,
-        "avg_msg": avg_msg,
-        "min_msg": min_msg,
-        "max_msg": max_msg,
-        "avg_pkts_per_msg": avg_pkts,
-        "small_frac": small_frac,
-        "large_frac": large_frac,
-        "mixes_small_and_large": np.where(mixes, 1.0, 0.0),
-        "sg_entry_mix": np.where(sg_mix, 1.0, 0.0),
-        "sg_layout": sg_layout,
-        "mrs_per_qp": mrs_per_qp,
-        "total_mrs": total_mrs,
-        "mr_bytes": mr_bytes,
-        "rxq_capacity_miss": rxq_capacity_miss,
-        "rxq_burst_miss": rxq_burst_miss,
-        "qpc_miss": qpc_miss,
-        "mtt_miss": mtt_miss,
-        "short_req_outstanding": num_qps * wqe_batch * small_frac,
-        "wqe_outstanding_bytes": num_qps * wqe_batch * wqe_bytes,
-        "src_device": src_device,
-        "dst_device": dst_device,
-        "crosses_socket": np.where(crosses, 1.0, 0.0),
-        "via_root_complex": np.where(via_rc, 1.0, 0.0),
-        "sink_via_root_complex": np.where(sink_via_rc, 1.0, 0.0),
-        "uses_gpu_memory": np.where(uses_gpu, 1.0, 0.0),
-        "loopback": np.where(loopback, 1.0, 0.0),
-        "duty_cycle": duty,
-        "strict_ordering": np.full(
-            n, 0.0 if subsystem.pcie.relaxed_ordering else 1.0
-        ),
-        "weak_cross_socket": np.full(
-            n, 1.0 if subsystem.weak_cross_socket else 0.0
-        ),
-        "loopback_unlimited": np.full(
-            n, 0.0 if rnic.loopback_rate_limited else 1.0
-        ),
-    }
-    extra = {
-        "_bidi": bidi,
-        "_is_rc": is_rc,
-        "_is_read": is_read,
-        "_uses_recv": uses_recv,
-        "_wire_per_msg": wire_per_msg,
-        "_wqe_bytes": wqe_bytes,
-        "_src_bw": src_bw,
-        "_dst_bw": dst_bw,
-    }
-    return columns, extra
+    features[24:29] = categories[1:6]  # crosses_socket .. loopback
+    features[29] = raw[14]  # duty_cycle
+    features[30:33] = plan.constants
+    return features, categories, raw[15], rows
 
 
-def materialize_features(columns: dict, n: int) -> list[dict]:
-    """Per-point feature dicts from columns, in scalar key order.
+def feature_dict(names: tuple, values: list) -> dict:
+    """One point's feature dict, in scalar key order.
 
-    ``.tolist()`` converts every float64 cell to a Python float, so the
-    dicts are JSON-serialisable and compare equal (``==`` and ``repr``)
-    to scalar :func:`extract_features` output.
+    ``names`` are its ``CATEGORICAL_FEATURES`` values and ``values`` its
+    column of the feature matrix as Python floats.
     """
-    items = [
-        (name, col if isinstance(col, list) else col.tolist())
-        for name, col in columns.items()
-    ]
-    return [{name: col[i] for name, col in items} for i in range(n)]
+    qp_type, opcode, sg_layout, src, dst = names
+    return dict(zip(FEATURE_NAMES, (
+        qp_type, opcode, *values[:15], sg_layout, *values[15:24], src, dst,
+        *values[24:],
+    )))

@@ -30,12 +30,27 @@ from repro.hardware.counters import (
     VendorMonitor,
     average_counters,
 )
-from repro.hardware.features import extract_features
+from repro.hardware.features import (
+    CATEGORICAL_FEATURES,
+    CATEGORY_FEATURES,
+    FEATURE_ROWS,
+    category_features,
+    extract_feature_columns,
+    extract_features,
+    feature_dict,
+)
 from repro.hardware.pcie import CQE_BYTES, DOORBELL_BYTES, TLP_HEADER_BYTES
 from repro.hardware.pfc import pause_stall_us, steady_state_pause_ratio
-from repro.hardware.rules import FiredRule, fired_latency_rules, fired_rules
+from repro.hardware.rules import (
+    FiredRule,
+    RuleTable,
+    batch_fired_rules,
+    fired_latency_rules,
+    fired_rules,
+)
 from repro.hardware.workload import WorkloadDescriptor
 from repro.verbs.constants import ROCE_HEADER_BYTES, Opcode, QPType
+from repro.verbs.wr import WQE_BASE_BYTES, WQE_SEGMENT_BYTES
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.evalcache import EvalCache
@@ -437,6 +452,14 @@ class Measurement:
     #: Analytic per-WR latency distribution (:func:`derive_latency`).
     #: Optional so bare-hands Measurement construction in tests stays valid.
     latency: Optional[LatencyProfile] = None
+    #: Coefficient of variation of the per-second ``tx_bytes_per_sec``
+    #: readings, set by the batched observation in the pass that averages
+    #: the window, so the monitor's stability check need not rebuild it.
+    #: ``None`` when not computed, or when the readings' mean is not
+    #: positive (the check then reads the samples).
+    tx_cv: Optional[float] = dataclasses.field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     @property
     def pause_ratio(self) -> float:
@@ -474,6 +497,8 @@ class SteadyStateModel:
         noise: float = 0.02,
         cache: Optional["EvalCache"] = None,
     ) -> None:
+        if noise < 0:
+            raise ValueError(f"noise must be non-negative, got {noise}")
         self.subsystem = subsystem
         self.noise = noise
         self.cache = cache
@@ -877,246 +902,260 @@ class SteadyStateModel:
         return counters
 
 
-# -- batched (column-wise) solving --------------------------------------------
+# -- batched solving: three stages over a compiled plan ----------------------
+
+#: The keys of :meth:`SteadyStateModel._ideal_counters`, in its order,
+#: up to the per-point ``pcie_internal_backpressure``: the four
+#: direction rates, then the rows of solve_batch's counter matrix.
+_COUNTER_ORDER = (
+    "tx_bytes_per_sec", "rx_bytes_per_sec", "tx_packets_per_sec",
+    "rx_packets_per_sec", "pause_duration_us_per_sec", "rx_wqe_cache_miss",
+    "qpc_cache_miss", "mtt_cache_miss", "pcie_ordering_stall",
+    "cross_socket_pressure", "internal_incast_events",
+    "rx_buffer_full_events", "tx_wqe_fetch_stall",
+)
 
 
-def _pressure_column(working_set, capacity: float, n: int, knee: float = 1.0):
-    """Vector :func:`~repro.hardware.caches.pressure_score`."""
-    if capacity <= 0:
-        return np.ones(n)
-    x = working_set / (capacity * knee)
-    return x / (1.0 + x)
+class BatchPlan:
+    """The batched solve of one subsystem, compiled once.
+
+    Holds the rule table compiled to threshold arrays
+    (:class:`~repro.hardware.rules.RuleTable`), the subsystem's constant
+    feature rows and counter-pressure capacities, and a category table
+    with one row per categorical combination (transport, opcode,
+    direction, colocation, SG layout, devices): its
+    :data:`~repro.hardware.features.CATEGORY_FEATURES`, then the solve's
+    per-combination constants (:meth:`add_category`); its categorical
+    values are in ``names`` and its rule-gate outcome in ``gates``.  A
+    row is added on a combination's first sight, so the table is bounded
+    by the search space.  :func:`batch_plan` keeps one on each subsystem
+    object; a ``dataclasses.replace`` copy (a subsystem with a rule
+    fixed) compiles its own.
+    """
+
+    def __init__(self, subsystem: "Subsystem") -> None:
+        rnic = subsystem.rnic
+        rxq = rnic.rx_wqe_cache
+        self.rnic = rnic
+        self.topology = subsystem.topology
+        self.rules = RuleTable(rnic.rules, FEATURE_ROWS)
+        #: ``strict_ordering``, ``weak_cross_socket``, ``loopback_unlimited``.
+        self.constants = np.array([
+            [0.0 if subsystem.pcie.relaxed_ordering else 1.0],
+            [1.0 if subsystem.weak_cross_socket else 0.0],
+            [0.0 if rnic.loopback_rate_limited else 1.0],
+        ])
+        capacity = np.array([
+            rxq.total_entries, max(rxq.per_qp_entries, 1),
+            rnic.qpc_cache_entries, rnic.mtt_cache_entries,
+            # Knee past the quirk threshold so the gradient survives
+            # through the whole approach to the trigger region.
+            4 * 12288, 256 * 1024,
+        ], dtype=np.float64).reshape(-1, 1)
+        #: pressure_score capacity of each working set solve_batch
+        #: scores; a cache without entries (``saturated``) scores 1.
+        self.capacity = np.where(capacity > 0, capacity, 1.0)
+        self.saturated = np.flatnonzero(capacity <= 0)
+        #: Category key -> row of the category table.
+        self.index: dict = {}
+        #: Per row: the ``CATEGORICAL_FEATURES`` values.
+        self.names: list = []
+        self.table = np.empty((0, len(CATEGORY_FEATURES) + 9))
+        self.gates = np.empty((0, len(rnic.rules)), dtype=bool)
+
+    def add_category(self, key: tuple) -> int:
+        """Compile the category-table row of one combination."""
+        names, flags = category_features(self.topology, key)
+        rc = key[0] is QPType.RC
+        read = key[1] is Opcode.READ
+        bidi = flags[0]
+        rnic = self.rnic
+        self.table = np.vstack((self.table, (
+            *flags,
+            read,  # is_read
+            read and not bidi,  # read_uni
+            rnic.max_pps / (2 if bidi else 1),  # pps_budget
+            # packet events = data packets * scale + extra
+            (1.0 + 1.0 / rnic.ack_coalesce) if rc and not read else 1.0,
+            1.0 if rc and read else 0.0,
+            1.5 if rc else 1.0,  # rc_ack_load
+            1.5 if read else 1.0,  # read_weight
+            0.0 if read else CQE_BYTES,  # sender_up
+            CQE_BYTES if read or key[1] is Opcode.SEND else 0.0,
+        )))
+        gate = self.rules.category_gate(dict(zip(CATEGORICAL_FEATURES, names)))
+        self.gates = np.vstack((self.gates, np.array([gate], dtype=bool)))
+        self.names.append(names)
+        self.index[key] = len(self.names) - 1
+        return self.index[key]
+
+
+def batch_plan(subsystem: "Subsystem") -> BatchPlan:
+    """The subsystem's :class:`BatchPlan`, compiled on first use."""
+    plan = subsystem.__dict__.get("_batch_plan")
+    if plan is None:
+        plan = BatchPlan(subsystem)
+        object.__setattr__(subsystem, "_batch_plan", plan)
+    return plan
 
 
 def solve_batch(subsystem: "Subsystem", workloads: "list[WorkloadDescriptor]"):
     """Vectorized deterministic solve of N workload points.
 
-    The exact computation of :meth:`SteadyStateModel._solve` — feature
-    extraction, rule gating, per-direction steady-state solve, ideal
-    counter synthesis — restated as float64 column arithmetic.  Every
-    step applies the same IEEE operations in the same order as the
-    scalar path, so the returned :class:`CachedSolve` entries are
-    bit-identical to scalar solves (the one pow-vs-multiply hazard,
-    ``down_util ** 2``, is deliberately kept per point).  Workloads are
-    assumed validated; callers dedupe and cache around this function
+    The computation of :meth:`SteadyStateModel._solve` in three stages
+    over the subsystem's :class:`BatchPlan`:
+    :func:`~repro.hardware.features.extract_feature_columns` builds the
+    feature matrix, :func:`~repro.hardware.rules.batch_fired_rules` gates
+    the whole rule table, and this function prices the forward and
+    reverse directions as one ``(2, n)`` pass and synthesizes the ideal
+    counters.  Every step applies the scalar path's IEEE operations in
+    its order, so each :class:`CachedSolve` is bit-identical to the scalar
+    solve (the one pow-vs-multiply hazard, ``down_util ** 2``, stays per
+    point).  Returns one solve per point.  Workloads are assumed
+    validated; callers dedupe and cache around this function
     (:mod:`repro.core.batcheval`).
     """
     from repro.core.evalcache import CachedSolve
-    from repro.hardware.features import (
-        extract_feature_columns,
-        materialize_features,
-    )
-    from repro.hardware.rules import batch_fired_rules, materialize_fired
 
-    n = len(workloads)
-    if n == 0:
+    if not workloads:
         return []
-    rnic = subsystem.rnic
-    rxq = rnic.rx_wqe_cache
-    pcie = subsystem.pcie
-
-    columns, extra = extract_feature_columns(workloads, subsystem)
-    rule_rows, tx_factor, rx_factor = batch_fired_rules(
-        rnic.rules, columns, n
+    f = FEATURE_ROWS
+    plan = batch_plan(subsystem)
+    features, categories, wire_per_msg, rows = extract_feature_columns(
+        plan, workloads
     )
-
-    bidi = extra["_bidi"]
-    is_rc = extra["_is_rc"]
-    is_read = extra["_is_read"]
-    uses_recv = extra["_uses_recv"]
-    wire_per_msg = extra["_wire_per_msg"]
-    wqe_bytes = extra["_wqe_bytes"]
-    payload = columns["avg_msg"]
-    data_pkts = columns["avg_pkts_per_msg"]
-    wqe_batch = columns["wqe_batch"]
-    duty = columns["duty_cycle"]
+    fired, tx_factor, rx_factor = batch_fired_rules(
+        plan.rules, features, plan.gates[rows]
+    )
+    rnic = subsystem.rnic
+    pcie = subsystem.pcie
+    uses_recv = categories[7]
+    bandwidth = categories[8:10]  # src_bw, dst_bw
+    (
+        is_read, read_uni, pps_budget, packet_scale, packet_extra,
+        rc_ack_load, read_weight, sender_up, receiver_up_extra,
+    ) = categories[len(CATEGORY_FEATURES):]
+    bidi = features[f["bidirectional"]]
+    payload = features[f["avg_msg"]]
+    data_pkts = features[f["avg_pkts_per_msg"]]
+    wqe_batch = features[f["wqe_batch"]]
+    wq_depth = features[f["wq_depth"]]
+    sge = features[f["sge_per_wqe"]]
+    large = features[f["large_frac"]]
 
     # -- per-direction resource pricing (mirrors _solve_one) ------------------
-    issue_down = wqe_bytes + (TLP_HEADER_BYTES + DOORBELL_BYTES) / wqe_batch
-    payload_int = np.rint(payload).astype(np.int64)
-    mps = pcie.max_payload_bytes
-    payload_down = np.where(
-        payload_int <= 0,
-        np.int64(0),
-        payload_int + (-(-payload_int // mps)) * TLP_HEADER_BYTES,
-    ).astype(np.float64)
-    payload_up = payload_down
-
-    cqe = float(CQE_BYTES)
-    sender_down = np.where(is_read, payload_down, payload_down + issue_down)
-    sender_up = np.where(is_read, 0.0, cqe)
-    receiver_down = np.where(is_read, issue_down, 0.0)
-    receiver_up = np.where(
-        is_read,
-        payload_up + cqe,
-        payload_up + np.where(uses_recv, cqe, 0.0),
+    # Every message moves at least one byte, so each bus direction moves
+    # at least one TLP, above _solve_one's 1e-9 floor, and payload is at
+    # least one byte, _dma_cap's floor.
+    issue_down = (WQE_BASE_BYTES + WQE_SEGMENT_BYTES * sge) + (
+        TLP_HEADER_BYTES + DOORBELL_BYTES
+    ) / wqe_batch
+    rounded = np.rint(payload)  # round-half-even, as round()
+    payload_down = rounded + np.ceil(
+        rounded / pcie.max_payload_bytes
+    ) * TLP_HEADER_BYTES
+    # Down the bus, a unidirectional READ's two roles (target payload,
+    # initiator WQE fetch) sit on different hosts and the larger binds;
+    # otherwise one host moves both, or the receiver moves nothing (an
+    # exact + 0.0 in the scalar sums).
+    down = np.where(
+        read_uni,
+        np.maximum(payload_down, issue_down),
+        payload_down + issue_down,
     )
-
-    budget = pcie.effective_bytes_per_sec
-    down_denom = np.where(
-        bidi,
-        sender_down + receiver_down,
-        np.maximum(sender_down, receiver_down),
-    )
-    up_denom = np.where(
+    receiver_up = payload_down + receiver_up_extra
+    up = np.where(
         bidi, sender_up + receiver_up, np.maximum(sender_up, receiver_up)
     )
-    cap_down = budget / np.maximum(down_denom, 1e-9)
-    cap_up = budget / np.maximum(up_denom, 1e-9)
-
+    budget = pcie.effective_bytes_per_sec
+    cap_down = budget / down
+    cap_up = budget / up
     wire_cap = rnic.line_rate_bytes_per_sec / wire_per_msg
-    pps_budget = np.where(bidi, rnic.max_pps / 2, rnic.max_pps / 1)
-    rc_ack_mult = 1.0 + 1.0 / rnic.ack_coalesce
-    pkt_events = np.where(
-        is_rc & is_read,
-        data_pkts + 1.0,
-        np.where(is_rc, data_pkts * rc_ack_mult, data_pkts),
-    )
+    pkt_events = data_pkts * packet_scale + packet_extra
     pps_cap = pps_budget / pkt_events
-
-    payload_floor = np.maximum(payload, 1.0)
-    src_dma = extra["_src_bw"] * 1e9 / 8 / payload_floor
-    dst_dma = extra["_dst_bw"] * 1e9 / 8 / payload_floor
-
-    receiver_pcie_cap = np.minimum(cap_down, cap_up)
-    sender_pcie_cap = np.where(is_read, cap_down, receiver_pcie_cap)
-
-    def direction(tx_dma, rx_dma):
-        injection = (
-            np.minimum(
-                np.minimum(np.minimum(wire_cap, pps_cap), sender_pcie_cap),
-                tx_dma,
-            )
-            * tx_factor
-            * duty
-        )
-        service = (
-            np.minimum(
-                np.minimum(np.minimum(pps_cap, receiver_pcie_cap), rx_dma),
-                wire_cap,
-            )
-            * rx_factor
-        )
-        achieved = np.minimum(injection, service)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            starved = 1.0 - service / injection
-        pause = np.where(
-            injection <= 0.0,
-            0.0,
-            np.where(
-                service >= injection,
-                0.0,
-                np.where(service <= 0.0, 1.0, starved),
-            ),
-        )
-        return {
-            "achieved": achieved,
-            "injection": injection,
-            "payload": achieved * payload,
-            "wire": achieved * wire_per_msg,
-            "packets": achieved * pkt_events,
-            "pause": pause,
-        }
-
-    fwd = direction(src_dma, dst_dma)
-    rev = direction(dst_dma, src_dma)  # only consumed where bidi
+    receiver_pcie = np.minimum(cap_down, cap_up)
+    sender_pcie = np.where(is_read, cap_down, receiver_pcie)
+    # Row 0 prices the source memory, row 1 the sink: forward traffic
+    # sends from the source, reverse traffic from the sink.
+    dma = bandwidth * 1e9 / 8 / payload
+    injection = np.minimum(
+        np.minimum(np.minimum(wire_cap, pps_cap), sender_pcie), dma
+    ) * tx_factor * features[f["duty_cycle"]]
+    service = np.minimum(
+        np.minimum(np.minimum(pps_cap, receiver_pcie), wire_cap), dma[::-1]
+    ) * rx_factor
+    achieved = np.minimum(injection, service)
+    # steady_state_pause_ratio; where service keeps up, 1 - 1 = 0.
+    pause = 1.0 - np.divide(
+        service, injection, out=np.ones_like(service),
+        where=service < injection,
+    )
+    # Non-negative, as achieved <= injection: max(0.0, ...) is a no-op.
+    overload = np.divide(
+        injection, achieved, out=np.ones_like(achieved), where=achieved > 0
+    ) - 1.0
+    # achieved, injection, payload, wire, packets, pause, overload:
+    # (7, 2, n), DirectionRates field order first.
+    directions = np.array((
+        achieved, injection, achieved * payload, achieved * wire_per_msg,
+        achieved * pkt_events, pause, overload,
+    ))
 
     # -- counter synthesis (mirrors _ideal_counters) --------------------------
-    msgs_total = fwd["achieved"] + np.where(bidi, rev["achieved"], 0.0)
-    pkts_total = fwd["packets"] + np.where(bidi, rev["packets"], 0.0)
-    bytes_total = fwd["payload"] + np.where(bidi, rev["payload"], 0.0)
-    pause_ratio = np.where(
-        bidi, np.maximum(fwd["pause"], rev["pause"]), fwd["pause"]
+    msgs_total, _, bytes_total, _, pkts_total = (
+        directions[:5, 0] + np.where(bidi, directions[:5, 1], 0.0)
     )
-
-    pinning = 1.0 + np.minimum(data_pkts, 8.0) / 4.0
-    total_recv = columns["num_qps"] * columns["wq_depth"]
-    rx_wqe = np.where(
-        uses_recv,
-        (
-            np.minimum(
-                1.0,
-                columns["rxq_capacity_miss"] + columns["rxq_burst_miss"],
-            )
-            + 0.3 * _pressure_column(total_recv, rxq.total_entries, n)
-            + 0.2
-            * _pressure_column(
-                columns["wq_depth"], max(rxq.per_qp_entries, 1), n
-            )
-            * (wqe_batch / (wqe_batch + rxq.prefetch_window))
-        )
-        * msgs_total
-        * pinning,
-        0.0,
+    pause_ratio, overload = np.where(
+        bidi, np.maximum(directions[5:, 0], directions[5:, 1]),
+        directions[5:, 0],
     )
-
-    switch_intensity = (
-        32.0 / (32.0 + columns["wq_depth"]) + 2.0 / (2.0 + wqe_batch)
-    )
+    bidi_load = 1.0 + bidi
+    # pressure_score of every working set at once, one row each.
+    ratio = np.array((
+        features[f["num_qps"]] * wq_depth,
+        wq_depth,
+        features[f["total_qps"]],
+        features[f["total_mrs"]],
+        features[f["short_req_outstanding"]] * bidi_load * rc_ack_load,
+        features[f["wqe_outstanding_bytes"]] * bidi_load * read_weight,
+    )) / plan.capacity
+    pressure = ratio / (1.0 + ratio)
+    pressure[plan.saturated] = 1.0
+    rxq_miss = features[f["rxq_capacity_miss"]] + features[f["rxq_burst_miss"]]
+    window = rnic.rx_wqe_cache.prefetch_window
+    rx_wqe = np.where(uses_recv, (
+        np.minimum(1.0, rxq_miss)
+        + 0.3 * pressure[0]
+        + 0.2 * pressure[1] * (wqe_batch / (wqe_batch + window))
+    ) * msgs_total * (1.0 + np.minimum(data_pkts, 8.0) / 4.0), 0.0)
     qpc = (
-        columns["qpc_miss"]
-        + 0.3
-        * _pressure_column(columns["total_qps"], rnic.qpc_cache_entries, n)
-    ) * msgs_total * switch_intensity
-    mtt = (
-        columns["mtt_miss"]
-        + 0.3
-        * _pressure_column(columns["total_mrs"], rnic.mtt_cache_entries, n)
-    ) * msgs_total
-
-    mix = columns["small_frac"] * columns["large_frac"] * 4.0
+        (features[f["qpc_miss"]] + 0.3 * pressure[2])
+        * msgs_total
+        * (32.0 / (32.0 + wq_depth) + 2.0 / (2.0 + wqe_batch))
+    )
+    mtt = (features[f["mtt_miss"]] + 0.3 * pressure[3]) * msgs_total
     ordering = (
-        columns["strict_ordering"]
-        * (0.3 + 0.7 * columns["bidirectional"])
-        * np.minimum(1.0, columns["sge_per_wqe"] / 3.0)
-        * (0.3 + 0.7 * columns["sg_entry_mix"])
-        * (mix + 0.05)
+        features[f["strict_ordering"]]
+        * (0.3 + 0.7 * bidi)
+        * np.minimum(1.0, sge / 3.0)
+        * (0.3 + 0.7 * features[f["sg_entry_mix"]])
+        * (features[f["small_frac"]] * large * 4.0 + 0.05)
         * pkts_total
         * 0.1
     )
-
     cross_socket = (
-        columns["crosses_socket"]
-        * (1.0 + columns["bidirectional"])
-        * (1.0 + columns["weak_cross_socket"])
-        * bytes_total
-        * 1e-5
+        features[f["crosses_socket"]] * bidi_load
+        * (1.0 + features[f["weak_cross_socket"]]) * bytes_total * 1e-5
     )
-
-    incast = columns["loopback"] * msgs_total * (
+    incast = features[f["loopback"]] * msgs_total * (
         0.5 if not rnic.loopback_rate_limited else 0.1
     )
-
-    with np.errstate(divide="ignore", invalid="ignore"):
-        over_fwd = np.where(
-            fwd["achieved"] > 0,
-            fwd["injection"] / fwd["achieved"] - 1.0,
-            0.0,
-        )
-        over_rev = np.where(
-            rev["achieved"] > 0,
-            rev["injection"] / rev["achieved"] - 1.0,
-            0.0,
-        )
-    overload = np.maximum(
-        0.0, np.where(bidi, np.maximum(over_fwd, over_rev), over_fwd)
-    )
     read_pressure = (
-        np.where(is_read, 1.0, 0.0)
-        * np.minimum(1.0, data_pkts / 16.0)
-        * (1024.0 / columns["mtu"])
+        is_read * np.minimum(1.0, data_pkts / 16.0)
+        * (1024.0 / features[f["mtu"]])
     )
-    rc_ack_load = np.where(is_rc, 1.5, 1.0)
     short_pressure = (
-        _pressure_column(
-            columns["short_req_outstanding"]
-            * (1.0 + columns["bidirectional"])
-            * rc_ack_load,
-            4 * 12288,
-            n,
-        )
-        * (0.4 + 0.6 * np.minimum(1.0, 4.0 * columns["large_frac"]))
-        * rc_ack_load
+        pressure[4] * (0.4 + 0.6 * np.minimum(1.0, 4.0 * large)) * rc_ack_load
     )
     rx_buffer = (
         pause_ratio * 10.0
@@ -1124,110 +1163,46 @@ def solve_batch(subsystem: "Subsystem", workloads: "list[WorkloadDescriptor]"):
         + 0.5 * short_pressure
         + 0.3 * read_pressure
     ) * 1e4
-
-    wqe_pressure_bytes = (
-        columns["wqe_outstanding_bytes"]
-        * (1.0 + columns["bidirectional"])
-        * np.where(is_read, 1.5, 1.0)
-    )
     tx_wqe_fetch = (
-        _pressure_column(wqe_pressure_bytes, 256 * 1024, n)
-        + 0.2 * np.minimum(1.0, columns["sge_per_wqe"] / 4.0)
+        pressure[5] + 0.2 * np.minimum(1.0, sge / 4.0)
     ) * msgs_total * 0.1
+    counters = np.array((
+        pause_ratio * 1e6, rx_wqe, qpc, mtt, ordering, cross_socket, incast,
+        rx_buffer, tx_wqe_fetch,
+    ))
+    down_util = np.minimum(1.0, bytes_total / budget)
 
-    down_util = np.minimum(1.0, bytes_total / pcie.effective_bytes_per_sec)
-    # Python pow: scalar ``u ** 2`` is not always the same float as a
-    # multiply, so this one term stays per point.
-    backpressure = [(u ** 2) * 5e3 for u in down_util.tolist()]
-
-    # -- per-point materialization --------------------------------------------
-    feature_dicts = materialize_features(columns, n)
-    fired_lists = materialize_fired(rule_rows, n)
-
-    bidi_list = bidi.tolist()
-    col = {
-        "fwd_achieved": fwd["achieved"].tolist(),
-        "fwd_injection": fwd["injection"].tolist(),
-        "fwd_payload": fwd["payload"].tolist(),
-        "fwd_wire": fwd["wire"].tolist(),
-        "fwd_packets": fwd["packets"].tolist(),
-        "fwd_pause": fwd["pause"].tolist(),
-        "rev_achieved": rev["achieved"].tolist(),
-        "rev_injection": rev["injection"].tolist(),
-        "rev_payload": rev["payload"].tolist(),
-        "rev_wire": rev["wire"].tolist(),
-        "rev_packets": rev["packets"].tolist(),
-        "rev_pause": rev["pause"].tolist(),
-        "pause_us": (pause_ratio * 1e6).tolist(),
-        "msgs_total": msgs_total.tolist(),
-        "rx_wqe": rx_wqe.tolist(),
-        "qpc": qpc.tolist(),
-        "mtt": mtt.tolist(),
-        "ordering": ordering.tolist(),
-        "cross_socket": cross_socket.tolist(),
-        "incast": incast.tolist(),
-        "rx_buffer": rx_buffer.tolist(),
-        "tx_wqe_fetch": tx_wqe_fetch.tolist(),
-    }
-
+    # -- per-point solves: one tolist() per output matrix ---------------------
+    names = plan.names
+    two_sided = bidi.tolist()
+    msgs = msgs_total.tolist()
     solves = []
-    for i in range(n):
-        directions = [
-            DirectionRates(
-                name="fwd",
-                achieved_msgs_per_sec=col["fwd_achieved"][i],
-                injection_msgs_per_sec=col["fwd_injection"][i],
-                payload_bytes_per_sec=col["fwd_payload"][i],
-                wire_bytes_per_sec=col["fwd_wire"][i],
-                packets_per_sec=col["fwd_packets"][i],
-                pause_ratio=col["fwd_pause"][i],
+    for i, (values, (fwd, rev), levels, util) in enumerate(zip(
+        features.T.tolist(),
+        directions[:6].transpose(2, 1, 0).tolist(),
+        counters.T.tolist(),
+        down_util.tolist(),
+    )):
+        two = two_sided[i]
+        ideal = dict(zip(_COUNTER_ORDER, (
+            fwd[3], rev[3] if two else 0.0, fwd[4], rev[4] if two else 0.0,
+            *levels,
+        )))
+        # Python pow: scalar ``u ** 2`` is not always the same float as a
+        # multiply, so this one term stays per point.
+        ideal["pcie_internal_backpressure"] = (util ** 2) * 5e3
+        for fired_rule in fired[i]:
+            spike = (1.0 - fired_rule.factor) * max(msgs[i], 1.0) * 2.0
+            ideal[fired_rule.rule.counter] = (
+                ideal.get(fired_rule.rule.counter, 0.0) + spike
             )
-        ]
-        two_sided = bidi_list[i]
-        if two_sided:
-            directions.append(
-                DirectionRates(
-                    name="rev",
-                    achieved_msgs_per_sec=col["rev_achieved"][i],
-                    injection_msgs_per_sec=col["rev_injection"][i],
-                    payload_bytes_per_sec=col["rev_payload"][i],
-                    wire_bytes_per_sec=col["rev_wire"][i],
-                    packets_per_sec=col["rev_packets"][i],
-                    pause_ratio=col["rev_pause"][i],
-                )
-            )
-        counters = {
-            "tx_bytes_per_sec": col["fwd_wire"][i],
-            "rx_bytes_per_sec": col["rev_wire"][i] if two_sided else 0.0,
-            "tx_packets_per_sec": col["fwd_packets"][i],
-            "rx_packets_per_sec": col["rev_packets"][i] if two_sided else 0.0,
-            "pause_duration_us_per_sec": col["pause_us"][i],
-            "rx_wqe_cache_miss": col["rx_wqe"][i],
-            "qpc_cache_miss": col["qpc"][i],
-            "mtt_cache_miss": col["mtt"][i],
-            "pcie_ordering_stall": col["ordering"][i],
-            "cross_socket_pressure": col["cross_socket"][i],
-            "internal_incast_events": col["incast"][i],
-            "rx_buffer_full_events": col["rx_buffer"][i],
-            "tx_wqe_fetch_stall": col["tx_wqe_fetch"][i],
-            "pcie_internal_backpressure": backpressure[i],
-        }
-        fired = fired_lists[i]
-        for fired_rule in fired:
-            spike = (
-                (1.0 - fired_rule.factor)
-                * max(col["msgs_total"][i], 1.0)
-                * 2.0
-            )
-            counters[fired_rule.rule.counter] = (
-                counters.get(fired_rule.rule.counter, 0.0) + spike
-            )
-        solves.append(
-            CachedSolve(
-                directions=tuple(directions),
-                fired=tuple(fired),
-                features=feature_dicts[i],
-                ideal_counters=counters,
-            )
-        )
+        solves.append(CachedSolve(
+            directions=(
+                (DirectionRates("fwd", *fwd), DirectionRates("rev", *rev))
+                if two else (DirectionRates("fwd", *fwd),)
+            ),
+            fired=tuple(fired[i]),
+            features=feature_dict(names[rows[i]], values),
+            ideal_counters=ideal,
+        ))
     return solves

@@ -198,81 +198,111 @@ def fired_rules(
     return fired
 
 
-# -- batched (column-wise) gating ---------------------------------------------
+# -- batched gating: the rule table compiled to threshold arrays -------------
 
 
-def gate_mask(gate: Gate, columns: Mapping, n: int) -> np.ndarray:
-    """Vector :meth:`Gate.matches` over a feature-column matrix."""
-    mask = np.ones(n, dtype=bool)
-    for feature, (low, high) in gate.bounds.items():
-        col = columns.get(feature)
-        if col is None:
-            return np.zeros(n, dtype=bool)
-        if isinstance(col, list):
-            col = np.asarray(col, dtype=np.float64)
-        if low is not None:
-            mask &= col >= low
-        if high is not None:
-            mask &= col <= high
-    for feature, accepted in gate.isin.items():
-        col = columns.get(feature)
-        if col is None:
-            return np.zeros(n, dtype=bool)
-        values = col if isinstance(col, list) else col.tolist()
-        mask &= np.fromiter(
-            (value in accepted for value in values), dtype=bool, count=n
-        )
-    return mask
+class RuleTable:
+    """A rule table compiled against the batched feature-matrix layout.
 
+    Each gate bound is one entry of ``rows``/``low``/``high`` (its
+    feature-matrix row and inclusive limits, open sides infinite) and
+    ``owner`` maps bounds to rules, so one comparison pass and one
+    boolean product gate the whole table.  A bound on a feature outside
+    the matrix never matches: it compiles to an empty interval.
+    Membership tests resolve once per categorical combination
+    (:meth:`category_gate`), or per point on numeric features (``isin``).
+    """
 
-def _factor_column(rule: AnomalyRule, columns: Mapping, n: int) -> np.ndarray:
-    """Vector :meth:`AnomalyRule.effect_factor`."""
-    if rule.scale_feature is None:
-        return np.full(n, rule.factor)
-    col = columns.get(rule.scale_feature)
-    if col is None:
-        col = np.zeros(n)
-    elif isinstance(col, list):
-        col = np.asarray(col, dtype=np.float64)
-    return np.maximum(
-        rule.floor, np.minimum(1.0, 1.0 - rule.scale_coeff * col)
-    )
+    def __init__(
+        self, rules: tuple[AnomalyRule, ...], feature_rows: Mapping[str, int]
+    ) -> None:
+        self.rules = rules
+        self._feature_rows = feature_rows
+        #: ``(rule index, feature row, accepted)`` numeric membership tests.
+        self.isin = [
+            (index, feature_rows[feature], accepted)
+            for index, rule in enumerate(rules)
+            for feature, accepted in rule.gate.isin.items()
+            if feature in feature_rows
+        ]
+        #: Per rule: the feature row its factor scales with, else ``None``
+        #: and the factor is ``fixed`` (for a scaled rule, its factor at a
+        #: missing feature, as :meth:`AnomalyRule.effect_factor` reads it).
+        self.scale_rows = [feature_rows.get(r.scale_feature) for r in rules]
+        self.fixed = [rule.effect_factor({}) for rule in rules]
+        bounds = []
+        for index, rule in enumerate(rules):
+            for feature, (low, high) in rule.gate.bounds.items():
+                if feature not in feature_rows:
+                    bounds.append((index, 0, np.inf, -np.inf))
+                    continue
+                bounds.append((
+                    index, feature_rows[feature],
+                    -np.inf if low is None else low,
+                    np.inf if high is None else high,
+                ))
+        owners, rows, lows, highs = zip(*bounds) if bounds else ((),) * 4
+        self.rows = np.array(rows, dtype=np.intp)
+        self.low = np.array(lows, dtype=np.float64).reshape(-1, 1)
+        self.high = np.array(highs, dtype=np.float64).reshape(-1, 1)
+        self.owner = np.zeros((len(bounds), len(rules)), dtype=bool)
+        self.owner[np.arange(len(bounds)), list(owners)] = True
+
+    def category_gate(self, values: Mapping[str, FeatureValue]) -> list:
+        """Per rule: whether a combination passes its other membership tests.
+
+        ``values`` holds the combination's categorical features; a test
+        on any feature outside the numeric matrix reads it there, as
+        :meth:`Gate.matches` reads the feature dict.
+        """
+        return [
+            all(
+                values.get(feature) in accepted
+                for feature, accepted in rule.gate.isin.items()
+                if feature not in self._feature_rows
+            )
+            for rule in self.rules
+        ]
 
 
 def batch_fired_rules(
-    rules: tuple[AnomalyRule, ...], columns: Mapping, n: int
+    table: RuleTable, features: np.ndarray, gates: np.ndarray
 ) -> tuple[list, np.ndarray, np.ndarray]:
-    """Evaluate a rule table column-wise over ``n`` points.
+    """Fire a compiled rule table over a feature matrix.
 
-    Returns ``(rows, tx_factor, rx_factor)``: ``rows`` holds one
-    ``(rule, mask, factors)`` triple per table entry in table order
-    (``factors`` is ``None`` when the rule fired nowhere) and the factor
-    arrays are per-point products of fired factors by side — multiplied
-    in table order, so they match ``math.prod`` over the scalar fired
-    list bit-for-bit.
+    ``features`` has one column per point, ``gates`` one row per point
+    (its category's :meth:`RuleTable.category_gate`).  Returns each
+    point's :class:`FiredRule` list in table order, and the per-point
+    products of fired factors by side, ``tx_factor`` and ``rx_factor``,
+    multiplied in table order as ``math.prod`` over the scalar list.
     """
-    rows = []
+    values = features[table.rows]
+    failed = (values < table.low) | (values > table.high)
+    mask = gates & ~(failed.T @ table.owner)
+    for index, row, accepted in table.isin:
+        mask[:, index] &= [v in accepted for v in features[row].tolist()]
+    n = features.shape[1]
     tx_factor = np.ones(n)
     rx_factor = np.ones(n)
-    for rule in rules:
-        mask = gate_mask(rule.gate, columns, n)
-        if not mask.any():
-            rows.append((rule, mask, None))
-            continue
-        factors = _factor_column(rule, columns, n)
-        rows.append((rule, mask, factors))
+    scaled: dict = {}
+    for index in np.flatnonzero(mask.any(axis=0)).tolist():
+        rule = table.rules[index]
+        row = table.scale_rows[index]
+        factor = table.fixed[index]
+        if row is not None:
+            factor = np.maximum(
+                rule.floor,
+                np.minimum(1.0, 1.0 - rule.scale_coeff * features[row]),
+            )
+            scaled[index] = factor.tolist()
         target = tx_factor if rule.side == "tx" else rx_factor
-        np.multiply(target, np.where(mask, factors, 1.0), out=target)
-    return rows, tx_factor, rx_factor
-
-
-def materialize_fired(rows: list, n: int) -> list[list[FiredRule]]:
-    """Per-point fired-rule lists (table order) from batch gate rows."""
-    fired: list[list[FiredRule]] = [[] for _ in range(n)]
-    for rule, mask, factors in rows:
-        if factors is None:
-            continue
-        values = factors.tolist()
-        for index in np.nonzero(mask)[0].tolist():
-            fired[index].append(FiredRule(rule=rule, factor=values[index]))
-    return fired
+        target *= np.where(mask[:, index], factor, 1.0)
+    fired: list = [[] for _ in range(n)]
+    points, indices = np.nonzero(mask)
+    for point, index in zip(points.tolist(), indices.tolist()):
+        column = scaled.get(index)
+        fired[point].append(FiredRule(
+            rule=table.rules[index],
+            factor=table.fixed[index] if column is None else column[point],
+        ))
+    return fired, tx_factor, rx_factor

@@ -9,6 +9,8 @@ wired consumer (MFS ladders and box validation, the Perftest sweep,
 random search, Collie end to end) against its scalar twin.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -23,11 +25,14 @@ from repro.core import Collie, EvalCache
 from repro.core.batcheval import BatchEvaluator
 from repro.core.mfs import MFSExtractor
 from repro.core.monitor import AnomalyMonitor
+from repro.core.population import PopulationCollie
 from repro.core.space import SearchSpace
+from repro.hardware import model as model_module
 from repro.hardware.model import SteadyStateModel, solve_batch
 from repro.hardware.subsystems import get_subsystem
+from repro.hardware.workload import WorkloadDescriptor
 from repro.obs.metrics import MetricsRegistry
-from repro.workloads.appendix import APPENDIX_SETTINGS
+from repro.workloads.appendix import APPENDIX_SETTINGS, settings_for_subsystem
 
 LETTERS = "ABCDEFGH"
 
@@ -42,6 +47,67 @@ def random_points(letter, seed, count):
     points = [space.random(rng) for _ in range(count)]
     # Repeat a prefix so the batch always contains exact duplicates.
     return points + points[: max(1, count // 3)]
+
+
+def walk_points(letter, seed, count):
+    """``count`` points of a mutation walk, duplicates mixed in.
+
+    Rule gates sit where a search walks and uniform points rarely land,
+    so the walk starts from an Appendix A trigger of the subsystem (F
+    and H have them) or a random point, and mostly mutates its last
+    point; one point in five repeats an earlier one.
+    """
+    space = SearchSpace.for_subsystem(get_subsystem(letter))
+    rng = np.random.default_rng(seed)
+    starts = [s.workload for s in settings_for_subsystem(letter)]
+    current = (
+        starts[int(rng.integers(len(starts)))]
+        if starts and rng.random() < 0.5 else space.random(rng)
+    )
+    points = []
+    while len(points) < count:
+        if points and rng.random() < 0.2:
+            points.append(points[int(rng.integers(len(points)))])
+            continue
+        current = space.mutate(current, rng)
+        points.append(current)
+    return points
+
+
+def subsystem_without_rule(letter, dropped):
+    """The subsystem, or a copy with one rule (or, for ``"all"``, every
+    rule) removed as apply_fixes does."""
+    subsystem = get_subsystem(letter)
+    if dropped is None:
+        return subsystem
+    rules = subsystem.rnic.rules
+    if dropped == "all":
+        rules = ()
+    else:
+        index = dropped % len(rules)
+        rules = rules[:index] + rules[index + 1:]
+    return dataclasses.replace(
+        subsystem, rnic=dataclasses.replace(subsystem.rnic, rules=rules)
+    )
+
+
+#: No rule removed, one rule removed (by index modulo the table), or all.
+dropped_rules = st.one_of(
+    st.none(), st.integers(min_value=0, max_value=63), st.just("all")
+)
+
+
+def assert_solves_identical(batched, scalar):
+    """Equal down to key order, float ``repr`` and fired-rule order."""
+    assert repr(list(batched.features.items())) == repr(
+        list(scalar.features.items())
+    )
+    assert repr(batched.directions) == repr(scalar.directions)
+    assert repr(list(batched.ideal_counters.items())) == repr(
+        list(scalar.ideal_counters.items())
+    )
+    assert batched.fired == scalar.fired
+    assert repr(batched.fired) == repr(scalar.fired)
 
 
 def assert_measurements_equal(left, right):
@@ -98,18 +164,48 @@ class TestEvaluateManyBitIdentity:
         assert scalar_rng.bit_generator.state == warm_rng.bit_generator.state
         assert len(cache) == len({str(workload_to_dict(p)) for p in points})
 
-    def test_solve_batch_matches_scalar_solver(self):
-        for letter in LETTERS:
-            subsystem = get_subsystem(letter)
-            model = SteadyStateModel(subsystem)
-            points = random_points(letter, seed=7, count=5)
-            batched = solve_batch(subsystem, points)
-            for point, solve in zip(points, batched):
-                scalar = model._solve(point, phase="search")
-                assert solve.ideal_counters == scalar.ideal_counters
-                assert solve.directions == scalar.directions
-                assert solve.fired == scalar.fired
-                assert solve.features == scalar.features
+    @given(
+        letter=letters,
+        seed=seeds,
+        count=st.integers(min_value=1, max_value=40),
+        dropped=dropped_rules,
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_solve_batch_matches_scalar_solver(
+        self, letter, seed, count, dropped
+    ):
+        subsystem = subsystem_without_rule(letter, dropped)
+        points = walk_points(letter, seed, count)
+        model = SteadyStateModel(subsystem)
+        for point, solve in zip(points, solve_batch(subsystem, points)):
+            assert_solves_identical(solve, model._solve(point, "search"))
+
+    @given(
+        letter=letters,
+        seed=seeds,
+        count=st.integers(min_value=2, max_value=40),
+        dropped=dropped_rules,
+        stability_cv=st.sampled_from([0.004, 0.01, 0.02, 0.2]),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_primed_verdicts_match_scalar_classify(
+        self, letter, seed, count, dropped, stability_cv
+    ):
+        """The batch stability pass equals is_stable on scalar samples."""
+        subsystem = subsystem_without_rule(letter, dropped)
+        points = walk_points(letter, seed, count)
+        batched = BatchEvaluator(SteadyStateModel(subsystem)).evaluate_each(
+            points, [np.random.default_rng(seed + i) for i in range(count)]
+        )
+        monitor = AnomalyMonitor(subsystem, stability_cv=stability_cv)
+        for i, (point, measurement) in enumerate(zip(points, batched)):
+            scalar = SteadyStateModel(subsystem).evaluate(
+                point, np.random.default_rng(seed + i)
+            )
+            assert scalar.tx_cv is None
+            if scalar.counters["tx_bytes_per_sec"] > 0:
+                assert measurement.tx_cv is not None
+            assert monitor.classify(measurement) == monitor.classify(scalar)
 
     def test_disabled_evaluator_routes_scalar(self):
         subsystem = get_subsystem("F")
@@ -129,6 +225,60 @@ class TestEvaluateManyBitIdentity:
         )
         assert metrics.value("batcheval.points", mode="scalar") == len(points)
         assert metrics.value("batcheval.points", mode="vectorized") == 0.0
+
+
+class TestNegativeNoise:
+    """Every evaluation path rejects negative noise, as VendorMonitor does."""
+
+    @pytest.mark.parametrize(
+        "evaluate",
+        [
+            lambda model, points: model.evaluate(points[0]),
+            lambda model, points: model.evaluate_many(
+                points, rng=np.random.default_rng(0)
+            ),
+            lambda model, points: BatchEvaluator(model).evaluate_each(
+                points, [np.random.default_rng(i) for i in range(len(points))]
+            ),
+        ],
+        ids=["evaluate", "evaluate_many", "evaluate_each"],
+    )
+    def test_model_paths_raise(self, evaluate):
+        with pytest.raises(ValueError, match="noise must be non-negative"):
+            model = SteadyStateModel(get_subsystem("H"), noise=-0.1)
+            evaluate(model, [WorkloadDescriptor()] * 3)
+
+    def test_population_raises(self):
+        with pytest.raises(ValueError, match="noise must be non-negative"):
+            PopulationCollie(
+                "H", chains=2, seed=1, budget_hours=0.2, noise=-0.1
+            ).run()
+
+
+@pytest.mark.slow
+def test_solve_batch_matches_scalar_on_the_search_stream(monkeypatch):
+    """Oracle: every batched solve of a 10-hour 8-chain search is scalar.
+
+    Gates sit where the SA walk concentrates, which random points rarely
+    reach, so this records every ``solve_batch`` input of the real
+    generation stream and re-solves each point on the scalar path.
+    """
+    calls = []
+    batched = model_module.solve_batch
+
+    def recording(subsystem, workloads):
+        solves = batched(subsystem, workloads)
+        calls.append((subsystem, list(workloads), solves))
+        return solves
+
+    monkeypatch.setattr(model_module, "solve_batch", recording)
+    PopulationCollie("F", chains=8, seed=1, budget_hours=10).run()
+    assert len(calls) > 1000
+    for subsystem, workloads, solves in calls:
+        model = SteadyStateModel(subsystem)
+        assert len(solves) == len(workloads)
+        for point, solve in zip(workloads, solves):
+            assert_solves_identical(solve, model._solve(point, "search"))
 
 
 class TestBulkCacheApi:

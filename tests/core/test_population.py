@@ -85,13 +85,18 @@ class TestOneChainIsLegacy:
 
 
 class TestChainsAreIndependent:
-    def test_each_chain_matches_standalone_seed(self):
+    @pytest.mark.parametrize("subsystem", SUBSYSTEMS)
+    def test_each_chain_matches_standalone_seed(self, subsystem):
+        # Multi-chain runs evaluate every generation through
+        # evaluate_each, so each subsystem's rule table goes through the
+        # batched kernel here (a 1-chain run never does).
         population = PopulationCollie(
-            "F", chains=3, budget_hours=0.2, seed=5,
+            subsystem, chains=4, budget_hours=0.5, seed=5,
         ).run()
+        assert population.generations > 0
         for chain, report in enumerate(population.reports):
             standalone = Collie.for_subsystem(
-                "F", budget_hours=0.2, seed=5 + chain,
+                subsystem, budget_hours=0.5, seed=5 + chain,
             ).run()
             assert report_key(report) == report_key(standalone)
 
