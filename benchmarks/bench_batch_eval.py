@@ -104,7 +104,7 @@ def run_mfs_scenario():
 
 def run_perftest_scenario():
     def sweep(batch):
-        generator = PerftestGenerator(PERFTEST_SUBSYSTEM, batch=batch)
+        generator = PerftestGenerator(PERFTEST_SUBSYSTEM)
         started = time.perf_counter()
         found = generator.sweep(
             seed=0, limit=PERFTEST_LIMIT,

@@ -30,6 +30,7 @@ or hung workers mid-campaign.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import inspect
 from typing import Callable, Optional, Sequence, Union
 
@@ -46,11 +47,11 @@ from repro.core.faults import FaultPlan, RetryPolicy
 # imported by the factories that run them, not by this module.
 
 
-def _run_random(sub, hours, seed, cache=None, batch=True):
+def _run_random(sub, hours, seed, cache=None):
     from repro.baselines.random_search import RandomSearch
 
     return RandomSearch(
-        sub, budget_hours=hours, seed=seed, cache=cache, batch=batch
+        sub, budget_hours=hours, seed=seed, cache=cache
     ).run()
 
 
@@ -78,31 +79,12 @@ def _run_bayesopt_mfs(sub, hours, seed, cache=None):
     ).run()
 
 
-def _run_sa_perf(sub, hours, seed, cache=None, batch=True, latency=True):
+def _run_search(
+    sub, hours, seed, cache=None, latency=True, *, counter_mode, use_mfs
+):
     return Collie.for_subsystem(
-        sub, counter_mode="perf", use_mfs=False, budget_hours=hours,
-        seed=seed, cache=cache, batch=batch, latency=latency,
-    ).run()
-
-
-def _run_sa_diag(sub, hours, seed, cache=None, batch=True, latency=True):
-    return Collie.for_subsystem(
-        sub, counter_mode="diag", use_mfs=False, budget_hours=hours,
-        seed=seed, cache=cache, batch=batch, latency=latency,
-    ).run()
-
-
-def _run_collie_perf(sub, hours, seed, cache=None, batch=True, latency=True):
-    return Collie.for_subsystem(
-        sub, counter_mode="perf", use_mfs=True, budget_hours=hours,
-        seed=seed, cache=cache, batch=batch, latency=latency,
-    ).run()
-
-
-def _run_collie(sub, hours, seed, cache=None, batch=True, latency=True):
-    return Collie.for_subsystem(
-        sub, counter_mode="diag", use_mfs=True, budget_hours=hours,
-        seed=seed, cache=cache, batch=batch, latency=latency,
+        sub, counter_mode=counter_mode, use_mfs=use_mfs, budget_hours=hours,
+        seed=seed, cache=cache, latency=latency,
     ).run()
 
 
@@ -112,10 +94,18 @@ APPROACHES: dict = {
     "genetic": _run_genetic,
     "bayesopt": _run_bayesopt,
     "bayesopt+mfs": _run_bayesopt_mfs,
-    "sa-perf": _run_sa_perf,
-    "sa-diag": _run_sa_diag,
-    "collie-perf": _run_collie_perf,
-    "collie": _run_collie,
+    "sa-perf": functools.partial(
+        _run_search, counter_mode="perf", use_mfs=False
+    ),
+    "sa-diag": functools.partial(
+        _run_search, counter_mode="diag", use_mfs=False
+    ),
+    "collie-perf": functools.partial(
+        _run_search, counter_mode="perf", use_mfs=True
+    ),
+    "collie": functools.partial(
+        _run_search, counter_mode="diag", use_mfs=True
+    ),
 }
 
 
@@ -142,8 +132,6 @@ def _run_seed(payload: dict) -> dict:
     kwargs: dict = {}
     if cache is not None and _accepts_kwarg(factory, "cache"):
         kwargs["cache"] = cache
-    if not payload.get("batch", True) and _accepts_kwarg(factory, "batch"):
-        kwargs["batch"] = False
     if not payload.get("latency", True) and _accepts_kwarg(
         factory, "latency"
     ):
@@ -237,7 +225,6 @@ def run_campaign(
     workers: int = 1,
     cache: Optional[EvalCache] = None,
     recorder=None,
-    batch: bool = True,
     retry: Optional[RetryPolicy] = None,
     faults: Optional[FaultPlan] = None,
     resume_from: Union[str, dict, None] = None,
@@ -295,7 +282,6 @@ def run_campaign(
             "seed": seed,
             "use_cache": cache is not None,
             "cache_entries": warm_entries,
-            "batch": batch,
             "latency": latency,
         }
         for seed in todo

@@ -41,12 +41,11 @@ class PerftestGenerator:
         self,
         subsystem: "Subsystem | str",
         noise: float = 0.02,
-        batch: bool = True,
     ) -> None:
         if isinstance(subsystem, str):
             subsystem = get_subsystem(subsystem)
         self.subsystem = subsystem
-        self.testbed = Testbed(subsystem, noise=noise, batch=batch)
+        self.testbed = Testbed(subsystem, noise=noise)
         self.monitor = AnomalyMonitor(subsystem)
 
     def workloads(self) -> Iterator[WorkloadDescriptor]:
@@ -90,15 +89,15 @@ class PerftestGenerator:
         full space is a few thousand points.  The enumeration is fixed
         and the RNG feeds observation noise only, so chunking it through
         the batched evaluator (``batch_size`` points at a time) is
-        bit-identical to the scalar loop; ``batch_size<=1`` (or a
-        ``batch=False`` generator) forces the scalar path.
+        bit-identical to the scalar loop; ``batch_size<=1`` runs the
+        scalar loop.
         """
         rng = np.random.default_rng(seed)
         found: dict = {}
         points: Iterator[WorkloadDescriptor] = self.workloads()
         if limit is not None:
             points = itertools.islice(points, limit)
-        if not batch_size or batch_size <= 1 or not self.testbed.batch_enabled:
+        if not batch_size or batch_size <= 1:
             for workload in points:
                 result = self.testbed.run(workload, rng=rng)
                 self._record(found, workload, result)

@@ -49,10 +49,6 @@ class BaselineReport:
         return sorted(self.first_hit_times())
 
 
-#: Points pre-sampled per pre-solve burst in ``batch_probes`` mode.
-PROBE_CHUNK = 16
-
-
 class RandomSearch:
     """Uniform random sampling of the search space under a time budget."""
 
@@ -63,8 +59,6 @@ class RandomSearch:
         seed: int = 0,
         noise: float = 0.02,
         cache: Optional["EvalCache"] = None,
-        batch: bool = True,
-        batch_probes: bool = False,
         recorder: Optional["FlightRecorder"] = None,
     ) -> None:
         if isinstance(subsystem, str):
@@ -81,15 +75,10 @@ class RandomSearch:
         profiler = recorder.profiler if recorder is not None else None
         self.testbed = Testbed(
             subsystem, clock=self.clock, noise=noise, cache=cache,
-            batch=batch, metrics=metrics, profiler=profiler,
+            metrics=metrics, profiler=profiler,
         )
         self.monitor = AnomalyMonitor(subsystem, metrics=metrics)
         self.rng = np.random.default_rng(seed)
-        #: Pre-sample PROBE_CHUNK points at a time and pre-solve them as
-        #: one batch.  Deterministic per seed but a different RNG
-        #: interleaving than the scalar sample/evaluate alternation, so
-        #: off by default (see ``repro.core.batcheval``).
-        self.batch_probes = batch_probes
 
     def run(self) -> BaselineReport:
         recorder = self.recorder
@@ -99,19 +88,8 @@ class RandomSearch:
                 self.budget_hours, self.seed, space=self.space,
             )
         state = SearchState()
-        pending: list = []
-        batch_probes = self.batch_probes and self.testbed.batch_enabled
         while not self.clock.expired:
-            if batch_probes:
-                if not pending:
-                    pending = [
-                        self.space.random(self.rng)
-                        for _ in range(PROBE_CHUNK)
-                    ]
-                    self.testbed.presolve(pending)
-                workload = pending.pop(0)
-            else:
-                workload = self.space.random(self.rng)
+            workload = self.space.random(self.rng)
             result = self.testbed.run(workload, rng=self.rng)
             verdict = self.monitor.classify(result.measurement)
             event = TraceEvent(

@@ -67,6 +67,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import os
 import sys
 from typing import Optional, Sequence
@@ -80,6 +81,22 @@ def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {text}")
+    return value
+
+
+def _positive_hours(text: str) -> float:
+    value = float(text)
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(
+            f"must be a finite number > 0, got {text}"
+        )
+    return value
+
+
+def _share(text: str) -> float:
+    value = float(text)
+    if not 0 < value <= 1:
+        raise argparse.ArgumentTypeError(f"must lie in (0, 1], got {text}")
     return value
 
 
@@ -276,10 +293,19 @@ def _cmd_search(args: argparse.Namespace) -> int:
         logger.error("--tempering needs --chains >= 2 (one chain per "
                      "ladder rung)")
         return 2
+    if (args.seeds > 1 or population) and (args.output or args.recipes):
+        logger.error("--output and --recipes describe a single search: "
+                     "drop them or run without --seeds/--chains/"
+                     "--tempering")
+        return 2
+    fanout = args.workers > 1 or _retry_policy(args) is not None
+    if fanout and args.seeds == 1:
+        logger.error("--workers, --retries, --task-timeout and --backoff "
+                     "act on a --seeds campaign only; a single search "
+                     "or a --chains population runs in-process")
+        return 2
     victim = _victim_from_args(args)
-    if victim is not None and args.seeds > 1 and (
-        args.workers > 1 or _retry_policy(args) is not None
-    ):
+    if victim is not None and fanout:
         logger.error("--victim campaigns run in-process (the lockstep "
                      "population path): drop --workers and the retry "
                      "flags")
@@ -287,7 +313,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
     cache = _open_cache(args)
     recorder = _open_recorder(args)
     if args.seeds > 1:
-        if args.workers == 1 and _retry_policy(args) is None:
+        if not fanout:
             # Same seeds, same reports, one process: the population
             # driver steps the chains in lockstep with batched solves
             # instead of running the seeds one scalar walk at a time.
@@ -308,8 +334,6 @@ def _cmd_search(args: argparse.Namespace) -> int:
         seed=args.seed,
         cache=cache,
         recorder=recorder,
-        batch=not args.no_batch,
-        batch_probes=args.batch_probes,
         latency=not args.no_latency,
         victim=victim,
         victim_share=args.victim_share,
@@ -375,8 +399,6 @@ def _run_search_population(
         use_mfs=not args.no_mfs,
         cache=cache,
         recorder=recorder,
-        batch=not args.no_batch,
-        batch_probes=args.batch_probes,
         latency=not args.no_latency,
         temperature_ladder=ladder,
         exchange_every=args.exchange_every,
@@ -424,7 +446,6 @@ def _run_search_campaign(args: argparse.Namespace, cache, recorder) -> int:
         workers=args.workers,
         cache=cache,
         recorder=recorder,
-        batch=not args.no_batch,
         latency=not args.no_latency,
         retry=_retry_policy(args),
     )
@@ -458,7 +479,6 @@ def _cmd_parallel(args: argparse.Namespace) -> int:
         workers=args.workers,
         cache=cache,
         recorder=recorder,
-        batch=not args.no_batch,
         latency=not args.no_latency,
         retry=_retry_policy(args),
         chains=args.chains,
@@ -511,7 +531,6 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         workers=args.workers,
         cache=cache,
         recorder=recorder,
-        batch=not args.no_batch,
         latency=not args.no_latency,
         retry=_retry_policy(args),
         resume_from=args.resume,
@@ -1287,16 +1306,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     search = sub.add_parser("search", help="run Collie on one subsystem")
     search.add_argument("subsystem", choices=list("ABCDEFGH"))
-    search.add_argument("--hours", type=float, default=10.0)
+    search.add_argument("--hours", type=_positive_hours, default=10.0)
     search.add_argument("--seed", type=int, default=0)
     search.add_argument("--counters", choices=("diag", "perf"),
                         default="diag")
     search.add_argument("--no-mfs", action="store_true",
                         help="plain SA baseline (Figure 5 ablation)")
     search.add_argument("--output", metavar="REPORT.json",
-                        help="save the report as JSON")
+                        help="save the report as JSON (single search only)")
     search.add_argument("--recipes", action="store_true",
-                        help="print a vendor reproduction recipe per anomaly")
+                        help="print a vendor reproduction recipe per anomaly "
+                             "(single search only)")
     search.add_argument("--seeds", type=_positive_int, default=1,
                         help="run a campaign over this many seeds "
                              "(starting at --seed); without --workers or "
@@ -1318,9 +1338,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "(with --tempering)")
     search.add_argument("--cache", metavar="PATH",
                         help="memoize evaluations in this JSON store")
-    search.add_argument("--no-batch", action="store_true",
-                        help="route evaluation through the scalar code "
-                             "path (disable S31 batching)")
     search.add_argument("--no-latency", action="store_true",
                         help="disable the tail-latency signal: no latency "
                              "journal records and no latency-inflation "
@@ -1332,22 +1349,18 @@ def build_parser() -> argparse.ArgumentParser:
                              "('small-message') or comma-separated "
                              "key=value overrides of it, e.g. "
                              "'num_qps=64,msg_sizes_bytes=512;4096'")
-    search.add_argument("--victim-share", type=float, default=0.5,
+    search.add_argument("--victim-share", type=_share, default=0.5,
                         metavar="FRACTION",
                         help="victim's fair bandwidth share of the "
                              "bottleneck links (default 0.5)")
-    search.add_argument("--batch-probes", action="store_true",
-                        help="pre-sample and batch the counter-ranking "
-                             "probes (deterministic per seed, but a "
-                             "different RNG interleaving than scalar)")
     _add_observability_flags(search)
     _add_resilience_flags(search)
     search.set_defaults(func=_cmd_search)
 
     parallel = sub.add_parser("parallel", help="fleet search (§8 extension)")
     parallel.add_argument("subsystem", choices=list("ABCDEFGH"))
-    parallel.add_argument("--machines", type=int, default=3)
-    parallel.add_argument("--hours", type=float, default=10.0)
+    parallel.add_argument("--machines", type=_positive_int, default=3)
+    parallel.add_argument("--hours", type=_positive_hours, default=10.0)
     parallel.add_argument("--seed", type=int, default=0)
     parallel.add_argument("--workers", type=_positive_int, default=1,
                           help="worker processes for the machine fleet")
@@ -1357,9 +1370,6 @@ def build_parser() -> argparse.ArgumentParser:
                                "counter share")
     parallel.add_argument("--cache", metavar="PATH",
                           help="memoize evaluations in this JSON store")
-    parallel.add_argument("--no-batch", action="store_true",
-                          help="route evaluation through the scalar code "
-                               "path (disable S31 batching)")
     parallel.add_argument("--no-latency", action="store_true",
                           help="disable the tail-latency signal on every "
                                "machine of the fleet")
@@ -1377,13 +1387,10 @@ def build_parser() -> argparse.ArgumentParser:
     campaign.add_argument("--seeds", type=_positive_int, default=3)
     campaign.add_argument("--seed", type=int, default=1,
                           help="first seed of the campaign")
-    campaign.add_argument("--hours", type=float, default=10.0)
+    campaign.add_argument("--hours", type=_positive_hours, default=10.0)
     campaign.add_argument("--workers", type=_positive_int, default=1)
     campaign.add_argument("--cache", metavar="PATH",
                           help="memoize evaluations in this JSON store")
-    campaign.add_argument("--no-batch", action="store_true",
-                          help="route evaluation through the scalar code "
-                               "path (disable S31 batching)")
     campaign.add_argument("--no-latency", action="store_true",
                           help="disable the tail-latency signal for every "
                                "seed of the campaign")
@@ -1509,7 +1516,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="first seed of the population (default: 1)",
     )
     canary_record.add_argument(
-        "--hours", type=float, default=1.0,
+        "--hours", type=_positive_hours, default=1.0,
         help="simulated budget per cell (default: 1.0)",
     )
     canary_record.add_argument(
@@ -1570,7 +1577,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="subsystems to catalog, as a string of Table 1 letters "
              "(default: ABCDEFGH)",
     )
-    isolation.add_argument("--hours", type=float, default=0.3,
+    isolation.add_argument("--hours", type=_positive_hours, default=0.3,
                            help="simulated budget per subsystem "
                                 "(default 0.3)")
     isolation.add_argument("--seed", type=int, default=3)
@@ -1578,7 +1585,7 @@ def build_parser() -> argparse.ArgumentParser:
                            help="victim workload (same SPEC as "
                                 "'search --victim'; default: the "
                                 "small-message preset)")
-    isolation.add_argument("--victim-share", type=float, default=0.5,
+    isolation.add_argument("--victim-share", type=_share, default=0.5,
                            metavar="FRACTION",
                            help="victim's fair bandwidth share "
                                 "(default 0.5)")

@@ -60,7 +60,6 @@ class Testbed:
         functional_check: bool = False,
         cache: Optional["EvalCache"] = None,
         metrics=None,
-        batch: bool = True,
         profiler=None,
         victim: Optional[WorkloadDescriptor] = None,
         victim_share: float = 0.5,
@@ -72,7 +71,7 @@ class Testbed:
         self.subsystem = subsystem
         self.clock = clock or SimulatedClock()
         self.engine = WorkloadEngine(
-            subsystem, noise=noise, cache=cache, batch=batch,
+            subsystem, noise=noise, cache=cache,
             metrics=metrics, profiler=profiler,
             victim=victim, victim_share=victim_share,
         )
@@ -124,11 +123,6 @@ class Testbed:
         completed prefix bit-identically.
         """
 
-    @property
-    def batch_enabled(self) -> bool:
-        """Whether the batched evaluation engine (S31) is active."""
-        return self.engine.batch.enabled
-
     def presolve(
         self, workloads: list[WorkloadDescriptor], phase: str = "search"
     ) -> int:
@@ -154,8 +148,8 @@ class Testbed:
         """
         if not workloads:
             return []
-        if not self.batch_enabled or len(workloads) == 1:
-            return [self.run(w, rng=rng, phase=phase) for w in workloads]
+        if len(workloads) == 1:
+            return [self.run(workloads[0], rng=rng, phase=phase)]
         for offset, workload in enumerate(workloads):
             self._before_experiment(
                 workload, phase, self.experiments_run + offset

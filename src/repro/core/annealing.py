@@ -264,9 +264,7 @@ class AnnealingSearch:
             ),
             presolve=(
                 (lambda pts: self.testbed.presolve(pts, phase="mfs"))
-                if getattr(self.testbed, "batch_enabled", False)
-                and not getattr(self.testbed, "lockstep", False)
-                else None
+                if not self.testbed.lockstep else None
             ),
         )
         stepper = extractor.construct_steps(

@@ -2,11 +2,11 @@
 
 Every search workflow evaluates *sets* of closely related points — MFS
 necessity ladders and box-validation bursts, the exhaustive Perftest
-sweep, counter-ranking probes, campaign fan-outs.  The scalar pipeline
-prices them one at a time; :class:`BatchEvaluator` runs the
-deterministic half (features → rule gates → per-direction steady-state
-solve → ideal counters) as float64 column arithmetic over the whole
-batch (:func:`repro.hardware.model.solve_batch`), deduplicating
+sweep, population generations.  The scalar pipeline prices them one at
+a time; :class:`BatchEvaluator` runs the deterministic half (features →
+rule gates → per-direction steady-state solve → ideal counters) as
+float64 column arithmetic over the whole batch
+(:func:`repro.hardware.model.solve_batch`), deduplicating
 identical points and consulting/back-filling the
 :class:`~repro.core.evalcache.EvalCache` through its bulk API.
 
@@ -20,17 +20,15 @@ state (``tests/core/test_batcheval.py`` pins this over subsystems A–H).
 Only a point's *active* counters (ideal value > 0) consume noise,
 exactly as :class:`~repro.hardware.counters.VendorMonitor` does.
 
-Two batching modes exist upstream of this module:
-
-* **exact** — the batch is known before any draw (MFS ladders, box
-  validation, the Perftest sweep): batched and scalar runs are
-  bit-identical, so batching defaults on, with a ``batch=False`` /
-  ``--no-batch`` escape hatch through the untouched scalar code;
-* **opt-in** (``batch_probes``) — phases that interleave point sampling
-  with noise draws on one RNG stream (random search, counter ranking)
-  cannot batch bit-identically; pre-sampling the points changes the
-  interleaving (still deterministic per seed) and is therefore off by
-  default.
+**Path selection.**  No switch picks between the batched and the
+scalar path; the input does.  A call with one point (or, for
+``evaluate_many``, no generator) runs the scalar loop, which is cheaper
+for a single row; :meth:`BatchEvaluator.presolve` is a no-op without a
+cache.  Only phases whose whole batch is known before any noise draw
+are batched (MFS ladders, box validation, the Perftest sweep,
+population generations).  Phases that interleave point sampling with
+noise draws on one RNG stream (random search, counter ranking) stay
+scalar: pre-sampling would change that interleaving.
 """
 
 from __future__ import annotations
@@ -203,20 +201,18 @@ def _measurements_from_rows(
 class BatchEvaluator:
     """Deduplicating, cache-aware batched front end to the solver.
 
-    ``enabled=False`` (the ``--no-batch`` escape hatch) routes every
-    call through the existing scalar code path unchanged.
+    A one-point call takes the scalar code path and counts under
+    ``batcheval.points{mode=scalar}``; larger calls are vectorized.
     """
 
     def __init__(
         self,
         model: SteadyStateModel,
         metrics: Optional["MetricsRegistry"] = None,
-        enabled: bool = True,
         profiler=None,
     ) -> None:
         self.model = model
         self.metrics = metrics
-        self.enabled = enabled
         #: Optional obs.SpanProfiler ("batch" spans on vectorized solves).
         self.profiler = profiler
 
@@ -244,7 +240,7 @@ class BatchEvaluator:
         fresh solves back-fill the cache through ``put_many``.
         """
         model = self.model
-        if not self.enabled or len(workloads) <= 1:
+        if len(workloads) <= 1:
             self._count_points(len(workloads), "scalar")
             return [model._solve(w, phase) for w in workloads]
         started = time.perf_counter()
@@ -293,12 +289,11 @@ class BatchEvaluator:
         (no hit/miss recorded), so the subsequent scalar replay sees the
         exact lookup statistics a non-presolved run would — only faster.
         Points that fail validation are skipped (the scalar path raises
-        for them later, unchanged).  A no-op without a cache or when
-        batching is disabled.
+        for them later, unchanged).  A no-op without a cache.
         """
         model = self.model
         cache = model.cache
-        if not self.enabled or cache is None or not workloads:
+        if cache is None or not workloads:
             return 0
         seen: set = set()
         unique: list = []
@@ -350,7 +345,7 @@ class BatchEvaluator:
         ``model.evaluate(workloads[i], rngs[i], phase=phase)``.
         """
         model = self.model
-        if not self.enabled or len(workloads) <= 1:
+        if len(workloads) <= 1:
             self._count_points(len(workloads), "scalar")
             return [
                 model.evaluate(
@@ -386,7 +381,7 @@ class BatchEvaluator:
         like the scalar default, so that case falls back to the loop.
         """
         model = self.model
-        if not self.enabled or len(workloads) <= 1 or rng is None:
+        if len(workloads) <= 1 or rng is None:
             self._count_points(len(workloads), "scalar")
             return [
                 model.evaluate(

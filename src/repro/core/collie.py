@@ -122,8 +122,6 @@ class Collie:
         counters: Optional[tuple] = None,
         cache: Optional["EvalCache"] = None,
         recorder: Optional["FlightRecorder"] = None,
-        batch: bool = True,
-        batch_probes: bool = False,
         latency: bool = True,
         victim=None,
         victim_share: float = 0.5,
@@ -156,11 +154,6 @@ class Collie:
         if recorder is not None and cache is not None:
             cache.observer = recorder.cache_event
             cache.profiler = profiler
-        #: Pre-sample + pre-solve the §7.2 ranking probes as one batch.
-        #: Changes the RNG interleaving (sampling before noise draws
-        #: instead of alternating), so while runs stay deterministic per
-        #: seed they differ from the scalar sequence — opt-in only.
-        self.batch_probes = batch_probes
         #: Isolation mode: a pinned victim turns the run into an
         #: adversarial-neighbor search — every searched point is an
         #: attacker co-running next to the victim, and verdicts come
@@ -170,7 +163,7 @@ class Collie:
         self.victim_share = victim_share
         self.testbed = Testbed(
             subsystem, clock=self.clock, noise=noise, cache=cache,
-            metrics=metrics, batch=batch, profiler=profiler,
+            metrics=metrics, profiler=profiler,
             victim=victim, victim_share=victim_share,
         )
         #: ``latency=False`` (``--no-latency``) disables the tail-latency
@@ -284,19 +277,10 @@ class Collie:
         candidates = self._candidate_counters()
         observations: dict = {name: [] for name in candidates}
         signal = SearchSignal(candidates[0])
-        presampled: Optional[list] = None
-        if self.batch_probes and self.testbed.batch_enabled:
-            presampled = [
-                self.space.random(self.rng) for _ in range(RANKING_PROBES)
-            ]
-            self.testbed.presolve(presampled, phase="probe")
-        for i in range(RANKING_PROBES):
+        for _ in range(RANKING_PROBES):
             if self.clock.expired:
                 break
-            if presampled is not None:
-                workload = presampled[i]
-            else:
-                workload = self.space.random(self.rng)
+            workload = self.space.random(self.rng)
             yield workload
             measured = self.search._measure(
                 state, workload, signal, kind="probe"

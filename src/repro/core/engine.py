@@ -73,7 +73,6 @@ class WorkloadEngine:
         subsystem: Subsystem,
         noise: float = 0.02,
         cache: Optional["EvalCache"] = None,
-        batch: bool = True,
         metrics=None,
         profiler=None,
         victim: Optional[WorkloadDescriptor] = None,
@@ -101,10 +100,10 @@ class WorkloadEngine:
             )
         else:
             self.model = SteadyStateModel(subsystem, noise=noise, cache=cache)
-        #: Batched front end to the solver (S31); ``batch=False`` routes
-        #: everything through the scalar code path unchanged.
+        #: Batched front end to the solver (S31); one-point calls take
+        #: the scalar code path.
         self.batch = BatchEvaluator(
-            self.model, metrics=metrics, enabled=batch, profiler=profiler
+            self.model, metrics=metrics, profiler=profiler
         )
 
     @property

@@ -25,7 +25,7 @@ from typing import Optional
 import numpy as np
 
 from repro.core.annealing import SAParams, TraceEvent
-from repro.core.collie import Collie, SearchReport
+from repro.core.collie import SearchReport
 from repro.core.evalcache import EvalCache
 from repro.core.executor import CampaignExecutor, ExecutorStats
 from repro.core.faults import FaultPlan, RetryPolicy
@@ -77,50 +77,31 @@ class ParallelReport:
 def _run_machine(payload: dict) -> dict:
     """One fleet machine, executed inside a worker process.
 
-    The Collie instance — clock, RNG, testbed — is built here from the
-    payload's seed, so the machine's trajectory does not depend on which
-    process runs it.  A per-machine :class:`EvalCache` is attached when
-    requested; its entries and stats travel back for merging.
+    The machine's chains — clocks, RNGs, testbeds — are built here from
+    the payload's seed, so the machine's trajectory does not depend on
+    which process runs it.  A per-machine :class:`EvalCache` is attached
+    when requested; its entries and stats travel back for merging.
 
-    With ``chains > 1`` the machine runs a lockstep SA population over
-    its counter share instead of a single trajectory — chain ``c``
-    seeds at ``seed + c``, and the machine returns one report per chain
-    (bit-identical to running each seed standalone, so the fleet merge
-    semantics are unchanged).
+    The machine steps a lockstep SA population over its counter share:
+    chain ``c`` seeds at ``seed + c``, and the machine returns one
+    report per chain, each bit-identical to a standalone run of that
+    seed.  With one chain that is the single Collie trajectory.
     """
     cache = EvalCache() if payload["use_cache"] else None
     if cache is not None and payload["cache_entries"]:
         cache.import_entries(payload["cache_entries"])
-    chains = payload.get("chains", 1)
-    if chains > 1:
-        driver = PopulationCollie(
-            payload["subsystem"],
-            chains=chains,
-            space=payload["space"],
-            counters=payload["share"],
-            budget_hours=payload["budget_hours"],
-            seed=payload["seed"],
-            sa_params=payload["sa_params"],
-            noise=payload["noise"],
-            cache=cache,
-            batch=payload.get("batch", True),
-            latency=payload.get("latency", True),
-        )
-        reports = driver.run().reports
-    else:
-        collie = Collie(
-            payload["subsystem"],
-            space=payload["space"],
-            counters=payload["share"],
-            budget_hours=payload["budget_hours"],
-            seed=payload["seed"],
-            sa_params=payload["sa_params"],
-            noise=payload["noise"],
-            cache=cache,
-            batch=payload.get("batch", True),
-            latency=payload.get("latency", True),
-        )
-        reports = [collie.run()]
+    reports = PopulationCollie(
+        payload["subsystem"],
+        chains=payload["chains"],
+        space=payload["space"],
+        counters=payload["share"],
+        budget_hours=payload["budget_hours"],
+        seed=payload["seed"],
+        sa_params=payload["sa_params"],
+        noise=payload["noise"],
+        cache=cache,
+        latency=payload["latency"],
+    ).run().reports
     return {
         "reports": reports,
         "cache_entries": (
@@ -149,7 +130,6 @@ class ParallelCollie:
         workers: int = 1,
         cache: Optional[EvalCache] = None,
         recorder=None,
-        batch: bool = True,
         retry: Optional[RetryPolicy] = None,
         faults: Optional[FaultPlan] = None,
         latency: bool = True,
@@ -183,9 +163,7 @@ class ParallelCollie:
         #: Parent-side cache: warm-starts every machine and absorbs
         #: their entries/stats after the fleet completes.
         self.cache = cache
-        #: Threaded into every machine's Collie (``--no-batch``).
-        self.batch = batch
-        #: Threaded into every machine's Collie (``--no-latency``).
+        #: Threaded into every machine's chains (``--no-latency``).
         self.latency = latency
         #: SA chains per machine: each machine steps a lockstep
         #: population over its counter share (chain ``c`` of machine
@@ -238,7 +216,6 @@ class ParallelCollie:
                 "noise": self.noise,
                 "use_cache": self.cache is not None,
                 "cache_entries": warm_entries,
-                "batch": self.batch,
                 "latency": self.latency,
                 "chains": self.chains,
             }

@@ -136,8 +136,6 @@ class PopulationCollie:
         counters: Optional[tuple] = None,
         cache: Optional[EvalCache] = None,
         recorder=None,
-        batch: bool = True,
-        batch_probes: bool = False,
         latency: bool = True,
         temperature_ladder: Optional[tuple] = None,
         exchange_every: int = 25,
@@ -174,7 +172,7 @@ class PopulationCollie:
         #: without one); never forced on 1-chain runs, whose journals
         #: must stay byte-identical to the legacy single trajectory.
         self.cache = cache if cache is not None else (
-            EvalCache() if batch and chains > 1 else None
+            EvalCache() if chains > 1 else None
         )
         space = space or SearchSpace.for_subsystem(subsystem)
 
@@ -214,8 +212,6 @@ class PopulationCollie:
                 counters=counters,
                 cache=self.cache,
                 recorder=chain_recorder,
-                batch=batch,
-                batch_probes=batch_probes,
                 latency=latency,
                 victim=victim,
                 victim_share=victim_share,
@@ -311,11 +307,9 @@ class PopulationCollie:
         solver rejects is left unprimed so the chain's own measurement
         raises exactly where the scalar path would.
         """
-        if self.cache is None or len(pending) < 2:
+        if len(pending) < 2:
             return
         lead = self._collies[0].testbed
-        if not getattr(lead, "batch_enabled", False):
-            return
         indices = list(pending)
         workloads = [pending[index] for index in indices]
         rngs = [self._collies[index].search.rng for index in indices]

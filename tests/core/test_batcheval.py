@@ -6,7 +6,7 @@ measurements, counters, fired rules, features, sample streams, and the
 caller's RNG (draw count, order, final state).  These tests pin that
 promise property-style across all eight subsystems, then pin every
 wired consumer (MFS ladders and box validation, the Perftest sweep,
-random search, Collie end to end) against its scalar twin.
+Collie end to end) against its scalar twin.
 """
 
 import dataclasses
@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 
 from repro.analysis.serialize import mfs_to_dict, workload_to_dict
 from repro.baselines.perftest import PerftestGenerator
-from repro.baselines.random_search import RandomSearch
 from repro.cluster.clock import SimulatedClock
 from repro.cluster.testbed import Testbed
 from repro.core import Collie, EvalCache
@@ -207,23 +206,28 @@ class TestEvaluateManyBitIdentity:
                 assert measurement.tx_cv is not None
             assert monitor.classify(measurement) == monitor.classify(scalar)
 
-    def test_disabled_evaluator_routes_scalar(self):
+    def test_one_point_call_routes_scalar(self):
+        """Every one-point entry takes the scalar path, counted as such."""
         subsystem = get_subsystem("F")
-        points = random_points("F", seed=1, count=4)
+        point = random_points("F", seed=1, count=1)[0]
         metrics = MetricsRegistry()
         evaluator = BatchEvaluator(
-            SteadyStateModel(subsystem), metrics=metrics, enabled=False
+            SteadyStateModel(subsystem), metrics=metrics
         )
         scalar_rng = np.random.default_rng(1)
-        scalar = [
-            SteadyStateModel(subsystem).evaluate(p, scalar_rng)
-            for p in points
-        ]
-        rng = np.random.default_rng(1)
-        assert_measurements_equal(
-            scalar, evaluator.evaluate_many(points, rng=rng)
+        scalar = SteadyStateModel(subsystem).evaluate(point, scalar_rng)
+        for evaluate in (
+            lambda rng: evaluator.evaluate_many([point], rng=rng),
+            lambda rng: evaluator.evaluate_each([point], [rng]),
+        ):
+            rng = np.random.default_rng(1)
+            assert_measurements_equal([scalar], evaluate(rng))
+            assert rng.bit_generator.state == scalar_rng.bit_generator.state
+        (solve,) = evaluator.solve_many([point])
+        assert_solves_identical(
+            solve, SteadyStateModel(subsystem)._solve(point, "search")
         )
-        assert metrics.value("batcheval.points", mode="scalar") == len(points)
+        assert metrics.value("batcheval.points", mode="scalar") == 3.0
         assert metrics.value("batcheval.points", mode="vectorized") == 0.0
 
 
@@ -342,40 +346,47 @@ class TestBulkCacheApi:
 
 
 class TestMFSPresolve:
-    """Presolved MFS extraction == scalar extraction, probe for probe."""
+    """Presolved MFS extraction == scalar extraction, probe for probe.
 
-    def _extract(self, batch, cache):
+    The ladder presolve batches exactly when a cache is attached; with
+    ``cache=None`` it is a no-op and extraction runs the scalar path.
+    """
+
+    def _extract(self, cache):
         setting = next(s for s in APPENDIX_SETTINGS if s.subsystem == "H")
         subsystem = get_subsystem("H")
         space = SearchSpace.for_subsystem(subsystem)
         monitor = AnomalyMonitor(subsystem)
-        testbed = Testbed(
-            subsystem, clock=SimulatedClock(), cache=cache, batch=batch
-        )
+        testbed = Testbed(subsystem, clock=SimulatedClock(), cache=cache)
         rng = np.random.default_rng(0)
+        presolved = []
 
         def probe(candidate):
             result = testbed.run(candidate, rng=rng, phase="mfs")
             return monitor.classify(result.measurement).symptom
 
-        presolve = (
-            (lambda pts: testbed.presolve(pts, phase="mfs"))
-            if batch else None
-        )
+        def presolve(points):
+            presolved.append(testbed.presolve(points, phase="mfs"))
+            return presolved[-1]
+
         extractor = MFSExtractor(space, probe, presolve=presolve)
         mfs = extractor.construct(
             setting.workload, setting.expected_symptom, at_seconds=0.0
         )
-        return mfs, extractor.experiments, testbed, rng
+        return mfs, extractor.experiments, testbed, rng, presolved
 
     def test_presolved_extraction_matches_scalar(self):
-        scalar_mfs, scalar_probes, scalar_testbed, scalar_rng = self._extract(
-            batch=False, cache=None
-        )
+        (
+            scalar_mfs, scalar_probes, scalar_testbed, scalar_rng,
+            scalar_presolved,
+        ) = self._extract(cache=None)
         cache = EvalCache()
-        batched_mfs, batched_probes, batched_testbed, batched_rng = (
-            self._extract(batch=True, cache=cache)
-        )
+        (
+            batched_mfs, batched_probes, batched_testbed, batched_rng,
+            batched_presolved,
+        ) = self._extract(cache=cache)
+        assert scalar_presolved and not any(scalar_presolved)
+        assert sum(batched_presolved) > 0
         assert scalar_mfs is not None
         assert mfs_to_dict(batched_mfs) == mfs_to_dict(scalar_mfs)
         assert batched_probes == scalar_probes
@@ -394,9 +405,9 @@ class TestWiredConsumers:
     """Every batched call site against its scalar twin."""
 
     def test_perftest_sweep_batched_equals_scalar(self):
-        scalar = PerftestGenerator("C", batch=False)
-        batched = PerftestGenerator("C", batch=True)
-        found_scalar = scalar.sweep(seed=0, limit=260)
+        scalar = PerftestGenerator("C")
+        batched = PerftestGenerator("C")
+        found_scalar = scalar.sweep(seed=0, limit=260, batch_size=0)
         found_batched = batched.sweep(seed=0, limit=260, batch_size=64)
         assert found_scalar == found_batched
         assert scalar.testbed.clock.now == batched.testbed.clock.now
@@ -405,10 +416,10 @@ class TestWiredConsumers:
         )
 
     def test_perftest_batch_size_one_is_the_scalar_path(self):
-        generator = PerftestGenerator("C", batch=True)
-        baseline = PerftestGenerator("C", batch=False)
+        generator = PerftestGenerator("C")
+        baseline = PerftestGenerator("C")
         assert generator.sweep(seed=0, limit=40, batch_size=1) \
-            == baseline.sweep(seed=0, limit=40)
+            == baseline.sweep(seed=0, limit=40, batch_size=0)
 
     @staticmethod
     def _event_key(event):
@@ -419,23 +430,6 @@ class TestWiredConsumers:
             workload_to_dict(event.workload),
             sorted(event.counters.items()),
         )
-
-    def test_random_search_batch_flag_is_transparent(self):
-        on = RandomSearch("F", budget_hours=0.05, seed=9, batch=True).run()
-        off = RandomSearch("F", budget_hours=0.05, seed=9, batch=False).run()
-        assert [self._event_key(e) for e in on.events] \
-            == [self._event_key(e) for e in off.events]
-
-    def test_random_search_batch_probes_deterministic(self):
-        def run():
-            return RandomSearch(
-                "F", budget_hours=0.05, seed=9,
-                batch=True, batch_probes=True, cache=EvalCache(),
-            ).run()
-
-        first, second = run(), run()
-        assert [self._event_key(e) for e in first.events] \
-            == [self._event_key(e) for e in second.events]
 
     def test_collie_batch_on_off_identical(self):
         def report_key(report):
@@ -448,19 +442,18 @@ class TestWiredConsumers:
                 report.counter_ranking,
             )
 
+        # The MFS ladder presolve batches only into a cache, so the
+        # uncached run is the scalar path.
         on = Collie.for_subsystem(
-            "H", budget_hours=0.12, seed=3, cache=EvalCache(), batch=True
+            "H", budget_hours=0.12, seed=3, cache=EvalCache()
         ).run()
-        off = Collie.for_subsystem(
-            "H", budget_hours=0.12, seed=3, batch=False
-        ).run()
+        off = Collie.for_subsystem("H", budget_hours=0.12, seed=3).run()
         assert report_key(on) == report_key(off)
 
     def test_batched_run_reports_vectorized_metrics(self):
         metrics = MetricsRegistry()
         testbed = Testbed(
-            "F", clock=SimulatedClock(), cache=EvalCache(),
-            metrics=metrics, batch=True,
+            "F", clock=SimulatedClock(), cache=EvalCache(), metrics=metrics,
         )
         space = SearchSpace.for_subsystem(testbed.subsystem)
         rng = np.random.default_rng(0)

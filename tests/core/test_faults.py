@@ -210,7 +210,6 @@ class TestFaultyTestbed:
             FaultSpec(kind="hang", experiment=1, attempt=0),
         ))
         testbed = FaultyTestbed("F", plan)
-        assert testbed.batch_enabled
         with pytest.raises(TaskHang):
             testbed.run_many(_workloads(3))
         assert testbed.clock.now == 0.0

@@ -2,7 +2,9 @@
 
 import pytest
 
+from repro.core import Collie
 from repro.core.parallel import ParallelCollie, ParallelReport
+from tests.core.test_determinism import report_key
 
 
 class TestConfiguration:
@@ -61,6 +63,36 @@ class TestRun:
     def test_events_merged_chronologically(self, small_fleet):
         times = [e.time_seconds for e in small_fleet.events()]
         assert times == sorted(times)
+
+
+class TestMultiChainFleet:
+    """Each machine steps a population over its counter share."""
+
+    def test_chains_equal_standalone_runs_for_any_worker_count(self):
+        def fleet(workers):
+            return ParallelCollie(
+                "H", machines=2, chains=2, budget_hours=0.2, seed=5,
+                workers=workers,
+            )
+
+        serial = fleet(1)
+        serial_report = serial.run()
+        pooled_report = fleet(2).run()
+        keys = [report_key(r) for r in serial_report.reports]
+        assert keys == [report_key(r) for r in pooled_report.reports]
+        # Chain c of machine m is a standalone search of the machine's
+        # share at seed * 1000 + m + c.
+        shares = serial._partition(serial._rank_counters())
+        standalone = [
+            Collie(
+                serial.subsystem, counters=share, budget_hours=0.2,
+                seed=5000 + machine + chain,
+            ).run()
+            for machine, share in enumerate(shares)
+            for chain in range(2)
+        ]
+        assert len(shares) == 2
+        assert keys == [report_key(r) for r in standalone]
 
 
 class TestScaling:

@@ -48,6 +48,36 @@ class TestClosedStdout:
         assert stderr == b""
 
 
+class TestNumericFlags:
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["parallel", "H", "--machines", "0"], "must be >= 1, got 0"),
+            (["search", "H", "--hours", "0"], "must be a finite number > 0"),
+            (["search", "H", "--hours", "-1"], "must be a finite number > 0"),
+            (["parallel", "H", "--hours", "0"], "must be a finite number > 0"),
+            (["campaign", "collie", "--hours", "-1"],
+             "must be a finite number > 0"),
+            (["isolation", "--hours", "0"], "must be a finite number > 0"),
+            (["canary", "record", "--hours", "nan"],
+             "must be a finite number > 0"),
+            (["search", "H", "--victim", "default", "--victim-share", "1.5"],
+             "must lie in (0, 1], got 1.5"),
+            (["isolation", "--victim-share", "0"], "must lie in (0, 1], got 0"),
+        ],
+    )
+    def test_out_of_range_values_rejected_at_parse_time(
+        self, argv, message, tmp_path, monkeypatch, capsys
+    ):
+        # An accepted value would run the command: keep whatever it
+        # writes (``canary record`` writes canary/corpus) out of the tree.
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+
+
 class TestReplay:
     def test_replay_reproduces_everything(self, capsys):
         assert main(["replay"]) == 0
@@ -117,6 +147,27 @@ class TestSearch:
             main(["search", "H", "--hours", "0.2", "--seeds", "0"])
         assert exc.value.code == 2
         assert "must be >= 1, got 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flags,message",
+        [
+            (["--chains", "2", "--output", "out.json"],
+             "--output and --recipes describe a single search"),
+            (["--seeds", "2", "--output", "out.json", "--recipes"],
+             "--output and --recipes describe a single search"),
+            (["--workers", "4", "--journal", "run.jsonl"],
+             "act on a --seeds campaign only"),
+            (["--chains", "2", "--retries", "1", "--journal", "run.jsonl"],
+             "act on a --seeds campaign only"),
+        ],
+    )
+    def test_flags_the_search_path_would_drop_are_rejected(
+        self, flags, message, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.chdir(tmp_path)
+        assert main(["search", "H", "--hours", "0.2", *flags]) == 2
+        assert message in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_corrupt_cache_store_rejected_cleanly(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
