@@ -84,11 +84,27 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _positive_hours(text: str) -> float:
+def _non_negative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {text}")
+    return value
+
+
+def _positive_number(text: str) -> float:
     value = float(text)
     if not (math.isfinite(value) and value > 0):
         raise argparse.ArgumentTypeError(
             f"must be a finite number > 0, got {text}"
+        )
+    return value
+
+
+def _port(text: str) -> int:
+    value = int(text)
+    if not 0 <= value <= 65535:
+        raise argparse.ArgumentTypeError(
+            f"must be a port in [0, 65535], got {text}"
         )
     return value
 
@@ -1261,7 +1277,7 @@ def _add_observability_flags(subparser: argparse.ArgumentParser) -> None:
              "at the end (journaled as schema-v3 'spans' records)",
     )
     subparser.add_argument(
-        "--export-metrics", type=int, default=None, metavar="PORT",
+        "--export-metrics", type=_port, default=None, metavar="PORT",
         help="serve live telemetry over HTTP on 127.0.0.1:PORT "
              "(/metrics Prometheus text, /status JSON; PORT 0 picks an "
              "ephemeral port); with --journal, also journals schema-v7 "
@@ -1271,12 +1287,13 @@ def _add_observability_flags(subparser: argparse.ArgumentParser) -> None:
 
 def _add_resilience_flags(subparser: argparse.ArgumentParser) -> None:
     subparser.add_argument(
-        "--retries", type=int, default=None, metavar="N",
+        "--retries", type=_non_negative_int, default=None, metavar="N",
         help="retry a failed/hung campaign task up to N times "
              "(turns on fault-tolerant execution with host quarantine)",
     )
     subparser.add_argument(
-        "--task-timeout", type=float, default=None, metavar="SECONDS",
+        "--task-timeout", type=_positive_number, default=None,
+        metavar="SECONDS",
         help="per-task wall-clock timeout; an expired task is retried",
     )
     subparser.add_argument(
@@ -1306,8 +1323,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     search = sub.add_parser("search", help="run Collie on one subsystem")
     search.add_argument("subsystem", choices=list("ABCDEFGH"))
-    search.add_argument("--hours", type=_positive_hours, default=10.0)
-    search.add_argument("--seed", type=int, default=0)
+    search.add_argument("--hours", type=_positive_number, default=10.0)
+    search.add_argument("--seed", type=_non_negative_int, default=0)
     search.add_argument("--counters", choices=("diag", "perf"),
                         default="diag")
     search.add_argument("--no-mfs", action="store_true",
@@ -1360,8 +1377,8 @@ def build_parser() -> argparse.ArgumentParser:
     parallel = sub.add_parser("parallel", help="fleet search (§8 extension)")
     parallel.add_argument("subsystem", choices=list("ABCDEFGH"))
     parallel.add_argument("--machines", type=_positive_int, default=3)
-    parallel.add_argument("--hours", type=_positive_hours, default=10.0)
-    parallel.add_argument("--seed", type=int, default=0)
+    parallel.add_argument("--hours", type=_positive_number, default=10.0)
+    parallel.add_argument("--seed", type=_non_negative_int, default=0)
     parallel.add_argument("--workers", type=_positive_int, default=1,
                           help="worker processes for the machine fleet")
     parallel.add_argument("--chains", type=_positive_int, default=1,
@@ -1385,9 +1402,9 @@ def build_parser() -> argparse.ArgumentParser:
     campaign.add_argument("--subsystem", choices=list("ABCDEFGH"),
                           default="F")
     campaign.add_argument("--seeds", type=_positive_int, default=3)
-    campaign.add_argument("--seed", type=int, default=1,
+    campaign.add_argument("--seed", type=_non_negative_int, default=1,
                           help="first seed of the campaign")
-    campaign.add_argument("--hours", type=_positive_hours, default=10.0)
+    campaign.add_argument("--hours", type=_positive_number, default=10.0)
     campaign.add_argument("--workers", type=_positive_int, default=1)
     campaign.add_argument("--cache", metavar="PATH",
                           help="memoize evaluations in this JSON store")
@@ -1512,11 +1529,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="seed population per subsystem (default: 3)",
     )
     canary_record.add_argument(
-        "--seed-base", type=int, default=1, metavar="SEED",
+        "--seed-base", type=_non_negative_int, default=1, metavar="SEED",
         help="first seed of the population (default: 1)",
     )
     canary_record.add_argument(
-        "--hours", type=_positive_hours, default=1.0,
+        "--hours", type=_positive_number, default=1.0,
         help="simulated budget per cell (default: 1.0)",
     )
     canary_record.add_argument(
@@ -1577,10 +1594,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="subsystems to catalog, as a string of Table 1 letters "
              "(default: ABCDEFGH)",
     )
-    isolation.add_argument("--hours", type=_positive_hours, default=0.3,
+    isolation.add_argument("--hours", type=_positive_number, default=0.3,
                            help="simulated budget per subsystem "
                                 "(default 0.3)")
-    isolation.add_argument("--seed", type=int, default=3)
+    isolation.add_argument("--seed", type=_non_negative_int, default=3)
     isolation.add_argument("--victim", metavar="SPEC",
                            help="victim workload (same SPEC as "
                                 "'search --victim'; default: the "
@@ -1621,7 +1638,7 @@ def build_parser() -> argparse.ArgumentParser:
     replay = sub.add_parser(
         "replay", help="replay the 18 Appendix A trigger settings"
     )
-    replay.add_argument("--seed", type=int, default=0)
+    replay.add_argument("--seed", type=_non_negative_int, default=0)
     replay.set_defaults(func=_cmd_replay)
 
     diagnose = sub.add_parser(

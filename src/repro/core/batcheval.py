@@ -173,10 +173,11 @@ def _measurements_from_rows(
             tx_std, tx_mean, out=np.zeros_like(tx_mean), where=positive
         ).tolist()
         primed = positive.tolist()
-    for i, solve in enumerate(solves):
+    # CounterSample rows are lists: one tolist() of the whole cube.
+    for i, (solve, point_rows) in enumerate(zip(solves, rows.tolist())):
         samples = [
             CounterSample(second, row=row)
-            for second, row in enumerate(rows[i])
+            for second, row in enumerate(point_rows)
         ]
         if window:
             counters = dict(zip(ALL_COUNTERS, means_list[i]))

@@ -105,7 +105,10 @@ class MinimalFeatureSet:
 
     def matches(self, workload: WorkloadDescriptor) -> bool:
         """Whether a workload lies inside this anomaly's region."""
-        values = _dimension_values(workload)
+        return self._contains(_dimension_values(workload), workload)
+
+    def _contains(self, values: dict, workload: WorkloadDescriptor) -> bool:
+        """:meth:`matches` over the workload's ``_dimension_values``."""
         for cond in self.intervals:
             if not cond.matches(float(values[cond.dimension])):
                 return False
@@ -865,8 +868,15 @@ def _triggering_run_bounds(
 def match_any(
     anomaly_set: list[MinimalFeatureSet], workload: WorkloadDescriptor
 ) -> Optional[MinimalFeatureSet]:
-    """MatchMFS (paper Alg. 1 line 5): first MFS covering the workload."""
+    """MatchMFS (paper Alg. 1 line 5): first MFS covering the workload.
+
+    The workload's dimension view is built once and tested against every
+    MFS in order.
+    """
+    if not anomaly_set:
+        return None
+    values = _dimension_values(workload)
     for mfs in anomaly_set:
-        if mfs.matches(workload):
+        if mfs._contains(values, workload):
             return mfs
     return None

@@ -31,6 +31,7 @@ to the simulated clock instead
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import numpy as np
 
@@ -93,6 +94,40 @@ class AnomalyVerdict:
     @property
     def is_anomalous(self) -> bool:
         return self.symptom != HEALTHY
+
+
+def readings_cv(readings: list) -> "float | None":
+    """``std / mean`` of per-second readings, by numpy's reductions.
+
+    Bit for bit ``float(a.std() / a.mean())`` of ``a = np.array(readings)``
+    without its Python-level wrappers; ``None`` when the mean is not
+    positive, NaN for no readings.  numpy sums a 1-d array sequentially
+    from 0.0 below 8 values and pairwise from 8 up, so short windows (the
+    search's four seconds) are summed here in plain floats and longer
+    ones by ``np.add.reduce``, numpy's own sum.
+    """
+    count = len(readings)
+    if not count:
+        return math.nan
+    if count < 8:
+        total = 0.0
+        for value in readings:
+            total += value
+        mean = total / count
+        if mean <= 0:
+            return None
+        squares = 0.0
+        for value in readings:
+            deviation = value - mean
+            squares += deviation * deviation
+    else:
+        array = np.array(readings, dtype=np.float64)
+        mean = float(np.add.reduce(array)) / count
+        if mean <= 0:
+            return None
+        deviations = array - mean
+        squares = float(np.add.reduce(deviations * deviations))
+    return math.sqrt(squares / count) / mean
 
 
 class AnomalyMonitor:
@@ -188,18 +223,17 @@ class AnomalyMonitor:
         """Coefficient-of-variation check across the per-second samples.
 
         A measurement from the batched observation carries the CV of its
-        ``tx_bytes_per_sec`` readings (``Measurement.tx_cv``), computed
-        by the same reductions as below; others are read here.
+        ``tx_bytes_per_sec`` readings (``Measurement.tx_cv``); others are
+        read here (:func:`readings_cv`).  A window whose mean is not
+        positive is stable; an empty one is not (its CV is NaN).
         """
         cv = measurement.tx_cv
         if cv is None:
-            readings = np.array(
+            cv = readings_cv(
                 [s.get("tx_bytes_per_sec") for s in measurement.samples]
             )
-            mean = readings.mean()
-            if mean <= 0:
+            if cv is None:
                 return True
-            cv = float(readings.std() / mean)
         return cv <= self.stability_cv
 
 

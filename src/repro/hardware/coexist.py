@@ -277,7 +277,7 @@ def corun_solve(
     own = extract_features(primary, subsystem)
     features = joint_occupancy_features(primary, neighbor, subsystem, own=own)
     fired = tuple(fired_rules(subsystem.rnic.rules, features))
-    directions = model._solve_directions(primary, features, fired)
+    directions = model._solve_directions(primary, fired)
     tx_factor, rx_factor = contention_factors(primary, own, features)
     directions = tuple(
         contend_direction(d, tx_factor, rx_factor) for d in directions

@@ -68,12 +68,14 @@ _COUNTER_COLUMN = {name: i for i, name in enumerate(ALL_COUNTERS)}
 class CounterSample:
     """One per-second reading of every counter.
 
-    Both evaluation paths construct samples from a row vector over
-    ``ALL_COUNTERS``; the ``values`` mapping materializes lazily from
-    it.  Single-counter reads (the monitor's stability check) index the
-    row directly — the same float64 payload the dict would hold — so
-    the per-second dicts are only built for consumers that want a full
-    mapping (tests, user code inspecting a measurement).
+    Both evaluation paths construct samples from a row: a list of Python
+    floats over ``ALL_COUNTERS`` (the scalar observation builds it after
+    its one noise draw, the batched one takes it from one ``tolist()``
+    of its sample cube).  The ``values`` mapping materializes lazily
+    from it; single-counter reads (the monitor's stability check) index
+    the row directly, so the per-second dicts are only built for
+    consumers that want a full mapping (tests, user code inspecting a
+    measurement).
     """
 
     __slots__ = ("second", "_values", "_row")
@@ -86,7 +88,7 @@ class CounterSample:
     @property
     def values(self) -> Mapping[str, float]:
         if self._values is None:
-            self._values = dict(zip(ALL_COUNTERS, self._row.tolist()))
+            self._values = dict(zip(ALL_COUNTERS, self._row))
         return self._values
 
     def __getitem__(self, counter: str) -> float:
@@ -142,25 +144,34 @@ class VendorMonitor:
         """Sample one reading per requested second, noise batched.
 
         All the window's noise comes from a single row-major
-        ``Generator.normal`` call: numpy fills a batched request from
-        the same bit stream as sequential scalar draws (second by
-        second, counter by counter), so the readings are bit-identical
-        to the one-draw-per-counter formulation while skipping the
-        per-call overhead that dominates search wall time.
+        ``Generator.normal(size=(seconds, active))`` call: numpy fills a
+        batched request from the same bit stream as sequential scalar
+        draws (second by second, counter by counter), so the readings
+        are bit-identical to the one-draw-per-counter formulation.  The
+        draw is converted once with ``tolist()`` and the rows are built
+        in plain floats: a counter whose ideal value is not positive
+        reads its ideal value, an active one ``base * max(0, 1 + d)`` --
+        the same IEEE operations the array formulation applies, without
+        its per-call overhead.
         """
         seconds_list = list(seconds_list)
-        base = np.array(
-            [float(ideal.get(name, 0.0)) for name in ALL_COUNTERS]
-        )
-        rows = np.tile(base, (len(seconds_list), 1))
-        if self._noise > 0:
-            jitter = base > 0
-            active = int(jitter.sum())
-            if active:
-                draws = self._rng.normal(
-                    0.0, self._noise, size=(len(seconds_list), active)
-                )
-                rows[:, jitter] *= np.maximum(0.0, 1.0 + draws)
+        base = [float(ideal.get(name, 0.0)) for name in ALL_COUNTERS]
+        active = [
+            (column, value) for column, value in enumerate(base) if value > 0
+        ]
+        if self._noise > 0 and active:
+            draws = self._rng.normal(
+                0.0, self._noise, size=(len(seconds_list), len(active))
+            ).tolist()
+            rows = []
+            for draw in draws:
+                row = base.copy()
+                for (column, value), d in zip(active, draw):
+                    scale = 1.0 + d  # max(0, 1 + d), without the call
+                    row[column] = value * (scale if scale > 0.0 else 0.0)
+                rows.append(row)
+        else:
+            rows = [base.copy() for _ in seconds_list]
         return [
             CounterSample(second=second, row=row)
             for second, row in zip(seconds_list, rows)
@@ -170,18 +181,25 @@ class VendorMonitor:
 def average_counters(samples: list[CounterSample]) -> dict[str, float]:
     """Mean of each counter across samples (the paper averages 4 fetches).
 
-    One ``mean(axis=0)`` over the window matrix replaces a ``np.mean``
-    call per counter; for the 4-sample windows in play the reduction
-    order (sequential below numpy's pairwise blocking threshold) — and
-    therefore every bit of the result — is unchanged.
+    The rows are added as plain floats, in row order from 0.0, and each
+    total is divided by the count: exactly the sequential row sum that
+    numpy's ``mean(axis=0)`` over the ``(window, counters)`` matrix
+    computes at any window, so every bit of the result is the array
+    formulation's.
     """
     if not samples:
         return {name: 0.0 for name in ALL_COUNTERS}
-    rows = [getattr(sample, "_row", None) for sample in samples]
-    if any(row is None for row in rows):
-        matrix = np.array(
-            [[s.get(name) for name in ALL_COUNTERS] for s in samples]
-        )
-    else:
-        matrix = np.stack(rows)
-    return dict(zip(ALL_COUNTERS, matrix.mean(axis=0).tolist()))
+    rows = []
+    for sample in samples:
+        row = getattr(sample, "_row", None)
+        if row is None:
+            row = [sample.get(name) for name in ALL_COUNTERS]
+        rows.append(row)
+    count = len(rows)
+    averages = {}
+    for name, column in zip(ALL_COUNTERS, zip(*rows)):
+        total = 0.0
+        for value in column:
+            total += value
+        averages[name] = total / count
+    return averages

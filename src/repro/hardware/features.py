@@ -49,6 +49,8 @@ def extract_features(
         rxq_capacity_miss = 0.0
         rxq_burst_miss = 0.0
 
+    pattern = _pattern(workload.msg_sizes_bytes, workload.mtu)
+    avg_msg, min_msg, max_msg, pkts_per_msg, small, large, mixes, _ = pattern
     qps_working_set = workload.num_qps * (2 if workload.is_bidirectional else 1)
     qpc_miss = steady_state_miss_rate(qps_working_set, rnic.qpc_cache_entries)
     mtt_miss = steady_state_miss_rate(workload.total_mrs, rnic.mtt_cache_entries)
@@ -65,13 +67,13 @@ def extract_features(
         "sge_per_wqe": float(workload.sge_per_wqe),
         "wq_depth": float(workload.wq_depth),
         # message pattern
-        "avg_msg": workload.avg_msg_bytes,
-        "min_msg": float(workload.min_msg_bytes),
-        "max_msg": float(workload.max_msg_bytes),
-        "avg_pkts_per_msg": workload.packets_per_message(),
-        "small_frac": workload.small_message_fraction,
-        "large_frac": workload.large_message_fraction,
-        "mixes_small_and_large": 1.0 if workload.mixes_small_and_large else 0.0,
+        "avg_msg": avg_msg,
+        "min_msg": float(min_msg),
+        "max_msg": float(max_msg),
+        "avg_pkts_per_msg": pkts_per_msg,
+        "small_frac": small,
+        "large_frac": large,
+        "mixes_small_and_large": 1.0 if mixes else 0.0,
         "sg_entry_mix": 1.0 if workload.sg_entry_mix else 0.0,
         "sg_layout": workload.sg_layout.value,
         # memory allocation
@@ -85,7 +87,7 @@ def extract_features(
         "mtt_miss": mtt_miss,
         # load-shape aggregates used by the packet-processing quirks
         "short_req_outstanding": (
-            workload.num_qps * workload.wqe_batch * workload.small_message_fraction
+            workload.num_qps * workload.wqe_batch * small
         ),
         "wqe_outstanding_bytes": float(
             workload.num_qps * workload.wqe_batch * workload.wqe_bytes
@@ -187,14 +189,18 @@ def category_features(topology, key: tuple) -> tuple[tuple, tuple]:
 
 
 def _pattern(sizes: tuple, mtu: int) -> tuple:
-    """Message-pattern columns of one (sizes, MTU) pair.
+    """Message-pattern statistics of one (sizes, MTU) pair, in one pass.
 
     ``avg_msg``, ``min_msg``, ``max_msg``, ``avg_pkts_per_msg``,
     ``small_frac``, ``large_frac``, ``mixes_small_and_large`` and the wire
     bytes per message: the integer sums of the
-    :class:`WorkloadDescriptor` properties the scalar path calls, each
-    over its count once.  Sizes are positive, so ``-(-size // mtu)`` is
-    ``max(1, math.ceil(size / mtu))``.
+    :class:`WorkloadDescriptor` pattern properties
+    (``packets_per_message`` and friends), each divided by the count once,
+    so every float is the property's.  The single definition both
+    evaluation paths use: :func:`extract_features` and the scalar solve
+    call it once per point, :func:`extract_feature_columns` once per
+    distinct pattern of a batch.  Sizes are positive, so
+    ``-(-size // mtu)`` is ``max(1, math.ceil(size / mtu))``.
     """
     count = len(sizes)
     total = sum(sizes)

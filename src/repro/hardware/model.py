@@ -34,6 +34,7 @@ from repro.hardware.features import (
     CATEGORICAL_FEATURES,
     CATEGORY_FEATURES,
     FEATURE_ROWS,
+    _pattern,
     category_features,
     extract_feature_columns,
     extract_features,
@@ -49,7 +50,7 @@ from repro.hardware.rules import (
     fired_rules,
 )
 from repro.hardware.workload import WorkloadDescriptor
-from repro.verbs.constants import ROCE_HEADER_BYTES, Opcode, QPType
+from repro.verbs.constants import Opcode, QPType
 from repro.verbs.wr import WQE_BASE_BYTES, WQE_SEGMENT_BYTES
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -455,8 +456,10 @@ class Measurement:
     #: Coefficient of variation of the per-second ``tx_bytes_per_sec``
     #: readings, set by the batched observation in the pass that averages
     #: the window, so the monitor's stability check need not rebuild it.
-    #: ``None`` when not computed, or when the readings' mean is not
-    #: positive (the check then reads the samples).
+    #: ``None`` when not computed -- the scalar :meth:`SteadyStateModel.
+    #: evaluate` never sets it -- or when the readings' mean is not
+    #: positive; the check then computes the same value from the samples
+    #: (:func:`repro.core.monitor.readings_cv`).
     tx_cv: Optional[float] = dataclasses.field(
         default=None, init=False, repr=False, compare=False
     )
@@ -579,7 +582,7 @@ class SteadyStateModel:
         self._validate(workload)
         features = extract_features(workload, self.subsystem)
         fired = tuple(fired_rules(self.subsystem.rnic.rules, features))
-        directions = self._solve_directions(workload, features, fired)
+        directions = self._solve_directions(workload, fired)
         ideal = self._ideal_counters(workload, features, fired, directions)
         solve = CachedSolve(
             directions=directions,
@@ -607,10 +610,7 @@ class SteadyStateModel:
     # -- per-direction solving ---------------------------------------------
 
     def _solve_directions(
-        self,
-        workload: WorkloadDescriptor,
-        features: dict,
-        fired: tuple[FiredRule, ...],
+        self, workload: WorkloadDescriptor, fired: tuple[FiredRule, ...]
     ) -> tuple[DirectionRates, ...]:
         tx_factor = math.prod(
             f.factor for f in fired if f.rule.side == "tx"
@@ -621,31 +621,31 @@ class SteadyStateModel:
         names_devices = [("fwd", workload.src_device, workload.dst_device)]
         if workload.is_bidirectional:
             names_devices.append(("rev", workload.dst_device, workload.src_device))
+        pattern = _pattern(workload.msg_sizes_bytes, workload.mtu)
         return tuple(
-            self._solve_one(workload, features, name, src, dst, tx_factor, rx_factor)
+            self._solve_one(
+                workload, pattern, name, src, dst, tx_factor, rx_factor
+            )
             for name, src, dst in names_devices
         )
 
     def _solve_one(
         self,
         w: WorkloadDescriptor,
-        features: dict,
+        pattern: tuple,
         name: str,
         src_device: str,
         dst_device: str,
         tx_factor: float,
         rx_factor: float,
     ) -> DirectionRates:
+        """One direction's rates; ``pattern`` is the workload's
+        :func:`~repro.hardware.features._pattern` pass."""
         rnic = self.subsystem.rnic
         pcie = self.subsystem.pcie
         topo = self.subsystem.topology
 
-        payload = w.avg_msg_bytes
-        data_pkts = w.packets_per_message()
-        wire_per_msg = sum(
-            s + w.packets_per_message(s) * ROCE_HEADER_BYTES
-            for s in w.msg_sizes_bytes
-        ) / len(w.msg_sizes_bytes)
+        payload, _, _, data_pkts, _, _, _, wire_per_msg = pattern
         pkt_events = self._packet_events_per_message(w, data_pkts, rnic.ack_coalesce)
 
         # WQE issue cost: the initiator fetches its WQEs over PCIe; the
@@ -772,7 +772,7 @@ class SteadyStateModel:
             # Multi-packet SENDs pin their receive WQE across all packets
             # of the message, so mid-size messages at small MTU stress the
             # cache harder than single-packet ones.
-            pinning = 1.0 + min(w.packets_per_message(), 8.0) / 4.0
+            pinning = 1.0 + min(features["avg_pkts_per_msg"], 8.0) / 4.0
             rx_wqe = (
                 min(1.0, features["rxq_capacity_miss"] + features["rxq_burst_miss"])
                 + 0.3 * pressure_score(
@@ -835,7 +835,7 @@ class SteadyStateModel:
         )
         read_pressure = (
             (1.0 if w.opcode is Opcode.READ else 0.0)
-            * min(1.0, w.packets_per_message() / 16.0)
+            * min(1.0, features["avg_pkts_per_msg"] / 16.0)
             * (1024.0 / w.mtu)
         )
         # Short-request storms pressure the shared (not fully

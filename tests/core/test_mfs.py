@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.collie import Collie
 from repro.core.mfs import (
     IntervalCondition,
     MembershipCondition,
@@ -88,6 +89,27 @@ class TestMatching:
         )
         assert match_any([narrow, wide], WorkloadDescriptor(num_qps=8)) is wide
         assert match_any([narrow], WorkloadDescriptor(num_qps=8)) is None
+
+    def test_match_any_is_the_first_match_over_a_search(self):
+        """For the MFS sets and points of two short searches: every
+        prefix of the set (the empty one too) and the set reversed."""
+        matched = 0
+        for letter, seed in (("H", 2), ("F", 1)):
+            report = Collie.for_subsystem(
+                letter, budget_hours=1.0, seed=seed
+            ).run()
+            anomalies = report.anomalies
+            assert anomalies
+            sets = [anomalies[:n] for n in range(len(anomalies) + 1)]
+            sets.append(anomalies[::-1])
+            for workload in [event.workload for event in report.events]:
+                for mfs_set in sets:
+                    expected = next(
+                        (m for m in mfs_set if m.matches(workload)), None
+                    )
+                    assert match_any(mfs_set, workload) is expected
+                    matched += expected is not None
+        assert matched
 
 
 class TestRunBounds:

@@ -1,8 +1,10 @@
 """Feature extraction: the vector quirk gates and counters read."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.hardware.features import extract_features
+from repro.hardware.features import _pattern, extract_features
 from repro.hardware.subsystems import get_subsystem
 from repro.hardware.workload import (
     Colocation,
@@ -10,7 +12,7 @@ from repro.hardware.workload import (
     SGLayout,
     WorkloadDescriptor,
 )
-from repro.verbs.constants import Opcode, QPType
+from repro.verbs.constants import ROCE_HEADER_BYTES, Opcode, QPType
 
 
 @pytest.fixture
@@ -148,3 +150,70 @@ class TestPatternFeatures:
         feats = extract_features(w, f)
         assert feats["short_req_outstanding"] == pytest.approx(500)
         assert feats["wqe_outstanding_bytes"] == 100 * 10 * w.wqe_bytes
+
+
+#: Sizes around the MTU multiples and the small/large thresholds, plus
+#: any size up to 4 MiB.
+SIZES = st.one_of(
+    st.sampled_from([
+        1, 255, 256, 257, 1023, 1024, 1025, 4095, 4096, 4097,
+        65535, 65536, 65537,
+    ]),
+    st.integers(min_value=1, max_value=4 << 20),
+)
+
+
+@st.composite
+def patterns(draw):
+    """A workload with a 1-8 request pattern at any MTU; UD requests
+    are clipped to one MTU, as the descriptor requires."""
+    qp_type = draw(st.sampled_from(list(QPType)))
+    mtu = draw(st.sampled_from([256, 512, 1024, 2048, 4096]))
+    sizes = draw(st.lists(SIZES, min_size=1, max_size=8))
+    if qp_type is QPType.UD:
+        sizes = [min(size, mtu) for size in sizes]
+    opcode = Opcode.SEND if qp_type is QPType.UD else Opcode.WRITE
+    return WorkloadDescriptor(
+        qp_type=qp_type, opcode=opcode, mtu=mtu,
+        msg_sizes_bytes=tuple(sizes),
+    )
+
+
+class TestOnePatternPass:
+    """``_pattern`` is the one definition of the message-pattern
+    statistics; the descriptor's properties are its reference."""
+
+    @given(w=patterns())
+    @settings(max_examples=300, deadline=None)
+    def test_pattern_equals_the_descriptor_properties(self, w):
+        sizes = w.msg_sizes_bytes
+        wire = sum(
+            s + w.packets_per_message(s) * ROCE_HEADER_BYTES for s in sizes
+        ) / len(sizes)
+        assert repr(_pattern(sizes, w.mtu)) == repr((
+            w.avg_msg_bytes,
+            w.min_msg_bytes,
+            w.max_msg_bytes,
+            w.packets_per_message(),
+            w.small_message_fraction,
+            w.large_message_fraction,
+            w.mixes_small_and_large,
+            wire,
+        ))
+
+    @given(w=patterns())
+    @settings(max_examples=50, deadline=None)
+    def test_scalar_features_read_the_pattern_pass(self, w):
+        feats = extract_features(w, get_subsystem("F"))
+        assert repr([
+            feats["avg_msg"], feats["min_msg"], feats["max_msg"],
+            feats["avg_pkts_per_msg"], feats["small_frac"],
+            feats["large_frac"], feats["mixes_small_and_large"],
+            feats["short_req_outstanding"],
+        ]) == repr([
+            w.avg_msg_bytes, float(w.min_msg_bytes), float(w.max_msg_bytes),
+            w.packets_per_message(), w.small_message_fraction,
+            w.large_message_fraction,
+            1.0 if w.mixes_small_and_large else 0.0,
+            w.num_qps * w.wqe_batch * w.small_message_fraction,
+        ])

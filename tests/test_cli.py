@@ -64,6 +64,22 @@ class TestNumericFlags:
             (["search", "H", "--victim", "default", "--victim-share", "1.5"],
              "must lie in (0, 1], got 1.5"),
             (["isolation", "--victim-share", "0"], "must lie in (0, 1], got 0"),
+            (["search", "H", "--seed", "-1"], "must be >= 0, got -1"),
+            (["parallel", "H", "--seed", "-1"], "must be >= 0, got -1"),
+            (["campaign", "collie", "--seed", "-1"], "must be >= 0, got -1"),
+            (["isolation", "--seed", "-1"], "must be >= 0, got -1"),
+            (["replay", "--seed", "-1"], "must be >= 0, got -1"),
+            (["canary", "record", "--seed-base", "-1"],
+             "must be >= 0, got -1"),
+            (["search", "H", "--export-metrics", "70000"],
+             "must be a port in [0, 65535], got 70000"),
+            (["campaign", "collie", "--export-metrics", "-5"],
+             "must be a port in [0, 65535], got -5"),
+            (["campaign", "collie", "--retries", "-1"], "must be >= 0, got -1"),
+            (["campaign", "collie", "--task-timeout", "-1"],
+             "must be a finite number > 0, got -1"),
+            (["search", "H", "--seeds", "2", "--task-timeout", "inf"],
+             "must be a finite number > 0, got inf"),
         ],
     )
     def test_out_of_range_values_rejected_at_parse_time(
