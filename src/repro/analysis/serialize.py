@@ -29,6 +29,28 @@ from repro.verbs.constants import Opcode, QPType
 FORMAT_VERSION = 1
 
 
+def _by_value(enum_type):
+    """``enum_type(value)`` through a ``{value: member}`` dict.  A miss
+    (an unknown or unhashable value) calls the enum itself, so its
+    ``ValueError`` and message are unchanged."""
+    members = {member.value: member for member in enum_type}
+
+    def member(value):
+        try:
+            return members[value]
+        except (KeyError, TypeError):
+            return enum_type(value)
+
+    return member
+
+
+_QP_TYPE = _by_value(QPType)
+_OPCODE = _by_value(Opcode)
+_DIRECTION = _by_value(Direction)
+_COLOCATION = _by_value(Colocation)
+_SG_LAYOUT = _by_value(SGLayout)
+
+
 def workload_to_dict(workload: WorkloadDescriptor) -> dict:
     return {
         "qp_type": workload.qp_type.value,
@@ -52,11 +74,11 @@ def workload_to_dict(workload: WorkloadDescriptor) -> dict:
 
 def workload_from_dict(data: dict) -> WorkloadDescriptor:
     return WorkloadDescriptor(
-        qp_type=QPType(data["qp_type"]),
-        opcode=Opcode(data["opcode"]),
-        direction=Direction(data["direction"]),
-        colocation=Colocation(data["colocation"]),
-        sg_layout=SGLayout(data.get("sg_layout", "even")),
+        qp_type=_QP_TYPE(data["qp_type"]),
+        opcode=_OPCODE(data["opcode"]),
+        direction=_DIRECTION(data["direction"]),
+        colocation=_COLOCATION(data["colocation"]),
+        sg_layout=_SG_LAYOUT(data.get("sg_layout", "even")),
         mtu=data["mtu"],
         num_qps=data["num_qps"],
         wqe_batch=data["wqe_batch"],

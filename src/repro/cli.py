@@ -100,6 +100,15 @@ def _positive_number(text: str) -> float:
     return value
 
 
+def _non_negative_number(text: str) -> float:
+    value = float(text)
+    if not (math.isfinite(value) and value >= 0):
+        raise argparse.ArgumentTypeError(
+            f"must be a finite number >= 0, got {text}"
+        )
+    return value
+
+
 def _port(text: str) -> int:
     value = int(text)
     if not 0 <= value <= 65535:
@@ -934,22 +943,32 @@ def _stats_on_journal(path: str) -> Optional[int]:
     Returns None when the file is not a journal (caller falls through
     to its cache-store error path).  Partial/crashed runs are surfaced
     explicitly — a truncated journal must never read as a finished one.
+    A file whose first record is a journal record is a journal: a
+    corrupt line or malformed record after that is reported, exit 1.
     """
     from repro.obs.folds import RecordCounts, Traffic, dispatcher
     from repro.obs.journal import scan_journal
 
     counts, traffic = RecordCounts(), Traffic()
     step = dispatcher(counts, traffic)
+    is_journal = False
 
     def journal_record(record) -> None:
+        nonlocal is_journal
         if not (isinstance(record, dict) and "t" in record and "v" in record):
             raise ValueError("not a journal record")
+        is_journal = True
         step(record)
 
     try:
         count, tail_error = scan_journal(path, journal_record)
-    except (OSError, ValueError):
+    except OSError:
         return None
+    except ValueError as error:
+        if not is_journal:
+            return None
+        logger.error(f"journal {path} is corrupt: {error}")
+        return 1
     if not count:
         return None
     shape = counts.result()
@@ -1482,7 +1501,7 @@ def build_parser() -> argparse.ArgumentParser:
     journal_diff.add_argument("candidate", metavar="CANDIDATE.jsonl",
                               help="candidate journal to gate")
     journal_diff.add_argument(
-        "--baseline-tolerance", type=float, default=0.05,
+        "--baseline-tolerance", type=_non_negative_number, default=0.05,
         metavar="FRACTION",
         help="relative tolerance on gated metrics before a worse value "
              "counts as a regression (default 0.05)",
@@ -1553,17 +1572,20 @@ def build_parser() -> argparse.ArgumentParser:
              "default: a temporary directory, removed afterwards",
     )
     canary_check_parser.add_argument(
-        "--median-tolerance", type=float, default=0.10, metavar="FRACTION",
+        "--median-tolerance", type=_non_negative_number, default=0.10,
+        metavar="FRACTION",
         help="relative per-metric median shift that gates (both "
              "directions; default 0.10)",
     )
     canary_check_parser.add_argument(
-        "--spread-factor", type=float, default=2.0, metavar="FACTOR",
+        "--spread-factor", type=_positive_number, default=2.0,
+        metavar="FACTOR",
         help="allowed inflation of the seed population's IQR "
              "(default 2.0)",
     )
     canary_check_parser.add_argument(
-        "--shape-tolerance", type=float, default=0.25, metavar="FRACTION",
+        "--shape-tolerance", type=_non_negative_number, default=0.25,
+        metavar="FRACTION",
         help="total-variation distance allowed between MFS shape "
              "multisets (default 0.25)",
     )
@@ -1623,13 +1645,13 @@ def build_parser() -> argparse.ArgumentParser:
                      help="journal file(s) to follow (may not exist yet)")
     top.add_argument("--once", action="store_true",
                      help="render one frame and exit (no ANSI clears)")
-    top.add_argument("--interval", type=float, default=2.0,
+    top.add_argument("--interval", type=_positive_number, default=2.0,
                      metavar="SECONDS",
                      help="refresh period of the live loop (default 2)")
     top.add_argument("--baseline", metavar="BASELINE.jsonl",
                      help="journal (or .jsonl.gz corpus cell) whose "
                           "gated metrics the drift rows compare against")
-    top.add_argument("--stale-after", type=float, default=30.0,
+    top.add_argument("--stale-after", type=_positive_number, default=30.0,
                      metavar="SECONDS",
                      help="heartbeat age beyond which a worker is "
                           "reported STALE (default 30)")

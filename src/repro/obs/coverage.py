@@ -8,6 +8,11 @@ buckets extracted MFSes admit, answering the two questions a search
 journal alone cannot: *how much of the space did this run actually
 touch*, and *how much did MFS pruning spare it*.
 
+Each dimension's bucket depends on one workload value (the attribute
+itself, or the mean request size for ``avg_msg``), so a tracker
+buckets each distinct value once, the first time it sees it, and
+counts every later point by table lookup.
+
 Like the recorder, the tracker only observes — it consumes no RNG
 draws and never advances the simulated clock, so a coverage-tracked
 search is bit-identical to an untracked one.
@@ -20,6 +25,7 @@ included — their skip records just lack the workload detail).
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import Optional
 
 from repro.core.mfs import MinimalFeatureSet
@@ -50,6 +56,17 @@ class CoverageTracker:
         self.experiments = 0
         self.skips = 0
         self._points: set[WorkloadDescriptor] = set()
+        #: dimension -> {workload value: bucket label}, filled on first
+        #: sight (values that compare equal share a label, as they share
+        #: the nearest ladder rung).
+        self._labels: dict[str, dict] = {
+            dimension: {} for dimension in self.dimensions
+        }
+        #: workload -> the value each dimension buckets, in dimension order.
+        self._values = attrgetter(*(
+            "avg_msg_bytes" if dimension == "avg_msg" else dimension
+            for dimension in self.dimensions
+        ))
 
     @classmethod
     def for_subsystem(cls, name: str) -> "CoverageTracker":
@@ -66,19 +83,26 @@ class CoverageTracker:
         """Count one measured experiment's point."""
         self.experiments += 1
         self._points.add(workload)
-        for dimension, value in self.space.point_buckets(workload).items():
-            label = str(value)
-            histogram = self.visited[dimension]
-            histogram[label] = histogram.get(label, 0) + 1
+        self._count(workload, self.visited)
 
     def skip(self, workload: Optional[WorkloadDescriptor] = None) -> None:
         """Count one MFS-matched skip (with bucket detail when known)."""
         self.skips += 1
-        if workload is None:
-            return
-        for dimension, value in self.space.point_buckets(workload).items():
-            label = str(value)
-            histogram = self.skipped[dimension]
+        if workload is not None:
+            self._count(workload, self.skipped)
+
+    def _count(self, workload: WorkloadDescriptor, histograms: dict) -> None:
+        """Add one point's bucket labels to ``histograms`` (keyed, like
+        every per-dimension table here, in :attr:`dimensions` order)."""
+        for dimension, value, labels, histogram in zip(
+            self.dimensions, self._values(workload),
+            self._labels.values(), histograms.values(),
+        ):
+            label = labels.get(value)
+            if label is None:
+                label = labels[value] = str(
+                    self.space.bucket_value(dimension, workload)
+                )
             histogram[label] = histogram.get(label, 0) + 1
 
     def mark_mfs(self, mfs: MinimalFeatureSet) -> None:
@@ -95,12 +119,17 @@ class CoverageTracker:
     def unique_points(self) -> int:
         return len(self._points)
 
+    def _touched(self, dimension: str) -> int:
+        """How many of a dimension's bucket labels were visited."""
+        labels, visited = self.buckets[dimension], self.visited[dimension]
+        return sum(1 for label in labels if visited.get(label))
+
     def dimension_summary(self, dimension: str) -> dict:
         labels = self.buckets[dimension]
         visited = self.visited[dimension]
         skipped = self.skipped[dimension]
         admitted = self.mfs_admitted[dimension]
-        touched = sum(1 for label in labels if visited.get(label))
+        touched = self._touched(dimension)
         return {
             "buckets": len(labels),
             "visited_buckets": touched,
@@ -132,10 +161,11 @@ class CoverageTracker:
         }
 
     def touched_fraction(self) -> float:
-        """Mean per-dimension fraction of buckets visited."""
+        """Mean per-dimension fraction of buckets visited (the
+        :meth:`dimension_summary` fractions, without the summaries)."""
         fractions = [
-            self.dimension_summary(dimension)["fraction"]
-            for dimension in self.dimensions
+            self._touched(dimension) / len(labels) if labels else 0.0
+            for dimension, labels in self.buckets.items()
         ]
         return sum(fractions) / len(fractions) if fractions else 0.0
 

@@ -47,6 +47,22 @@ class Fold:
     kinds: Optional[frozenset] = None
 
 
+#: What a fold's ``step`` raises on a line that is valid JSON but not a
+#: valid record: a missing key, a wrong type, an unknown enum value, a
+#: non-object line.
+MALFORMED_RECORD_ERRORS = (KeyError, TypeError, ValueError, AttributeError)
+
+
+def malformed_record(where: str, record, error: Exception) -> ValueError:
+    """The ``ValueError`` a journal read ends with at a malformed record
+    (``where`` names the file and line)."""
+    kind = record.get("t") if isinstance(record, dict) else None
+    return ValueError(
+        f"{where}: malformed {kind!r} record: "
+        f"{type(error).__name__}: {error}"
+    )
+
+
 def dispatcher(*folds: Fold) -> Callable[[dict], None]:
     """``step(record)`` feeding a record to the folds that read its type."""
     every = [fold.step for fold in folds if fold.kinds is None]

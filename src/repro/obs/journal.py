@@ -32,7 +32,13 @@ from repro.analysis.serialize import (
 )
 from repro.core.annealing import TraceEvent
 from repro.core.collie import SearchReport
-from repro.obs.folds import PerRun, RecordCounts, run_folds
+from repro.obs.folds import (
+    MALFORMED_RECORD_ERRORS,
+    PerRun,
+    RecordCounts,
+    malformed_record,
+    run_folds,
+)
 from repro.obs.schema import SCHEMA_VERSION
 
 
@@ -138,7 +144,9 @@ def scan_journal(
     Returns ``(count, tail_error)``: how many records were stepped,
     and what dropped final partial line there was (``None`` for a clean
     journal).  An undecodable line anywhere *before* the last is
-    corruption, and raises ``ValueError``.
+    corruption, and raises ``ValueError``; so does a record ``step``
+    cannot read (one of :data:`~repro.obs.folds.MALFORMED_RECORD_ERRORS`),
+    naming its file, line and type.
     """
     count = 0
     pending_error: Optional[str] = None
@@ -158,7 +166,12 @@ def scan_journal(
                     f"JSON: {error}"
                 )
                 continue
-            step(record)
+            try:
+                step(record)
+            except MALFORMED_RECORD_ERRORS as error:
+                raise malformed_record(
+                    f"{os.fspath(path)}: line {line_number}", record, error
+                ) from error
             count += 1
     if pending_error is not None:
         return count, pending_error + " (truncated tail dropped)"

@@ -67,6 +67,47 @@ class TestWorkloadRoundTrip:
         assert workload.duty_cycle == 1.0
 
 
+class TestEnumLookup:
+    """``workload_from_dict`` resolves enum fields through value tables;
+    ``Enum(value)`` is the oracle."""
+
+    ENUM_FIELDS = (
+        ("qp_type", QPType),
+        ("opcode", Opcode),
+        ("direction", Direction),
+        ("colocation", Colocation),
+        ("sg_layout", SGLayout),
+    )
+
+    @staticmethod
+    def _data(field, value):
+        data = workload_to_dict(WorkloadDescriptor())
+        data[field] = value
+        if field == "qp_type":
+            data["opcode"] = "SEND"  # every transport supports SEND
+            data["msg_sizes_bytes"] = [64]  # within one UD MTU
+        return data
+
+    @pytest.mark.parametrize("field,enum", ENUM_FIELDS)
+    def test_every_value_resolves_to_the_enum_member(self, field, enum):
+        for member in enum:
+            resolved = getattr(
+                workload_from_dict(self._data(field, member.value)), field
+            )
+            assert resolved is enum(member.value)
+
+    @pytest.mark.parametrize("field,enum", ENUM_FIELDS)
+    @pytest.mark.parametrize("value", ["XX", ["RC"]])
+    def test_unknown_or_unhashable_value_raises_the_enum_error(
+        self, field, enum, value
+    ):
+        with pytest.raises(ValueError) as expected:
+            enum(value)
+        with pytest.raises(ValueError) as raised:
+            workload_from_dict(self._data(field, value))
+        assert str(raised.value) == str(expected.value)
+
+
 class TestMFSRoundTrip:
     def make_mfs(self):
         return MinimalFeatureSet(

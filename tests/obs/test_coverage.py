@@ -1,7 +1,10 @@
 """Workload-space coverage: bucketing, tracking, journal round-trip."""
 
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core import Collie
 from repro.core.space import (
@@ -9,6 +12,13 @@ from repro.core.space import (
     SearchSpace,
     changed_dimensions,
 )
+from repro.hardware.workload import (
+    Colocation,
+    Direction,
+    SGLayout,
+    WorkloadDescriptor,
+)
+from repro.verbs.constants import SUPPORTED_OPCODES, Opcode, QPType
 from repro.obs import (
     CoverageTracker,
     FlightRecorder,
@@ -122,6 +132,183 @@ class TestTracker:
     def test_for_subsystem_accepts_unknown_letter(self):
         tracker = CoverageTracker.for_subsystem("not-a-letter")
         assert tracker.dimensions
+
+
+class ReferenceCoverage:
+    """The tracker's counts, bucketed the direct way: every point
+    through ``space.point_buckets``, every fraction through a full
+    per-dimension summary (no MFS is marked, so ``mfs_fraction`` is 0)."""
+
+    def __init__(self, space):
+        self.space = space
+        self.dimensions = space.coverage_dimensions()
+        self.buckets = {
+            dimension: tuple(map(str, space.dimension_buckets(dimension)))
+            for dimension in self.dimensions
+        }
+        self.visited = {dimension: {} for dimension in self.dimensions}
+        self.skipped = {dimension: {} for dimension in self.dimensions}
+        self.experiments = 0
+        self.skips = 0
+        self.points = set()
+
+    def _count(self, workload, histograms):
+        for dimension, value in self.space.point_buckets(workload).items():
+            label = str(value)
+            histograms[dimension][label] = (
+                histograms[dimension].get(label, 0) + 1
+            )
+
+    def visit(self, workload):
+        self.experiments += 1
+        self.points.add(workload)
+        self._count(workload, self.visited)
+
+    def skip(self, workload=None):
+        self.skips += 1
+        if workload is not None:
+            self._count(workload, self.skipped)
+
+    def dimension_summary(self, dimension):
+        labels = self.buckets[dimension]
+        visited = self.visited[dimension]
+        skipped = self.skipped[dimension]
+        touched = sum(1 for label in labels if visited.get(label))
+        return {
+            "buckets": len(labels),
+            "visited_buckets": touched,
+            "fraction": touched / len(labels) if labels else 0.0,
+            "mfs_fraction": 0.0,
+            "visits": {
+                label: visited[label] for label in labels
+                if visited.get(label)
+            },
+            "skips": {
+                label: skipped[label] for label in labels
+                if skipped.get(label)
+            },
+        }
+
+    def fraction(self):
+        fractions = [
+            self.dimension_summary(dimension)["fraction"]
+            for dimension in self.dimensions
+        ]
+        return sum(fractions) / len(fractions) if fractions else 0.0
+
+    def summary(self):
+        return {
+            "experiments": self.experiments,
+            "skips": self.skips,
+            "unique_points": len(self.points),
+            "fraction": self.fraction(),
+            "dimensions": {
+                dimension: self.dimension_summary(dimension)
+                for dimension in self.dimensions
+            },
+        }
+
+
+#: A–H, the §8 duty-cycle space, a UD-only space and a reduced ladder.
+ORACLE_SPACES = (
+    *(SearchSpace.for_subsystem(letter) for letter in "ABCDEFGH"),
+    SearchSpace(duty_cycles=(0.25, 0.5, 1.0)),
+    SearchSpace.for_subsystem(
+        "F", qp_types=(QPType.UD,), opcodes=(Opcode.SEND,)
+    ),
+    SearchSpace(
+        mtus=(1024, 4096), qps_choices=(1, 64, 4096), batch_choices=(1, 16),
+        wq_depth_choices=(64, 1024), msg_size_choices=(64, 4096, 262144),
+        mrs_per_qp_choices=(1, 32), mr_bytes_choices=(65536,),
+        duty_cycles=(0.5, 1.0),
+    ),
+)
+
+#: Valid descriptor values off every ladder and outside every space's
+#: device and transport choices.
+OFF_LADDER = {
+    "qp_type": st.sampled_from(tuple(QPType)),
+    "opcode": st.sampled_from(tuple(Opcode)),
+    "direction": st.sampled_from(tuple(Direction)),
+    "colocation": st.sampled_from(tuple(Colocation)),
+    "sg_layout": st.sampled_from(tuple(SGLayout)),
+    "src_device": st.sampled_from(("numa0", "numa1", "gpu0", "ssd0")),
+    "dst_device": st.sampled_from(("numa0", "numa1", "gpu0", "ssd0")),
+    "mtu": st.sampled_from((256, 512, 1024, 2048, 4096)),
+    "num_qps": st.integers(1, 20_000),
+    "wqe_batch": st.integers(1, 256),
+    "sge_per_wqe": st.integers(1, 16),
+    "wq_depth": st.integers(1, 8192),
+    "mrs_per_qp": st.integers(1, 4096),
+    "mr_bytes": st.integers(1, 1 << 23),
+    "duty_cycle": st.one_of(st.just(1), st.floats(0.01, 1.0)),
+    "msg_sizes_bytes": st.lists(
+        st.integers(1, 1 << 22), min_size=1, max_size=8
+    ).map(tuple),
+}
+
+
+@st.composite
+def off_ladder(draw, point):
+    """``point`` with some fields moved off the ladders, kept valid."""
+    fields = draw(st.sets(st.sampled_from(sorted(OFF_LADDER)), min_size=1))
+    raw = {
+        field.name: getattr(point, field.name)
+        for field in dataclasses.fields(point)
+    }
+    raw.update({field: draw(OFF_LADDER[field]) for field in sorted(fields)})
+    if raw["opcode"] not in SUPPORTED_OPCODES[raw["qp_type"]]:
+        raw["opcode"] = Opcode.SEND
+    if raw["qp_type"] is QPType.UD:
+        raw["msg_sizes_bytes"] = tuple(
+            min(size, raw["mtu"]) for size in raw["msg_sizes_bytes"]
+        )
+    return WorkloadDescriptor(**raw)
+
+
+@st.composite
+def coverage_programs(draw):
+    """A space and 1–60 ``(visit | skip | skip-none, point)`` steps over
+    random draws, mutation walks and off-ladder points."""
+    space = draw(st.sampled_from(ORACLE_SPACES))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    point = space.random(rng)
+    steps = []
+    for _ in range(draw(st.integers(1, 60))):
+        source = draw(st.sampled_from(("random", "mutate", "off-ladder")))
+        if source == "random":
+            point = space.random(rng)
+        elif source == "mutate":
+            point = space.mutate(point, rng)
+        else:
+            point = draw(off_ladder(point))
+        steps.append((draw(st.sampled_from(("visit", "skip", "skip-none"))),
+                      point))
+    return space, steps
+
+
+class TestLabelMemoOracle:
+    """The tracker's once-per-value label tables against direct
+    bucketing of every point."""
+
+    @given(coverage_programs())
+    @settings(max_examples=60, deadline=None)
+    def test_counts_and_fraction_equal_direct_bucketing(self, program):
+        space, steps = program
+        tracker, reference = CoverageTracker(space), ReferenceCoverage(space)
+        for operation, point in steps:
+            for target in (tracker, reference):
+                if operation == "visit":
+                    target.visit(point)
+                else:
+                    target.skip(point if operation == "skip" else None)
+        assert tracker.visited == reference.visited
+        assert tracker.skipped == reference.skipped
+        assert tracker.experiments == reference.experiments
+        assert tracker.skips == reference.skips
+        assert tracker.unique_points == len(reference.points)
+        assert tracker.summary() == reference.summary()
+        assert repr(tracker.touched_fraction()) == repr(reference.fraction())
 
 
 class TestJournalRoundTrip:

@@ -46,6 +46,18 @@ def fixture_records(version: int) -> list:
         return [json.loads(line) for line in handle]
 
 
+#: Fixture version → its ``coverage_fraction``, pinned exactly: a change
+#: in how points are bucketed shows here, not only in the canary's
+#: tolerance gates.
+FIXTURE_COVERAGE_FRACTIONS = {
+    1: 0.830109126984127,
+    2: 0.830109126984127,
+    3: 0.966294642857143,
+    5: 0.6500868055555555,
+    6: 0.6382688492063491,
+    7: 0.6500868055555555,
+}
+
 #: Fixture version → how many search reports its journal reconstructs
 #: (v5 is a two-chain population journal, v7 a two-seed campaign; the
 #: rest are single runs).
@@ -75,6 +87,12 @@ class TestOldJournalsStillWork:
         # A fixture diffed against itself is exactly clean.
         records = fixture_records(version)
         assert diff_journals(records, records).ok
+
+    def test_coverage_fraction_is_pinned(self, version):
+        metrics = journal_metrics(fixture_records(version))
+        assert repr(metrics["coverage_fraction"]) == repr(
+            FIXTURE_COVERAGE_FRACTIONS[version]
+        )
 
     def test_renders_through_report_cli(self, version, capsys):
         path = os.path.join(FIXTURES, f"v{version}.jsonl")

@@ -10,6 +10,7 @@ import gzip
 import json
 import urllib.error
 import urllib.request
+from pathlib import Path
 
 import pytest
 
@@ -215,13 +216,44 @@ class TestAggregator:
             single["latency_p99_us"]
         )
 
-    def test_corrupt_source_reports_error_not_crash(self, tmp_path):
+    def test_corrupt_source_reports_error_not_crash(
+        self, tmp_path, campaign_journals
+    ):
         path = tmp_path / "bad.jsonl"
         path.write_bytes(b'{"v":7,"t":"run_start"}\ngarbage\n')
         agg = CampaignAggregator([path])
         agg.refresh()
         snap = agg.snapshot(now=0.0)
         assert "corrupt journal line" in snap["sources"][0]["error"]
+        # Valid JSON but not a valid record (a run_start without its
+        # subsystem, after a blank line): the row names the line, that
+        # source folds nothing more, and the other source keeps going.
+        _, telem = campaign_journals
+        lines = Path(telem).read_bytes().splitlines(keepends=True)
+        good = tmp_path / "good.jsonl"
+        good.write_bytes(b"".join(lines[:10]))
+        malformed = tmp_path / "malformed.jsonl"
+        malformed.write_bytes(
+            b'{"v":7,"t":"heartbeat","worker":0,"done":0,"total":1,'
+            b'"wall_time":0.0}\n\n{"v":7,"t":"run_start"}\n'
+        )
+        agg = CampaignAggregator([malformed, good])
+        agg.refresh()
+        bad_row, good_row = agg.snapshot(now=0.0)["sources"]
+        assert bad_row["error"] == (
+            f"{malformed}: line 3: malformed 'run_start' record: "
+            f"KeyError: 'subsystem'"
+        )
+        assert bad_row["records"] == 2
+        with open(malformed, "ab") as handle:
+            handle.write(b"".join(lines))
+        with open(good, "ab") as handle:
+            handle.write(b"".join(lines[10:]))
+        assert agg.refresh() == len(lines) - 10
+        bad_row, good_row = agg.snapshot(now=0.0)["sources"]
+        assert bad_row["records"] == 2
+        assert good_row["records"] == len(lines)
+        assert good_row["error"] is None
 
 
 class TestPrometheusRendering:

@@ -80,6 +80,34 @@ class TestNumericFlags:
              "must be a finite number > 0, got -1"),
             (["search", "H", "--seeds", "2", "--task-timeout", "inf"],
              "must be a finite number > 0, got inf"),
+            (["journal", "diff", "a.jsonl", "b.jsonl",
+              "--baseline-tolerance", "nan"],
+             "must be a finite number >= 0, got nan"),
+            (["journal", "diff", "a.jsonl", "b.jsonl",
+              "--baseline-tolerance", "-1"],
+             "must be a finite number >= 0, got -1"),
+            (["canary", "check", "--median-tolerance", "nan"],
+             "must be a finite number >= 0, got nan"),
+            (["canary", "check", "--median-tolerance", "-0.1"],
+             "must be a finite number >= 0, got -0.1"),
+            (["canary", "check", "--shape-tolerance", "nan"],
+             "must be a finite number >= 0, got nan"),
+            (["canary", "check", "--shape-tolerance", "inf"],
+             "must be a finite number >= 0, got inf"),
+            (["canary", "check", "--spread-factor", "nan"],
+             "must be a finite number > 0, got nan"),
+            (["canary", "check", "--spread-factor", "0"],
+             "must be a finite number > 0, got 0"),
+            (["top", "j.jsonl", "--interval", "-1"],
+             "must be a finite number > 0, got -1"),
+            (["top", "j.jsonl", "--interval", "nan"],
+             "must be a finite number > 0, got nan"),
+            (["top", "j.jsonl", "--interval", "inf"],
+             "must be a finite number > 0, got inf"),
+            (["top", "j.jsonl", "--stale-after", "-1"],
+             "must be a finite number > 0, got -1"),
+            (["top", "j.jsonl", "--stale-after", "nan"],
+             "must be a finite number > 0, got nan"),
         ],
     )
     def test_out_of_range_values_rejected_at_parse_time(
@@ -92,6 +120,80 @@ class TestNumericFlags:
             main(argv)
         assert exc.value.code == 2
         assert message in capsys.readouterr().err
+
+
+def _record(**fields) -> str:
+    return json.dumps({"v": 7, **fields}) + "\n"
+
+
+_RUN_START = {"t": "run_start", "subsystem": "F", "counter_mode": "diag",
+              "use_mfs": True, "budget_hours": 1.0, "seed": 1}
+_EXPERIMENT = {
+    "t": "experiment", "time_seconds": 20.0, "counter": "tx_bytes_per_sec",
+    "counter_value": 1.0, "symptom": "healthy", "tags": [], "kind": "search",
+    "workload": workload_to_dict(WorkloadDescriptor()),
+    "counters": {"tx_bytes_per_sec": 1.0}, "new_anomaly_index": None,
+}
+
+#: Two-line journals whose lines are valid JSON but not valid records.
+MALFORMED_JOURNALS = {
+    "run_start-without-subsystem": (
+        _record(**{k: v for k, v in _RUN_START.items() if k != "subsystem"})
+        + _record(**_EXPERIMENT)
+    ),
+    "experiment-without-counters": _record(**_RUN_START) + _record(**{
+        **{k: v for k, v in _EXPERIMENT.items() if k != "counters"},
+        "workload": {**_EXPERIMENT["workload"], "qp_type": "XX"},
+    }),
+    "transition-without-temperature": _record(**_RUN_START) + _record(
+        t="transition", time_seconds=20.0, action="accept", delta=0.0,
+        mutated=["mtu"],
+    ),
+}
+
+
+class TestMalformedRecords:
+    """A valid-JSON line that is not a valid record ends a journal
+    reader with one message naming the line, never a traceback."""
+
+    #: ``(journal, command) -> (exit code, line the message names)``;
+    #: ``None``: the command does not read the malformed field.
+    EXPECTED = {
+        ("run_start-without-subsystem", "diff"): (2, 1),
+        ("run_start-without-subsystem", "coverage"): (2, 1),
+        ("run_start-without-subsystem", "top"): (0, 1),
+        ("run_start-without-subsystem", "stats"): (1, None),
+        ("experiment-without-counters", "diff"): (2, 2),
+        ("experiment-without-counters", "coverage"): (2, 2),
+        ("experiment-without-counters", "top"): (0, 2),
+        ("experiment-without-counters", "stats"): (1, 2),
+        ("transition-without-temperature", "diff"): (2, 2),
+        ("transition-without-temperature", "coverage"): (0, None),
+        ("transition-without-temperature", "top"): (0, 2),
+        ("transition-without-temperature", "stats"): (1, None),
+    }
+
+    @pytest.mark.parametrize("command", ("diff", "coverage", "top", "stats"))
+    @pytest.mark.parametrize("journal", sorted(MALFORMED_JOURNALS))
+    def test_one_message_not_a_traceback(
+        self, journal, command, tmp_path, capsys
+    ):
+        path = tmp_path / f"{journal}.jsonl"
+        path.write_text(MALFORMED_JOURNALS[journal])
+        argv = {
+            "diff": ["journal", "diff", str(path), str(path)],
+            "coverage": ["coverage", str(path)],
+            "top": ["top", "--once", str(path)],
+            "stats": ["stats", str(path)],
+        }[command]
+        code, line = self.EXPECTED[journal, command]
+        assert main(argv) == code
+        captured = capsys.readouterr()
+        output = captured.out + captured.err
+        assert "Traceback" not in output
+        if line is not None:
+            assert f"{path}: line {line}: malformed" in output
+            assert "cannot read cache store" not in output
 
 
 class TestReplay:
