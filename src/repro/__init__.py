@@ -12,6 +12,26 @@ See ``DESIGN.md`` for the system inventory and ``EXPERIMENTS.md`` for the
 paper-versus-measured record of every table and figure.
 """
 
+import importlib
+
 __version__ = "1.0.0"
 
 __all__ = ["__version__"]
+
+
+def lazy_attribute(package: str, submodules: dict):
+    """A package's module ``__getattr__`` that imports a public name's
+    submodule (``submodules`` maps name -> submodule) on first use, so
+    importing the package loads none of them."""
+
+    def __getattr__(name: str):
+        submodule = submodules.get(name)
+        if submodule is None:
+            raise AttributeError(
+                f"module {package!r} has no attribute {name!r}"
+            )
+        return getattr(
+            importlib.import_module(f"{package}.{submodule}"), name
+        )
+
+    return __getattr__

@@ -7,27 +7,22 @@
 * :mod:`repro.analysis.render` pretty-prints series and tables as text.
 """
 
-from repro.analysis.figures import (
-    CounterTrace,
-    TimeToFindSeries,
-    counter_trace,
-    time_to_find_series,
-)
-from repro.analysis.sensitivity import SensitivityAnalyzer, SensitivityProfile
-from repro.analysis.serialize import load_anomalies, save_report
-from repro.analysis.tables import table1_rows, table2_rows
-from repro.analysis.render import render_table
+from repro import lazy_attribute
 
-__all__ = [
-    "CounterTrace",
-    "TimeToFindSeries",
-    "counter_trace",
-    "time_to_find_series",
-    "SensitivityAnalyzer",
-    "SensitivityProfile",
-    "load_anomalies",
-    "save_report",
-    "table1_rows",
-    "table2_rows",
-    "render_table",
-]
+#: Public name -> the submodule defining it, imported on first use.
+_SUBMODULES = {
+    "CounterTrace": "figures",
+    "TimeToFindSeries": "figures",
+    "counter_trace": "figures",
+    "time_to_find_series": "figures",
+    "SensitivityAnalyzer": "sensitivity",
+    "SensitivityProfile": "sensitivity",
+    "load_anomalies": "serialize",
+    "save_report": "serialize",
+    "table1_rows": "tables",
+    "table2_rows": "tables",
+    "render_table": "render",
+}
+
+__all__ = list(_SUBMODULES)
+__getattr__ = lazy_attribute(__name__, _SUBMODULES)

@@ -621,22 +621,47 @@ def _cmd_report(args: argparse.Namespace) -> int:
 def _report_one(
     path: str, args: argparse.Namespace, payloads: list
 ) -> int:
-    """Render one journal (appends to ``payloads`` under ``--json``)."""
+    """Render one journal (appends to ``payloads`` under ``--json``).
+
+    One streamed pass: each record is schema-checked as it arrives and,
+    while none has failed, folded; nothing is printed until the pass
+    ends, and schema errors anywhere outrank a record the folds cannot
+    read.
+    """
     from repro.analysis.figures import counter_trace
-    from repro.obs import (
-        read_journal_prefix,
-        reports_from_records,
-        validate_journal,
-    )
     from repro.obs.folds import (
         Isolation,
         JournalMetrics,
         RecordCounts,
-        run_folds,
+        RunReports,
+        dispatcher,
     )
+    from repro.obs.journal import scan_journal
+    from repro.obs.schema import validate_record
+
+    emit_json = getattr(args, "json", False)
+    if emit_json:
+        reports = RunReports()
+        metrics = JournalMetrics()
+        folds = (*metrics.folds, reports)
+    else:
+        reports = RunReports(latency=True, counter=args.counter)
+        counts, isolation = RecordCounts(), Isolation()
+        folds = (counts, isolation, reports)
+    fold = dispatcher(*folds)
+    errors: list[str] = []
+    malformed: list[ValueError] = []
+    records = 0
+
+    def step(record: dict) -> None:
+        nonlocal records
+        records += 1
+        errors.extend(validate_record(record, line=records))
+        if not errors and not malformed:
+            fold(record)
 
     try:
-        records, tail_error = read_journal_prefix(path)
+        _, tail_error = scan_journal(path, step, malformed.append)
     except OSError as error:
         logger.error(f"cannot read journal {path}: {error}")
         return 2
@@ -646,9 +671,10 @@ def _report_one(
     if tail_error is not None:
         logger.warning(
             f"{tail_error} — rendering the valid prefix "
-            f"({len(records)} records)"
+            f"({records} records)"
         )
-    errors = validate_journal(records)
+    if not records:
+        errors.append("journal is empty")
     if errors:
         for message in errors[:10]:
             logger.error(message)
@@ -659,22 +685,24 @@ def _report_one(
             f"({len(errors)} error(s))"
         )
         return 2
-    if getattr(args, "json", False):
+    if malformed:
+        logger.error(f"{malformed[0]}")
+        return 2
+    runs = reports.runs()
+    if emit_json:
         from repro.analysis.serialize import report_to_dict
 
-        metrics = JournalMetrics()
-        run_folds(records, *metrics.folds)
         payloads.append({
             "journal": str(path),
             "summary": metrics.counts.result(),
             "metrics": metrics.result(),
             "runs": [
-                report_to_dict(report)
-                for report in reports_from_records(records)
+                # The runs keep no events: first hits come from the fold.
+                {**report_to_dict(run.report()), "first_hits": run.first_hits}
+                for run in runs
             ],
         })
         return 0
-    counts, isolation = run_folds(records, RecordCounts(), Isolation())
     shape = counts.result()
     logger.info(
         f"journal {path}: {shape['records']} records, "
@@ -697,33 +725,31 @@ def _report_one(
             f"{path}'"
         )
     completeness = counts.runs()
-    reports = reports_from_records(records)
-    for index, report in enumerate(reports, 1):
+    for index, run in enumerate(runs, 1):
         logger.info("")
         crashed = "" if completeness[index - 1] else " [CRASHED — partial]"
-        logger.info(f"run {index}:{crashed} {report.summary()}")
-        hits = sorted(
-            report.first_hit_times().items(), key=lambda item: item[1]
-        )
+        logger.info(f"run {index}:{crashed} {run.report().summary()}")
+        hits = sorted(run.first_hits.items(), key=lambda item: item[1])
         if hits:
             logger.info("  anomaly timeline (first anomalous hit per tag):")
             for tag, seconds in hits:
                 logger.info(f"    {seconds / 3600:8.2f}h  {tag}")
-        latency_line = _latency_line(
-            [e.latency for e in report.events if e.latency is not None]
-        )
+        latency_line = _latency_line(run.latency)
         if latency_line is not None:
             logger.info(f"  {latency_line}")
     if args.counter:
-        events = [event for report in reports for event in report.events]
-        trace = counter_trace("journal", events, args.counter)
+        trace = counter_trace(
+            "journal",
+            [row for run in runs for row in run.counter_rows()],
+            args.counter,
+        )
         if not trace.hours:
             logger.warning(
                 f"counter {args.counter!r} never observed in {path}"
             )
             return 1
         if args.trajectory:
-            _write_trajectory(args.trajectory, reports, args.counter)
+            _write_trajectory(args.trajectory, runs)
             logger.info(
                 f"counter trajectory ({len(trace.hours)} points) "
                 f"written to {args.trajectory}"
@@ -757,24 +783,23 @@ def _report_isolation(isolation) -> None:
         )
 
 
-def _latency_line(summaries) -> Optional[str]:
-    """One-line per-run aggregate of per-experiment latency summaries.
+def _latency_line(latency) -> Optional[str]:
+    """One-line per-run aggregate of per-experiment latency summaries
+    (a :class:`~repro.obs.folds.LatencyColumns`).
 
     Each experiment's latency record already carries its own
     p50/p90/p99; across a run the medians of those percentiles describe
     the typical modeled WR, and the worst inflation names the run's
     closest approach to (or crossing of) the tail-latency trigger.
     """
-    if not summaries:
+    if not len(latency):
         return None
-    p50 = float(np.median([s["p50_us"] for s in summaries]))
-    p90 = float(np.median([s["p90_us"] for s in summaries]))
-    p99 = float(np.median([s["p99_us"] for s in summaries]))
-    worst = max(float(s["inflation"]) for s in summaries)
+    *percentiles, inflations = latency.columns
+    p50, p90, p99 = (float(np.median(column)) for column in percentiles)
     return (
         f"latency p50/p90/p99 {p50:.1f}/{p90:.1f}/{p99:.1f} us "
-        f"(medians over {len(summaries)} experiments, "
-        f"worst inflation {worst:.2f}x)"
+        f"(medians over {len(latency)} experiments, "
+        f"worst inflation {max(inflations):.2f}x)"
     )
 
 
@@ -909,8 +934,9 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     return 0
 
 
-def _write_trajectory(path: str, reports, counter: str) -> None:
-    """Raw per-event CSV of one counter across every run in the journal.
+def _write_trajectory(path: str, runs) -> None:
+    """Raw per-event CSV of one counter across every run in the journal
+    (each :class:`~repro.obs.folds.RunSummary`'s counter rows).
 
     Values are written via ``repr`` (shortest round-tripping float
     form), so the exported trajectory is bit-identical to the in-memory
@@ -923,17 +949,11 @@ def _write_trajectory(path: str, reports, counter: str) -> None:
         writer.writerow(
             ["run", "time_seconds", "value", "kind", "symptom"]
         )
-        for run, report in enumerate(reports, 1):
-            for event in report.events:
-                if counter in event.counters:
-                    value = float(event.counters[counter])
-                elif event.counter == counter:
-                    value = float(event.counter_value)
-                else:
-                    continue
+        for run, summary in enumerate(runs, 1):
+            for row in summary.counter_rows():
                 writer.writerow(
-                    [run, repr(float(event.time_seconds)), repr(value),
-                     event.kind, event.symptom]
+                    [run, repr(float(row.time_seconds)),
+                     repr(row.counter_value), row.kind, row.symptom]
                 )
 
 
@@ -1220,9 +1240,10 @@ def _cmd_top(args: argparse.Namespace) -> int:
 
     Follows the journals with the telemetry plane's tail-follower and
     re-renders every ``--interval`` seconds; ``--once`` prints a single
-    frame (no escape sequences) and exits — the scriptable form.  The
-    optional ``--baseline`` journal (gzip-transparent, e.g. a canary
-    corpus cell) adds drift rows against its gated metrics.
+    frame (no escape sequences) and exits — the scriptable form: exit 2
+    when a source stopped at a corrupt line or a malformed record, else
+    0.  The optional ``--baseline`` journal (gzip-transparent, e.g. a
+    canary corpus cell) adds drift rows against its gated metrics.
     """
     import time as _time
 
@@ -1243,8 +1264,9 @@ def _cmd_top(args: argparse.Namespace) -> int:
     )
     while True:
         aggregator.refresh()
+        snapshot = aggregator.snapshot()
         frame = render_dashboard(
-            aggregator.snapshot(),
+            snapshot,
             chains=aggregator.chain_diagnostics(),
             baseline=baseline,
             baseline_path=args.baseline,
@@ -1253,7 +1275,8 @@ def _cmd_top(args: argparse.Namespace) -> int:
         # a dashboard interleaved with log timestamps is unreadable.
         if args.once:
             print(frame, end="")
-            return 0
+            broken = any(source["error"] for source in snapshot["sources"])
+            return 2 if broken else 0
         print(CLEAR + frame, end="", flush=True)
         try:
             _time.sleep(args.interval)
@@ -1644,7 +1667,9 @@ def build_parser() -> argparse.ArgumentParser:
     top.add_argument("journal", metavar="JOURNAL.jsonl", nargs="+",
                      help="journal file(s) to follow (may not exist yet)")
     top.add_argument("--once", action="store_true",
-                     help="render one frame and exit (no ANSI clears)")
+                     help="render one frame and exit (no ANSI clears); "
+                          "exit 2 if a journal has a corrupt line or a "
+                          "malformed record")
     top.add_argument("--interval", type=_positive_number, default=2.0,
                      metavar="SECONDS",
                      help="refresh period of the live loop (default 2)")

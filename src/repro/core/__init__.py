@@ -9,38 +9,29 @@ The quickest route in::
         print(anomaly.describe())
 """
 
-from repro.core.collie import Collie, SearchReport
-from repro.core.engine import WorkloadEngine
-from repro.core.evalcache import EvalCache
-from repro.core.executor import CampaignExecutor, ExecutorStats
-from repro.core.faults import (
-    FaultPlan,
-    FaultSpec,
-    FaultyTestbed,
-    RetryPolicy,
-    TaskFailed,
-)
-from repro.core.mfs import MinimalFeatureSet
-from repro.core.monitor import AnomalyMonitor, AnomalyVerdict
-from repro.core.population import PopulationCollie, PopulationReport
-from repro.core.space import SearchSpace
+from repro import lazy_attribute
 
-__all__ = [
-    "Collie",
-    "SearchReport",
-    "WorkloadEngine",
-    "EvalCache",
-    "CampaignExecutor",
-    "ExecutorStats",
-    "FaultPlan",
-    "FaultSpec",
-    "FaultyTestbed",
-    "RetryPolicy",
-    "TaskFailed",
-    "MinimalFeatureSet",
-    "AnomalyMonitor",
-    "AnomalyVerdict",
-    "PopulationCollie",
-    "PopulationReport",
-    "SearchSpace",
-]
+#: Public name -> the submodule defining it, imported on first use (the
+#: executor pulls in ``multiprocessing``, which a search never needs).
+_SUBMODULES = {
+    "Collie": "collie",
+    "SearchReport": "collie",
+    "WorkloadEngine": "engine",
+    "EvalCache": "evalcache",
+    "CampaignExecutor": "executor",
+    "ExecutorStats": "executor",
+    "FaultPlan": "faults",
+    "FaultSpec": "faults",
+    "FaultyTestbed": "faults",
+    "RetryPolicy": "faults",
+    "TaskFailed": "faults",
+    "MinimalFeatureSet": "mfs",
+    "AnomalyMonitor": "monitor",
+    "AnomalyVerdict": "monitor",
+    "PopulationCollie": "population",
+    "PopulationReport": "population",
+    "SearchSpace": "space",
+}
+
+__all__ = list(_SUBMODULES)
+__getattr__ = lazy_attribute(__name__, _SUBMODULES)

@@ -44,85 +44,49 @@ Everything is off by default and adds no work to a run that does not
 request it.
 """
 
-from repro.obs.aggregate import CampaignAggregator
-from repro.obs.coverage import (
-    CoverageTracker,
-    coverage_from_records,
-    render_latency_panel,
-)
-from repro.obs.dashboard import load_baseline_metrics, render_dashboard
-from repro.obs.export import TelemetryServer, render_prometheus
-from repro.obs.journal import (
-    VERIFY_CORRUPT,
-    VERIFY_INCOMPLETE,
-    VERIFY_OK,
-    RunJournal,
-    journal_summary,
-    open_journal_text,
-    read_journal,
-    read_journal_prefix,
-    reports_from_journal,
-    reports_from_records,
-    run_records,
-    verify_journal,
-)
-from repro.obs.logging import setup_logging
-from repro.obs.metrics import MetricsRegistry
-from repro.obs.stream import JournalFollower, follow_journal
-from repro.obs.profiler import (
-    SpanProfiler,
-    chrome_trace,
-    render_span_table,
-    validate_chrome_trace,
-)
-from repro.obs.recorder import FlightRecorder
-from repro.obs.folds import ChainDiagnostics
-from repro.obs.sadiag import (
-    per_chain_diagnostics,
-    render_sa_diagnostics,
-)
-from repro.obs.schema import (
-    SCHEMA_VERSION,
-    SUPPORTED_VERSIONS,
-    validate_journal,
-    validate_record,
-)
+from repro import lazy_attribute
 
-__all__ = [
-    "CampaignAggregator",
-    "ChainDiagnostics",
-    "CoverageTracker",
-    "FlightRecorder",
-    "JournalFollower",
-    "MetricsRegistry",
-    "RunJournal",
-    "SCHEMA_VERSION",
-    "SUPPORTED_VERSIONS",
-    "SpanProfiler",
-    "TelemetryServer",
-    "VERIFY_CORRUPT",
-    "VERIFY_INCOMPLETE",
-    "VERIFY_OK",
-    "chrome_trace",
-    "coverage_from_records",
-    "follow_journal",
-    "journal_summary",
-    "load_baseline_metrics",
-    "open_journal_text",
-    "per_chain_diagnostics",
-    "read_journal",
-    "read_journal_prefix",
-    "render_dashboard",
-    "render_prometheus",
-    "render_latency_panel",
-    "render_sa_diagnostics",
-    "render_span_table",
-    "reports_from_journal",
-    "reports_from_records",
-    "run_records",
-    "setup_logging",
-    "validate_chrome_trace",
-    "validate_journal",
-    "validate_record",
-    "verify_journal",
-]
+#: Public name -> the submodule defining it, imported on first use so
+#: that a command loads only what it runs (``export`` pulls in
+#: ``http.server``, the aggregator the folds).
+_SUBMODULES = {
+    "CampaignAggregator": "aggregate",
+    "ChainDiagnostics": "folds",
+    "CoverageTracker": "coverage",
+    "FlightRecorder": "recorder",
+    "JournalFollower": "stream",
+    "MetricsRegistry": "metrics",
+    "RunJournal": "journal",
+    "SCHEMA_VERSION": "schema",
+    "SUPPORTED_VERSIONS": "schema",
+    "SpanProfiler": "profiler",
+    "TelemetryServer": "export",
+    "VERIFY_CORRUPT": "journal",
+    "VERIFY_INCOMPLETE": "journal",
+    "VERIFY_OK": "journal",
+    "chrome_trace": "profiler",
+    "coverage_from_records": "coverage",
+    "follow_journal": "stream",
+    "journal_summary": "journal",
+    "load_baseline_metrics": "dashboard",
+    "open_journal_text": "journal",
+    "per_chain_diagnostics": "sadiag",
+    "read_journal": "journal",
+    "read_journal_prefix": "journal",
+    "render_dashboard": "dashboard",
+    "render_prometheus": "export",
+    "render_latency_panel": "coverage",
+    "render_sa_diagnostics": "sadiag",
+    "render_span_table": "profiler",
+    "reports_from_journal": "journal",
+    "reports_from_records": "journal",
+    "run_records": "journal",
+    "setup_logging": "logging",
+    "validate_chrome_trace": "profiler",
+    "validate_journal": "schema",
+    "validate_record": "schema",
+    "verify_journal": "journal",
+}
+
+__all__ = list(_SUBMODULES)
+__getattr__ = lazy_attribute(__name__, _SUBMODULES)

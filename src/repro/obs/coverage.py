@@ -33,6 +33,40 @@ from repro.core.space import DIMENSION_GROUPS, SearchSpace
 from repro.hardware.workload import WorkloadDescriptor
 
 
+#: A point's text fields: its enum values and its devices.
+_POINT_TEXT = attrgetter(
+    "qp_type._value_", "opcode._value_", "direction._value_",
+    "colocation._value_", "sg_layout._value_", "src_device", "dst_device",
+)
+#: A point's scalar numbers (its message sizes follow them in the key).
+_POINT_NUMBERS = attrgetter(
+    "mtu", "num_qps", "wqe_batch", "sge_per_wqe", "wq_depth", "mrs_per_qp",
+    "mr_bytes", "duty_cycle",
+)
+
+
+def _exact(number):
+    """``number``, or the int an integral float equals."""
+    if isinstance(number, float) and number.is_integer():
+        return int(number)
+    return number
+
+
+def point_key(workload: WorkloadDescriptor) -> str:
+    """One short string per distinct point, equal exactly when the
+    descriptors are: the enum values, the devices and every number, an
+    integral float written as its int (a descriptor compares ``1`` and
+    ``1.0`` equal, so their keys must be too)."""
+    numbers = _POINT_NUMBERS(workload) + tuple(workload.msg_sizes_bytes)
+    try:
+        integral = tuple(map(int, numbers))
+    except (OverflowError, ValueError):  # inf or nan
+        integral = ()
+    if integral != numbers:  # some number is not integral
+        integral = tuple(map(_exact, numbers))
+    return repr(_POINT_TEXT(workload) + integral)
+
+
 class CoverageTracker:
     """Per-dimension histograms of visited / skipped / MFS-admitted buckets."""
 
@@ -55,7 +89,8 @@ class CoverageTracker:
         }
         self.experiments = 0
         self.skips = 0
-        self._points: set[WorkloadDescriptor] = set()
+        #: :func:`point_key` of every distinct visited point.
+        self._points: set[str] = set()
         #: dimension -> {workload value: bucket label}, filled on first
         #: sight (values that compare equal share a label, as they share
         #: the nearest ladder rung).
@@ -82,7 +117,7 @@ class CoverageTracker:
     def visit(self, workload: WorkloadDescriptor) -> None:
         """Count one measured experiment's point."""
         self.experiments += 1
-        self._points.add(workload)
+        self._points.add(point_key(workload))
         self._count(workload, self.visited)
 
     def skip(self, workload: Optional[WorkloadDescriptor] = None) -> None:

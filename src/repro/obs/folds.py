@@ -13,10 +13,14 @@ from __future__ import annotations
 import dataclasses
 import heapq
 import math
+import sys
+from array import array
 from collections import deque
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from repro.analysis.serialize import mfs_from_dict, workload_from_dict
+from repro.core.annealing import TraceEvent
+from repro.core.collie import SearchReport
 from repro.core.monitor import HEALTHY
 from repro.obs.coverage import CoverageTracker
 from repro.obs.metrics import HistogramSummary
@@ -202,11 +206,33 @@ class Coverage(PerRun):
         return math.fsum(fractions) / len(fractions)
 
 
-class Traffic(PerRun):
-    """Per run: ``(tx Gbps of each experiment, latency records)``."""
+class LatencyColumns:
+    """The p50, p90, p99 and inflation of a run's latency records, one
+    float each per record (the per-run latency line of ``report`` and
+    ``stats``)."""
 
-    def start_run(self, record: dict) -> tuple[list, list]:
-        return [], []
+    KEYS = ("p50_us", "p90_us", "p99_us", "inflation")
+
+    def __init__(self) -> None:
+        self.columns = tuple(array("d") for _ in self.KEYS)
+
+    def __len__(self) -> int:
+        return len(self.columns[0])
+
+    def append(self, record: dict) -> None:
+        for column, key in zip(self.columns, self.KEYS):
+            column.append(float(record[key]))
+
+    def replace_last(self, record: dict) -> None:
+        for column, key in zip(self.columns, self.KEYS):
+            column[-1] = float(record[key])
+
+
+class Traffic(PerRun):
+    """Per run: ``(tx Gbps of each experiment, LatencyColumns)``."""
+
+    def start_run(self, record: dict) -> tuple[list, LatencyColumns]:
+        return [], LatencyColumns()
 
     def step_run(self, run: tuple, kind: str, record: dict) -> tuple:
         if kind == "experiment":
@@ -215,6 +241,229 @@ class Traffic(PerRun):
         elif kind == "latency":
             run[1].append(record)
         return run
+
+
+#: Keys of a TraceEvent latency summary, in record order.
+LATENCY_KEYS = (
+    "p50_us", "p90_us", "p99_us", "mean_us", "baseline_us", "inflation",
+    "components", "tags",
+)
+
+
+class CounterRow(NamedTuple):
+    """One experiment's reading of the counter ``repro report --counter``
+    follows: the :class:`~repro.core.annealing.TraceEvent` fields
+    :func:`~repro.analysis.figures.counter_trace` and the trajectory CSV
+    read, with the reading in ``counter_value``."""
+
+    time_seconds: float
+    counter: str
+    counter_value: float
+    kind: str
+    symptom: str
+    new_anomaly_index: Optional[int]
+    counters = None  #: no snapshot: ``counter_value`` is the reading.
+
+
+class RunSummary:
+    """One run, folded record by record: the
+    :class:`~repro.core.collie.SearchReport` totals, its anomalies and
+    each tag's first anomalous hit, plus what the caller asked to keep
+    per experiment — the events themselves (``events``), the latency
+    percentiles (``latency``), one counter's readings (``counter``).
+
+    ``run_end`` totals are authoritative when present; a crashed run
+    (no ``run_end``) falls back to the per-event records: experiments
+    and events are 1:1 by construction, skips have their own records,
+    and elapsed time is the latest experiment's finish time.
+    """
+
+    def __init__(
+        self, start: dict, events: bool, latency: bool,
+        counter: Optional[str],
+    ) -> None:
+        self.subsystem = start.get("subsystem", "?")
+        self.counter_mode = start.get("counter_mode", "diag")
+        self.use_mfs = start.get("use_mfs", True)
+        #: ``(experiments, skipped, elapsed, ranking)`` of the run_end.
+        self.end: Optional[tuple] = None
+        self.experiments = 0  #: experiment records.
+        self.skips = 0
+        self.latest = 0.0  #: max ``time_seconds`` over the experiments.
+        self.ranking: Optional[list] = None
+        #: ``(index, event_index, mfs)`` per anomaly record, file order.
+        self.anomalies: list[tuple] = []
+        #: Ground-truth tag → seconds of its first anomalous experiment.
+        self.first_hits: dict = {}
+        self.events: Optional[list[TraceEvent]] = [] if events else None
+        #: Each experiment's latency percentiles and inflation.
+        self.latency = LatencyColumns() if latency else None
+        self._latency_attached = False  #: the last experiment has one.
+        self.counter = counter
+        #: Per experiment: its :class:`CounterRow` (None: not observed).
+        self.rows: Optional[list] = [] if counter is not None else None
+
+    def step(self, kind: str, record: dict) -> None:
+        if kind == "experiment":
+            self._experiment(record)
+        elif kind == "latency" and self.experiments:
+            # The writer emits the latency record right after the
+            # experiment it describes; a repeat replaces it.
+            self._attach_latency(record)
+        elif kind == "anomaly":
+            self.anomalies.append((
+                record["index"], record.get("event_index"),
+                mfs_from_dict(record["mfs"]),
+            ))
+        elif kind == "skip":
+            self.skips += 1
+        elif kind == "ranking":
+            self.ranking = list(record["counters"])
+        elif kind == "run_end":
+            self.end = (
+                record["experiments"], record["skipped"],
+                record["elapsed_seconds"], list(record["counter_ranking"]),
+            )
+
+    def _experiment(self, record: dict) -> None:
+        # Parsed even when not kept: a workload the reader cannot build
+        # ends the read at its line.
+        workload = workload_from_dict(record["workload"])
+        seconds = record["time_seconds"]
+        if not self.experiments or seconds > self.latest:
+            self.latest = seconds
+        self.experiments += 1
+        self._latency_attached = False
+        symptom = record["symptom"]
+        if symptom != HEALTHY:
+            for tag in record["tags"]:
+                self.first_hits.setdefault(tag, seconds)
+        if self.events is not None:
+            self.events.append(TraceEvent(
+                time_seconds=seconds,
+                counter=record["counter"],
+                counter_value=record["counter_value"],
+                symptom=symptom,
+                tags=tuple(record["tags"]),
+                workload=workload,
+                kind=record["kind"],
+                new_anomaly_index=record.get("new_anomaly_index"),
+                counters=dict(record["counters"]),
+                interference=record.get("interference"),
+            ))
+        if self.rows is not None:
+            self.rows.append(self._counter_row(record))
+
+    def _counter_row(self, record: dict) -> Optional[CounterRow]:
+        counter = self.counter
+        counters = record["counters"]
+        if counter in counters:
+            value = counters[counter]
+        elif record["counter"] == counter:
+            value = record["counter_value"]
+        else:
+            return None
+        return CounterRow(
+            record["time_seconds"], counter, float(value),
+            sys.intern(record["kind"]), sys.intern(record["symptom"]),
+            record.get("new_anomaly_index"),
+        )
+
+    def _attach_latency(self, record: dict) -> None:
+        if self.events is not None:
+            summary = {
+                key: (
+                    dict(record[key]) if key == "components"
+                    else list(record[key]) if key == "tags"
+                    else record[key]
+                )
+                for key in LATENCY_KEYS
+            }
+            self.events[-1] = dataclasses.replace(
+                self.events[-1], latency=summary
+            )
+        if self.latency is not None:
+            if self._latency_attached:
+                self.latency.replace_last(record)
+            else:
+                self.latency.append(record)
+        self._latency_attached = True
+
+    def _by_index(self) -> list[tuple]:
+        """The anomalies in index order (ties in file order)."""
+        return sorted(self.anomalies, key=lambda anomaly: anomaly[0])
+
+    def _retags(self) -> dict:
+        """Experiment position → anomaly index: the retroactive re-tag.
+        Live journals emit the experiment record before the anomaly is
+        extracted, so the triggering event's position rides on the
+        anomaly record instead (a later index wins a shared position)."""
+        retags = {}
+        for index, position, _ in self._by_index():
+            if position is not None and 0 <= position < self.experiments:
+                retags[position] = index
+        return retags
+
+    def report(self) -> SearchReport:
+        """The run as a SearchReport (``events`` empty unless kept)."""
+        events = self.events
+        if events is None:
+            events = []
+        else:
+            for position, index in self._retags().items():
+                events[position] = dataclasses.replace(
+                    events[position], new_anomaly_index=index
+                )
+        if self.end is not None:
+            experiments, skipped, elapsed, ranking = self.end
+        else:
+            experiments, skipped = self.experiments, self.skips
+            elapsed, ranking = self.latest, self.ranking or []
+        return SearchReport(
+            subsystem_name=self.subsystem,
+            counter_mode=self.counter_mode,
+            use_mfs=self.use_mfs,
+            anomalies=[mfs for _, _, mfs in self._by_index()],
+            events=events,
+            experiments=experiments,
+            skipped_points=skipped,
+            elapsed_seconds=elapsed,
+            counter_ranking=ranking,
+        )
+
+    def counter_rows(self) -> list[CounterRow]:
+        """The experiments that observed :attr:`counter`, in order, with
+        the re-tag applied."""
+        rows = self.rows
+        for position, index in self._retags().items():
+            if rows[position] is not None:
+                rows[position] = rows[position]._replace(
+                    new_anomaly_index=index
+                )
+        return [row for row in rows if row is not None]
+
+
+class RunReports(PerRun):
+    """One :class:`RunSummary` per run: the fold ``repro report`` prints
+    and :func:`~repro.obs.journal.reports_from_records` rebuilds
+    SearchReports from (``events=True``)."""
+
+    def __init__(
+        self, events: bool = False, latency: bool = False,
+        counter: Optional[str] = None,
+    ) -> None:
+        super().__init__()
+        self._options = (events, latency, counter)
+
+    def start_run(self, record: dict) -> RunSummary:
+        return RunSummary(record, *self._options)
+
+    def step_run(self, run: RunSummary, kind: str, record: dict) -> RunSummary:
+        run.step(kind, record)
+        return run
+
+    def reports(self) -> list[SearchReport]:
+        return [run.report() for run in self.runs()]
 
 
 class FirstAnomaly(Fold):

@@ -18,24 +18,20 @@ compare equal).
 
 from __future__ import annotations
 
-import dataclasses
 import gzip
 import json
 import os
 from typing import IO, Callable, Iterable, Optional, Union
 
-from repro.analysis.serialize import (
-    mfs_from_dict,
-    mfs_to_dict,
-    workload_from_dict,
-    workload_to_dict,
-)
+from repro.analysis.serialize import mfs_to_dict, workload_to_dict
 from repro.core.annealing import TraceEvent
 from repro.core.collie import SearchReport
 from repro.obs.folds import (
+    LATENCY_KEYS,
     MALFORMED_RECORD_ERRORS,
     PerRun,
     RecordCounts,
+    RunReports,
     malformed_record,
     run_folds,
 )
@@ -135,7 +131,9 @@ def read_journal_prefix(
 
 
 def scan_journal(
-    path: Union[str, os.PathLike], step: Callable[[dict], None]
+    path: Union[str, os.PathLike],
+    step: Callable[[dict], None],
+    malformed: Optional[Callable[[ValueError], None]] = None,
 ) -> tuple[int, Optional[str]]:
     """Stream a journal's valid prefix into ``step``, record by record.
 
@@ -146,7 +144,8 @@ def scan_journal(
     journal).  An undecodable line anywhere *before* the last is
     corruption, and raises ``ValueError``; so does a record ``step``
     cannot read (one of :data:`~repro.obs.folds.MALFORMED_RECORD_ERRORS`),
-    naming its file, line and type.
+    naming its file, line and type — or, when ``malformed`` is given,
+    that ``ValueError`` goes to ``malformed`` and the scan goes on.
     """
     count = 0
     pending_error: Optional[str] = None
@@ -169,9 +168,13 @@ def scan_journal(
             try:
                 step(record)
             except MALFORMED_RECORD_ERRORS as error:
-                raise malformed_record(
+                failure = malformed_record(
                     f"{os.fspath(path)}: line {line_number}", record, error
-                ) from error
+                )
+                if malformed is None:
+                    raise failure from error
+                malformed(failure)
+                continue
             count += 1
     if pending_error is not None:
         return count, pending_error + " (truncated tail dropped)"
@@ -221,109 +224,15 @@ def anomaly_record(index: int, event_index: Optional[int], mfs) -> dict:
     }
 
 
-#: Keys of a TraceEvent latency summary, in record order.
-_LATENCY_KEYS = (
-    "p50_us", "p90_us", "p99_us", "mean_us", "baseline_us", "inflation",
-    "components", "tags",
-)
-
-
 def latency_record(event: TraceEvent) -> dict:
     """Latency twin of an experiment record (requires ``event.latency``)."""
     record = {"t": "latency", "time_seconds": event.time_seconds}
-    for key in _LATENCY_KEYS:
+    for key in LATENCY_KEYS:
         record[key] = event.latency[key]
     return record
 
 
 # -- reconstruction (the read side) ------------------------------------------
-
-
-def _event_from_record(record: dict) -> TraceEvent:
-    return TraceEvent(
-        time_seconds=record["time_seconds"],
-        counter=record["counter"],
-        counter_value=record["counter_value"],
-        symptom=record["symptom"],
-        tags=tuple(record["tags"]),
-        workload=workload_from_dict(record["workload"]),
-        kind=record["kind"],
-        new_anomaly_index=record.get("new_anomaly_index"),
-        counters=dict(record["counters"]),
-        interference=record.get("interference"),
-    )
-
-
-def _report_from_run(records: list[dict]) -> SearchReport:
-    """Re-render one run's records into a SearchReport.
-
-    ``run_end`` totals are authoritative when present; a crashed run
-    (no ``run_end``) reconstructs from the per-event records alone —
-    experiments and events are 1:1 by construction, skips have their
-    own records, and elapsed time is the last event's finish time.
-    """
-    start = records[0] if records and records[0].get("t") == "run_start" else {}
-    events: list[TraceEvent] = []
-    anomalies: list = []
-    ranking: Optional[list] = None
-    skips = 0
-    end: Optional[dict] = None
-    for record in records:
-        kind = record.get("t")
-        if kind == "experiment":
-            events.append(_event_from_record(record))
-        elif kind == "latency" and events:
-            # Re-attach to its experiment: the writer emits the latency
-            # record immediately after the experiment it describes.
-            summary = {
-                key: (
-                    dict(record[key]) if key == "components"
-                    else list(record[key]) if key == "tags"
-                    else record[key]
-                )
-                for key in _LATENCY_KEYS
-            }
-            events[-1] = dataclasses.replace(events[-1], latency=summary)
-        elif kind == "anomaly":
-            anomalies.append((record["index"], record))
-        elif kind == "skip":
-            skips += 1
-        elif kind == "ranking":
-            ranking = list(record["counters"])
-        elif kind == "run_end":
-            end = record
-    anomalies.sort(key=lambda pair: pair[0])
-    anomaly_set = [mfs_from_dict(record["mfs"]) for _, record in anomalies]
-    # Replay the retroactive re-tag: live journals emit the experiment
-    # record before the anomaly is extracted, so the triggering event's
-    # index rides on the anomaly record instead.
-    for index, record in anomalies:
-        event_index = record.get("event_index")
-        if event_index is not None and 0 <= event_index < len(events):
-            events[event_index] = dataclasses.replace(
-                events[event_index], new_anomaly_index=index
-            )
-    if end is not None:
-        experiments = end["experiments"]
-        skipped = end["skipped"]
-        elapsed = end["elapsed_seconds"]
-        counter_ranking = list(end["counter_ranking"])
-    else:
-        experiments = len(events)
-        skipped = skips
-        elapsed = max((e.time_seconds for e in events), default=0.0)
-        counter_ranking = ranking or []
-    return SearchReport(
-        subsystem_name=start.get("subsystem", "?"),
-        counter_mode=start.get("counter_mode", "diag"),
-        use_mfs=start.get("use_mfs", True),
-        anomalies=anomaly_set,
-        events=events,
-        experiments=experiments,
-        skipped_points=skipped,
-        elapsed_seconds=elapsed,
-        counter_ranking=counter_ranking,
-    )
 
 
 class _RunGroups(PerRun):
@@ -355,14 +264,22 @@ def run_records(records: Iterable[dict]) -> list[list[dict]]:
 
 
 def reports_from_records(records: Iterable[dict]) -> list[SearchReport]:
-    """Every run in a journal, re-rendered as SearchReports."""
-    return [_report_from_run(run) for run in run_records(records)]
+    """Every run in a journal, re-rendered as SearchReports (the
+    :class:`~repro.obs.folds.RunReports` fold, keeping the events)."""
+    (runs,) = run_folds(records, RunReports(events=True))
+    return runs.reports()
 
 
 def reports_from_journal(
     path: Union[str, os.PathLike]
 ) -> list[SearchReport]:
-    return reports_from_records(read_journal(path))
+    """:func:`reports_from_records` streamed from a journal file (a
+    truncated tail raises ``ValueError``, as :func:`read_journal`)."""
+    runs = RunReports(events=True)
+    _, tail_error = scan_journal(path, runs.step)
+    if tail_error is not None:
+        raise ValueError(tail_error)
+    return runs.reports()
 
 
 def journal_summary(records: Iterable[dict]) -> dict:

@@ -27,6 +27,7 @@ from repro.obs import (
     read_journal,
     render_latency_panel,
 )
+from repro.obs.coverage import point_key
 from repro.obs.folds import Latency, run_folds
 from repro.obs.schema import validate_record
 
@@ -309,6 +310,41 @@ class TestLabelMemoOracle:
         assert tracker.unique_points == len(reference.points)
         assert tracker.summary() == reference.summary()
         assert repr(tracker.touched_fraction()) == repr(reference.fraction())
+
+
+class TestPointKey:
+    """``unique_points`` counts one short key per distinct point."""
+
+    BASE = WorkloadDescriptor()
+
+    @pytest.mark.parametrize("changes", [
+        {"duty_cycle": 1}, {"mtu": 1024.0}, {"msg_sizes_bytes": (65536.0,)},
+        {"num_qps": 8.0, "duty_cycle": 1.0},
+    ])
+    def test_equal_descriptors_share_a_key(self, changes):
+        other = dataclasses.replace(self.BASE, **changes)
+        assert other == self.BASE
+        assert point_key(other) == point_key(self.BASE)
+
+    @pytest.mark.parametrize("changes", [
+        {"duty_cycle": 0.5}, {"src_device": "numa1"}, {"num_qps": 9},
+        {"msg_sizes_bytes": (65536, 65536)}, {"qp_type": QPType.UC},
+        {"sg_layout": SGLayout.MIXED}, {"mr_bytes": 65537.5},
+    ])
+    def test_different_descriptors_differ(self, changes):
+        other = dataclasses.replace(self.BASE, **changes)
+        assert other != self.BASE
+        assert point_key(other) != point_key(self.BASE)
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_keys_equal_exactly_when_descriptors_are(self, data):
+        point = SearchSpace().random(np.random.default_rng(0))
+        first = data.draw(off_ladder(point))
+        second = data.draw(st.sampled_from((first, point))) if data.draw(
+            st.booleans()
+        ) else data.draw(off_ladder(first))
+        assert (point_key(first) == point_key(second)) == (first == second)
 
 
 class TestJournalRoundTrip:

@@ -48,6 +48,44 @@ class TestClosedStdout:
         assert stderr == b""
 
 
+class TestStartupImports:
+    def test_a_search_imports_only_what_it_runs(self):
+        """The packages resolve public names on first use, so a search
+        never loads the exporter, the executor, the aggregator or the
+        sensitivity analysis."""
+        tests = Path(__file__).resolve().parent
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, (str(tests.parent / "src"), env.get("PYTHONPATH")))
+        )
+        unused = ("http.server", "multiprocessing", "repro.obs.aggregate",
+                  "repro.analysis.sensitivity")
+        script = (
+            "import sys\n"
+            "from repro.cli import main\n"
+            "assert main(['search', 'H', '--hours', '0.01']) == 0\n"
+            f"print([name for name in {unused!r} if name in sys.modules])\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True,
+            env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "[]"
+
+    @pytest.mark.parametrize("package", ("repro.obs", "repro.core",
+                                         "repro.analysis"))
+    def test_every_public_name_resolves(self, package):
+        import importlib
+
+        module = importlib.import_module(package)
+        namespace: dict = {}
+        exec(f"from {package} import *", namespace)
+        assert set(module.__all__) <= set(namespace)
+        with pytest.raises(AttributeError, match="no attribute 'missing'"):
+            module.missing
+
+
 class TestNumericFlags:
     @pytest.mark.parametrize(
         "argv,message",
@@ -149,6 +187,11 @@ MALFORMED_JOURNALS = {
         t="transition", time_seconds=20.0, action="accept", delta=0.0,
         mutated=["mtu"],
     ),
+    # Schema-valid: only the workload's enum value is unknown.
+    "experiment-with-unknown-qp-type": _record(**_RUN_START) + _record(**{
+        **_EXPERIMENT,
+        "workload": {**_EXPERIMENT["workload"], "qp_type": "XX"},
+    }),
 }
 
 
@@ -157,23 +200,39 @@ class TestMalformedRecords:
     reader with one message naming the line, never a traceback."""
 
     #: ``(journal, command) -> (exit code, line the message names)``;
-    #: ``None``: the command does not read the malformed field.
+    #: ``None``: the command does not read the malformed field, or
+    #: (``report``) rejects the journal at schema validation.
     EXPECTED = {
         ("run_start-without-subsystem", "diff"): (2, 1),
         ("run_start-without-subsystem", "coverage"): (2, 1),
-        ("run_start-without-subsystem", "top"): (0, 1),
+        ("run_start-without-subsystem", "top"): (2, 1),
         ("run_start-without-subsystem", "stats"): (1, None),
+        ("run_start-without-subsystem", "report"): (2, None),
+        ("run_start-without-subsystem", "report-json"): (2, None),
         ("experiment-without-counters", "diff"): (2, 2),
         ("experiment-without-counters", "coverage"): (2, 2),
-        ("experiment-without-counters", "top"): (0, 2),
+        ("experiment-without-counters", "top"): (2, 2),
         ("experiment-without-counters", "stats"): (1, 2),
+        ("experiment-without-counters", "report"): (2, None),
+        ("experiment-without-counters", "report-json"): (2, None),
         ("transition-without-temperature", "diff"): (2, 2),
         ("transition-without-temperature", "coverage"): (0, None),
-        ("transition-without-temperature", "top"): (0, 2),
+        ("transition-without-temperature", "top"): (2, 2),
         ("transition-without-temperature", "stats"): (1, None),
+        ("transition-without-temperature", "report"): (2, None),
+        ("transition-without-temperature", "report-json"): (2, None),
+        ("experiment-with-unknown-qp-type", "diff"): (2, 2),
+        ("experiment-with-unknown-qp-type", "coverage"): (2, 2),
+        ("experiment-with-unknown-qp-type", "top"): (2, 2),
+        ("experiment-with-unknown-qp-type", "stats"): (1, None),
+        ("experiment-with-unknown-qp-type", "report"): (2, 2),
+        ("experiment-with-unknown-qp-type", "report-json"): (2, 2),
     }
 
-    @pytest.mark.parametrize("command", ("diff", "coverage", "top", "stats"))
+    @pytest.mark.parametrize(
+        "command",
+        ("diff", "coverage", "top", "stats", "report", "report-json"),
+    )
     @pytest.mark.parametrize("journal", sorted(MALFORMED_JOURNALS))
     def test_one_message_not_a_traceback(
         self, journal, command, tmp_path, capsys
@@ -185,6 +244,8 @@ class TestMalformedRecords:
             "coverage": ["coverage", str(path)],
             "top": ["top", "--once", str(path)],
             "stats": ["stats", str(path)],
+            "report": ["report", str(path)],
+            "report-json": ["report", "--json", str(path)],
         }[command]
         code, line = self.EXPECTED[journal, command]
         assert main(argv) == code
@@ -194,6 +255,23 @@ class TestMalformedRecords:
         if line is not None:
             assert f"{path}: line {line}: malformed" in output
             assert "cannot read cache store" not in output
+        elif command.startswith("report"):
+            assert f"journal {path} failed schema validation" in output
+        if command.startswith("report") and code:
+            assert captured.out == ""  # nothing rendered before the error
+
+    def test_schema_errors_outrank_a_record_the_folds_cannot_read(
+        self, tmp_path, capsys
+    ):
+        path = tmp_path / "both.jsonl"
+        path.write_text(
+            MALFORMED_JOURNALS["experiment-with-unknown-qp-type"]
+            + MALFORMED_JOURNALS["transition-without-temperature"]
+        )
+        assert main(["report", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "line 4: transition: missing field 'temperature'" in err
+        assert "malformed" not in err
 
 
 class TestReplay:
@@ -916,6 +994,16 @@ class TestTop:
         assert "repro top — live campaign telemetry" in out
         assert "experiments" in out
         assert "\x1b" not in out  # --once frames carry no escapes
+
+    def test_top_once_exit_code_tells_a_broken_journal(
+        self, journal, tmp_path, capsys
+    ):
+        assert main(["top", "--once", str(tmp_path / "later.jsonl")]) == 0
+        corrupt = tmp_path / "corrupt.jsonl"
+        lines = journal.read_text().splitlines(keepends=True)
+        corrupt.write_text(lines[0] + "{not json\n" + "".join(lines[1:]))
+        assert main(["top", "--once", str(journal), str(corrupt)]) == 2
+        assert f"! {corrupt}: corrupt journal line" in capsys.readouterr().out
 
     def test_top_once_with_baseline_shows_drift(self, journal, capsys):
         assert main(["top", str(journal), "--once",
