@@ -32,6 +32,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import inspect
+import os
 from typing import Callable, Optional, Sequence, Union
 
 from repro.analysis.figures import TimeToFindSeries, time_to_find_series
@@ -147,7 +148,7 @@ def _run_seed(payload: dict) -> dict:
 
 
 def completed_runs_from_journal(
-    records: "Sequence[dict]",
+    path: Union[str, os.PathLike],
 ) -> dict[int, SearchReport]:
     """Seed → finished report, for every *complete* run in a journal.
 
@@ -157,25 +158,23 @@ def completed_runs_from_journal(
     dropped, so resume re-runs that seed from scratch and the final
     report stays bit-identical to an uninterrupted campaign.
 
-    Run grouping goes through :func:`~repro.obs.journal.run_records`,
-    which demultiplexes chain-stamped population journals before
-    splitting on ``run_start`` — so resuming from a ``--chains``
-    campaign journal sees each chain's run intact instead of N
-    interleaved fragments.  Unstamped journals group exactly as before.
+    The journal's valid prefix (a torn final line is dropped) streams
+    through one :class:`~repro.obs.folds.RunReports` fold, which
+    demultiplexes chain-stamped population journals before splitting
+    on ``run_start`` — so resuming from a ``--chains`` campaign journal
+    sees each chain's run intact instead of N interleaved fragments —
+    and keeps each run's events, not its records.
     """
-    from repro.obs.journal import reports_from_records, run_records
+    from repro.obs.folds import RunReports
+    from repro.obs.journal import scan_journal
 
-    runs = run_records(records)
-    completed: dict[int, SearchReport] = {}
-    for run in runs:
-        seed = run[0].get("seed")
-        if seed is None:
-            continue
-        if not any(record.get("t") == "run_end" for record in run):
-            continue
-        (report,) = reports_from_records(run)
-        completed[int(seed)] = report
-    return completed
+    runs = RunReports(events=True)
+    scan_journal(path, runs.step)
+    return {
+        int(run.seed): run.report()
+        for run in runs.runs()
+        if run.seed is not None and run.end is not None
+    }
 
 
 @dataclasses.dataclass
@@ -263,10 +262,7 @@ def run_campaign(
         if isinstance(resume_from, dict):
             completed = dict(resume_from)
         else:
-            from repro.obs.journal import read_journal_prefix
-
-            records, _tail = read_journal_prefix(resume_from)
-            completed = completed_runs_from_journal(records)
+            completed = completed_runs_from_journal(resume_from)
         completed = {
             seed: report for seed, report in completed.items()
             if seed in set(seeds)

@@ -525,7 +525,11 @@ def _cmd_parallel(args: argparse.Namespace) -> int:
 
 
 def _cmd_campaign(args: argparse.Namespace) -> int:
-    from repro.analysis.campaign import APPROACHES, run_campaign
+    from repro.analysis.campaign import (
+        APPROACHES,
+        completed_runs_from_journal,
+        run_campaign,
+    )
 
     if args.approach not in APPROACHES:
         logger.error(
@@ -533,11 +537,14 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
             f"{', '.join(sorted(APPROACHES))}"
         )
         return 2
+    completed = None
     if args.resume:
-        from repro.obs.journal import read_journal_prefix
+        from repro.obs.journal import scan_journal
 
         try:
-            _, tail_error = read_journal_prefix(args.resume)
+            # One streamed pass for the tail, one fold over the runs.
+            _, tail_error = scan_journal(args.resume, lambda record: None)
+            completed = completed_runs_from_journal(args.resume)
         except OSError as error:
             logger.error(f"cannot read resume journal {args.resume}: {error}")
             return 2
@@ -558,7 +565,7 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         recorder=recorder,
         latency=not args.no_latency,
         retry=_retry_policy(args),
-        resume_from=args.resume,
+        resume_from=completed,
     )
     if result.resumed_seeds:
         logger.info(

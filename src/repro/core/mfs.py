@@ -153,13 +153,17 @@ class MinimalFeatureSet:
 
 
 def _dimension_values(workload: WorkloadDescriptor) -> dict:
-    """Dimension-name → value view of a workload, as MFS conditions see it."""
+    """Dimension-name → value view of a workload, as MFS conditions see it.
+
+    Enum values are read from ``_value_``, the member attribute the
+    ``value`` property returns, without the property's Python frame.
+    """
     return {
-        "qp_type": workload.qp_type.value,
-        "opcode": workload.opcode.value,
-        "direction": workload.direction.value,
-        "colocation": workload.colocation.value,
-        "sg_layout": workload.sg_layout.value,
+        "qp_type": workload.qp_type._value_,
+        "opcode": workload.opcode._value_,
+        "direction": workload.direction._value_,
+        "colocation": workload.colocation._value_,
+        "sg_layout": workload.sg_layout._value_,
         "src_device": workload.src_device,
         "dst_device": workload.dst_device,
         "mtu": workload.mtu,

@@ -80,6 +80,13 @@ DIMENSION_GROUPS = {
     "message_pattern": ("avg_msg", "sg_layout", "duty_cycle"),
 }
 
+#: What one mutation draws from: every mutable dimension.
+_MUTABLE_DIMENSIONS = (
+    *ORDERED_DIMENSIONS, *CATEGORICAL_DIMENSIONS, PATTERN_DIMENSION,
+)
+#: A local ordered-dimension move, in ladder rungs.
+_LADDER_STEPS = (-2, -1, 1, 2)
+
 _ORDERED_CHOICES = {
     "mtu": MTU_CHOICES,
     "num_qps": QPS_CHOICES,
@@ -241,26 +248,35 @@ class SearchSpace:
     # -- sampling -----------------------------------------------------------
 
     def random(self, rng: np.random.Generator) -> WorkloadDescriptor:
-        """Uniform random point, coerced to verbs legality."""
-        choice = rng.choice
+        """Uniform random point, coerced to verbs legality.
+
+        Each dimension's value is its choices indexed by
+        ``rng.integers(len(choices))``: the draw ``rng.choice`` makes
+        (same bits, same value), without its per-call array handling.
+        """
+        draw = rng.integers
+
+        def pick(choices):
+            return choices[draw(len(choices))]
+
         raw = {
-            "qp_type": self.qp_types[choice(len(self.qp_types))],
-            "opcode": self.opcodes[choice(len(self.opcodes))],
-            "direction": self.directions[choice(len(self.directions))],
-            "colocation": self.colocations[choice(len(self.colocations))],
-            "sg_layout": self.sg_layouts[choice(len(self.sg_layouts))],
-            "src_device": self.memory_devices[choice(len(self.memory_devices))],
-            "dst_device": self.memory_devices[choice(len(self.memory_devices))],
-            "mtu": int(choice(self.mtus)),
-            "num_qps": int(choice(self.qps_choices)),
-            "wqe_batch": int(choice(self.batch_choices)),
-            "sge_per_wqe": int(choice(self.sge_choices)),
-            "wq_depth": int(choice(self.wq_depth_choices)),
-            "mrs_per_qp": int(choice(self.mrs_per_qp_choices)),
-            "mr_bytes": int(choice(self.mr_bytes_choices)),
-            "duty_cycle": float(choice(self.duty_cycles)),
+            "qp_type": pick(self.qp_types),
+            "opcode": pick(self.opcodes),
+            "direction": pick(self.directions),
+            "colocation": pick(self.colocations),
+            "sg_layout": pick(self.sg_layouts),
+            "src_device": pick(self.memory_devices),
+            "dst_device": pick(self.memory_devices),
+            "mtu": int(pick(self.mtus)),
+            "num_qps": int(pick(self.qps_choices)),
+            "wqe_batch": int(pick(self.batch_choices)),
+            "sge_per_wqe": int(pick(self.sge_choices)),
+            "wq_depth": int(pick(self.wq_depth_choices)),
+            "mrs_per_qp": int(pick(self.mrs_per_qp_choices)),
+            "mr_bytes": int(pick(self.mr_bytes_choices)),
+            "duty_cycle": float(pick(self.duty_cycles)),
             "msg_sizes_bytes": tuple(
-                int(choice(self.msg_size_choices))
+                int(pick(self.msg_size_choices))
                 for _ in range(self.pattern_length)
             ),
         }
@@ -286,16 +302,12 @@ class SearchSpace:
         return self.coerce(raw)
 
     def _mutate_raw(self, raw: dict, rng: np.random.Generator) -> None:
-        dims = (
-            list(ORDERED_DIMENSIONS)
-            + list(CATEGORICAL_DIMENSIONS)
-            + [PATTERN_DIMENSION]
-        )
-        dimension = dims[rng.choice(len(dims))]
+        # Indices come from rng.integers(n), the draw rng.choice makes.
+        dimension = _MUTABLE_DIMENSIONS[rng.integers(len(_MUTABLE_DIMENSIONS))]
         if dimension == PATTERN_DIMENSION:
             pattern = list(raw["msg_sizes_bytes"])
             size = int(
-                self.msg_size_choices[rng.choice(len(self.msg_size_choices))]
+                self.msg_size_choices[rng.integers(len(self.msg_size_choices))]
             )
             if rng.random() < 0.25:
                 # Macro-move: a uniform pattern of one size.  Uniform
@@ -310,9 +322,9 @@ class SearchSpace:
             ladder = self.ordered_choices(dimension)
             index = self._nearest_index(ladder, raw[dimension])
             if rng.random() < 0.25:
-                raw[dimension] = ladder[rng.choice(len(ladder))]
+                raw[dimension] = ladder[rng.integers(len(ladder))]
             else:
-                step = int(rng.choice((-2, -1, 1, 2)))
+                step = _LADDER_STEPS[rng.integers(len(_LADDER_STEPS))]
                 raw[dimension] = ladder[
                     max(0, min(len(ladder) - 1, index + step))
                 ]
@@ -322,7 +334,7 @@ class SearchSpace:
                 if v != raw[dimension]
             ]
             if options:
-                raw[dimension] = options[rng.choice(len(options))]
+                raw[dimension] = options[rng.integers(len(options))]
 
     def with_value(
         self, workload: WorkloadDescriptor, dimension: str, value

@@ -41,7 +41,7 @@ import numpy as np
 
 from repro.hardware.caches import steady_state_miss_rate
 from repro.hardware.counters import CounterSample
-from repro.hardware.features import extract_features
+from repro.hardware.features import _pattern, extract_features
 from repro.hardware.model import (
     DirectionRates,
     Measurement,
@@ -274,10 +274,14 @@ def corun_solve(
     from repro.core.evalcache import CachedSolve
 
     subsystem = model.subsystem
-    own = extract_features(primary, subsystem)
+    # Joint occupancy moves numeric features only, so the primary's
+    # category row (its gate included) holds under the neighbor too.
+    category, rules = model._category(primary)
+    pattern = _pattern(primary.msg_sizes_bytes, primary.mtu)
+    own = extract_features(primary, subsystem, pattern, category)
     features = joint_occupancy_features(primary, neighbor, subsystem, own=own)
-    fired = tuple(fired_rules(subsystem.rnic.rules, features))
-    directions = model._solve_directions(primary, fired)
+    fired = tuple(fired_rules(rules, features))
+    directions = model._solve_directions(primary, fired, pattern, category)
     tx_factor, rx_factor = contention_factors(primary, own, features)
     directions = tuple(
         contend_direction(d, tx_factor, rx_factor) for d in directions

@@ -11,7 +11,7 @@ this vector.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 
@@ -33,39 +33,64 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 
 def extract_features(
-    workload: WorkloadDescriptor, subsystem: "Subsystem"
+    workload: WorkloadDescriptor,
+    subsystem: "Subsystem",
+    pattern: Optional[tuple] = None,
+    category: Optional[tuple] = None,
 ) -> dict:
-    """Compute the feature vector of a workload on a subsystem."""
+    """Compute the feature vector of a workload on a subsystem.
+
+    ``pattern`` is the workload's :func:`_pattern` pass and ``category``
+    its combination's :func:`category_features`; the scalar solve
+    passes the ones it already holds (the category from its
+    :class:`~repro.hardware.model.BatchPlan` row), and either is derived
+    here when left out.
+    """
+    if pattern is None:
+        pattern = _pattern(workload.msg_sizes_bytes, workload.mtu)
+    if category is None:
+        category = category_features(
+            subsystem.topology, category_key(workload)
+        )
+    (qp_type, opcode, sg_layout, src, dst), flags = category
+    (
+        bidi, crosses_socket, via_root_complex, sink_via_root_complex,
+        uses_gpu_memory, loopback, mixed_sg_layout, uses_recv,
+    ) = flags[:8]
     rnic = subsystem.rnic
     rxq = rnic.rx_wqe_cache
-    src_path = subsystem.topology.dma_path(workload.src_device)
-    dst_path = subsystem.topology.dma_path(workload.dst_device)
+    num_qps = workload.num_qps
+    wqe_batch = workload.wqe_batch
+    wq_depth = workload.wq_depth
+    sge = workload.sge_per_wqe
+    total_mrs = workload.total_mrs
 
     # Receive-WQE cache paths only exist for 2-sided traffic.
-    if workload.uses_recv_wqes:
-        rxq_capacity_miss = rxq.capacity_miss(workload.total_outstanding_recv_wqes)
-        rxq_burst_miss = rxq.burst_miss(workload.wq_depth, workload.wqe_batch)
+    if uses_recv:
+        rxq_capacity_miss = rxq.capacity_miss(
+            workload.total_outstanding_recv_wqes
+        )
+        rxq_burst_miss = rxq.burst_miss(wq_depth, wqe_batch)
     else:
         rxq_capacity_miss = 0.0
         rxq_burst_miss = 0.0
 
-    pattern = _pattern(workload.msg_sizes_bytes, workload.mtu)
     avg_msg, min_msg, max_msg, pkts_per_msg, small, large, mixes, _ = pattern
-    qps_working_set = workload.num_qps * (2 if workload.is_bidirectional else 1)
+    qps_working_set = num_qps * (2 if bidi else 1)
     qpc_miss = steady_state_miss_rate(qps_working_set, rnic.qpc_cache_entries)
-    mtt_miss = steady_state_miss_rate(workload.total_mrs, rnic.mtt_cache_entries)
+    mtt_miss = steady_state_miss_rate(total_mrs, rnic.mtt_cache_entries)
 
     features: dict = {
         # raw transport dimensions
-        "qp_type": workload.qp_type.value,
-        "opcode": workload.opcode.value,
-        "bidirectional": 1.0 if workload.is_bidirectional else 0.0,
+        "qp_type": qp_type,
+        "opcode": opcode,
+        "bidirectional": 1.0 if bidi else 0.0,
         "mtu": float(workload.mtu),
-        "num_qps": float(workload.num_qps),
+        "num_qps": float(num_qps),
         "total_qps": float(qps_working_set),
-        "wqe_batch": float(workload.wqe_batch),
-        "sge_per_wqe": float(workload.sge_per_wqe),
-        "wq_depth": float(workload.wq_depth),
+        "wqe_batch": float(wqe_batch),
+        "sge_per_wqe": float(sge),
+        "wq_depth": float(wq_depth),
         # message pattern
         "avg_msg": avg_msg,
         "min_msg": float(min_msg),
@@ -74,11 +99,14 @@ def extract_features(
         "small_frac": small,
         "large_frac": large,
         "mixes_small_and_large": 1.0 if mixes else 0.0,
-        "sg_entry_mix": 1.0 if workload.sg_entry_mix else 0.0,
-        "sg_layout": workload.sg_layout.value,
+        # WorkloadDescriptor.sg_entry_mix
+        "sg_entry_mix": 1.0
+        if mixed_sg_layout and sge >= 2 and max_msg >= LARGE_MESSAGE_BYTES
+        else 0.0,
+        "sg_layout": sg_layout,
         # memory allocation
         "mrs_per_qp": float(workload.mrs_per_qp),
-        "total_mrs": float(workload.total_mrs),
+        "total_mrs": float(total_mrs),
         "mr_bytes": float(workload.mr_bytes),
         # derived cache metrics
         "rxq_capacity_miss": rxq_capacity_miss,
@@ -86,42 +114,24 @@ def extract_features(
         "qpc_miss": qpc_miss,
         "mtt_miss": mtt_miss,
         # load-shape aggregates used by the packet-processing quirks
-        "short_req_outstanding": (
-            workload.num_qps * workload.wqe_batch * small
-        ),
+        "short_req_outstanding": num_qps * wqe_batch * small,
         "wqe_outstanding_bytes": float(
-            workload.num_qps * workload.wqe_batch * workload.wqe_bytes
+            num_qps * wqe_batch * workload.wqe_bytes
         ),
-        # host topology and platform flags
-        "src_device": workload.src_device,
-        "dst_device": workload.dst_device,
-        "crosses_socket": 1.0
-        if (src_path.crosses_socket or dst_path.crosses_socket)
-        else 0.0,
-        "via_root_complex": 1.0
-        if (src_path.via_root_complex or dst_path.via_root_complex)
-        else 0.0,
-        # The data *sink* sits behind a root-complex detour: the forward
-        # direction's destination always counts; with bidirectional
-        # traffic the source memory is the reverse direction's sink.
-        "sink_via_root_complex": 1.0
-        if (
-            dst_path.via_root_complex
-            or (workload.is_bidirectional and src_path.via_root_complex)
-        )
-        else 0.0,
-        "uses_gpu_memory": 1.0
-        if (src_path.device.kind == "gpu" or dst_path.device.kind == "gpu")
-        else 0.0,
-        "loopback": 1.0 if workload.has_loopback else 0.0,
+        # host topology and platform flags (see category_features)
+        "src_device": src,
+        "dst_device": dst,
+        "crosses_socket": 1.0 if crosses_socket else 0.0,
+        "via_root_complex": 1.0 if via_root_complex else 0.0,
+        "sink_via_root_complex": 1.0 if sink_via_root_complex else 0.0,
+        "uses_gpu_memory": 1.0 if uses_gpu_memory else 0.0,
+        "loopback": 1.0 if loopback else 0.0,
         "duty_cycle": workload.duty_cycle,
         "strict_ordering": 0.0 if subsystem.pcie.relaxed_ordering else 1.0,
         "weak_cross_socket": 1.0 if subsystem.weak_cross_socket else 0.0,
         "loopback_unlimited": 0.0 if rnic.loopback_rate_limited else 1.0,
     }
     return features
-
-
 
 
 # -- batched extraction: one feature matrix per batch ------------------------
@@ -161,19 +171,30 @@ CATEGORY_FEATURES = (
 )
 
 
+def category_key(workload: WorkloadDescriptor) -> tuple:
+    """A workload's categorical combination: ``(qp_type, opcode,
+    direction, colocation, sg_layout, src_device, dst_device)``, the
+    key of its :class:`~repro.hardware.model.BatchPlan` row."""
+    return (
+        workload.qp_type, workload.opcode, workload.direction,
+        workload.colocation, workload.sg_layout, workload.src_device,
+        workload.dst_device,
+    )
+
+
 def category_features(topology, key: tuple) -> tuple[tuple, tuple]:
     """One categorical combination's feature values, computed once.
 
-    ``key`` is ``(qp_type, opcode, direction, colocation, sg_layout,
-    src_device, dst_device)``.  Returns its ``CATEGORICAL_FEATURES``
-    values and its ``CATEGORY_FEATURES`` columns, as
-    :func:`extract_features` derives them.
+    ``key`` is a :func:`category_key`.  Returns its
+    ``CATEGORICAL_FEATURES`` values and its ``CATEGORY_FEATURES``
+    columns: the values :func:`extract_features` reads, and the columns
+    the batched kernel's category table starts with.
     """
     qp_type, opcode, direction, colocation, sg_layout, src, dst = key
     source = topology.dma_path(src)
     sink = topology.dma_path(dst)
     bidi = direction is Direction.BIDIRECTIONAL
-    return (qp_type.value, opcode.value, sg_layout.value, src, dst), (
+    return (qp_type._value_, opcode._value_, sg_layout._value_, src, dst), (
         bidi,
         source.crosses_socket or sink.crosses_socket,
         source.via_root_complex or sink.via_root_complex,
@@ -197,9 +218,10 @@ def _pattern(sizes: tuple, mtu: int) -> tuple:
     :class:`WorkloadDescriptor` pattern properties
     (``packets_per_message`` and friends), each divided by the count once,
     so every float is the property's.  The single definition both
-    evaluation paths use: :func:`extract_features` and the scalar solve
-    call it once per point, :func:`extract_feature_columns` once per
-    distinct pattern of a batch.  Sizes are positive, so
+    evaluation paths use: the scalar solve calls it once per point and
+    hands the result to :func:`extract_features` and its direction
+    pricing, :func:`extract_feature_columns` once per distinct pattern
+    of a batch.  Sizes are positive, so
     ``-(-size // mtu)`` is ``max(1, math.ceil(size / mtu))``.
     """
     count = len(sizes)
@@ -238,10 +260,7 @@ def extract_feature_columns(
     rows = []
     fields = []
     for w in workloads:
-        key = (
-            w.qp_type, w.opcode, w.direction, w.colocation, w.sg_layout,
-            w.src_device, w.dst_device,
-        )
+        key = category_key(w)
         row = index.get(key)
         if row is None:
             row = plan.add_category(key)

@@ -36,6 +36,7 @@ from repro.hardware.features import (
     FEATURE_ROWS,
     _pattern,
     category_features,
+    category_key,
     extract_feature_columns,
     extract_features,
     feature_dict,
@@ -579,10 +580,11 @@ class SteadyStateModel:
             if cached is not None:
                 return cached
         started = time.perf_counter()
-        self._validate(workload)
-        features = extract_features(workload, self.subsystem)
-        fired = tuple(fired_rules(self.subsystem.rnic.rules, features))
-        directions = self._solve_directions(workload, fired)
+        category, rules = self._category(workload)
+        pattern = _pattern(workload.msg_sizes_bytes, workload.mtu)
+        features = extract_features(workload, self.subsystem, pattern, category)
+        fired = tuple(fired_rules(rules, features))
+        directions = self._solve_directions(workload, fired, pattern, category)
         ideal = self._ideal_counters(workload, features, fired, directions)
         solve = CachedSolve(
             directions=directions,
@@ -594,6 +596,20 @@ class SteadyStateModel:
             cache.store(self.subsystem, workload, solve)
             cache.charge("solve", time.perf_counter() - started)
         return solve
+
+    def _category(self, workload: WorkloadDescriptor) -> tuple:
+        """The workload's categorical combination, from its row of the
+        subsystem's :class:`BatchPlan`: its ``category_features`` values
+        and the rules its category gate passes, in table order.  The row
+        is added on the combination's first sight, after
+        :meth:`_validate` (a row exists only for known devices)."""
+        plan = batch_plan(self.subsystem)
+        key = category_key(workload)
+        row = plan.index.get(key)
+        if row is None:
+            self._validate(workload)
+            row = plan.add_category(key)
+        return plan.categories[row], plan.passing[row]
 
     # -- validation -----------------------------------------------------------
 
@@ -610,23 +626,30 @@ class SteadyStateModel:
     # -- per-direction solving ---------------------------------------------
 
     def _solve_directions(
-        self, workload: WorkloadDescriptor, fired: tuple[FiredRule, ...]
+        self,
+        workload: WorkloadDescriptor,
+        fired: tuple[FiredRule, ...],
+        pattern: tuple,
+        category: tuple,
     ) -> tuple[DirectionRates, ...]:
+        """Every direction's rates; ``pattern`` is the workload's
+        :func:`~repro.hardware.features._pattern` pass and ``category``
+        its combination's ``category_features`` (DMA-path bandwidths)."""
         tx_factor = math.prod(
             f.factor for f in fired if f.rule.side == "tx"
         )
         rx_factor = math.prod(
             f.factor for f in fired if f.rule.side == "rx"
         )
-        names_devices = [("fwd", workload.src_device, workload.dst_device)]
-        if workload.is_bidirectional:
-            names_devices.append(("rev", workload.dst_device, workload.src_device))
-        pattern = _pattern(workload.msg_sizes_bytes, workload.mtu)
-        return tuple(
-            self._solve_one(
-                workload, pattern, name, src, dst, tx_factor, rx_factor
-            )
-            for name, src, dst in names_devices
+        # src_bw, dst_bw: the reverse direction sends from the sink.
+        src_bw, dst_bw = category[1][8:10]
+        fwd = self._solve_one(
+            workload, pattern, "fwd", src_bw, dst_bw, tx_factor, rx_factor
+        )
+        if not workload.is_bidirectional:
+            return (fwd,)
+        return fwd, self._solve_one(
+            workload, pattern, "rev", dst_bw, src_bw, tx_factor, rx_factor
         )
 
     def _solve_one(
@@ -634,16 +657,15 @@ class SteadyStateModel:
         w: WorkloadDescriptor,
         pattern: tuple,
         name: str,
-        src_device: str,
-        dst_device: str,
+        src_bandwidth_gbps: float,
+        dst_bandwidth_gbps: float,
         tx_factor: float,
         rx_factor: float,
     ) -> DirectionRates:
-        """One direction's rates; ``pattern`` is the workload's
-        :func:`~repro.hardware.features._pattern` pass."""
+        """One direction's rates, sending from memory behind
+        ``src_bandwidth_gbps`` to memory behind ``dst_bandwidth_gbps``."""
         rnic = self.subsystem.rnic
         pcie = self.subsystem.pcie
-        topo = self.subsystem.topology
 
         payload, _, _, data_pkts, _, _, _, wire_per_msg = pattern
         pkt_events = self._packet_events_per_message(w, data_pkts, rnic.ack_coalesce)
@@ -688,10 +710,8 @@ class SteadyStateModel:
         pps_budget = rnic.max_pps / (2 if w.is_bidirectional else 1)
         pps_cap = pps_budget / pkt_events
 
-        src_path = topo.dma_path(src_device)
-        dst_path = topo.dma_path(dst_device)
-        tx_dma_cap = self._dma_cap(src_path.bandwidth_gbps, payload)
-        rx_dma_cap = self._dma_cap(dst_path.bandwidth_gbps, payload)
+        tx_dma_cap = self._dma_cap(src_bandwidth_gbps, payload)
+        rx_dma_cap = self._dma_cap(dst_bandwidth_gbps, payload)
 
         sender_pcie_cap = cap_down if w.opcode is Opcode.READ else min(
             cap_down, cap_up
@@ -925,12 +945,14 @@ class BatchPlan:
     with one row per categorical combination (transport, opcode,
     direction, colocation, SG layout, devices): its
     :data:`~repro.hardware.features.CATEGORY_FEATURES`, then the solve's
-    per-combination constants (:meth:`add_category`); its categorical
-    values are in ``names`` and its rule-gate outcome in ``gates``.  A
-    row is added on a combination's first sight, so the table is bounded
-    by the search space.  :func:`batch_plan` keeps one on each subsystem
-    object; a ``dataclasses.replace`` copy (a subsystem with a rule
-    fixed) compiles its own.
+    per-combination constants (:meth:`add_category`); its rule-gate
+    outcome is in ``gates``.  The scalar solve reads the same row as
+    Python values: its ``category_features`` in ``categories`` and the
+    rules its gate passes in ``passing``.  A row is added on a
+    combination's first sight, so the table is bounded by the search
+    space.  :func:`batch_plan` keeps one on each subsystem object; a
+    ``dataclasses.replace`` copy (a subsystem with a rule fixed)
+    compiles its own.
     """
 
     def __init__(self, subsystem: "Subsystem") -> None:
@@ -958,14 +980,17 @@ class BatchPlan:
         self.saturated = np.flatnonzero(capacity <= 0)
         #: Category key -> row of the category table.
         self.index: dict = {}
-        #: Per row: the ``CATEGORICAL_FEATURES`` values.
-        self.names: list = []
+        #: Per row: its ``category_features`` ``(names, flags)``.
+        self.categories: list = []
+        #: Per row: the rules whose category gate passes, table order.
+        self.passing: list = []
         self.table = np.empty((0, len(CATEGORY_FEATURES) + 9))
         self.gates = np.empty((0, len(rnic.rules)), dtype=bool)
 
     def add_category(self, key: tuple) -> int:
         """Compile the category-table row of one combination."""
-        names, flags = category_features(self.topology, key)
+        category = category_features(self.topology, key)
+        names, flags = category
         rc = key[0] is QPType.RC
         read = key[1] is Opcode.READ
         bidi = flags[0]
@@ -985,8 +1010,11 @@ class BatchPlan:
         )))
         gate = self.rules.category_gate(dict(zip(CATEGORICAL_FEATURES, names)))
         self.gates = np.vstack((self.gates, np.array([gate], dtype=bool)))
-        self.names.append(names)
-        self.index[key] = len(self.names) - 1
+        self.categories.append(category)
+        self.passing.append(tuple(
+            rule for rule, passes in zip(self.rules.rules, gate) if passes
+        ))
+        self.index[key] = len(self.categories) - 1
         return self.index[key]
 
 
@@ -1173,7 +1201,7 @@ def solve_batch(subsystem: "Subsystem", workloads: "list[WorkloadDescriptor]"):
     down_util = np.minimum(1.0, bytes_total / budget)
 
     # -- per-point solves: one tolist() per output matrix ---------------------
-    names = plan.names
+    categories = plan.categories
     two_sided = bidi.tolist()
     msgs = msgs_total.tolist()
     solves = []
@@ -1202,7 +1230,7 @@ def solve_batch(subsystem: "Subsystem", workloads: "list[WorkloadDescriptor]"):
                 if two else (DirectionRates("fwd", *fwd),)
             ),
             fired=tuple(fired[i]),
-            features=feature_dict(names[rows[i]], values),
+            features=feature_dict(categories[rows[i]][0], values),
             ideal_counters=ideal,
         ))
     return solves

@@ -11,6 +11,7 @@ whose absence triggers anomaly #9 on strict-ordering AMD root complexes.
 from __future__ import annotations
 
 import dataclasses
+import functools
 
 #: Per-generation raw signalling rate per lane in GT/s and encoding
 #: efficiency (gen1/2 use 8b/10b, gen3+ 128b/130b).
@@ -60,8 +61,10 @@ class PCIeLink:
         payload = self.max_payload_bytes
         return self.raw_gbps * payload / (payload + TLP_HEADER_BYTES)
 
-    @property
+    @functools.cached_property
     def effective_bytes_per_sec(self) -> float:
+        """:attr:`effective_gbps` in bytes per second, derived once per
+        link (every solve prices against it)."""
         return self.effective_gbps * 1e9 / 8
 
     @property

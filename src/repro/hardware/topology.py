@@ -10,7 +10,7 @@ ceiling, and flags describing which shared links it crosses.
 from __future__ import annotations
 
 import dataclasses
-from typing import Optional
+import functools
 
 
 @dataclasses.dataclass(frozen=True)
@@ -80,14 +80,32 @@ class HostTopology:
         return [dev.name for dev in self.memory_devices]
 
     def has_device(self, name: str) -> bool:
-        return any(dev.name == name for dev in self.memory_devices)
+        return name in self._dma_paths
 
     def has_gpu(self) -> bool:
         return any(dev.kind == "gpu" for dev in self.memory_devices)
 
     def dma_path(self, device_name: str) -> DMAPath:
-        """Resolve the DMA path from the RNIC to a memory device."""
-        dev = self.device(device_name)
+        """The DMA path from the RNIC to a memory device."""
+        paths = self._dma_paths
+        if device_name not in paths:
+            self.device(device_name)  # raises, naming the devices
+        return paths[device_name]
+
+    @functools.cached_property
+    def _dma_paths(self) -> dict:
+        """Device name -> :class:`DMAPath`, each resolved once per
+        topology (the first device of a repeated name, as
+        :meth:`device` finds it).  Kept in the instance ``__dict__``,
+        outside the dataclass fields, so ``repr``, ``==`` and a
+        ``dataclasses.replace`` copy never see it."""
+        paths: dict = {}
+        for dev in self.memory_devices:
+            if dev.name not in paths:
+                paths[dev.name] = self._resolve(dev)
+        return paths
+
+    def _resolve(self, dev: MemoryDevice) -> DMAPath:
         latency = self.local_dma_latency_ns
         bandwidth = float("inf")
         crosses_socket = dev.socket != self.rnic_socket

@@ -29,6 +29,9 @@ class Direction(enum.Enum):
     UNIDIRECTIONAL = "uni"
     BIDIRECTIONAL = "bi"
 
+    #: Identity hashing, as :class:`~repro.verbs.constants.QPType`.
+    __hash__ = object.__hash__
+
 
 class SGLayout(enum.Enum):
     """How a request's bytes are spread across its SG entries.
@@ -42,6 +45,9 @@ class SGLayout(enum.Enum):
     EVEN = "even"
     MIXED = "mixed"
 
+    #: Identity hashing, as :class:`~repro.verbs.constants.QPType`.
+    __hash__ = object.__hash__
+
 
 class Colocation(enum.Enum):
     """Whether client processes are co-located with the server host.
@@ -53,6 +59,9 @@ class Colocation(enum.Enum):
 
     REMOTE_ONLY = "remote"
     MIXED_LOOPBACK = "mixed_loopback"
+
+    #: Identity hashing, as :class:`~repro.verbs.constants.QPType`.
+    __hash__ = object.__hash__
 
 
 @dataclasses.dataclass(frozen=True)

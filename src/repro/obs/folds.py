@@ -282,6 +282,7 @@ class RunSummary:
         self, start: dict, events: bool, latency: bool,
         counter: Optional[str],
     ) -> None:
+        self.seed = start.get("seed")
         self.subsystem = start.get("subsystem", "?")
         self.counter_mode = start.get("counter_mode", "diag")
         self.use_mfs = start.get("use_mfs", True)

@@ -14,6 +14,11 @@ class QPType(enum.Enum):
     UC = "UC"  #: Unreliable Connection — unacked, supports SEND and WRITE.
     UD = "UD"  #: Unreliable Datagram — unacked, SEND/RECV only, 1 MTU max.
 
+    #: Members compare by identity, so identity hashing agrees with
+    #: ``==`` and skips ``Enum.__hash__``'s Python frame (workload
+    #: descriptors and category keys hash these on every evaluation).
+    __hash__ = object.__hash__
+
 
 class Opcode(enum.Enum):
     """Work-request opcode for the send queue."""
@@ -23,6 +28,9 @@ class Opcode(enum.Enum):
     READ = "READ"
     FETCH_ADD = "FETCH_ADD"  #: 8-byte atomic fetch-and-add (RC only).
     CMP_SWAP = "CMP_SWAP"  #: 8-byte atomic compare-and-swap (RC only).
+
+    #: Identity hashing, as :class:`QPType`.
+    __hash__ = object.__hash__
 
     @property
     def is_one_sided(self) -> bool:

@@ -8,6 +8,8 @@ boundary (plus a torn final line) and pins exactly that.
 """
 
 import json
+import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -16,6 +18,7 @@ from repro.analysis.campaign import (
     run_campaign,
 )
 from repro.analysis.serialize import report_to_dict
+from repro.cli import main
 from repro.core.evalcache import EvalCache
 from repro.obs import (
     VERIFY_INCOMPLETE,
@@ -24,7 +27,6 @@ from repro.obs import (
     RunJournal,
     journal_summary,
     read_journal,
-    read_journal_prefix,
     reports_from_journal,
     verify_journal,
 )
@@ -75,9 +77,7 @@ class TestResumeAtEveryBoundary:
                 f"serialization diverged at boundary {boundary}"
             )
             expected_replayed = tuple(sorted(
-                completed_runs_from_journal(
-                    read_journal_prefix(prefix_path)[0]
-                )
+                completed_runs_from_journal(prefix_path)
             ))
             assert resumed.resumed_seeds == expected_replayed
             replayed_counts.add(len(resumed.resumed_seeds))
@@ -187,3 +187,83 @@ class TestWarmCache:
         )
         assert resumed.reports == result.reports
         assert resumed.resumed_seeds == (1,)
+
+
+# -- memory ----------------------------------------------------------------------
+
+FIXTURE = Path(__file__).resolve().parents[1] / "obs" / "fixtures" / "v7.jsonl"
+
+#: Largest growth per added record of the peak above what resume keeps
+#: (the replayed reports' events).
+FLAT_BYTES_PER_RECORD = 256
+
+
+def _synthetic(path: Path, records: int) -> None:
+    """One complete seed-1 run of about ``records`` records: the first
+    v7 fixture run's body (anomalies left out) repeated."""
+    lines = FIXTURE.read_text().splitlines(keepends=True)
+    kinds = [json.loads(line)["t"] for line in lines]
+    start, end = kinds.index("run_start"), kinds.index("run_end")
+    body = [
+        line for line, kind in zip(lines[start + 1:end], kinds[start + 1:end])
+        if kind != "anomaly"
+    ]
+    with open(path, "w") as handle:
+        handle.write(lines[start])
+        for number in range(records - 2):
+            handle.write(body[number % len(body)])
+        handle.write(lines[end])
+
+
+def _traced(call) -> tuple:
+    """``(kept, peak)``: traced bytes still held after ``call`` (its
+    result alive) and the peak while it ran."""
+    tracemalloc.start()
+    try:
+        result = call()
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    del result
+    return kept, peak
+
+
+class TestFlatMemory:
+    """Resume streams its journal: beyond the replayed reports' events,
+    the peak grows by a few bytes per record, not by the record."""
+
+    def test_peak_above_the_kept_reports_is_flat(self, tmp_path):
+        small, large = 1500, 6000
+        growth: dict = {"fold": {}, "campaign": {}, "cli": {}}
+        for records in (small, large):
+            path = tmp_path / f"{records}.jsonl"
+            _synthetic(path, records)
+            calls = {
+                "fold": lambda: completed_runs_from_journal(path),
+                "campaign": lambda: run_campaign(
+                    "collie", "F", seeds=(1,), budget_hours=HOURS,
+                    resume_from=str(path),
+                ),
+                "cli": lambda: main([
+                    "campaign", "collie", "--subsystem", "F", "--seed", "1",
+                    "--seeds", "1", "--hours", str(HOURS),
+                    "--resume", str(path),
+                ]),
+            }
+            if records == small:  # imports and caches: not per record
+                resumed = calls["campaign"]()
+                assert resumed.resumed_seeds == (1,)
+                assert resumed.reports == [calls["fold"]()[1]]
+                assert calls["cli"]() == 0
+            kept, peak = _traced(calls["fold"])
+            growth["fold"][records] = peak - kept
+            kept_campaign, peak = _traced(calls["campaign"])
+            growth["campaign"][records] = peak - kept_campaign
+            # main returns an exit code: its peak is measured above what
+            # the fold keeps, the reports main holds while it replays.
+            growth["cli"][records] = _traced(calls["cli"])[1] - kept
+        for name, peaks in growth.items():
+            per_record = (peaks[large] - peaks[small]) / (large - small)
+            assert per_record < FLAT_BYTES_PER_RECORD, (
+                f"{name}: {per_record:.0f} B per record"
+            )

@@ -322,6 +322,7 @@ class TestTelemetryServer:
             with pytest.raises(urllib.error.HTTPError) as excinfo:
                 urllib.request.urlopen(server.url("/nope"))
             assert excinfo.value.code == 404
+            excinfo.value.close()  # the error holds the response open
         finally:
             server.close()
 

@@ -782,6 +782,23 @@ class TestCampaignResume:
         assert code == 2
         assert "resume journal is corrupt" in capsys.readouterr().err
 
+    def test_resume_malformed_record_is_an_error(
+        self, interrupted, tmp_path, capsys
+    ):
+        full, _ = interrupted
+        lines = full.read_text().splitlines()
+        index = next(i for i, line in enumerate(lines) if '"experiment"' in line)
+        record = json.loads(lines[index])
+        record["workload"]["qp_type"] = "XX"
+        lines[index] = json.dumps(record)
+        malformed = tmp_path / "malformed.jsonl"
+        malformed.write_text("\n".join(lines) + "\n")
+        code = main(self.ARGS + ["--resume", str(malformed)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "resume journal is corrupt" in err
+        assert f"line {index + 1}: malformed 'experiment' record" in err
+
 
 class TestResilienceFlags:
     def test_campaign_accepts_the_retry_knobs(self, capsys):
