@@ -80,39 +80,20 @@ class PerftestGenerator:
                 mr_bytes=max(size, 4096),
             )
 
-    def sweep(
-        self, seed: int = 0, limit: int = None, batch_size: int = 64
-    ) -> dict:
+    def sweep(self, seed: int = 0, limit: int = None) -> dict:
         """Run the whole space; returns ground-truth tags reproduced.
 
         ``limit`` bounds the number of experiments for quick runs; the
-        full space is a few thousand points.  The enumeration is fixed
-        and the RNG feeds observation noise only, so chunking it through
-        the batched evaluator (``batch_size`` points at a time) is
-        bit-identical to the scalar loop; ``batch_size<=1`` runs the
-        scalar loop.
+        full space is a few thousand points.
         """
         rng = np.random.default_rng(seed)
         found: dict = {}
         points: Iterator[WorkloadDescriptor] = self.workloads()
         if limit is not None:
             points = itertools.islice(points, limit)
-        if not batch_size or batch_size <= 1:
-            for workload in points:
-                result = self.testbed.run(workload, rng=rng)
-                self._record(found, workload, result)
-            return found
-        while True:
-            chunk = list(itertools.islice(points, batch_size))
-            if not chunk:
-                break
-            results = self.testbed.run_many(chunk, rng=rng)
-            for workload, result in zip(chunk, results):
-                self._record(found, workload, result)
+        for workload in points:
+            measurement = self.testbed.run(workload, rng=rng).measurement
+            if self.monitor.classify(measurement).is_anomalous:
+                for tag in measurement.tags:
+                    found.setdefault(tag, workload)
         return found
-
-    def _record(self, found: dict, workload, result) -> None:
-        verdict = self.monitor.classify(result.measurement)
-        if verdict.is_anomalous:
-            for tag in result.measurement.tags:
-                found.setdefault(tag, workload)

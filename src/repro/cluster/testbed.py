@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import dataclasses
-import time
 from contextlib import nullcontext
 from typing import TYPE_CHECKING, Optional
 
@@ -95,12 +94,6 @@ class Testbed:
         #: :mod:`repro.core.population`).  Always None outside a
         #: population generation.
         self._prepared: Optional[tuple] = None
-        #: Set by the population driver on multi-chain runs: every
-        #: yielded point is evaluated in the generation batch, so
-        #: scalar-path accelerators (the MFS ladder presolve) would
-        #: only re-solve what the generation already covers.  Purely a
-        #: performance hint — trajectories are identical either way.
-        self.lockstep = False
 
     @property
     def cache(self) -> Optional["EvalCache"]:
@@ -122,73 +115,6 @@ class Testbed:
         clock or consumes RNG draws, so a retried run replays its
         completed prefix bit-identically.
         """
-
-    def presolve(
-        self, workloads: list[WorkloadDescriptor], phase: str = "search"
-    ) -> int:
-        """Batch-solve upcoming points into the cache (stat-less).
-
-        The subsequent scalar ``run`` calls replay over cache hits with
-        unchanged clock charging, lookup statistics and RNG draws —
-        bit-identical, only faster.
-        """
-        return self.engine.presolve(workloads, phase=phase)
-
-    def run_many(
-        self,
-        workloads: list[WorkloadDescriptor],
-        rng: Optional[np.random.Generator] = None,
-        phase: str = "search",
-    ) -> list[ExperimentResult]:
-        """Batched :meth:`run` — bit-identical to calling it in a loop.
-
-        Evaluation happens in one vectorized pass; the clock is then
-        charged per experiment in order, so every ``started_at`` and the
-        final clock reading match the scalar loop exactly.
-        """
-        if not workloads:
-            return []
-        if len(workloads) == 1:
-            return [self.run(workloads[0], rng=rng, phase=phase)]
-        for offset, workload in enumerate(workloads):
-            self._before_experiment(
-                workload, phase, self.experiments_run + offset
-            )
-        wall_started = time.perf_counter()
-        with (
-            self.profiler.span("solve")
-            if self.profiler is not None else _NO_SPAN
-        ):
-            measurements = self.engine.measure_many(
-                workloads, rng=rng,
-                functional_check=self.functional_check, phase=phase,
-            )
-        per_point_wall = (
-            (time.perf_counter() - wall_started) / len(workloads)
-        )
-        results = []
-        for workload, measurement in zip(workloads, measurements):
-            started = self.clock.now
-            setup = self.engine.setup_seconds(workload)
-            measure = self.engine.measurement_seconds()
-            if self.metrics is not None:
-                self.metrics.observe(
-                    "testbed.measure_wall", per_point_wall, phase=phase
-                )
-                self.metrics.counter("testbed.experiments", phase=phase)
-                self.metrics.observe("testbed.setup_seconds", setup)
-                self.metrics.observe("testbed.measurement_seconds", measure)
-            self.clock.advance(setup + measure)
-            self.experiments_run += 1
-            results.append(
-                ExperimentResult(
-                    measurement=measurement,
-                    setup_seconds=setup,
-                    measurement_seconds=measure,
-                    started_at=started,
-                )
-            )
-        return results
 
     def prime(
         self, workload: WorkloadDescriptor, measurement: Measurement

@@ -262,10 +262,6 @@ class AnnealingSearch:
             metrics=(
                 self.recorder.metrics if self.recorder is not None else None
             ),
-            presolve=(
-                (lambda pts: self.testbed.presolve(pts, phase="mfs"))
-                if not self.testbed.lockstep else None
-            ),
         )
         stepper = extractor.construct_steps(
             workload, verdict.symptom, at_seconds=self.testbed.clock.now,

@@ -1,34 +1,31 @@
-"""Batched vectorized evaluation of workload points (S31).
+"""Batched vectorized evaluation of a population generation (S31).
 
-Every search workflow evaluates *sets* of closely related points — MFS
-necessity ladders and box-validation bursts, the exhaustive Perftest
-sweep, population generations.  The scalar pipeline prices them one at
-a time; :class:`BatchEvaluator` runs the deterministic half (features →
-rule gates → per-direction steady-state solve → ideal counters) as
-float64 column arithmetic over the whole batch
-(:func:`repro.hardware.model.solve_batch`), deduplicating
-identical points and consulting/back-filling the
+A population run (:mod:`repro.core.population`) suspends its SA chains
+immediately before each measurement and evaluates their pending points
+together.  :class:`BatchEvaluator` runs the deterministic half
+(features → rule gates → per-direction steady-state solve → ideal
+counters) as float64 column arithmetic over the whole generation
+(:func:`repro.hardware.model.solve_batch`), deduplicating identical
+points and consulting/back-filling the
 :class:`~repro.core.evalcache.EvalCache` through its bulk API.
 
 **Identity contract.**  Batched evaluation is *bit-identical* to the
-scalar loop, including RNG consumption: observation noise is still
-drawn from the caller's generator in the same per-point order.  A
-``Generator.normal`` request for N values reads the same bit stream as
-N sequential scalar requests, so one flat draw sliced per point equals
-the scalar loop's per-point draws exactly — values and final generator
-state (``tests/core/test_batcheval.py`` pins this over subsystems A–H).
+scalar path, including RNG consumption: point ``i``'s observation noise
+is drawn from its own generator with the one call
+:class:`~repro.hardware.counters.VendorMonitor` makes, so measurement
+``i`` and the state its generator is left in equal
+``model.evaluate(workloads[i], rngs[i])``
+(``tests/core/test_batcheval.py`` pins this over subsystems A–H).
 Only a point's *active* counters (ideal value > 0) consume noise,
-exactly as :class:`~repro.hardware.counters.VendorMonitor` does.
+exactly as the scalar monitor does.
 
-**Path selection.**  No switch picks between the batched and the
-scalar path; the input does.  A call with one point (or, for
-``evaluate_many``, no generator) runs the scalar loop, which is cheaper
-for a single row; :meth:`BatchEvaluator.presolve` is a no-op without a
-cache.  Only phases whose whole batch is known before any noise draw
-are batched (MFS ladders, box validation, the Perftest sweep,
-population generations).  Phases that interleave point sampling with
-noise draws on one RNG stream (random search, counter ranking) stay
-scalar: pre-sampling would change that interleaving.
+**Path selection.**  The population generation step
+(:meth:`BatchEvaluator.evaluate_each`) is the kernel's one caller, and
+it batches only generations with at least two pending points; a
+one-point call runs the scalar path, which is cheaper for a single
+row.  Everything else (solo searches, MFS probes, counter ranking, the
+Perftest sweep) evaluates one point at a time through
+:meth:`~repro.hardware.model.SteadyStateModel.evaluate`.
 """
 
 from __future__ import annotations
@@ -55,28 +52,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 _NO_SPAN = nullcontext()
 
 
-def observe_many(
-    model: SteadyStateModel,
-    workloads: "list[WorkloadDescriptor]",
-    solves: list,
-    rng: np.random.Generator,
-    sample_seconds: int = 4,
-) -> list[Measurement]:
-    """Noisy observation of pre-solved points, scalar-loop bit stream.
-
-    Mirrors :meth:`VendorMonitor._sample_rows` per point: one flat
-    normal draw covers the whole batch and is sliced into each point's
-    ``(seconds, active)`` block in original order.
-    """
-    window = int(sample_seconds)
-    return _observe(
-        model, workloads, solves, window,
-        lambda active: rng.normal(
-            0.0, model.noise, size=window * int(active.sum())
-        ),
-    )
-
-
 def observe_each(
     model: SteadyStateModel,
     workloads: "list[WorkloadDescriptor]",
@@ -86,35 +61,15 @@ def observe_each(
 ) -> list[Measurement]:
     """Noisy observation with one independent RNG per point.
 
-    The population driver's seam: point ``i``'s noise is drawn from
-    ``rngs[i]`` with the exact call :meth:`VendorMonitor._sample_rows`
-    would make — one ``normal(size=(window, active))`` draw — so chain
-    ``i``'s generator lands in the bit-identical state a standalone
-    scalar evaluation would leave it in, while the deterministic row
-    construction and averaging stay vectorized across the batch.
+    Point ``i``'s noise is drawn from ``rngs[i]`` with the exact call
+    :meth:`VendorMonitor._sample_rows` would make — one
+    ``normal(size=(window, active))`` draw over its active counters
+    (ideal value > 0) — so chain ``i``'s generator lands in the
+    bit-identical state a standalone scalar evaluation would leave it
+    in, while the deterministic row construction and averaging stay
+    vectorized across the batch.
     """
     window = int(sample_seconds)
-
-    def draw(active: np.ndarray) -> np.ndarray:
-        # Raveling each (row-major) block and concatenating in point
-        # order yields the flat layout observe_many draws in one request.
-        return np.concatenate([
-            rngs[i].normal(0.0, model.noise, size=(window, count)).ravel()
-            for i, count in enumerate(active.tolist())
-            if count
-        ])
-
-    return _observe(model, workloads, solves, window, draw)
-
-
-def _observe(model, workloads, solves, window, draw) -> list[Measurement]:
-    """Sample, average and assemble the batch's measurements.
-
-    ``draw(active)`` returns the flat noise for every point's
-    ``(window, active[i])`` block in point order, row-major.  Only a
-    point's active counters (ideal value > 0) are jittered, as in
-    :class:`~repro.hardware.counters.VendorMonitor`.
-    """
     n = len(workloads)
     base = np.array(
         [
@@ -128,7 +83,13 @@ def _observe(model, workloads, solves, window, draw) -> list[Measurement]:
         jitter = base > 0
         active = jitter.sum(axis=1)
         if active.any():
-            clipped = np.maximum(0.0, 1.0 + draw(active))
+            # Each point's raveled (row-major) block, in point order.
+            noise = np.concatenate([
+                rngs[i].normal(0.0, model.noise, size=(window, count)).ravel()
+                for i, count in enumerate(active.tolist())
+                if count
+            ])
+            clipped = np.maximum(0.0, 1.0 + noise)
             point_idx, cols = np.nonzero(jitter)
             starts = np.concatenate(([0], np.cumsum(window * active)))[:-1]
             group_starts = np.concatenate(([0], np.cumsum(active)))[:-1]
@@ -244,7 +205,6 @@ class BatchEvaluator:
         if len(workloads) <= 1:
             self._count_points(len(workloads), "scalar")
             return [model._solve(w, phase) for w in workloads]
-        started = time.perf_counter()
         keys = [canonical_point(w) for w in workloads]
         index_of: dict = {}
         unique: list = []
@@ -279,6 +239,7 @@ class BatchEvaluator:
         self._count_points(len(workloads), "vectorized")
         return [solves[index_of[key]] for key in keys]
 
+    # No caller in src/; kept because perfbench/tracer.py wraps it by name.
     def presolve(
         self,
         workloads: "list[WorkloadDescriptor]",
@@ -361,43 +322,7 @@ class BatchEvaluator:
         )
         if self.metrics is not None:
             self.metrics.observe(
-                "batcheval.point_seconds",
-                (time.perf_counter() - started) / len(workloads),
-                phase=phase,
-            )
-        return measurements
-
-    def evaluate_many(
-        self,
-        workloads: "list[WorkloadDescriptor]",
-        rng: Optional[np.random.Generator] = None,
-        sample_seconds: int = 4,
-        phase: str = DEFAULT_PHASE,
-    ) -> list[Measurement]:
-        """Batched :meth:`SteadyStateModel.evaluate` over N points.
-
-        Bit-identical to ``[model.evaluate(w, rng, ...) for w in
-        workloads]`` including the RNG draw count and order.  With
-        ``rng=None`` each point gets a fresh ``default_rng(0)`` exactly
-        like the scalar default, so that case falls back to the loop.
-        """
-        model = self.model
-        if len(workloads) <= 1 or rng is None:
-            self._count_points(len(workloads), "scalar")
-            return [
-                model.evaluate(
-                    w, rng=rng, sample_seconds=sample_seconds, phase=phase
-                )
-                for w in workloads
-            ]
-        started = time.perf_counter()
-        solves = self.solve_many(workloads, phase=phase)
-        measurements = observe_many(
-            model, workloads, solves, rng, sample_seconds
-        )
-        if self.metrics is not None:
-            self.metrics.observe(
-                "batcheval.point_seconds",
+                "batcheval.point_wall",
                 (time.perf_counter() - started) / len(workloads),
                 phase=phase,
             )

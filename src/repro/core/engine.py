@@ -100,8 +100,8 @@ class WorkloadEngine:
             )
         else:
             self.model = SteadyStateModel(subsystem, noise=noise, cache=cache)
-        #: Batched front end to the solver (S31); one-point calls take
-        #: the scalar code path.
+        #: Batched front end to the solver (S31), for the population
+        #: generation step; every other caller measures one point.
         self.batch = BatchEvaluator(
             self.model, metrics=metrics, profiler=profiler
         )
@@ -131,42 +131,6 @@ class WorkloadEngine:
         ):
             self.functional_burst(workload)
         return self.model.evaluate(workload, rng=rng, phase=phase)
-
-    def measure_many(
-        self,
-        workloads: list[WorkloadDescriptor],
-        rng: Optional[np.random.Generator] = None,
-        functional_check: bool = True,
-        phase: str = "search",
-    ) -> list[Measurement]:
-        """Batched :meth:`measure` — bit-identical to a scalar loop.
-
-        Functional bursts run once per *unique* unmemoized point (the
-        burst is deterministic validation, so deduping it changes no
-        observable); evaluation itself goes through the batched engine.
-        """
-        from repro.core.evalcache import canonical_point
-
-        cache = self.cache
-        if functional_check:
-            seen: set = set()
-            for workload in workloads:
-                key = canonical_point(workload)
-                if key in seen:
-                    continue
-                seen.add(key)
-                if cache is not None and cache.contains(
-                    self.model.subsystem, workload
-                ):
-                    continue
-                self.functional_burst(workload)
-        return self.batch.evaluate_many(workloads, rng=rng, phase=phase)
-
-    def presolve(
-        self, workloads: list[WorkloadDescriptor], phase: str = "search"
-    ) -> int:
-        """Back-fill the cache for upcoming points (see BatchEvaluator)."""
-        return self.batch.presolve(workloads, phase=phase)
 
     # -- functional validation ---------------------------------------------
 

@@ -63,9 +63,9 @@ def canonical_point(workload: WorkloadDescriptor) -> str:
     constructed) canonicalize identically.
 
     The key is memoized on the (frozen, immutable) descriptor: one
-    point is typically keyed several times on its way through presolve,
-    the generation batch and the scalar replay, and population runs key
-    thousands of points per generation wave.
+    point is typically keyed several times (its cache lookup and store,
+    a generation batch's dedup), and population runs key thousands of
+    points per generation wave.
     """
     memo = getattr(workload, "_canonical_key", None)
     if memo is not None:
@@ -248,6 +248,7 @@ class EvalCache:
 
     # -- bulk API (batched evaluation, S31) ----------------------------------
 
+    # No caller in src/; kept because perfbench/tracer.py wraps it by name.
     def peek_many(
         self,
         subsystem: "Subsystem",

@@ -203,7 +203,6 @@ class MFSExtractor:
         validate_box: bool = True,
         same_symptom_only: bool = True,
         metrics=None,
-        presolve: Optional[Callable[[list], int]] = None,
     ) -> None:
         if probes_per_dimension < 2:
             raise ValueError("need at least 2 probes per dimension")
@@ -212,12 +211,6 @@ class MFSExtractor:
         self.probes_per_dimension = probes_per_dimension
         #: Optional obs.MetricsRegistry counting probe experiments.
         self.metrics = metrics
-        #: Optional batched pre-solver (``Testbed.presolve``): receives
-        #: the upcoming probe points so their deterministic solves run
-        #: vectorized and deduplicated before ``classify`` replays them
-        #: one by one over cache hits.  Purely an accelerator — the
-        #: probe sequence, its RNG draws and its outcomes are unchanged.
-        self.presolve = presolve
         #: Ablation toggles (see ``bench_mfs_ablation``): adversarial box
         #: validation and same-symptom probing are this implementation's
         #: additions over the paper's plain per-dimension probing.
@@ -295,12 +288,6 @@ class MFSExtractor:
                 # Skip the expensive probing; the caller treats it as
                 # covered.
                 return None
-        if self.presolve is not None:
-            # Batch-solve the whole necessity ladder up front: every
-            # categorical alternative, ordered rung and uniform-pattern
-            # probe is known before any probe runs, and the pre-solver
-            # dedupes the (frequently repeated) points internally.
-            self.presolve(self._ladder_points(witness, reduced_to_default))
         intervals = []
         memberships = []
         for dimension in CATEGORICAL_DIMENSIONS:
@@ -459,10 +446,10 @@ class MFSExtractor:
             dimension=dimension, allowed=tuple(sorted(set(triggering)))
         )
 
-    def _ordered_ladder(
-        self, witness: WorkloadDescriptor, dimension: str, light: bool
-    ) -> tuple[list, int, list[int]]:
-        """Ladder values, witness index and initial probe indices."""
+    def _probe_ordered(
+        self, witness: WorkloadDescriptor, dimension: str,
+        light: bool = False,
+    ):
         ladder = list(self.space.ordered_choices(dimension))
         original = _dimension_values(witness)[dimension]
         if original not in ladder:
@@ -474,68 +461,6 @@ class MFSExtractor:
             ]
         else:
             probe_indices = self._probe_indices(len(ladder), origin_index)
-        return ladder, origin_index, probe_indices
-
-    def _ladder_points(
-        self, witness: WorkloadDescriptor, reduced_to_default: set
-    ) -> list[WorkloadDescriptor]:
-        """Every initial probe point ``construct`` is about to classify.
-
-        Mirrors the probe generators below, minus the data-dependent
-        bisection refinements (those stay scalar — each depends on the
-        previous outcome).  Coercion-rejected points are filtered here
-        exactly as the probes skip them.
-        """
-        points: list[WorkloadDescriptor] = []
-        values = _dimension_values(witness)
-        for dimension in CATEGORICAL_DIMENSIONS:
-            original = values[dimension]
-            for value in self.space.categorical_choices(dimension):
-                label = getattr(value, "value", value)
-                if label == original:
-                    continue
-                probe = self.space.with_value(witness, dimension, value)
-                if _dimension_values(probe)[dimension] == label:
-                    points.append(probe)
-        for dimension in ORDERED_DIMENSIONS:
-            ladder, _, probe_indices = self._ordered_ladder(
-                witness, dimension, light=dimension in reduced_to_default
-            )
-            for index in probe_indices:
-                probe = self.space.with_value(
-                    witness, dimension, ladder[index]
-                )
-                if _dimension_values(probe)[dimension] == ladder[index]:
-                    points.append(probe)
-        sizes = sorted(set(witness.msg_sizes_bytes))
-        if len(sizes) == 1:
-            ladder = list(self.space.msg_size_choices)
-            original = witness.msg_sizes_bytes[0]
-            if original not in ladder:
-                ladder = sorted(set(ladder + [original]))
-            origin_index = ladder.index(original)
-            for index in self._probe_indices(len(ladder), origin_index):
-                pattern = (ladder[index],) * len(witness.msg_sizes_bytes)
-                probe = self.space.with_value(witness, "msg_pattern", pattern)
-                if probe.msg_sizes_bytes[0] == ladder[index]:
-                    points.append(probe)
-        else:
-            for size in (min(sizes), max(sizes)):
-                points.append(
-                    self.space.with_value(
-                        witness, "msg_pattern",
-                        (size,) * len(witness.msg_sizes_bytes),
-                    )
-                )
-        return points
-
-    def _probe_ordered(
-        self, witness: WorkloadDescriptor, dimension: str,
-        light: bool = False,
-    ):
-        ladder, origin_index, probe_indices = self._ordered_ladder(
-            witness, dimension, light
-        )
 
         def test(index: int):
             probe = self.space.with_value(witness, dimension, ladder[index])
@@ -731,26 +656,10 @@ class MFSExtractor:
                 repaired = reset
             return False
 
-        # Batched mode pre-draws a burst of samples (recording the local
-        # generator's state after each draw) and pre-solves them in one
-        # vectorized pass.  A burst stays valid only while the box is
-        # unchanged: the first healthy sample tightens the box, so the
-        # rest of the burst — drawn against the stale box — is discarded
-        # and the generator rewound to just after the failing sample,
-        # putting the draw stream exactly where the scalar loop's is.
-        burst: list = []
         tightenings = 0
         consecutive_ok = 0
         while consecutive_ok < samples and tightenings <= max_tightenings:
-            if self.presolve is not None:
-                if not burst:
-                    for _ in range(samples - consecutive_ok):
-                        drawn = sample_in_box()
-                        burst.append((drawn, rng.bit_generator.state))
-                    self.presolve([p for p, _ in burst if p is not None])
-                probe, state_after = burst.pop(0)
-            else:
-                probe, state_after = sample_in_box(), None
+            probe = sample_in_box()
             if probe is None:
                 consecutive_ok += 1  # clamped sample: counts as benign
                 continue
@@ -759,9 +668,6 @@ class MFSExtractor:
                 continue
             consecutive_ok = 0
             tightenings += 1
-            if burst:
-                rng.bit_generator.state = state_after
-                burst.clear()
             if not (yield from tighten(probe)):
                 break  # cannot separate further; accept best effort
         return [

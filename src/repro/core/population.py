@@ -7,27 +7,34 @@ This module advances N independent SA chains *in lockstep* inside one
 process instead.  Each chain is a full §7.2 Collie run — own RNG
 (``seed + c``), own simulated clock, own monitor and anomaly set —
 reshaped into a generator (:meth:`~repro.core.collie.Collie.steps`)
-that suspends immediately before each measurement.  Per generation the
-driver gathers one pending workload per live chain, pre-solves the
-whole generation as a single vectorized batch against a shared
-:class:`~repro.core.evalcache.EvalCache`
-(:meth:`~repro.cluster.testbed.Testbed.presolve`), then resumes the
-chains in order; each chain's scalar measurement is then a cache hit.
+that suspends immediately before each measurement, search step and MFS
+probe alike.  Per generation the driver gathers one pending workload
+per live chain and evaluates them together
+(:meth:`~repro.core.batcheval.BatchEvaluator.evaluate_each`): one
+deduplicated vectorized solve against a shared
+:class:`~repro.core.evalcache.EvalCache`, then each point's observation
+noise drawn from *its own chain's* generator.  Each finished
+measurement is primed into its chain's testbed
+(:meth:`~repro.cluster.testbed.Testbed.prime`), and the chains resume
+in order; each chain's next ``run`` consumes its primed measurement
+instead of evaluating again.
 
-Because nothing crosses the suspension points — the presolve is
-stat-less and RNG-free, and the cache is bit-transparent — every chain
-is bit-identical to a standalone ``Collie(seed=seed + c).run()``.  Two
-consequences the test suite pins:
+Because nothing crosses the suspension points — a primed measurement
+equals the chain's own scalar evaluation (plus its precomputed
+stability CV) and leaves the chain's generator in the same state, and
+the cache is bit-transparent — every chain is bit-identical to a
+standalone ``Collie(seed=seed + c).run()``.  Two consequences the test
+suite pins:
 
 * a 1-chain population *is* the legacy trajectory (same events, RNG
   stream, journal bytes, report);
 * an N-chain population equals the ``search --seeds N`` campaign path
   for the same seed range, independent of worker count.
 
-The speedup comes from where the budget actually goes: the MFS ladders
-and generation batches are solved as deduplicated array programs, and
-all chains share one warm cache (chains rediscovering each other's
-regions pay nothing), instead of N disjoint scalar walks.
+What the lockstep buys: every generation's solves run as one
+deduplicated array program, and all chains share one warm cache
+(chains rediscovering each other's regions pay nothing), instead of N
+disjoint scalar walks.
 
 **Parallel tempering** (``temperature_ladder``): one chain per rung,
 each running the relaxed schedule scaled to its rung, with a
@@ -167,10 +174,10 @@ class PopulationCollie:
         self.victim_share = victim_share
         self.recorder = recorder
         self._user_cache = cache is not None
-        #: The shared cross-chain cache the generation presolve batches
-        #: into.  Auto-created for multi-chain runs (presolve is a no-op
-        #: without one); never forced on 1-chain runs, whose journals
-        #: must stay byte-identical to the legacy single trajectory.
+        #: The shared cross-chain cache the generation batches solve
+        #: through.  Auto-created for multi-chain runs; never forced on
+        #: 1-chain runs, whose journals must stay byte-identical to the
+        #: legacy single trajectory.
         self.cache = cache if cache is not None else (
             EvalCache() if chains > 1 else None
         )
@@ -218,11 +225,6 @@ class PopulationCollie:
             )
             if ladder is not None:
                 collie.search.exchange_enabled = True
-            if self.cache is not None and chains > 1:
-                # Generation batches cover every yielded point, so the
-                # chains' own scalar-path presolve accelerators would
-                # re-solve work the population already shares.
-                collie.testbed.lockstep = True
             self._collies.append(collie)
         if self.cache is not None and chains > 1:
             # Each chain Collie re-wired the shared cache's observer to

@@ -87,16 +87,6 @@ _MUTABLE_DIMENSIONS = (
 #: A local ordered-dimension move, in ladder rungs.
 _LADDER_STEPS = (-2, -1, 1, 2)
 
-_ORDERED_CHOICES = {
-    "mtu": MTU_CHOICES,
-    "num_qps": QPS_CHOICES,
-    "wqe_batch": BATCH_CHOICES,
-    "sge_per_wqe": SGE_CHOICES,
-    "wq_depth": WQ_DEPTH_CHOICES,
-    "mrs_per_qp": MRS_PER_QP_CHOICES,
-    "mr_bytes": MR_BYTES_CHOICES,
-}
-
 
 @dataclasses.dataclass(frozen=True)
 class SearchSpace:
@@ -157,20 +147,33 @@ class SearchSpace:
 
     # -- introspection ------------------------------------------------------
 
+    @functools.cached_property
+    def _ordered_ladders(self) -> dict:
+        """Every ordered dimension's ladder, built once per space.
+
+        Cached in the instance ``__dict__``, not a field, so ``repr``,
+        ``==`` and ``hash`` are unchanged and a ``dataclasses.replace``
+        copy builds its own.
+        """
+        return {
+            "mtu": tuple(self.mtus),
+            "num_qps": tuple(self.qps_choices),
+            "wqe_batch": tuple(self.batch_choices),
+            "sge_per_wqe": tuple(self.sge_choices),
+            "wq_depth": tuple(self.wq_depth_choices),
+            "mrs_per_qp": tuple(self.mrs_per_qp_choices),
+            "mr_bytes": tuple(self.mr_bytes_choices),
+            "duty_cycle": tuple(self.duty_cycles),
+        }
+
     def ordered_choices(self, dimension: str) -> tuple[int, ...]:
         """Value ladder of an ordered dimension."""
-        base = dict(_ORDERED_CHOICES)
-        base["mtu"] = self.mtus
-        base["num_qps"] = self.qps_choices
-        base["wqe_batch"] = self.batch_choices
-        base["sge_per_wqe"] = self.sge_choices
-        base["wq_depth"] = self.wq_depth_choices
-        base["mrs_per_qp"] = self.mrs_per_qp_choices
-        base["mr_bytes"] = self.mr_bytes_choices
-        base["duty_cycle"] = self.duty_cycles
-        if dimension not in base:
-            raise KeyError(f"{dimension!r} is not an ordered dimension")
-        return tuple(base[dimension])
+        try:
+            return self._ordered_ladders[dimension]
+        except KeyError:
+            raise KeyError(
+                f"{dimension!r} is not an ordered dimension"
+            ) from None
 
     def categorical_choices(self, dimension: str) -> tuple:
         if dimension == "qp_type":

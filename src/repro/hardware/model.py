@@ -538,27 +538,6 @@ class SteadyStateModel:
             latency=latency_for_solve(self.subsystem, solve),
         )
 
-    def evaluate_many(
-        self,
-        workloads: "list[WorkloadDescriptor]",
-        rng: Optional[np.random.Generator] = None,
-        sample_seconds: int = 4,
-        phase: str = "search",
-    ) -> list[Measurement]:
-        """Batched :meth:`evaluate` — bit-identical to a scalar loop.
-
-        The deterministic solve runs once per *unique* point as array
-        arithmetic; observation noise is still drawn from ``rng`` in the
-        exact per-point order of the scalar loop (one flat draw sliced
-        per point — provably the same stream).  See
-        :mod:`repro.core.batcheval` for the engine.
-        """
-        from repro.core.batcheval import BatchEvaluator
-
-        return BatchEvaluator(self).evaluate_many(
-            workloads, rng=rng, sample_seconds=sample_seconds, phase=phase
-        )
-
     def solve_points(self, workloads: "list[WorkloadDescriptor]") -> list:
         """Deterministic solves for a set of points — the batch seam.
 

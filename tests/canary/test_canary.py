@@ -32,6 +32,7 @@ from repro.canary import (
 )
 from repro.canary.corpus import CorpusCell, canonical_journal_bytes
 from repro.cli import main
+from repro.obs.journal import read_journal
 
 QUICK_SPEC = MatrixSpec(subsystems=("F", "H"), seeds=(1, 2), budget_hours=0.5)
 
@@ -129,6 +130,24 @@ def _cell(subsystem="F", seed=1, anomalies=3, ttfa=100.0, coverage=0.9,
         experiments=80, mfs_shapes=tuple(sorted(shapes)),
         mfs_condition_sizes=tuple(sorted(sizes)),
     )
+
+
+class TestCanonicalBytes:
+    def test_repeated_population_run_is_canonically_identical(
+        self, tmp_path
+    ):
+        """Host time never survives canonical form: two identical
+        multi-chain runs, whose ``run_end`` metrics include the batched
+        evaluator's per-point wall time, give equal canonical bytes."""
+        canonical = []
+        for name in ("first.jsonl", "second.jsonl"):
+            journal = tmp_path / name
+            assert main([
+                "search", "H", "--seed", "2", "--hours", "2",
+                "--chains", "3", "--journal", str(journal),
+            ]) == 0
+            canonical.append(canonical_journal_bytes(read_journal(journal)))
+        assert canonical[0] == canonical[1]
 
 
 class TestDriftGates:

@@ -1,12 +1,12 @@
 """Batched vectorized evaluation (S31): the bit-identity contract.
 
-The batched engine's entire value rests on one promise: with a known
-point set, ``evaluate_many`` is *bit-identical* to the scalar loop —
-measurements, counters, fired rules, features, sample streams, and the
-caller's RNG (draw count, order, final state).  These tests pin that
-promise property-style across all eight subsystems, then pin every
-wired consumer (MFS ladders and box validation, the Perftest sweep,
-Collie end to end) against its scalar twin.
+The batched engine's entire value rests on one promise: point ``i`` of
+an ``evaluate_each`` call is *bit-identical* to
+``model.evaluate(workloads[i], rngs[i])`` — measurements, counters,
+fired rules, features, sample streams, and the state each generator is
+left in.  These tests pin that promise property-style across all eight
+subsystems, and its one caller, the population generation step,
+against the scalar solver on a real search stream.
 """
 
 import dataclasses
@@ -17,12 +17,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.serialize import mfs_to_dict, workload_to_dict
-from repro.baselines.perftest import PerftestGenerator
-from repro.cluster.clock import SimulatedClock
-from repro.cluster.testbed import Testbed
 from repro.core import Collie, EvalCache
 from repro.core.batcheval import BatchEvaluator
-from repro.core.mfs import MFSExtractor
 from repro.core.monitor import AnomalyMonitor
 from repro.core.population import PopulationCollie
 from repro.core.space import SearchSpace
@@ -31,7 +27,7 @@ from repro.hardware.model import SteadyStateModel, solve_batch
 from repro.hardware.subsystems import get_subsystem
 from repro.hardware.workload import WorkloadDescriptor
 from repro.obs.metrics import MetricsRegistry
-from repro.workloads.appendix import APPENDIX_SETTINGS, settings_for_subsystem
+from repro.workloads.appendix import settings_for_subsystem
 
 LETTERS = "ABCDEFGH"
 
@@ -122,45 +118,59 @@ def assert_measurements_equal(left, right):
         assert a.latency == b.latency
 
 
+def point_rngs(seed, count):
+    """One independent generator per point, as the population passes."""
+    return [np.random.default_rng(seed + i) for i in range(count)]
+
+
+def scalar_twins(subsystem, points, seed):
+    """``model.evaluate(points[i], rngs[i])`` and the generators after."""
+    rngs = point_rngs(seed, len(points))
+    measurements = [
+        SteadyStateModel(subsystem).evaluate(p, rng)
+        for p, rng in zip(points, rngs)
+    ]
+    return measurements, rngs
+
+
+def assert_states_equal(left, right):
+    assert [r.bit_generator.state for r in left] \
+        == [r.bit_generator.state for r in right]
+
+
 class TestEvaluateManyBitIdentity:
-    """evaluate_many == the scalar loop, RNG stream included."""
+    """Batched evaluation of many points == the scalar path, point by
+    point, each point's generator included."""
 
     @given(letter=letters, seed=seeds)
     @settings(max_examples=12, deadline=None)
     def test_bit_identical_to_scalar_loop(self, letter, seed):
         subsystem = get_subsystem(letter)
         points = random_points(letter, seed, 8)
-        scalar_rng = np.random.default_rng(seed)
-        scalar = [
-            SteadyStateModel(subsystem).evaluate(p, scalar_rng)
-            for p in points
-        ]
-        batched_rng = np.random.default_rng(seed)
-        batched = BatchEvaluator(SteadyStateModel(subsystem)).evaluate_many(
-            points, rng=batched_rng
+        scalar, scalar_rngs = scalar_twins(subsystem, points, seed)
+        batched_rngs = point_rngs(seed, len(points))
+        batched = BatchEvaluator(SteadyStateModel(subsystem)).evaluate_each(
+            points, batched_rngs
         )
         assert_measurements_equal(scalar, batched)
-        assert scalar_rng.bit_generator.state == batched_rng.bit_generator.state
+        assert_states_equal(scalar_rngs, batched_rngs)
 
     @given(letter=letters, seed=seeds)
     @settings(max_examples=8, deadline=None)
     def test_cache_backed_batches_stay_identical(self, letter, seed):
         subsystem = get_subsystem(letter)
         points = random_points(letter, seed, 6)
-        scalar_rng = np.random.default_rng(seed)
-        scalar = [
-            SteadyStateModel(subsystem).evaluate(p, scalar_rng)
-            for p in points
-        ]
+        scalar, scalar_rngs = scalar_twins(subsystem, points, seed)
         cache = EvalCache()
         evaluator = BatchEvaluator(SteadyStateModel(subsystem, cache=cache))
-        cold_rng = np.random.default_rng(seed)
-        cold = evaluator.evaluate_many(points, rng=cold_rng)
-        warm_rng = np.random.default_rng(seed)
-        warm = evaluator.evaluate_many(points, rng=warm_rng)
+        cold_rngs = point_rngs(seed, len(points))
+        cold = evaluator.evaluate_each(points, cold_rngs)
+        warm_rngs = point_rngs(seed, len(points))
+        warm = evaluator.evaluate_each(points, warm_rngs)
         assert_measurements_equal(scalar, cold)
         assert_measurements_equal(scalar, warm)
-        assert scalar_rng.bit_generator.state == warm_rng.bit_generator.state
+        assert_states_equal(scalar_rngs, cold_rngs)
+        assert_states_equal(scalar_rngs, warm_rngs)
         assert len(cache) == len({str(workload_to_dict(p)) for p in points})
 
     @given(
@@ -194,7 +204,7 @@ class TestEvaluateManyBitIdentity:
         subsystem = subsystem_without_rule(letter, dropped)
         points = walk_points(letter, seed, count)
         batched = BatchEvaluator(SteadyStateModel(subsystem)).evaluate_each(
-            points, [np.random.default_rng(seed + i) for i in range(count)]
+            points, point_rngs(seed, count)
         )
         monitor = AnomalyMonitor(subsystem, stability_cv=stability_cv)
         for i, (point, measurement) in enumerate(zip(points, batched)):
@@ -216,18 +226,15 @@ class TestEvaluateManyBitIdentity:
         )
         scalar_rng = np.random.default_rng(1)
         scalar = SteadyStateModel(subsystem).evaluate(point, scalar_rng)
-        for evaluate in (
-            lambda rng: evaluator.evaluate_many([point], rng=rng),
-            lambda rng: evaluator.evaluate_each([point], [rng]),
-        ):
-            rng = np.random.default_rng(1)
-            assert_measurements_equal([scalar], evaluate(rng))
-            assert rng.bit_generator.state == scalar_rng.bit_generator.state
+        rng = np.random.default_rng(1)
+        batched = evaluator.evaluate_each([point], [rng])
+        assert_measurements_equal([scalar], batched)
+        assert rng.bit_generator.state == scalar_rng.bit_generator.state
         (solve,) = evaluator.solve_many([point])
         assert_solves_identical(
             solve, SteadyStateModel(subsystem)._solve(point, "search")
         )
-        assert metrics.value("batcheval.points", mode="scalar") == 3.0
+        assert metrics.value("batcheval.points", mode="scalar") == 2.0
         assert metrics.value("batcheval.points", mode="vectorized") == 0.0
 
 
@@ -238,9 +245,12 @@ class TestNegativeNoise:
         "evaluate",
         [
             lambda model, points: model.evaluate(points[0]),
-            lambda model, points: model.evaluate_many(
-                points, rng=np.random.default_rng(0)
-            ),
+            # Many points drawing from one shared generator: a scalar loop.
+            lambda model, points: [
+                model.evaluate(p, rng=rng)
+                for rng in [np.random.default_rng(0)]
+                for p in points
+            ],
             lambda model, points: BatchEvaluator(model).evaluate_each(
                 points, [np.random.default_rng(i) for i in range(len(points))]
             ),
@@ -248,6 +258,7 @@ class TestNegativeNoise:
         ids=["evaluate", "evaluate_many", "evaluate_each"],
     )
     def test_model_paths_raise(self, evaluate):
+        # The SteadyStateModel constructor raises before any path runs.
         with pytest.raises(ValueError, match="noise must be non-negative"):
             model = SteadyStateModel(get_subsystem("H"), noise=-0.1)
             evaluate(model, [WorkloadDescriptor()] * 3)
@@ -345,84 +356,10 @@ class TestBulkCacheApi:
             assert a.features == b.features
 
 
-class TestMFSPresolve:
-    """Presolved MFS extraction == scalar extraction, probe for probe.
+def test_collie_cached_equals_uncached():
+    """A solo search with a cache is the uncached search, event for event."""
 
-    The ladder presolve batches exactly when a cache is attached; with
-    ``cache=None`` it is a no-op and extraction runs the scalar path.
-    """
-
-    def _extract(self, cache):
-        setting = next(s for s in APPENDIX_SETTINGS if s.subsystem == "H")
-        subsystem = get_subsystem("H")
-        space = SearchSpace.for_subsystem(subsystem)
-        monitor = AnomalyMonitor(subsystem)
-        testbed = Testbed(subsystem, clock=SimulatedClock(), cache=cache)
-        rng = np.random.default_rng(0)
-        presolved = []
-
-        def probe(candidate):
-            result = testbed.run(candidate, rng=rng, phase="mfs")
-            return monitor.classify(result.measurement).symptom
-
-        def presolve(points):
-            presolved.append(testbed.presolve(points, phase="mfs"))
-            return presolved[-1]
-
-        extractor = MFSExtractor(space, probe, presolve=presolve)
-        mfs = extractor.construct(
-            setting.workload, setting.expected_symptom, at_seconds=0.0
-        )
-        return mfs, extractor.experiments, testbed, rng, presolved
-
-    def test_presolved_extraction_matches_scalar(self):
-        (
-            scalar_mfs, scalar_probes, scalar_testbed, scalar_rng,
-            scalar_presolved,
-        ) = self._extract(cache=None)
-        cache = EvalCache()
-        (
-            batched_mfs, batched_probes, batched_testbed, batched_rng,
-            batched_presolved,
-        ) = self._extract(cache=cache)
-        assert scalar_presolved and not any(scalar_presolved)
-        assert sum(batched_presolved) > 0
-        assert scalar_mfs is not None
-        assert mfs_to_dict(batched_mfs) == mfs_to_dict(scalar_mfs)
-        assert batched_probes == scalar_probes
-        assert batched_testbed.clock.now == scalar_testbed.clock.now
-        assert (
-            scalar_rng.bit_generator.state == batched_rng.bit_generator.state
-        )
-        assert len(cache) > 0
-        # The ladder presolve deduplicates and back-fills: the scalar
-        # replay over it must be mostly hits.
-        stats = cache.phase_stats()["mfs"]
-        assert stats.hits > stats.misses
-
-
-class TestWiredConsumers:
-    """Every batched call site against its scalar twin."""
-
-    def test_perftest_sweep_batched_equals_scalar(self):
-        scalar = PerftestGenerator("C")
-        batched = PerftestGenerator("C")
-        found_scalar = scalar.sweep(seed=0, limit=260, batch_size=0)
-        found_batched = batched.sweep(seed=0, limit=260, batch_size=64)
-        assert found_scalar == found_batched
-        assert scalar.testbed.clock.now == batched.testbed.clock.now
-        assert (
-            scalar.testbed.experiments_run == batched.testbed.experiments_run
-        )
-
-    def test_perftest_batch_size_one_is_the_scalar_path(self):
-        generator = PerftestGenerator("C")
-        baseline = PerftestGenerator("C")
-        assert generator.sweep(seed=0, limit=40, batch_size=1) \
-            == baseline.sweep(seed=0, limit=40, batch_size=0)
-
-    @staticmethod
-    def _event_key(event):
+    def event_key(event):
         return (
             event.time_seconds,
             event.symptom,
@@ -431,39 +368,18 @@ class TestWiredConsumers:
             sorted(event.counters.items()),
         )
 
-    def test_collie_batch_on_off_identical(self):
-        def report_key(report):
-            return (
-                [self._event_key(e) for e in report.events],
-                [mfs_to_dict(m) for m in report.anomalies],
-                report.experiments,
-                report.skipped_points,
-                report.elapsed_seconds,
-                report.counter_ranking,
-            )
-
-        # The MFS ladder presolve batches only into a cache, so the
-        # uncached run is the scalar path.
-        on = Collie.for_subsystem(
-            "H", budget_hours=0.12, seed=3, cache=EvalCache()
-        ).run()
-        off = Collie.for_subsystem("H", budget_hours=0.12, seed=3).run()
-        assert report_key(on) == report_key(off)
-
-    def test_batched_run_reports_vectorized_metrics(self):
-        metrics = MetricsRegistry()
-        testbed = Testbed(
-            "F", clock=SimulatedClock(), cache=EvalCache(), metrics=metrics,
+    def report_key(report):
+        return (
+            [event_key(e) for e in report.events],
+            [mfs_to_dict(m) for m in report.anomalies],
+            report.experiments,
+            report.skipped_points,
+            report.elapsed_seconds,
+            report.counter_ranking,
         )
-        space = SearchSpace.for_subsystem(testbed.subsystem)
-        rng = np.random.default_rng(0)
-        points = [space.random(rng) for _ in range(6)] * 2
-        testbed.run_many(points, rng=rng)
-        assert metrics.value("batcheval.points", mode="vectorized") \
-            == len(points)
-        batch_sizes = metrics.histogram("batcheval.batch_size", phase="search")
-        assert batch_sizes.count == 1 and batch_sizes.maximum == 6.0
-        # One per-point-seconds observation per evaluate_many call.
-        assert metrics.histogram(
-            "batcheval.point_seconds", phase="search"
-        ).count == 1
+
+    cached = Collie.for_subsystem(
+        "H", budget_hours=0.12, seed=3, cache=EvalCache()
+    ).run()
+    uncached = Collie.for_subsystem("H", budget_hours=0.12, seed=3).run()
+    assert report_key(cached) == report_key(uncached)

@@ -205,16 +205,6 @@ class TestFaultyTestbed:
         assert testbed.clock.now == 0.0
         assert rng.bit_generator.state == before
 
-    def test_batched_run_many_raises_upfront(self):
-        plan = FaultPlan(faults=(
-            FaultSpec(kind="hang", experiment=1, attempt=0),
-        ))
-        testbed = FaultyTestbed("F", plan)
-        with pytest.raises(TaskHang):
-            testbed.run_many(_workloads(3))
-        assert testbed.clock.now == 0.0
-        assert testbed.experiments_run == 0
-
     def test_bumped_attempt_sails_past_and_matches_clean_run(self):
         plan = FaultPlan(faults=(
             FaultSpec(kind="transient", experiment=1, attempt=0),

@@ -160,7 +160,7 @@ class TestDisabledModeBitIdentity:
 class TestBatchScalarLatencyIdentity:
     @pytest.mark.parametrize("letter", list("ABCDEFGH"))
     def test_latency_columns_bit_identical(self, letter):
-        """evaluate_many attaches the exact LatencyProfile the scalar
+        """evaluate_each attaches the exact LatencyProfile the scalar
         path derives — same floats, same components, same tags."""
         from repro.core.batcheval import BatchEvaluator
         from repro.core.space import SearchSpace
@@ -171,19 +171,21 @@ class TestBatchScalarLatencyIdentity:
         points = [space.random(sample_rng) for _ in range(12)]
         points += points[:4]  # exact duplicates, the dedup path
 
-        scalar_rng = np.random.default_rng(5)
+        scalar_rngs = [np.random.default_rng(5 + i) for i in range(16)]
         scalar = [
-            SteadyStateModel(subsystem).evaluate(p, scalar_rng)
-            for p in points
+            SteadyStateModel(subsystem).evaluate(p, rng)
+            for p, rng in zip(points, scalar_rngs)
         ]
-        batched_rng = np.random.default_rng(5)
-        batched = BatchEvaluator(SteadyStateModel(subsystem)).evaluate_many(
-            points, rng=batched_rng
+        batched_rngs = [np.random.default_rng(5 + i) for i in range(16)]
+        batched = BatchEvaluator(SteadyStateModel(subsystem)).evaluate_each(
+            points, batched_rngs
         )
         for a, b in zip(scalar, batched):
             assert a.latency is not None
             assert a.latency == b.latency
             assert a.latency.summary() == b.latency.summary()
+        assert [r.bit_generator.state for r in scalar_rngs] \
+            == [r.bit_generator.state for r in batched_rngs]
 
 
 @pytest.mark.parametrize(

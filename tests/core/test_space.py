@@ -1,15 +1,24 @@
 """The search space: sampling, mutation, coercion invariants."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.space import (
+    BATCH_CHOICES,
     CATEGORICAL_DIMENSIONS,
     MAX_QPS,
     MAX_TOTAL_MRS,
+    MR_BYTES_CHOICES,
+    MRS_PER_QP_CHOICES,
+    MTU_CHOICES,
     ORDERED_DIMENSIONS,
+    QPS_CHOICES,
+    SGE_CHOICES,
+    WQ_DEPTH_CHOICES,
     SearchSpace,
 )
 from repro.hardware.subsystems import get_subsystem
@@ -46,6 +55,73 @@ class TestConstruction:
             space.ordered_choices("qp_type")
         with pytest.raises(KeyError):
             space.categorical_choices("num_qps")
+
+
+def rebuilt_ordered_choices(space, dimension):
+    """The ladder lookup as it stood when it rebuilt every ladder per
+    call: the reference the cached ladder table must reproduce."""
+    base = {
+        "mtu": MTU_CHOICES,
+        "num_qps": QPS_CHOICES,
+        "wqe_batch": BATCH_CHOICES,
+        "sge_per_wqe": SGE_CHOICES,
+        "wq_depth": WQ_DEPTH_CHOICES,
+        "mrs_per_qp": MRS_PER_QP_CHOICES,
+        "mr_bytes": MR_BYTES_CHOICES,
+    }
+    base["mtu"] = space.mtus
+    base["num_qps"] = space.qps_choices
+    base["wqe_batch"] = space.batch_choices
+    base["sge_per_wqe"] = space.sge_choices
+    base["wq_depth"] = space.wq_depth_choices
+    base["mrs_per_qp"] = space.mrs_per_qp_choices
+    base["mr_bytes"] = space.mr_bytes_choices
+    base["duty_cycle"] = space.duty_cycles
+    if dimension not in base:
+        raise KeyError(f"{dimension!r} is not an ordered dimension")
+    return tuple(base[dimension])
+
+
+class TestOrderedLadders:
+    """The per-space ladder table equals a per-call rebuild."""
+
+    @pytest.mark.parametrize("letter", list("ABCDEFGH"))
+    @pytest.mark.parametrize("duty_cycles", [(1.0,), (0.25, 0.5, 1.0)])
+    def test_matches_per_call_rebuild(self, letter, duty_cycles):
+        space = SearchSpace.for_subsystem(letter, duty_cycles=duty_cycles)
+        for dimension in ORDERED_DIMENSIONS:
+            ladder = space.ordered_choices(dimension)
+            assert type(ladder) is tuple
+            assert ladder == rebuilt_ordered_choices(space, dimension)
+
+    def test_replace_builds_its_own_table(self):
+        space = SearchSpace.for_subsystem("F")
+        assert space.ordered_choices("mtu") == MTU_CHOICES
+        narrowed = dataclasses.replace(space, mtus=[1024, 4096])
+        assert narrowed.ordered_choices("mtu") == (1024, 4096)
+        assert space.ordered_choices("mtu") == MTU_CHOICES
+        for dimension in ORDERED_DIMENSIONS:
+            assert narrowed.ordered_choices(dimension) \
+                == rebuilt_ordered_choices(narrowed, dimension)
+
+    def test_table_leaves_identity_alone(self):
+        fresh = SearchSpace.for_subsystem("F")
+        used = SearchSpace.for_subsystem("F")
+        used.ordered_choices("num_qps")
+        assert repr(used) == repr(fresh)
+        assert used == fresh
+        assert hash(used) == hash(fresh)
+        assert dataclasses.replace(used) == fresh
+
+    @pytest.mark.parametrize(
+        "dimension", ["qp_type", "msg_pattern", "avg_msg", "nonsense"]
+    )
+    def test_unknown_dimension_raises_key_error(self, dimension):
+        space = SearchSpace.for_subsystem("F")
+        with pytest.raises(KeyError, match="is not an ordered dimension"):
+            space.ordered_choices(dimension)
+        with pytest.raises(KeyError):
+            rebuilt_ordered_choices(space, dimension)
 
 
 class TestRandomSampling:
