@@ -340,8 +340,8 @@ def _cmd_search(args: argparse.Namespace) -> int:
     if args.seeds > 1:
         if not fanout:
             # Same seeds, same reports, one process: the population
-            # driver steps the chains in lockstep with batched solves
-            # instead of running the seeds one scalar walk at a time.
+            # driver steps the chains in lockstep, without the
+            # per-seed task and worker plumbing of a campaign.
             return _run_search_population(
                 args, cache, recorder, chains=args.seeds,
                 campaign_format=True, victim=victim,
@@ -398,11 +398,11 @@ def _run_search_population(
 ) -> int:
     """``search --chains N`` / ``--tempering`` / delegated ``--seeds N``.
 
-    Steps N SA chains in lockstep in this process, batching each
-    generation's steady-state solves through the shared cache.  Chain
-    ``c`` is bit-identical to ``search --seed (seed+c)``, so with
-    ``campaign_format`` (the ``--seeds`` delegation) the printed
-    campaign summary matches the per-seed process path exactly.
+    Steps N SA chains in lockstep in this process, each on its own
+    testbed, sharing only the ``--cache``.  Chain ``c`` is bit-identical
+    to ``search --seed (seed+c)``, so with ``campaign_format`` (the
+    ``--seeds`` delegation) the printed campaign summary matches the
+    per-seed process path exactly.
     """
     from repro.analysis.campaign import CampaignResult
     from repro.core.population import PopulationCollie
@@ -1346,7 +1346,8 @@ def _add_resilience_flags(subparser: argparse.ArgumentParser) -> None:
         help="per-task wall-clock timeout; an expired task is retried",
     )
     subparser.add_argument(
-        "--backoff", type=float, default=None, metavar="SECONDS",
+        "--backoff", type=_non_negative_number, default=None,
+        metavar="SECONDS",
         help="base of the deterministic exponential retry backoff "
              "(default 0: account for the schedule without sleeping)",
     )
@@ -1386,14 +1387,14 @@ def build_parser() -> argparse.ArgumentParser:
     search.add_argument("--seeds", type=_positive_int, default=1,
                         help="run a campaign over this many seeds "
                              "(starting at --seed); without --workers or "
-                             "retry flags this runs as one lockstep "
-                             "population (same reports, batched solves)")
+                             "retry flags this runs as one in-process "
+                             "lockstep population (same reports)")
     search.add_argument("--workers", type=_positive_int, default=1,
                         help="worker processes for multi-seed campaigns")
     search.add_argument("--chains", type=_positive_int, default=1,
                         help="population size: step N SA chains (seeds "
-                             "--seed..--seed+N-1) in lockstep with "
-                             "whole-generation batched solves")
+                             "--seed..--seed+N-1) in lockstep in one "
+                             "process, each on its own testbed")
     search.add_argument("--tempering", action="store_true",
                         help="parallel tempering: run --chains rungs on a "
                              "geometric temperature ladder with "
@@ -1431,9 +1432,9 @@ def build_parser() -> argparse.ArgumentParser:
     parallel.add_argument("--workers", type=_positive_int, default=1,
                           help="worker processes for the machine fleet")
     parallel.add_argument("--chains", type=_positive_int, default=1,
-                          help="SA chains per machine, stepped as one "
-                               "lockstep population over the machine's "
-                               "counter share")
+                          help="SA chains per machine, stepped in "
+                               "lockstep over the machine's counter "
+                               "share, each on its own testbed")
     parallel.add_argument("--cache", metavar="PATH",
                           help="memoize evaluations in this JSON store")
     parallel.add_argument("--no-latency", action="store_true",

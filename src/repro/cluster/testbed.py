@@ -71,7 +71,6 @@ class Testbed:
         self.clock = clock or SimulatedClock()
         self.engine = WorkloadEngine(
             subsystem, noise=noise, cache=cache,
-            metrics=metrics, profiler=profiler,
             victim=victim, victim_share=victim_share,
         )
         #: Isolation mode (see :class:`~repro.hardware.coexist.CoRunModel`):
@@ -89,11 +88,6 @@ class Testbed:
         #: the space's coercion invariants, which the test suite verifies.
         self.functional_check = functional_check
         self.experiments_run = 0
-        #: Population lockstep seam: ``(workload, measurement)`` staged
-        #: by :meth:`prime` for the next :meth:`run` call (see
-        #: :mod:`repro.core.population`).  Always None outside a
-        #: population generation.
-        self._prepared: Optional[tuple] = None
 
     @property
     def cache(self) -> Optional["EvalCache"]:
@@ -116,30 +110,6 @@ class Testbed:
         completed prefix bit-identically.
         """
 
-    def prime(
-        self, workload: WorkloadDescriptor, measurement: Measurement
-    ) -> None:
-        """Stage the next :meth:`run` result (population lockstep seam).
-
-        The measurement must have been produced by the batched engine
-        from *this* testbed's chain RNG
-        (:meth:`~repro.core.batcheval.BatchEvaluator.evaluate_each`),
-        so the consuming ``run`` call skips only redundant work: clock
-        charging, accounting and the returned result are bit-identical
-        to an unprimed scalar evaluation.  The slot holds one workload,
-        matched by identity, and is cleared on consumption.
-        """
-        self._prepared = (workload, measurement)
-
-    def _take_prepared(
-        self, workload: WorkloadDescriptor
-    ) -> Optional[Measurement]:
-        prepared = self._prepared
-        if prepared is not None and prepared[0] is workload:
-            self._prepared = None
-            return prepared[1]
-        return None
-
     def run(
         self,
         workload: WorkloadDescriptor,
@@ -151,31 +121,24 @@ class Testbed:
         started = self.clock.now
         setup = self.engine.setup_seconds(workload)
         measure = self.engine.measurement_seconds()
-        prepared = self._take_prepared(workload)
         span = (
             self.profiler.span("solve")
             if self.profiler is not None else _NO_SPAN
         )
         if self.metrics is not None:
             with self.metrics.timer("testbed.measure_wall", phase=phase), span:
-                measurement = (
-                    prepared if prepared is not None
-                    else self.engine.measure(
-                        workload, rng=rng,
-                        functional_check=self.functional_check, phase=phase,
-                    )
+                measurement = self.engine.measure(
+                    workload, rng=rng,
+                    functional_check=self.functional_check, phase=phase,
                 )
             self.metrics.counter("testbed.experiments", phase=phase)
             self.metrics.observe("testbed.setup_seconds", setup)
             self.metrics.observe("testbed.measurement_seconds", measure)
         else:
             with span:
-                measurement = (
-                    prepared if prepared is not None
-                    else self.engine.measure(
-                        workload, rng=rng,
-                        functional_check=self.functional_check, phase=phase,
-                    )
+                measurement = self.engine.measure(
+                    workload, rng=rng,
+                    functional_check=self.functional_check, phase=phase,
                 )
         self.clock.advance(setup + measure)
         self.experiments_run += 1

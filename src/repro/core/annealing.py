@@ -219,11 +219,10 @@ class AnnealingSearch:
 
         A sub-generator: yields every in-budget probe workload right
         before measuring it (``kind="mfs"``), so the population driver
-        batches probes from many chains exactly like SA candidates.
+        steps probes from many chains exactly like SA candidates.
         Deadline-expired probes are answered ``"healthy"`` — yielding a
-        conservative, narrower MFS — *without* suspending: there is
-        nothing to batch, and a suspended-but-unmeasured point would
-        leave a stale primed slot on the testbed.
+        conservative, narrower MFS — *without* suspending: a suspension
+        would add a generation and so move tempering's exchange sweeps.
         """
         try:
             probe = next(stepper)
@@ -316,9 +315,8 @@ class AnnealingSearch:
         before it is measured.  Driving the generator to exhaustion is
         exactly the scalar pass — no state crosses the yield, so the RNG
         stream, clock charges and journal records are untouched.  A
-        population driver interleaves several of these, gathering one
-        pending point per chain per generation and pre-solving the whole
-        generation as one batched array op before resuming the chains.
+        population driver interleaves several of these, resuming each
+        chain once per generation.
         """
         clock = self.testbed.clock
         best: Optional[tuple[float, WorkloadDescriptor]] = None

@@ -1,10 +1,11 @@
-"""Batched vectorized evaluation of a population generation (S31).
+"""Batched vectorized evaluation of many points at once (S31).
 
-A population run (:mod:`repro.core.population`) suspends its SA chains
-immediately before each measurement and evaluates their pending points
-together.  :class:`BatchEvaluator` runs the deterministic half
+Nothing in src/ calls this module: it stays because perfbench's tracer
+and child name its entries, until a benchmark change drops them.
+
+:class:`BatchEvaluator` runs the deterministic half of an evaluation
 (features → rule gates → per-direction steady-state solve → ideal
-counters) as float64 column arithmetic over the whole generation
+counters) as float64 column arithmetic over a list of points
 (:func:`repro.hardware.model.solve_batch`), deduplicating identical
 points and consulting/back-filling the
 :class:`~repro.core.evalcache.EvalCache` through its bulk API.
@@ -19,13 +20,11 @@ is drawn from its own generator with the one call
 Only a point's *active* counters (ideal value > 0) consume noise,
 exactly as the scalar monitor does.
 
-**Path selection.**  The population generation step
-(:meth:`BatchEvaluator.evaluate_each`) is the kernel's one caller, and
-it batches only generations with at least two pending points; a
-one-point call runs the scalar path, which is cheaper for a single
-row.  Everything else (solo searches, MFS probes, counter ranking, the
-Perftest sweep) evaluates one point at a time through
-:meth:`~repro.hardware.model.SteadyStateModel.evaluate`.
+**Path selection.**  Every search, population chain, MFS probe,
+counter ranking and the Perftest sweep evaluates one point at a time
+through :meth:`~repro.hardware.model.SteadyStateModel.evaluate`; the
+tests are this kernel's only callers.  A one-point call runs the
+scalar path, which is cheaper for a single row.
 """
 
 from __future__ import annotations
@@ -52,6 +51,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 _NO_SPAN = nullcontext()
 
 
+# No caller in src/; kept because perfbench/tracer.py wraps it by name.
 def observe_each(
     model: SteadyStateModel,
     workloads: "list[WorkloadDescriptor]",
@@ -121,19 +121,6 @@ def _measurements_from_rows(
         # numpy's pairwise threshold) and thus every bit is the same as
         # scalar ``average_counters``.
         means_list = rows.mean(axis=1).tolist()
-        # AnomalyMonitor.is_stable's CV, by its own reductions over each
-        # point's tx_bytes_per_sec readings: a last-axis sum adds a row
-        # exactly as the 1-d ``mean``/``std`` of one point's readings do
-        # (the middle-axis means above can differ in the last bit).
-        readings = rows[:, :, ALL_COUNTERS.index("tx_bytes_per_sec")]
-        tx_mean = readings.sum(axis=1) / window
-        deviation = readings - tx_mean[:, None]
-        tx_std = np.sqrt((deviation * deviation).sum(axis=1) / window)
-        positive = tx_mean > 0
-        cvs = np.divide(
-            tx_std, tx_mean, out=np.zeros_like(tx_mean), where=positive
-        ).tolist()
-        primed = positive.tolist()
     # CounterSample rows are lists: one tolist() of the whole cube.
     for i, (solve, point_rows) in enumerate(zip(solves, rows.tolist())):
         samples = [
@@ -144,7 +131,7 @@ def _measurements_from_rows(
             counters = dict(zip(ALL_COUNTERS, means_list[i]))
         else:
             counters = average_counters(samples)
-        measurement = Measurement(
+        measurements.append(Measurement(
             workload=workloads[i],
             subsystem_name=subsystem_name,
             samples=samples,
@@ -153,10 +140,7 @@ def _measurements_from_rows(
             fired=solve.fired,
             features=solve.features,
             latency=latency_for_solve(model.subsystem, solve),
-        )
-        if window and primed[i]:
-            measurement.tx_cv = cvs[i]
-        measurements.append(measurement)
+        ))
     return measurements
 
 
@@ -190,6 +174,7 @@ class BatchEvaluator:
 
     # -- solving --------------------------------------------------------------
 
+    # No caller in src/; kept because perfbench/tracer.py wraps it by name.
     def solve_many(
         self,
         workloads: "list[WorkloadDescriptor]",
@@ -290,6 +275,7 @@ class BatchEvaluator:
 
     # -- full evaluation ------------------------------------------------------
 
+    # No caller in src/; kept because perfbench/tracer.py wraps it by name.
     def evaluate_each(
         self,
         workloads: "list[WorkloadDescriptor]",
@@ -299,9 +285,8 @@ class BatchEvaluator:
     ) -> list[Measurement]:
         """Batched evaluation with an independent RNG per point.
 
-        The population generation step: N chains' pending points solved
-        as one deduplicated array program, each point's observation
-        noise drawn from its own chain's generator in scalar order.
+        N points solved as one deduplicated array program, each point's
+        observation noise drawn from its own generator in scalar order.
         Point ``i``'s measurement — and the state ``rngs[i]`` is left
         in — is bit-identical to
         ``model.evaluate(workloads[i], rngs[i], phase=phase)``.

@@ -220,9 +220,9 @@ class Collie:
         immediately before it is measured; driving it to exhaustion is
         exactly ``run()`` — no state crosses a yield, so the trajectory,
         RNG stream and journal are bit-identical.  The population driver
-        interleaves several of these, pre-solving each generation's
-        pending points as one batch.  ``StopIteration.value`` is the
-        :class:`SearchReport`.
+        interleaves several of these, one measurement per chain per
+        generation, so tempering can exchange points between them.
+        ``StopIteration.value`` is the :class:`SearchReport`.
         """
         if self.recorder is not None:
             self.recorder.run_start(

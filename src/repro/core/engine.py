@@ -73,13 +73,9 @@ class WorkloadEngine:
         subsystem: Subsystem,
         noise: float = 0.02,
         cache: Optional["EvalCache"] = None,
-        metrics=None,
-        profiler=None,
         victim: Optional[WorkloadDescriptor] = None,
         victim_share: float = 0.5,
     ) -> None:
-        from repro.core.batcheval import BatchEvaluator
-
         self.subsystem = subsystem
         #: Isolation mode: a pinned victim tenant makes every measured
         #: point an *attacker* co-running next to it — the model becomes
@@ -100,11 +96,6 @@ class WorkloadEngine:
             )
         else:
             self.model = SteadyStateModel(subsystem, noise=noise, cache=cache)
-        #: Batched front end to the solver (S31), for the population
-        #: generation step; every other caller measures one point.
-        self.batch = BatchEvaluator(
-            self.model, metrics=metrics, profiler=profiler
-        )
 
     @property
     def cache(self) -> Optional["EvalCache"]:

@@ -63,9 +63,8 @@ def canonical_point(workload: WorkloadDescriptor) -> str:
     constructed) canonicalize identically.
 
     The key is memoized on the (frozen, immutable) descriptor: one
-    point is typically keyed several times (its cache lookup and store,
-    a generation batch's dedup), and population runs key thousands of
-    points per generation wave.
+    point is typically keyed several times (its cache lookup and
+    store), and a search keys thousands of points.
     """
     memo = getattr(workload, "_canonical_key", None)
     if memo is not None:
@@ -268,6 +267,7 @@ class EvalCache:
                 for key in keys
             ]
 
+    # Only the callerless batcheval calls this; perfbench/tracer.py wraps it.
     def get_many(
         self,
         subsystem: "Subsystem",
@@ -307,6 +307,7 @@ class EvalCache:
                 self.observer(phase, entry is not None)
         return out
 
+    # Only the callerless batcheval calls this; perfbench/tracer.py wraps it.
     def put_many(
         self,
         subsystem: "Subsystem",

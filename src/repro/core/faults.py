@@ -39,6 +39,7 @@ Fault kinds:
 from __future__ import annotations
 
 import dataclasses
+import math
 from typing import TYPE_CHECKING, Iterable, Optional
 
 import numpy as np
@@ -297,6 +298,8 @@ class RetryPolicy:
             raise ValueError("quarantine_after must be >= 1")
         if self.timeout_seconds is not None and self.timeout_seconds <= 0:
             raise ValueError("timeout_seconds must be positive")
+        if not (math.isfinite(self.backoff_base) and self.backoff_base >= 0):
+            raise ValueError("backoff_base must be a finite number >= 0")
 
     def backoff(self, attempt: int) -> float:
         """Delay before retrying after failed attempt ``attempt``."""

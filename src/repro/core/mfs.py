@@ -184,8 +184,8 @@ class MFSExtractor:
     ``classify`` is a callable running one (charged) experiment and
     returning the monitor's symptom string; the extractor counts every
     probe so callers can charge testbed time.  Callers that drive
-    :meth:`construct_steps` directly — the population driver's batched
-    path — answer each yielded probe themselves and may pass
+    :meth:`construct_steps` directly — the population driver's
+    lockstep path — answer each yielded probe themselves and may pass
     ``classify=None``.
 
     A probe counts as *triggering* only when it reproduces the witness's
@@ -262,8 +262,8 @@ class MFSExtractor:
         :class:`MinimalFeatureSet` — or None for a re-find of a known
         anomaly.  Nothing else crosses a yield, so a driver answering
         every probe with ``classify`` replays the scalar probe sequence
-        exactly, while the population driver batches the suspended
-        probes of many chains into one array program per generation.
+        exactly, and so does the population driver, which interleaves
+        the suspended probes of many chains one generation at a time.
 
         With ``reduce=True`` (default) the witness is first simplified
         toward a benign baseline, one dimension at a time, keeping only

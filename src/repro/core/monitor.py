@@ -222,18 +222,15 @@ class AnomalyMonitor:
     def is_stable(self, measurement: Measurement) -> bool:
         """Coefficient-of-variation check across the per-second samples.
 
-        A measurement from the batched observation carries the CV of its
-        ``tx_bytes_per_sec`` readings (``Measurement.tx_cv``); others are
-        read here (:func:`readings_cv`).  A window whose mean is not
-        positive is stable; an empty one is not (its CV is NaN).
+        The CV of the ``tx_bytes_per_sec`` readings (:func:`readings_cv`).
+        A window whose mean is not positive is stable; an empty one is
+        not (its CV is NaN).
         """
-        cv = measurement.tx_cv
+        cv = readings_cv(
+            [s.get("tx_bytes_per_sec") for s in measurement.samples]
+        )
         if cv is None:
-            cv = readings_cv(
-                [s.get("tx_bytes_per_sec") for s in measurement.samples]
-            )
-            if cv is None:
-                return True
+            return True
         return cv <= self.stability_cv
 
 

@@ -1,40 +1,28 @@
-"""Population-stepped SA: N annealing chains as one array program.
+"""Population SA: N annealing chains stepped in lockstep in one process.
 
-``search --seeds N`` and :class:`~repro.core.parallel.ParallelCollie`
-historically paid a full scalar process per chain: every chain solved
-its own steady states one point at a time, and nothing was shared.
-This module advances N independent SA chains *in lockstep* inside one
-process instead.  Each chain is a full §7.2 Collie run — own RNG
-(``seed + c``), own simulated clock, own monitor and anomaly set —
-reshaped into a generator (:meth:`~repro.core.collie.Collie.steps`)
-that suspends immediately before each measurement, search step and MFS
-probe alike.  Per generation the driver gathers one pending workload
-per live chain and evaluates them together
-(:meth:`~repro.core.batcheval.BatchEvaluator.evaluate_each`): one
-deduplicated vectorized solve against a shared
-:class:`~repro.core.evalcache.EvalCache`, then each point's observation
-noise drawn from *its own chain's* generator.  Each finished
-measurement is primed into its chain's testbed
-(:meth:`~repro.cluster.testbed.Testbed.prime`), and the chains resume
-in order; each chain's next ``run`` consumes its primed measurement
-instead of evaluating again.
+Each chain is a full §7.2 Collie run — own RNG (``seed + c``), own
+simulated clock, own testbed, monitor and anomaly set — reshaped into a
+generator (:meth:`~repro.core.collie.Collie.steps`) that suspends
+immediately before each measurement, search step and MFS probe alike.
+Per generation the driver resumes every live chain once, in chain
+order, and each chain measures its pending workload through its own
+:meth:`~repro.cluster.testbed.Testbed.run`, as the paper's SA searches
+each occupy their own two-server testbed.  A user ``--cache`` is shared
+by every chain; nothing else is.
 
-Because nothing crosses the suspension points — a primed measurement
-equals the chain's own scalar evaluation (plus its precomputed
-stability CV) and leaves the chain's generator in the same state, and
-the cache is bit-transparent — every chain is bit-identical to a
-standalone ``Collie(seed=seed + c).run()``.  Two consequences the test
-suite pins:
+Because nothing crosses the suspension points and the cache is
+bit-transparent, every chain is bit-identical to a standalone
+``Collie(seed=seed + c).run()``.  Two consequences the test suite pins:
 
 * a 1-chain population *is* the legacy trajectory (same events, RNG
   stream, journal bytes, report);
 * an N-chain population equals the ``search --seeds N`` campaign path
   for the same seed range, independent of worker count.
 
-What the lockstep buys: every generation's solves run as one
-deduplicated array program, and all chains share one warm cache
-(chains rediscovering each other's regions pay nothing), instead of N
-disjoint scalar walks.
+What the lockstep is still for: parallel tempering's exchange sweeps
+need every chain at the same generation, and the generation order
+fixes the interleaved record order of a ``--chains`` journal and the
+reported ``generations`` count.
 
 **Parallel tempering** (``temperature_ladder``): one chain per rung,
 each running the relaxed schedule scaled to its rung, with a
@@ -44,7 +32,7 @@ chain holds the better-scoring point and both chains are driving the
 same counter — greedy, RNG-free, so tempering runs are bit-identical
 across repeats.  The paper couldn't afford a ladder on real hardware
 (each rung is another 10-hour testbed occupation); on the simulated
-testbed it is one more column in the array program.
+testbed it is one more chain.
 """
 
 from __future__ import annotations
@@ -126,7 +114,7 @@ class PopulationReport:
 
 
 class PopulationCollie:
-    """Steps N Collie chains in lockstep with batched steady solves."""
+    """Steps N Collie chains in lockstep, each on its own testbed."""
 
     def __init__(
         self,
@@ -173,14 +161,8 @@ class PopulationCollie:
         self.victim = victim
         self.victim_share = victim_share
         self.recorder = recorder
-        self._user_cache = cache is not None
-        #: The shared cross-chain cache the generation batches solve
-        #: through.  Auto-created for multi-chain runs; never forced on
-        #: 1-chain runs, whose journals must stay byte-identical to the
-        #: legacy single trajectory.
-        self.cache = cache if cache is not None else (
-            EvalCache() if chains > 1 else None
-        )
+        #: The user's cache, shared by every chain (``None`` without one).
+        self.cache = cache
         space = space or SearchSpace.for_subsystem(subsystem)
 
         def rung_params(rung: float) -> SAParams:
@@ -217,7 +199,7 @@ class PopulationCollie:
                 noise=noise,
                 mfs_probes_per_dimension=mfs_probes_per_dimension,
                 counters=counters,
-                cache=self.cache,
+                cache=cache,
                 recorder=chain_recorder,
                 latency=latency,
                 victim=victim,
@@ -226,17 +208,16 @@ class PopulationCollie:
             if ladder is not None:
                 collie.search.exchange_enabled = True
             self._collies.append(collie)
-        if self.cache is not None and chains > 1:
+        if cache is not None and chains > 1:
             # Each chain Collie re-wired the shared cache's observer to
             # its own recorder view; route cache events through the
             # unstamped parent instead (they are population-global, not
             # attributable to the chain that happened to be built last),
             # and drop the profiler (chains suspend mid-span).
-            self.cache.observer = (
-                recorder.cache_event
-                if self._user_cache and recorder is not None else None
+            cache.observer = (
+                recorder.cache_event if recorder is not None else None
             )
-            self.cache.profiler = None
+            cache.profiler = None
         if ladder is not None:
             # Exchange sweeps walk the ladder hottest → coldest.
             self._ladder_order = sorted(
@@ -266,7 +247,6 @@ class PopulationCollie:
                 and self.generations % self.exchange_every == 0
             ):
                 self._exchange_sweep()
-            self._prepare(pending)
             # dict preserves insertion order and never re-adds a
             # finished chain, so resumption order is chain order.
             for index in list(pending):
@@ -292,39 +272,6 @@ class PopulationCollie:
         except StopIteration as stop:
             pending.pop(index, None)
             reports[index] = stop.value
-
-    def _prepare(self, pending: dict) -> None:
-        """Evaluate the generation's pending points as one array program.
-
-        One deduplicated solve for the whole generation (cache-backed),
-        then each point's observation noise drawn from *its own chain's*
-        generator in scalar call order (``observe_each``).  The finished
-        measurements are primed into each chain's testbed, whose next
-        ``run`` consumes them with unchanged clock charging — so every
-        chain's trajectory, RNG state and journal stay bit-identical to
-        a standalone scalar run, and the per-point work left on the
-        scalar path is just bookkeeping.
-
-        A single pending point gains nothing from batching; a point the
-        solver rejects is left unprimed so the chain's own measurement
-        raises exactly where the scalar path would.
-        """
-        if len(pending) < 2:
-            return
-        lead = self._collies[0].testbed
-        indices = list(pending)
-        workloads = [pending[index] for index in indices]
-        rngs = [self._collies[index].search.rng for index in indices]
-        try:
-            measurements = lead.engine.batch.evaluate_each(
-                workloads, rngs, phase="population"
-            )
-        except ValueError:
-            return
-        for index, workload, measurement in zip(
-            indices, workloads, measurements
-        ):
-            self._collies[index].testbed.prime(workload, measurement)
 
     # -- replica exchange (parallel tempering) -----------------------------
 

@@ -240,6 +240,7 @@ def _pattern(sizes: tuple, mtu: int) -> tuple:
     )
 
 
+# Only the callerless batcheval calls this; perfbench/tracer.py wraps it.
 def extract_feature_columns(
     plan: "BatchPlan", workloads: Sequence[WorkloadDescriptor]
 ) -> tuple:

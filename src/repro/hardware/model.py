@@ -454,16 +454,6 @@ class Measurement:
     #: Analytic per-WR latency distribution (:func:`derive_latency`).
     #: Optional so bare-hands Measurement construction in tests stays valid.
     latency: Optional[LatencyProfile] = None
-    #: Coefficient of variation of the per-second ``tx_bytes_per_sec``
-    #: readings, set by the batched observation in the pass that averages
-    #: the window, so the monitor's stability check need not rebuild it.
-    #: ``None`` when not computed -- the scalar :meth:`SteadyStateModel.
-    #: evaluate` never sets it -- or when the readings' mean is not
-    #: positive; the check then computes the same value from the samples
-    #: (:func:`repro.core.monitor.readings_cv`).
-    tx_cv: Optional[float] = dataclasses.field(
-        default=None, init=False, repr=False, compare=False
-    )
 
     @property
     def pause_ratio(self) -> float:
@@ -1006,6 +996,7 @@ def batch_plan(subsystem: "Subsystem") -> BatchPlan:
     return plan
 
 
+# Only the callerless batcheval calls this; perfbench/tracer.py wraps it.
 def solve_batch(subsystem: "Subsystem", workloads: "list[WorkloadDescriptor]"):
     """Vectorized deterministic solve of N workload points.
 

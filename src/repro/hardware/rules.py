@@ -265,6 +265,7 @@ class RuleTable:
         ]
 
 
+# Only the callerless batcheval calls this; perfbench/tracer.py wraps it.
 def batch_fired_rules(
     table: RuleTable, features: np.ndarray, gates: np.ndarray
 ) -> tuple[list, np.ndarray, np.ndarray]:

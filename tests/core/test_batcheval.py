@@ -5,8 +5,8 @@ an ``evaluate_each`` call is *bit-identical* to
 ``model.evaluate(workloads[i], rngs[i])`` — measurements, counters,
 fired rules, features, sample streams, and the state each generator is
 left in.  These tests pin that promise property-style across all eight
-subsystems, and its one caller, the population generation step,
-against the scalar solver on a real search stream.
+subsystems, and pin the kernel against the scalar solver on the points
+a real 8-chain search measures.
 """
 
 import dataclasses
@@ -17,12 +17,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.serialize import mfs_to_dict, workload_to_dict
+from repro.cluster.testbed import Testbed
 from repro.core import Collie, EvalCache
 from repro.core.batcheval import BatchEvaluator
 from repro.core.monitor import AnomalyMonitor
 from repro.core.population import PopulationCollie
 from repro.core.space import SearchSpace
-from repro.hardware import model as model_module
 from repro.hardware.model import SteadyStateModel, solve_batch
 from repro.hardware.subsystems import get_subsystem
 from repro.hardware.workload import WorkloadDescriptor
@@ -119,7 +119,7 @@ def assert_measurements_equal(left, right):
 
 
 def point_rngs(seed, count):
-    """One independent generator per point, as the population passes."""
+    """One independent generator per point, as chains each hold one."""
     return [np.random.default_rng(seed + i) for i in range(count)]
 
 
@@ -200,7 +200,7 @@ class TestEvaluateManyBitIdentity:
     def test_primed_verdicts_match_scalar_classify(
         self, letter, seed, count, dropped, stability_cv
     ):
-        """The batch stability pass equals is_stable on scalar samples."""
+        """Batched measurements get the scalar verdicts, stability too."""
         subsystem = subsystem_without_rule(letter, dropped)
         points = walk_points(letter, seed, count)
         batched = BatchEvaluator(SteadyStateModel(subsystem)).evaluate_each(
@@ -211,9 +211,6 @@ class TestEvaluateManyBitIdentity:
             scalar = SteadyStateModel(subsystem).evaluate(
                 point, np.random.default_rng(seed + i)
             )
-            assert scalar.tx_cv is None
-            if scalar.counters["tx_bytes_per_sec"] > 0:
-                assert measurement.tx_cv is not None
             assert monitor.classify(measurement) == monitor.classify(scalar)
 
     def test_one_point_call_routes_scalar(self):
@@ -272,25 +269,28 @@ class TestNegativeNoise:
 
 @pytest.mark.slow
 def test_solve_batch_matches_scalar_on_the_search_stream(monkeypatch):
-    """Oracle: every batched solve of a 10-hour 8-chain search is scalar.
+    """Oracle: the kernel solves a 10-hour 8-chain search's stream as scalar.
 
     Gates sit where the SA walk concentrates, which random points rarely
-    reach, so this records every ``solve_batch`` input of the real
-    generation stream and re-solves each point on the scalar path.
+    reach, so this records every workload the chains' testbeds measure,
+    solves them with ``solve_batch`` in consecutive groups of eight, and
+    re-solves each point on the scalar path.
     """
-    calls = []
-    batched = model_module.solve_batch
+    measured = []
+    run = Testbed.run
 
-    def recording(subsystem, workloads):
-        solves = batched(subsystem, workloads)
-        calls.append((subsystem, list(workloads), solves))
-        return solves
+    def recording(testbed, workload, *args, **kwargs):
+        measured.append(workload)
+        return run(testbed, workload, *args, **kwargs)
 
-    monkeypatch.setattr(model_module, "solve_batch", recording)
+    monkeypatch.setattr(Testbed, "run", recording)
     PopulationCollie("F", chains=8, seed=1, budget_hours=10).run()
-    assert len(calls) > 1000
-    for subsystem, workloads, solves in calls:
-        model = SteadyStateModel(subsystem)
+    subsystem = get_subsystem("F")
+    model = SteadyStateModel(subsystem)
+    batches = [measured[i:i + 8] for i in range(0, len(measured), 8)]
+    assert len(batches) > 1000
+    for workloads in batches:
+        solves = solve_batch(subsystem, workloads)
         assert len(solves) == len(workloads)
         for point, solve in zip(workloads, solves):
             assert_solves_identical(solve, model._solve(point, "search"))

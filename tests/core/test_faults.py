@@ -164,6 +164,9 @@ class TestRetryPolicy:
             RetryPolicy(quarantine_after=0)
         with pytest.raises(ValueError, match="timeout_seconds"):
             RetryPolicy(timeout_seconds=0.0)
+        for base in (-5.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="backoff_base"):
+                RetryPolicy(backoff_base=base)
 
     def test_describe_mentions_the_knobs(self):
         text = RetryPolicy(max_retries=3, timeout_seconds=5.0).describe()

@@ -1,11 +1,12 @@
 """Population-stepped SA: bit-identity, determinism, tempering.
 
-The population driver's whole contract is that batching is invisible:
-a chain stepped in lockstep with N-1 siblings must journal, measure
-and report exactly what it would have standalone.  These tests pin
-that contract from every side — 1-chain vs legacy, chain c vs
-standalone seed + c, population vs the ``--seeds`` campaign path at
-any worker count, and tempering determinism.
+The population driver's whole contract is that lockstep is invisible:
+a chain stepped with N-1 siblings, each on its own testbed, must
+journal, measure and report exactly what it would have standalone.
+These tests pin that contract from every side — 1-chain vs legacy,
+chain c vs standalone seed + c, population vs the ``--seeds`` campaign
+path at any worker count, a shared user cache, and tempering
+determinism.
 """
 
 import json
@@ -15,6 +16,7 @@ import pytest
 from repro.analysis.campaign import run_campaign
 from repro.core.annealing import SearchSignal
 from repro.core.collie import Collie
+from repro.core.evalcache import EvalCache
 from repro.core.population import PopulationCollie
 from repro.obs import (
     FlightRecorder,
@@ -87,9 +89,6 @@ class TestOneChainIsLegacy:
 class TestChainsAreIndependent:
     @pytest.mark.parametrize("subsystem", SUBSYSTEMS)
     def test_each_chain_matches_standalone_seed(self, subsystem):
-        # Multi-chain runs evaluate every generation through
-        # evaluate_each, so each subsystem's rule table goes through the
-        # batched kernel here (a 1-chain run never does).
         population = PopulationCollie(
             subsystem, chains=4, budget_hours=0.5, seed=5,
         ).run()
@@ -142,6 +141,51 @@ class TestPopulationJournal:
         assert (
             [report_key(r) for r in replayed]
             == [report_key(r) for r in population.reports]
+        )
+
+    def test_no_cache_is_created_and_no_batch_metrics_journaled(
+        self, tmp_path
+    ):
+        path = tmp_path / "population.jsonl"
+        recorder = FlightRecorder(journal=RunJournal(path))
+        driver = PopulationCollie(
+            "H", chains=3, budget_hours=0.2, seed=2, recorder=recorder,
+        )
+        driver.run()
+        recorder.close()
+        assert driver.cache is None
+        ends = [r for r in read_journal(path) if r["t"] == "run_end"]
+        assert len(ends) == 3
+        for record in ends:
+            series = [
+                name for family in record["metrics"].values()
+                for name in family
+            ]
+            assert series
+            assert not [s for s in series if s.startswith("batcheval.")]
+
+    def test_user_cache_lookups_are_the_chains_own(self, tmp_path):
+        path = tmp_path / "cached.jsonl"
+        recorder = FlightRecorder(journal=RunJournal(path))
+        # One hour: long enough for SA search steps after MFS probes.
+        cached = PopulationCollie(
+            "F", chains=3, budget_hours=1.0, seed=5, recorder=recorder,
+            cache=EvalCache(),
+        ).run()
+        recorder.close()
+        uncached = PopulationCollie(
+            "F", chains=3, budget_hours=1.0, seed=5,
+        ).run()
+        lookups = [r for r in read_journal(path) if r["t"] == "cache"]
+        assert lookups
+        # Cache events are population-global: no chain stamp.
+        assert not any("chain" in record for record in lookups)
+        phases = {record["phase"] for record in lookups}
+        assert "search" in phases
+        assert phases <= {"search", "probe", "mfs"}
+        assert (
+            [report_key(r) for r in cached.reports]
+            == [report_key(r) for r in uncached.reports]
         )
 
 

@@ -146,6 +146,12 @@ class TestNumericFlags:
              "must be a finite number > 0, got -1"),
             (["top", "j.jsonl", "--stale-after", "nan"],
              "must be a finite number > 0, got nan"),
+            (["search", "F", "--hours", "0.2", "--seeds", "2",
+              "--backoff", "-5"], "must be a finite number >= 0, got -5"),
+            (["parallel", "H", "--backoff", "nan"],
+             "must be a finite number >= 0, got nan"),
+            (["campaign", "collie", "--backoff", "inf"],
+             "must be a finite number >= 0, got inf"),
         ],
     )
     def test_out_of_range_values_rejected_at_parse_time(
