@@ -9,7 +9,7 @@ search, with marks at each anomaly discovery.
 from __future__ import annotations
 
 import dataclasses
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -99,7 +99,7 @@ class CounterTrace:
 
 def counter_trace(
     approach: str,
-    events: Sequence,
+    events: Iterable,
     counter: str,
     max_value: Optional[float] = None,
 ) -> CounterTrace:

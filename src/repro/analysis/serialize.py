@@ -72,6 +72,54 @@ def workload_to_dict(workload: WorkloadDescriptor) -> dict:
     }
 
 
+def workload_to_list(workload: WorkloadDescriptor) -> list:
+    """:func:`workload_to_dict`'s values in its key order, which is
+    :data:`repro.obs.schema.WORKLOAD_FIELDS` (the journal's v8 form)."""
+    return [
+        workload.qp_type.value,
+        workload.opcode.value,
+        workload.direction.value,
+        workload.colocation.value,
+        workload.sg_layout.value,
+        workload.mtu,
+        workload.num_qps,
+        workload.wqe_batch,
+        workload.sge_per_wqe,
+        workload.wq_depth,
+        list(workload.msg_sizes_bytes),
+        workload.mrs_per_qp,
+        workload.mr_bytes,
+        workload.src_device,
+        workload.dst_device,
+        workload.duty_cycle,
+    ]
+
+
+def workload_from_list(values: list) -> WorkloadDescriptor:
+    """The workload :func:`workload_to_list` wrote."""
+    (qp_type, opcode, direction, colocation, sg_layout, mtu, num_qps,
+     wqe_batch, sge_per_wqe, wq_depth, msg_sizes_bytes, mrs_per_qp,
+     mr_bytes, src_device, dst_device, duty_cycle) = values
+    return WorkloadDescriptor(
+        qp_type=_QP_TYPE(qp_type),
+        opcode=_OPCODE(opcode),
+        direction=_DIRECTION(direction),
+        colocation=_COLOCATION(colocation),
+        sg_layout=_SG_LAYOUT(sg_layout),
+        mtu=mtu,
+        num_qps=num_qps,
+        wqe_batch=wqe_batch,
+        sge_per_wqe=sge_per_wqe,
+        wq_depth=wq_depth,
+        msg_sizes_bytes=tuple(msg_sizes_bytes),
+        mrs_per_qp=mrs_per_qp,
+        mr_bytes=mr_bytes,
+        src_device=src_device,
+        dst_device=dst_device,
+        duty_cycle=duty_cycle,
+    )
+
+
 def workload_from_dict(data: dict) -> WorkloadDescriptor:
     return WorkloadDescriptor(
         qp_type=_QP_TYPE(data["qp_type"]),

@@ -98,12 +98,12 @@ def cell_victim(records) -> tuple:
     same victim.  Solo journals yield ``(None, 0.5)`` and the replay
     path is bit-identical to the pre-isolation pass.
     """
-    from repro.analysis.serialize import workload_from_dict
+    from repro.obs.folds import record_workload
 
     for record in records:
         if record.get("t") == "isolation":
             return (
-                workload_from_dict(record["victim"]),
+                record_workload(record, "victim"),
                 float(record["victim_share"]),
             )
     return None, 0.5

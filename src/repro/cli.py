@@ -640,6 +640,7 @@ def _report_one(
         Isolation,
         JournalMetrics,
         RecordCounts,
+        RecordParse,
         RunReports,
         dispatcher,
     )
@@ -648,8 +649,9 @@ def _report_one(
 
     emit_json = getattr(args, "json", False)
     if emit_json:
-        reports = RunReports()
-        metrics = JournalMetrics()
+        parse = RecordParse()  # one workload parse per record, not two
+        reports = RunReports(parse=parse)
+        metrics = JournalMetrics(parse)
         folds = (*metrics.folds, reports)
     else:
         reports = RunReports(latency=True, counter=args.counter)
@@ -747,7 +749,7 @@ def _report_one(
     if args.counter:
         trace = counter_trace(
             "journal",
-            [row for run in runs for row in run.counter_rows()],
+            (row for run in runs for row in run.counter_rows()),
             args.counter,
         )
         if not trace.hours:
@@ -772,10 +774,10 @@ def _report_one(
 
 def _report_isolation(isolation) -> None:
     """Log the co-run context of an isolation journal (no-op for solo)."""
-    from repro.analysis.serialize import workload_from_dict
+    from repro.obs.folds import record_workload
 
     for record in isolation.preambles:
-        victim = workload_from_dict(record["victim"])
+        victim = record_workload(record, "victim")
         logger.info(
             f"isolation run: victim {victim.summary()} — "
             f"share {record['victim_share']:g}, alone "
@@ -794,7 +796,7 @@ def _latency_line(latency) -> Optional[str]:
     """One-line per-run aggregate of per-experiment latency summaries
     (a :class:`~repro.obs.folds.LatencyColumns`).
 
-    Each experiment's latency record already carries its own
+    Each experiment's latency summary already carries its own
     p50/p90/p99; across a run the medians of those percentiles describe
     the typical modeled WR, and the worst inflation names the run's
     closest approach to (or crossing of) the tail-latency trigger.
@@ -1407,8 +1409,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="memoize evaluations in this JSON store")
     search.add_argument("--no-latency", action="store_true",
                         help="disable the tail-latency signal: no latency "
-                             "journal records and no latency-inflation "
-                             "verdicts (bit-identical to pre-latency runs)")
+                             "summaries in the journal and no "
+                             "latency-inflation verdicts (the same search "
+                             "as a pre-latency run)")
     search.add_argument("--victim", metavar="SPEC",
                         help="adversarial-neighbor mode: pin this victim "
                              "workload on the testbed and search the "

@@ -15,11 +15,11 @@ stale by wall-clock age.
 
 No record outlives the poll that read it: a refresh costs O(records
 since the last refresh), and memory holds fold state, not records (the
-exact latency median keeps one float per ``latency`` record, and each
-run's :class:`~repro.obs.coverage.CoverageTracker` keeps every distinct
-workload point for ``unique_points``, which neither the aggregator nor
-``journal diff`` reads: about 6.1 MB, some 710 B a point, for the
-8,603 points of a 10 h 8-chain F journal).  A corrupt line or a
+exact latency median keeps one float per latency summary, and each
+run's :class:`~repro.obs.coverage.CoverageTracker` keeps a key per
+distinct workload point for ``unique_points``, which neither the
+aggregator nor ``journal diff`` reads: about 1.9 MB, some 221 B a
+point, for the 8,603 points of a 10 h 8-chain F journal).  A corrupt line or a
 malformed record stops its source, whose rollup carries the error; the
 other sources keep folding.  The aggregator is strictly a *reader*:
 it never touches the writer's process, RNG, or journal, so an

@@ -13,19 +13,32 @@ from __future__ import annotations
 import dataclasses
 import heapq
 import math
+import operator
 import sys
 from array import array
 from collections import deque
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
-from repro.analysis.serialize import mfs_from_dict, workload_from_dict
+from repro.analysis.serialize import (
+    mfs_from_dict,
+    workload_from_dict,
+    workload_from_list,
+)
 from repro.core.annealing import TraceEvent
 from repro.core.collie import SearchReport
+from repro.core.mfs import MinimalFeatureSet
 from repro.core.monitor import HEALTHY
+from repro.hardware.workload import WorkloadDescriptor
 from repro.obs.coverage import CoverageTracker
 from repro.obs.metrics import HistogramSummary
 from repro.obs.profiler import self_times
-from repro.obs.schema import RECORD_FIELDS
+from repro.obs.schema import (
+    ALL_COUNTERS,
+    LATENCY_COMPONENTS,
+    LATENCY_KEYS,
+    RECORD_FIELDS,
+    positional,
+)
 
 #: Actions that participate in acceptance-rate denominators.  restart,
 #: reheat and exchange are schedule events, not Metropolis decisions.
@@ -52,8 +65,8 @@ class Fold:
 
 
 #: What a fold's ``step`` raises on a line that is valid JSON but not a
-#: valid record: a missing key, a wrong type, an unknown enum value, a
-#: non-object line.
+#: valid record: a missing key, a wrong type or array length, an unknown
+#: enum value, a non-object line.
 MALFORMED_RECORD_ERRORS = (KeyError, TypeError, ValueError, AttributeError)
 
 
@@ -65,6 +78,130 @@ def malformed_record(where: str, record, error: Exception) -> ValueError:
         f"{where}: malformed {kind!r} record: "
         f"{type(error).__name__}: {error}"
     )
+
+
+# -- field accessors: the one place a record's version picks its shape -------
+
+def record_workload(
+    record: dict, field: str = "workload"
+) -> WorkloadDescriptor:
+    """The workload in ``record[field]``: ``workload`` of an experiment
+    or skip, ``victim`` of an isolation preamble."""
+    if positional(record):
+        return workload_from_list(record[field])
+    return workload_from_dict(record[field])
+
+
+class RecordParse:
+    """The parsed workload and MFS of the record being stepped: folds
+    of one pass that share a ``RecordParse`` parse each record once."""
+
+    def __init__(self) -> None:
+        self._workload: tuple = (None, None)  #: (record, workload)
+        self._mfs: tuple = (None, None)  #: (record, mfs)
+
+    def workload(self, record: dict) -> WorkloadDescriptor:
+        """:func:`record_workload` of an experiment or skip."""
+        last, workload = self._workload
+        if last is not record:
+            workload = record_workload(record)
+            self._workload = (record, workload)
+        return workload
+
+    def mfs(self, record: dict) -> MinimalFeatureSet:
+        """An ``anomaly`` record's MFS."""
+        last, mfs = self._mfs
+        if last is not record:
+            mfs = mfs_from_dict(record["mfs"])
+            self._mfs = (record, mfs)
+        return mfs
+
+
+_COUNTER_INDEX = {name: index for index, name in enumerate(ALL_COUNTERS)}
+
+
+def _counter_values(record: dict) -> list:
+    values = record["counters"]
+    if len(values) != len(ALL_COUNTERS):
+        raise ValueError(
+            f"counters holds {len(values)} values, expected "
+            f"{len(ALL_COUNTERS)}"
+        )
+    return values
+
+
+def record_counter(record: dict, name: str):
+    """One counter's reading in an experiment record (None: absent)."""
+    if not positional(record):
+        return record["counters"].get(name)
+    index = _COUNTER_INDEX.get(name)
+    return None if index is None else _counter_values(record)[index]
+
+
+def record_counters(record: dict) -> dict:
+    """An experiment record's counter snapshot, as a TraceEvent holds it."""
+    if not positional(record):
+        return dict(record["counters"])
+    return dict(zip(ALL_COUNTERS, _counter_values(record)))
+
+
+_P50, _P90, _P99, _INFLATION, _TAGS = map(
+    LATENCY_KEYS.index, ("p50_us", "p90_us", "p99_us", "inflation", "tags")
+)
+_LATENCY_FIELDS = operator.itemgetter(*LATENCY_KEYS)
+
+
+def record_latency(record: dict) -> Optional[Sequence]:
+    """The latency summary a record carries, in ``LATENCY_KEYS`` order:
+    a v4–v7 ``latency`` record's fields or a v8 experiment's ``latency``
+    array (its ``components`` an object or an array, as written); None
+    when the record carries none."""
+    if record.get("t") == "latency":
+        return _LATENCY_FIELDS(record)
+    values = record.get("latency")
+    if values is not None and len(values) != len(LATENCY_KEYS):
+        raise ValueError(
+            f"latency holds {len(values)} values, expected "
+            f"{len(LATENCY_KEYS)}"
+        )
+    return values
+
+
+def latency_summary(values: Sequence) -> dict:
+    """A :func:`record_latency` summary as a TraceEvent holds it."""
+    p50, p90, p99, mean, baseline, inflation, components, tags = values
+    if not isinstance(components, dict):
+        components = zip(LATENCY_COMPONENTS, components, strict=True)
+    return {
+        "p50_us": p50,
+        "p90_us": p90,
+        "p99_us": p99,
+        "mean_us": mean,
+        "baseline_us": baseline,
+        "inflation": inflation,
+        "components": dict(components),
+        "tags": list(tags),
+    }
+
+
+def parse_record(record: dict) -> None:
+    """Parse everything a reader parses of ``record`` — its workload,
+    counters, latency summary or MFS — raising what that reader would
+    (one of :data:`MALFORMED_RECORD_ERRORS`)."""
+    kind = record.get("t")
+    if kind == "experiment":
+        record_workload(record)
+        record_counters(record)
+    elif kind == "skip" and "workload" in record:
+        record_workload(record)
+    elif kind == "isolation":
+        record_workload(record, "victim")
+    elif kind == "anomaly":
+        mfs_from_dict(record["mfs"])
+    if kind in ("experiment", "latency"):
+        latency = record_latency(record)
+        if latency is not None:
+            latency_summary(latency)
 
 
 def dispatcher(*folds: Fold) -> Callable[[dict], None]:
@@ -180,21 +317,25 @@ class RecordCounts(PerRun):
 
 
 class Coverage(PerRun):
-    """One workload-space :class:`CoverageTracker` per run."""
+    """One workload-space :class:`CoverageTracker` per run (``parse``:
+    shared with the pass's other folds)."""
+
+    def __init__(self, parse: Optional[RecordParse] = None) -> None:
+        super().__init__()
+        self.parse = parse if parse is not None else RecordParse()
 
     def start_run(self, record: dict) -> CoverageTracker:
         return CoverageTracker.for_subsystem(record["subsystem"])
 
     def step_run(self, tracker, kind: str, record: dict) -> CoverageTracker:
         if kind == "experiment":
-            tracker.visit(workload_from_dict(record["workload"]))
+            tracker.visit(self.parse.workload(record))
         elif kind == "skip":
-            workload = record.get("workload")
             tracker.skip(
-                workload_from_dict(workload) if workload is not None else None
+                self.parse.workload(record) if "workload" in record else None
             )
         elif kind == "anomaly":
-            tracker.mark_mfs(mfs_from_dict(record["mfs"]))
+            tracker.mark_mfs(self.parse.mfs(record))
         return tracker
 
     def result(self) -> Optional[float]:
@@ -207,25 +348,25 @@ class Coverage(PerRun):
 
 
 class LatencyColumns:
-    """The p50, p90, p99 and inflation of a run's latency records, one
-    float each per record (the per-run latency line of ``report`` and
+    """The p50, p90, p99 and inflation of a run's latency summaries, one
+    float each per summary (the per-run latency line of ``report`` and
     ``stats``)."""
 
-    KEYS = ("p50_us", "p90_us", "p99_us", "inflation")
+    INDICES = (_P50, _P90, _P99, _INFLATION)
 
     def __init__(self) -> None:
-        self.columns = tuple(array("d") for _ in self.KEYS)
+        self.columns = tuple(array("d") for _ in self.INDICES)
 
     def __len__(self) -> int:
         return len(self.columns[0])
 
-    def append(self, record: dict) -> None:
-        for column, key in zip(self.columns, self.KEYS):
-            column.append(float(record[key]))
+    def append(self, latency: Sequence) -> None:
+        for column, index in zip(self.columns, self.INDICES):
+            column.append(float(latency[index]))
 
-    def replace_last(self, record: dict) -> None:
-        for column, key in zip(self.columns, self.KEYS):
-            column[-1] = float(record[key])
+    def replace_last(self, latency: Sequence) -> None:
+        for column, index in zip(self.columns, self.INDICES):
+            column[-1] = float(latency[index])
 
 
 class Traffic(PerRun):
@@ -236,18 +377,13 @@ class Traffic(PerRun):
 
     def step_run(self, run: tuple, kind: str, record: dict) -> tuple:
         if kind == "experiment":
-            tx = float(record["counters"].get("tx_bytes_per_sec", 0.0))
-            run[0].append(tx * 8.0 / 1e9)
-        elif kind == "latency":
-            run[1].append(record)
+            tx = record_counter(record, "tx_bytes_per_sec")
+            run[0].append(float(tx if tx is not None else 0.0) * 8.0 / 1e9)
+        if kind in ("experiment", "latency"):
+            latency = record_latency(record)
+            if latency is not None:
+                run[1].append(latency)
         return run
-
-
-#: Keys of a TraceEvent latency summary, in record order.
-LATENCY_KEYS = (
-    "p50_us", "p90_us", "p99_us", "mean_us", "baseline_us", "inflation",
-    "components", "tags",
-)
 
 
 class CounterRow(NamedTuple):
@@ -265,6 +401,52 @@ class CounterRow(NamedTuple):
     counters = None  #: no snapshot: ``counter_value`` is the reading.
 
 
+class CounterColumns:
+    """A run's readings of one counter, a column per field (a
+    :class:`CounterRow` each would hold several objects per experiment);
+    ``positions`` are the observing experiments' places in the run."""
+
+    def __init__(self, counter: str) -> None:
+        self.counter = counter
+        self.positions = array("l")
+        self.times = array("d")
+        self.values = array("d")
+        self.kinds: list[str] = []
+        self.symptoms: list[str] = []
+        self.anomaly_indices: list[Optional[int]] = []
+        self._columns = (
+            self.positions, self.times, self.values, self.kinds,
+            self.symptoms, self.anomaly_indices,
+        )
+
+    def append(self, position: int, record: dict) -> None:
+        """``record``'s reading, if it observed the counter."""
+        counter = self.counter
+        value = record_counter(record, counter)
+        if value is None:
+            if record["counter"] != counter:
+                return
+            value = record["counter_value"]
+        row = (
+            position, record["time_seconds"], float(value),
+            sys.intern(record["kind"]), sys.intern(record["symptom"]),
+            record.get("new_anomaly_index"),
+        )
+        for column, field in zip(self._columns, row):
+            column.append(field)
+
+    def rows(self, retags: dict) -> Iterator[CounterRow]:
+        """The readings in order, ``retags`` (position → anomaly index)
+        applied."""
+        for position, seconds, value, kind, symptom, index in zip(
+            *self._columns
+        ):
+            yield CounterRow(
+                seconds, self.counter, value, kind, symptom,
+                retags.get(position, index),
+            )
+
+
 class RunSummary:
     """One run, folded record by record: the
     :class:`~repro.core.collie.SearchReport` totals, its anomalies and
@@ -280,8 +462,9 @@ class RunSummary:
 
     def __init__(
         self, start: dict, events: bool, latency: bool,
-        counter: Optional[str],
+        counter: Optional[str], parse: RecordParse,
     ) -> None:
+        self.parse = parse
         self.seed = start.get("seed")
         self.subsystem = start.get("subsystem", "?")
         self.counter_mode = start.get("counter_mode", "diag")
@@ -300,21 +483,20 @@ class RunSummary:
         #: Each experiment's latency percentiles and inflation.
         self.latency = LatencyColumns() if latency else None
         self._latency_attached = False  #: the last experiment has one.
-        self.counter = counter
-        #: Per experiment: its :class:`CounterRow` (None: not observed).
-        self.rows: Optional[list] = [] if counter is not None else None
+        #: The readings of ``counter`` (None: not kept).
+        self.readings = (
+            CounterColumns(counter) if counter is not None else None
+        )
 
     def step(self, kind: str, record: dict) -> None:
         if kind == "experiment":
             self._experiment(record)
         elif kind == "latency" and self.experiments:
-            # The writer emits the latency record right after the
-            # experiment it describes; a repeat replaces it.
-            self._attach_latency(record)
+            self._latency_record(record)
         elif kind == "anomaly":
             self.anomalies.append((
                 record["index"], record.get("event_index"),
-                mfs_from_dict(record["mfs"]),
+                self.parse.mfs(record),
             ))
         elif kind == "skip":
             self.skips += 1
@@ -329,7 +511,8 @@ class RunSummary:
     def _experiment(self, record: dict) -> None:
         # Parsed even when not kept: a workload the reader cannot build
         # ends the read at its line.
-        workload = workload_from_dict(record["workload"])
+        workload = self.parse.workload(record)
+        latency = record_latency(record)  # v8 experiments carry theirs
         seconds = record["time_seconds"]
         if not self.experiments or seconds > self.latest:
             self.latest = seconds
@@ -349,45 +532,31 @@ class RunSummary:
                 workload=workload,
                 kind=record["kind"],
                 new_anomaly_index=record.get("new_anomaly_index"),
-                counters=dict(record["counters"]),
+                counters=record_counters(record),
+                latency=None if latency is None else latency_summary(latency),
                 interference=record.get("interference"),
             ))
-        if self.rows is not None:
-            self.rows.append(self._counter_row(record))
+        if self.readings is not None:
+            self.readings.append(self.experiments - 1, record)
+        if latency is not None:
+            self._latency_columns(latency)
 
-    def _counter_row(self, record: dict) -> Optional[CounterRow]:
-        counter = self.counter
-        counters = record["counters"]
-        if counter in counters:
-            value = counters[counter]
-        elif record["counter"] == counter:
-            value = record["counter_value"]
-        else:
-            return None
-        return CounterRow(
-            record["time_seconds"], counter, float(value),
-            sys.intern(record["kind"]), sys.intern(record["symptom"]),
-            record.get("new_anomaly_index"),
-        )
-
-    def _attach_latency(self, record: dict) -> None:
+    def _latency_record(self, record: dict) -> None:
+        """A v4–v7 ``latency`` record: the writer emits it right after
+        the experiment it describes; a repeat replaces it."""
+        latency = record_latency(record)
         if self.events is not None:
-            summary = {
-                key: (
-                    dict(record[key]) if key == "components"
-                    else list(record[key]) if key == "tags"
-                    else record[key]
-                )
-                for key in LATENCY_KEYS
-            }
             self.events[-1] = dataclasses.replace(
-                self.events[-1], latency=summary
+                self.events[-1], latency=latency_summary(latency)
             )
+        self._latency_columns(latency)
+
+    def _latency_columns(self, latency: Sequence) -> None:
         if self.latency is not None:
             if self._latency_attached:
-                self.latency.replace_last(record)
+                self.latency.replace_last(latency)
             else:
-                self.latency.append(record)
+                self.latency.append(latency)
         self._latency_attached = True
 
     def _by_index(self) -> list[tuple]:
@@ -432,16 +601,10 @@ class RunSummary:
             counter_ranking=ranking,
         )
 
-    def counter_rows(self) -> list[CounterRow]:
-        """The experiments that observed :attr:`counter`, in order, with
+    def counter_rows(self) -> Iterator[CounterRow]:
+        """The experiments that observed the kept counter, in order, with
         the re-tag applied."""
-        rows = self.rows
-        for position, index in self._retags().items():
-            if rows[position] is not None:
-                rows[position] = rows[position]._replace(
-                    new_anomaly_index=index
-                )
-        return [row for row in rows if row is not None]
+        return self.readings.rows(self._retags())
 
 
 class RunReports(PerRun):
@@ -451,10 +614,11 @@ class RunReports(PerRun):
 
     def __init__(
         self, events: bool = False, latency: bool = False,
-        counter: Optional[str] = None,
+        counter: Optional[str] = None, parse: Optional[RecordParse] = None,
     ) -> None:
         super().__init__()
-        self._options = (events, latency, counter)
+        parse = parse if parse is not None else RecordParse()
+        self._options = (events, latency, counter, parse)
 
     def start_run(self, record: dict) -> RunSummary:
         return RunSummary(record, *self._options)
@@ -646,11 +810,12 @@ class TemperatureEpochs(Fold):
 
 
 class Latency(Fold):
-    """Per-WR p99 latency: count, worst inflation, and the exact median
-    from two heaps holding the lower and upper half of the p99s (an even
-    count averages the two middle values)."""
+    """Per-WR p99 latency over the latency summaries: count, worst
+    inflation, and the exact median from two heaps holding the lower and
+    upper half of the p99s (an even count averages the two middle
+    values)."""
 
-    kinds = frozenset({"latency"})
+    kinds = frozenset({"experiment", "latency"})
 
     def __init__(self) -> None:
         self.count = 0
@@ -663,15 +828,18 @@ class Latency(Fold):
         self.histogram = HistogramSummary()
 
     def step(self, record: dict) -> None:
-        p99 = float(record["p99_us"])
+        latency = record_latency(record)
+        if latency is None:
+            return
+        p99 = float(latency[_P99])
         self.count += 1
         heapq.heappush(self._low, -heapq.heappushpop(self._high, p99))
         if len(self._low) > len(self._high) + 1:
             heapq.heappush(self._high, -heapq.heappop(self._low))
-        inflation = float(record["inflation"])
+        inflation = float(latency[_INFLATION])
         if self.inflation_max is None or inflation > self.inflation_max:
             self.inflation_max = inflation
-        self.quirky += bool(record.get("tags"))
+        self.quirky += bool(latency[_TAGS])
         for index, (_, upper) in enumerate(LATENCY_BUCKETS):
             if p99 < upper:
                 self.buckets[index] += 1
@@ -839,9 +1007,9 @@ class JournalMetrics:
     (coverage from the records, not ``coverage`` snapshots, so a
     self-diff is exactly zero)."""
 
-    def __init__(self) -> None:
+    def __init__(self, parse: Optional[RecordParse] = None) -> None:
         self.folds = (
-            RecordCounts(), FirstAnomaly(), Coverage(), Elapsed(),
+            RecordCounts(), FirstAnomaly(), Coverage(parse), Elapsed(),
             Annealing(), Spans(), MFSShapes(), Latency(), Isolation(),
         )
         (self.counts, self.ttfa, self.coverage, self.elapsed, self.annealing,

@@ -20,22 +20,28 @@ from __future__ import annotations
 
 import gzip
 import json
+import operator
 import os
 from typing import IO, Callable, Iterable, Optional, Union
 
-from repro.analysis.serialize import mfs_to_dict, workload_to_dict
+from repro.analysis.serialize import mfs_to_dict, workload_to_list
 from repro.core.annealing import TraceEvent
 from repro.core.collie import SearchReport
 from repro.obs.folds import (
-    LATENCY_KEYS,
     MALFORMED_RECORD_ERRORS,
     PerRun,
     RecordCounts,
     RunReports,
     malformed_record,
+    parse_record,
     run_folds,
 )
-from repro.obs.schema import SCHEMA_VERSION
+from repro.obs.schema import (
+    ALL_COUNTERS,
+    LATENCY_COMPONENTS,
+    LATENCY_KEYS,
+    SCHEMA_VERSION,
+)
 
 
 def _json_default(value):
@@ -184,7 +190,17 @@ def scan_journal(
 # -- record constructors (the write side the recorder uses) ------------------
 
 
+#: Positional arrays are built by name, so an event that lacks a value
+#: fails here instead of shifting a column.
+_COUNTER_VALUES = operator.itemgetter(*ALL_COUNTERS)
+#: The summary's numbers: every key but the last two, components and tags.
+_LATENCY_NUMBERS = operator.itemgetter(*LATENCY_KEYS[:-2])
+_LATENCY_COMPONENT_VALUES = operator.itemgetter(*LATENCY_COMPONENTS)
+
+
 def experiment_record(event: TraceEvent) -> dict:
+    """The v8 record of one experiment: workload, counters and latency
+    summary as positional arrays (see :mod:`repro.obs.schema`)."""
     record = {
         "t": "experiment",
         "time_seconds": event.time_seconds,
@@ -193,22 +209,23 @@ def experiment_record(event: TraceEvent) -> dict:
         "symptom": event.symptom,
         "tags": list(event.tags),
         "kind": event.kind,
-        "workload": workload_to_dict(event.workload),
-        "counters": dict(event.counters),
+        "workload": workload_to_list(event.workload),
+        "counters": list(_COUNTER_VALUES(event.counters)),
         "new_anomaly_index": event.new_anomaly_index,
     }
-    # Only isolation (co-run) searches stamp interference; solo
-    # journals stay byte-identical to pre-v6 writers.
+    if event.latency is not None:
+        record["latency"] = latency_record(event)
+    # Only isolation (co-run) searches stamp interference.
     if event.interference is not None:
         record["interference"] = event.interference
     return record
 
 
-def isolation_record(victim_dict: dict, victim_share, floor) -> dict:
+def isolation_record(victim, victim_share, floor) -> dict:
     """The isolation run preamble (pinned victim + alone-floor)."""
     return {
         "t": "isolation",
-        "victim": victim_dict,
+        "victim": workload_to_list(victim),
         "victim_share": victim_share,
         "alone_gbps": floor.alone_gbps,
         "alone_p99_us": floor.alone_p99_us,
@@ -224,12 +241,16 @@ def anomaly_record(index: int, event_index: Optional[int], mfs) -> dict:
     }
 
 
-def latency_record(event: TraceEvent) -> dict:
-    """Latency twin of an experiment record (requires ``event.latency``)."""
-    record = {"t": "latency", "time_seconds": event.time_seconds}
-    for key in LATENCY_KEYS:
-        record[key] = event.latency[key]
-    return record
+def latency_record(event: TraceEvent) -> list:
+    """An experiment's latency summary as its record's positional
+    ``latency`` array (requires ``event.latency``)."""
+    # One read of a lazily-built summary view, then plain dict lookups.
+    summary = dict(event.latency.items())
+    return [
+        *_LATENCY_NUMBERS(summary),
+        list(_LATENCY_COMPONENT_VALUES(summary["components"])),
+        list(summary["tags"]),
+    ]
 
 
 # -- reconstruction (the read side) ------------------------------------------
@@ -306,30 +327,36 @@ def verify_journal(path: Union[str, os.PathLike]) -> tuple[int, list[str]]:
     (resumable) but the journal records an interrupted campaign
     (truncated final line and/or a ``run_start`` with no ``run_end``);
     :data:`VERIFY_CORRUPT` — the file is unreadable, corrupt before
-    its final line, or fails schema validation.
+    its final line, fails schema validation, or holds a record the
+    readers cannot parse (:func:`~repro.obs.folds.parse_record`; schema
+    errors anywhere outrank it, as in ``repro report``).
     """
     from repro.obs.schema import validate_record
 
     counts = RecordCounts()
     errors: list[str] = []
+    malformed: list[ValueError] = []
     line = 0
 
     def check(record: dict) -> None:
         nonlocal line
         line += 1
         errors.extend(validate_record(record, line=line))
-        if not errors:
+        if not errors and not malformed:
+            parse_record(record)
             counts.step(record)
 
     messages: list[str] = []
     try:
-        count, tail_error = scan_journal(path, check)
+        count, tail_error = scan_journal(path, check, malformed.append)
     except OSError as error:
         return VERIFY_CORRUPT, [f"cannot read journal: {error}"]
     except ValueError as error:
         return VERIFY_CORRUPT, [str(error)]
     if errors:
         return VERIFY_CORRUPT, errors
+    if malformed:
+        return VERIFY_CORRUPT, [str(malformed[0])]
     if not count:
         messages.append("journal is empty")
         if tail_error is not None:

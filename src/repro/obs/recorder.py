@@ -25,14 +25,13 @@ import logging
 import time
 from typing import Optional
 
-from repro.analysis.serialize import workload_to_dict
+from repro.analysis.serialize import workload_to_list
 from repro.obs.coverage import CoverageTracker
 from repro.obs.journal import (
     RunJournal,
     anomaly_record,
     experiment_record,
     isolation_record,
-    latency_record,
 )
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.profiler import SpanProfiler, spans_records
@@ -151,9 +150,7 @@ class FlightRecorder:
         """
         self.metrics.counter("isolation.runs")
         if self.journal is not None:
-            self._write(isolation_record(
-                workload_to_dict(victim), victim_share, floor,
-            ))
+            self._write(isolation_record(victim, victim_share, floor))
 
     def ranking(
         self, counters: list, dispersions: Optional[dict] = None
@@ -223,8 +220,6 @@ class FlightRecorder:
             self.coverage.visit(event.workload)
         if self.journal is not None:
             self._write(experiment_record(event))
-            if event.latency is not None:
-                self._write(latency_record(event))
         self._experiments_seen += 1
         if (
             self.progress_every
@@ -267,7 +262,7 @@ class FlightRecorder:
         if self.journal is not None:
             record = {"t": "skip", "time_seconds": time_seconds}
             if workload is not None:
-                record["workload"] = workload_to_dict(workload)
+                record["workload"] = workload_to_list(workload)
             self._write(record)
 
     def anomaly(self, index: int, event_index: Optional[int], mfs) -> None:
@@ -422,8 +417,6 @@ class FlightRecorder:
                 self.coverage.visit(event.workload)
             if self.journal is not None:
                 self._write(experiment_record(event))
-                if event.latency is not None:
-                    self._write(latency_record(event))
         for index, mfs in enumerate(anomalies):
             self.anomaly(index, None, mfs)
         for _ in range(skipped):

@@ -17,7 +17,9 @@ Record types:
 ``experiment``
     One testbed experiment — the journal twin of a
     :class:`~repro.core.annealing.TraceEvent`, with the workload and
-    full counter snapshot inlined.
+    full counter snapshot inlined (from v8 as positional arrays, plus
+    the per-WR latency summary as a third array when the latency signal
+    is on).
 ``anomaly``
     A new MFS entered the anomaly set.  ``event_index`` points at the
     triggering experiment record (its 0-based position within the run),
@@ -53,12 +55,14 @@ Record types:
     A chunk of profiler span events, each ``[path, start, duration]``
     in profiler-relative wall-clock seconds.
 ``latency``
-    Per-WR latency percentiles of one experiment (the summary of the
-    measurement's analytic :class:`~repro.hardware.model.LatencyProfile`):
-    p50/p90/p99/mean in microseconds, the deterministic ``baseline_us``
-    floor, the p99-over-baseline ``inflation`` ratio the tail-latency
-    trigger compares, and the named per-component breakdown.  Written
-    immediately after its ``experiment`` record.
+    v4–v7 only.  Per-WR latency percentiles of one experiment (the
+    summary of the measurement's analytic
+    :class:`~repro.hardware.model.LatencyProfile`): p50/p90/p99/mean in
+    microseconds, the deterministic ``baseline_us`` floor, the
+    p99-over-baseline ``inflation`` ratio the tail-latency trigger
+    compares, and the named per-component breakdown.  Written
+    immediately after its ``experiment`` record; v8 carries the same
+    summary inside the ``experiment`` record instead.
 ``isolation``
     One per isolation (adversarial-neighbor) run, right after
     ``run_start``: the pinned victim workload, its bandwidth share, and
@@ -91,6 +95,20 @@ by co-run searches, so solo journals stay byte-compatible with v5);
 version 7 added the live-telemetry ``heartbeat`` record (only written
 when an exporter/dashboard asks for liveness, so untelemetered
 journals stay byte-compatible with v6).
+
+Version 8 writes one record per experiment, and about half the bytes.
+Every workload a record carries (``experiment.workload``,
+``skip.workload``, ``isolation.victim``) is a positional array in
+:data:`WORKLOAD_FIELDS` order, ``experiment.counters`` one in
+:data:`ALL_COUNTERS` order, and the ``latency`` record is gone: its
+summary rides on the experiment as the optional ``latency`` array, in
+:data:`LATENCY_KEYS` order with the components in
+:data:`LATENCY_COMPONENTS` order.  These orders are constants of this
+module, not of a run, so any v8 record reads on its own (a follower
+resuming mid-file, a fold that keeps no run state).  The per-record
+``v`` says which shape a record holds (:func:`positional`); MFS objects
+and every other field keep their v7 shape.
+
 Older journals remain valid (the validator accepts every version in
 ``SUPPORTED_VERSIONS``; optional fields are only type-checked when
 present).
@@ -100,14 +118,104 @@ from __future__ import annotations
 
 from typing import Iterable, Optional
 
-SCHEMA_VERSION = 7
+from repro.hardware.counters import ALL_COUNTERS
+
+SCHEMA_VERSION = 8
 
 #: Versions the validator (and readers) accept.
-SUPPORTED_VERSIONS = (1, 2, 3, 4, 5, 6, 7)
+SUPPORTED_VERSIONS = (1, 2, 3, 4, 5, 6, 7, 8)
+
+#: Versions whose records carry positional arrays.
+POSITIONAL_VERSIONS = (8,)
 
 NUMBER = (int, float)
 MAYBE_INT = (int, type(None))
 MAYBE_DICT = (dict, type(None))
+
+
+def positional(record: dict) -> bool:
+    """Whether ``record`` holds the positional (v8) shape."""
+    return record.get("v") in POSITIONAL_VERSIONS
+
+
+def _exact_types(accepted) -> frozenset:
+    """Types a decoded value of ``accepted`` passes by without a full
+    check (none for an array: :meth:`Positional.problems` checks it)."""
+    if isinstance(accepted, Positional):
+        return frozenset()
+    return frozenset(accepted if isinstance(accepted, tuple) else (accepted,))
+
+
+class Positional:
+    """A positional array field: element ``i`` is the value named
+    ``names[i]``, of the types ``types[i]`` (a nested ``Positional`` for
+    an array element)."""
+
+    def __init__(self, fields: dict) -> None:
+        self.names = tuple(fields)
+        self.types = tuple(fields.values())
+        self._exact = tuple(_exact_types(accepted) for accepted in self.types)
+        self._nested = tuple(
+            (index, accepted) for index, accepted in enumerate(self.types)
+            if isinstance(accepted, Positional)
+        )
+
+    def problems(self, value) -> list[str]:
+        """What is wrong with ``value``, each to follow the name of the
+        field that holds it (empty: nothing)."""
+        if not isinstance(value, list):
+            return [
+                f" is {type(value).__name__}, expected an array of "
+                f"{len(self.names)}"
+            ]
+        if len(value) != len(self.names):
+            return [
+                f" has {len(value)} elements, expected {len(self.names)}"
+            ]
+        for element, exact in zip(value, self._exact):
+            if type(element) not in exact:
+                break
+        else:
+            return [
+                f" element {self.names[index]!r}{problem}"
+                for index, nested in self._nested
+                for problem in nested.problems(value[index])
+            ]
+        return [
+            f" element {name!r}{problem}"
+            for name, accepted, element in zip(self.names, self.types, value)
+            for problem in _problems(element, accepted)
+        ]
+
+
+#: A workload (``workload_to_dict``'s fields, in this order).
+WORKLOAD_ARRAY = Positional({
+    "qp_type": str, "opcode": str, "direction": str, "colocation": str,
+    "sg_layout": str, "mtu": NUMBER, "num_qps": NUMBER, "wqe_batch": NUMBER,
+    "sge_per_wqe": NUMBER, "wq_depth": NUMBER, "msg_sizes_bytes": list,
+    "mrs_per_qp": NUMBER, "mr_bytes": NUMBER, "src_device": str,
+    "dst_device": str, "duty_cycle": NUMBER,
+})
+#: An experiment's counter readings, one per counter.
+COUNTERS_ARRAY = Positional(dict.fromkeys(ALL_COUNTERS, NUMBER))
+#: The named delays of a latency summary's ``components``.
+LATENCY_COMPONENTS = (
+    "serialization_us", "pipeline_us", "pcie_us", "queueing_us",
+    "cache_us", "pause_us", "stall_us",
+)
+#: An experiment's per-WR latency summary.
+LATENCY_ARRAY = Positional({
+    "p50_us": NUMBER, "p90_us": NUMBER, "p99_us": NUMBER, "mean_us": NUMBER,
+    "baseline_us": NUMBER, "inflation": NUMBER,
+    "components": Positional(dict.fromkeys(LATENCY_COMPONENTS, NUMBER)),
+    "tags": list,
+})
+
+#: The positional orders, with :data:`ALL_COUNTERS` for the counters.
+#: They are the v8 format: a reader decodes an array by position with
+#: these, so a change here is a new version.
+WORKLOAD_FIELDS = WORKLOAD_ARRAY.names
+LATENCY_KEYS = LATENCY_ARRAY.names
 
 #: SA transition actions the schema admits.
 TRANSITION_ACTIONS = (
@@ -234,6 +342,16 @@ OPTIONAL_RECORD_FIELDS: dict = {
     "experiment": {"interference": NUMBER},
 }
 
+#: What :data:`POSITIONAL_VERSIONS` change of the two tables above.
+POSITIONAL_FIELDS: dict = {
+    "experiment": {"workload": WORKLOAD_ARRAY, "counters": COUNTERS_ARRAY},
+    "isolation": {"victim": WORKLOAD_ARRAY},
+}
+POSITIONAL_OPTIONAL_FIELDS: dict = {
+    "skip": {"workload": WORKLOAD_ARRAY},
+    "experiment": {"latency": LATENCY_ARRAY},
+}
+
 
 def validate_record(record, line: Optional[int] = None) -> list[str]:
     """Errors in one journal record (empty list = valid)."""
@@ -248,22 +366,22 @@ def validate_record(record, line: Optional[int] = None) -> list[str]:
             f"(expected one of {SUPPORTED_VERSIONS})"
         )
     kind = record.get("t")
-    fields = RECORD_FIELDS.get(kind)
-    if fields is None:
+    if kind not in RECORD_FIELDS:
         errors.append(f"{where}unknown record type {kind!r}")
         return errors
-    for name, accepted in fields.items():
+    required, optional = _CHECKS[kind, positional(record)]
+    for name, accepted, exact in required:
         if name not in record:
             errors.append(f"{where}{kind}: missing field {name!r}")
-            continue
-        errors.extend(_check_field(record, kind, name, accepted, where))
-    for name, accepted in OPTIONAL_RECORD_FIELDS.get(kind, {}).items():
-        if name in record:
-            errors.extend(_check_field(record, kind, name, accepted, where))
+        elif type(record[name]) not in exact:
+            errors.extend(_field_errors(record, kind, name, accepted, where))
+    for name, accepted, exact in optional:
+        if name in record and type(record[name]) not in exact:
+            errors.extend(_field_errors(record, kind, name, accepted, where))
     # ``chain`` (v5) may appear on any record type a population chain
     # writes; validated generically so new record types inherit it.
     if "chain" in record:
-        errors.extend(_check_field(record, kind, "chain", int, where))
+        errors.extend(_field_errors(record, kind, "chain", int, where))
     if kind == "transition":
         action = record.get("action")
         if isinstance(action, str) and action not in TRANSITION_ACTIONS:
@@ -272,6 +390,31 @@ def validate_record(record, line: Optional[int] = None) -> list[str]:
                 f"(expected one of {', '.join(TRANSITION_ACTIONS)})"
             )
     return errors
+
+
+def _field_checks(kind: str, is_positional: bool) -> tuple:
+    """A record type's ``(name, accepted, exact)`` field checks, required
+    and optional; ``exact`` holds the types a decoded value passes by."""
+    required = dict(RECORD_FIELDS[kind])
+    optional = dict(OPTIONAL_RECORD_FIELDS.get(kind, {}))
+    if is_positional:
+        required.update(POSITIONAL_FIELDS.get(kind, {}))
+        optional.update(POSITIONAL_OPTIONAL_FIELDS.get(kind, {}))
+    return tuple(
+        tuple(
+            (name, accepted, _exact_types(accepted))
+            for name, accepted in table.items()
+        )
+        for table in (required, optional)
+    )
+
+
+#: ``(kind, positional) -> (required, optional)`` field checks.
+_CHECKS = {
+    (kind, is_positional): _field_checks(kind, is_positional)
+    for kind in RECORD_FIELDS
+    for is_positional in (False, True)
+}
 
 
 def validate_journal(records: Iterable[dict]) -> list[str]:
@@ -286,20 +429,24 @@ def validate_journal(records: Iterable[dict]) -> list[str]:
     return errors
 
 
-def _check_field(record, kind, name, accepted, where) -> list[str]:
-    value = record[name]
+def _field_errors(record, kind, name, accepted, where) -> list[str]:
+    return [
+        f"{where}{kind}: field {name!r}{problem}"
+        for problem in _problems(record[name], accepted)
+    ]
+
+
+def _problems(value, accepted) -> list[str]:
+    if isinstance(accepted, Positional):
+        return accepted.problems(value)
     # bool is an int subclass; don't let True satisfy an int field.
     if isinstance(value, bool) and bool not in (
         accepted if isinstance(accepted, tuple) else (accepted,)
     ):
-        return [
-            f"{where}{kind}: field {name!r} is bool, expected "
-            f"{_describe_types(accepted)}"
-        ]
+        return [f" is bool, expected {_describe_types(accepted)}"]
     if not isinstance(value, accepted):
         return [
-            f"{where}{kind}: field {name!r} is "
-            f"{type(value).__name__}, expected "
+            f" is {type(value).__name__}, expected "
             f"{_describe_types(accepted)}"
         ]
     return []

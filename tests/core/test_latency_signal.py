@@ -15,6 +15,10 @@ Three contracts from the latency tentpole:
    harbour latency quirks (L1/L2) whose witnesses run at full wire rate
    with zero pauses: only the latency trigger flags them, the MFS is
    sound (reproducer round-trip), and the journal names the quirk.
+
+Journals are compared in the v1–v7 record shape: a fresh (v8) journal
+is read as its v7 twin (:func:`tests.obs.journal_shapes.as_keyed`), where
+the latency stream is the ``latency`` records again.
 """
 
 import json
@@ -29,6 +33,7 @@ from repro.core.reproducer import reproduce_mfs
 from repro.hardware.model import SteadyStateModel
 from repro.hardware.subsystems import get_subsystem
 from repro.obs import FlightRecorder, RunJournal
+from tests.obs.journal_shapes import as_keyed
 
 FIXTURE = os.path.join(
     os.path.dirname(__file__), "..", "obs", "fixtures", "v3.jsonl"
@@ -47,7 +52,7 @@ def _journal_records(tmp_path, filename, letter, **collie_kwargs):
     finally:
         recorder.close()
     with open(path) as handle:
-        return report, [json.loads(line) for line in handle]
+        return report, as_keyed(json.loads(line) for line in handle)
 
 
 def _canonical(records):

@@ -7,9 +7,11 @@ but no observatory ``coverage``/``spans``, v3 has the observatory
 records but predates the ``latency`` stream, v5 is a two-chain
 population journal (chain stamps + latency records), v6 is an
 isolation (adversarial-neighbor) journal with the ``isolation``
-preamble and per-experiment ``interference`` stamps, and v7 is a
+preamble and per-experiment ``interference`` stamps, v7 is a
 telemetered two-seed campaign journal carrying live-telemetry
-``heartbeat`` records.  Every reader —
+``heartbeat`` records, and v8 is the v5 search written as positional
+arrays with no ``latency`` records (``search F --hours 0.15 --seed 1
+--chains 2``, wall-clock fields zeroed).  Every reader —
 validator, report reconstruction, metrics, the canary's invariant
 pass — must accept all of them forever: the canary corpus is
 committed once and read by every future version of the code.
@@ -31,6 +33,7 @@ from repro.obs import (
     validate_journal,
 )
 from repro.obs.folds import RecordCounts, run_folds
+from tests.obs.journal_shapes import as_keyed, as_positional
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 FIXTURE_SUBSYSTEM = "F"  # the subsystem the fixture journals recorded
@@ -56,15 +59,16 @@ FIXTURE_COVERAGE_FRACTIONS = {
     5: 0.6500868055555555,
     6: 0.6382688492063491,
     7: 0.6500868055555555,
+    8: 0.6500868055555555,
 }
 
 #: Fixture version → how many search reports its journal reconstructs
-#: (v5 is a two-chain population journal, v7 a two-seed campaign; the
-#: rest are single runs).
-FIXTURE_REPORT_COUNTS = {1: 1, 2: 1, 3: 1, 5: 2, 6: 1, 7: 2}
+#: (v5 and v8 are two-chain population journals, v7 a two-seed
+#: campaign; the rest are single runs).
+FIXTURE_REPORT_COUNTS = {1: 1, 2: 1, 3: 1, 5: 2, 6: 1, 7: 2, 8: 2}
 
 
-@pytest.mark.parametrize("version", (1, 2, 3, 5, 6, 7))
+@pytest.mark.parametrize("version", (1, 2, 3, 5, 6, 7, 8))
 class TestOldJournalsStillWork:
     def test_validates_under_current_schema(self, version):
         records = fixture_records(version)
@@ -171,6 +175,44 @@ class TestTelemetryJournalSurfaces:
         assert journal_metrics(records) == journal_metrics(stripped)
 
 
+class TestPositionalJournalSurfaces:
+    """v8-specific: one record per experiment, read like its v7 twin."""
+
+    def test_one_record_per_experiment(self):
+        from repro.obs import journal_summary
+
+        records = fixture_records(8)
+        summary = journal_summary(records)
+        assert "latency" not in summary["by_type"]
+        experiments = [r for r in records if r["t"] == "experiment"]
+        assert experiments and all("latency" in r for r in experiments)
+
+    def test_reads_exactly_like_its_v7_twin(self):
+        records = fixture_records(8)
+        twin = as_keyed(records)
+        assert validate_journal(twin) == []
+        assert reports_from_records(records) == reports_from_records(twin)
+        assert journal_metrics(records) == journal_metrics(twin)
+
+    def test_diffs_clean_against_the_same_search_at_v5(self, capsys):
+        v5, v8 = (os.path.join(FIXTURES, f"v{v}.jsonl") for v in (5, 8))
+        assert main(["journal", "diff", v5, v8]) == 0
+        assert journal_metrics(fixture_records(5)) == journal_metrics(
+            fixture_records(8)
+        )
+
+    def test_a_pre_v8_validator_names_the_version(self, monkeypatch):
+        from repro.obs import schema
+
+        monkeypatch.setattr(
+            schema, "SUPPORTED_VERSIONS", (1, 2, 3, 4, 5, 6, 7)
+        )
+        errors = validate_journal(fixture_records(8))
+        assert errors and all(
+            "unsupported schema version 8" in error for error in errors
+        )
+
+
 class TestPreTelemetryReaderSkipsWithNote:
     """A pre-v7 reader sees ``heartbeat`` as an unknown record kind."""
 
@@ -229,17 +271,22 @@ class TestVersionStampProperty:
     )
     @settings(max_examples=25, deadline=None)
     def test_any_supported_stamp_mix_stays_valid(self, stamps):
-        """Record versions are independent: any supported mix validates
-        and reconstructs identically (readers key on record *type*)."""
+        """Record versions are independent: any supported mix, each
+        record in its stamp's shape, validates and reconstructs
+        identically (readers key on record *type*, and on ``v`` for the
+        shape)."""
         records = fixture_records(1)
-        stamped = [
-            {**record, "v": stamps[index % len(stamps)]}
-            for index, record in enumerate(records)
-        ]
+        stamped = []
+        for index, record in enumerate(records):
+            stamp = stamps[index % len(stamps)]
+            stamped.append(
+                as_positional(record) if stamp == 8 else {**record, "v": stamp}
+            )
         assert validate_journal(stamped) == []
         baseline = journal_metrics(records)
         restamped = journal_metrics(stamped)
         assert restamped == baseline
+        assert reports_from_records(stamped) == reports_from_records(records)
 
     @given(version=st.integers(min_value=-3, max_value=50))
     @settings(max_examples=25, deadline=None)

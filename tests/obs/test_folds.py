@@ -60,3 +60,32 @@ def test_ttfa_is_the_earliest_run_not_the_first_line():
 
     (ttfa,) = run_folds(run(50.0) + run(20.0), FirstAnomaly())
     assert ttfa.result() == 20.0
+
+
+@pytest.mark.parametrize("fixture", ("v3.jsonl", "v7.jsonl", "v8.jsonl"))
+def test_report_json_builds_each_workload_once(fixture, monkeypatch, capsys):
+    """``report --json`` runs the coverage and report folds in one pass;
+    they share each record's parsed workload (and MFS witness) instead
+    of building it once each."""
+    from repro.cli import main
+    from repro.hardware.workload import WorkloadDescriptor
+
+    built = []
+    post_init = WorkloadDescriptor.__post_init__
+
+    def counting(self):
+        built.append(self)
+        post_init(self)
+
+    path = os.path.join(FIXTURES, fixture)
+    with open(path) as handle:
+        records = [json.loads(line) for line in handle]
+    carrying = sum(
+        record["t"] in ("experiment", "anomaly")
+        or (record["t"] == "skip" and "workload" in record)
+        for record in records
+    )
+    monkeypatch.setattr(WorkloadDescriptor, "__post_init__", counting)
+    assert main(["report", "--json", path]) == 0
+    capsys.readouterr()
+    assert len(built) == carrying

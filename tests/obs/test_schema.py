@@ -1,5 +1,9 @@
 """Journal record schema validation."""
 
+from repro.analysis.serialize import workload_to_dict, workload_to_list
+from repro.hardware.counters import ALL_COUNTERS
+from repro.hardware.workload import WorkloadDescriptor
+from repro.obs import schema
 from repro.obs.schema import (
     SCHEMA_VERSION,
     SUPPORTED_VERSIONS,
@@ -66,17 +70,17 @@ class TestValidateRecord:
 
 
 class TestSchemaVersions:
-    def test_current_version_is_seven(self):
-        assert SCHEMA_VERSION == 7
-        assert SUPPORTED_VERSIONS == (1, 2, 3, 4, 5, 6, 7)
+    def test_current_version_is_eight(self):
+        assert SCHEMA_VERSION == 8
+        assert SUPPORTED_VERSIONS == (1, 2, 3, 4, 5, 6, 7, 8)
 
     def test_older_journals_still_validate(self):
-        for version in (1, 2, 3, 4, 5, 6):
+        for version in (1, 2, 3, 4, 5, 6, 7):
             assert validate_record(skip_record(v=version)) == []
 
     def test_future_version_rejected(self):
-        errors = validate_record(skip_record(v=8))
-        assert any("unsupported schema version 8" in e for e in errors)
+        errors = validate_record(skip_record(v=9))
+        assert any("unsupported schema version 9" in e for e in errors)
 
 
 class TestPopulationRecords:
@@ -129,11 +133,12 @@ class TestResilienceRecords:
 
 
 class TestIsolationRecords:
-    """Schema v6: the isolation preamble and the interference stamp."""
+    """Schema v6: the isolation preamble and the interference stamp (in
+    the keyed shape of v6 and v7)."""
 
     def isolation_record(self, **overrides):
         record = {
-            "v": SCHEMA_VERSION, "t": "isolation",
+            "v": 7, "t": "isolation",
             "victim": {"num_qps": 8}, "victim_share": 0.5,
             "alone_gbps": 25.0, "alone_p99_us": 2.5,
         }
@@ -157,7 +162,7 @@ class TestIsolationRecords:
 
     def test_experiment_interference_is_optional(self):
         record = {
-            "v": SCHEMA_VERSION, "t": "experiment", "time_seconds": 1.0,
+            "v": 7, "t": "experiment", "time_seconds": 1.0,
             "counter": "c", "counter_value": 0.0, "symptom": "healthy",
             "tags": [], "kind": "probe", "workload": {}, "counters": {},
             "new_anomaly_index": None,
@@ -166,6 +171,104 @@ class TestIsolationRecords:
         assert validate_record({**record, "interference": 0.4}) == []
         errors = validate_record({**record, "interference": "low"})
         assert any("'interference'" in e for e in errors)
+
+
+def v8_experiment(**overrides):
+    record = {
+        "v": 8, "t": "experiment", "time_seconds": 1.0, "counter": "c",
+        "counter_value": 0.0, "symptom": "healthy", "tags": [],
+        "kind": "probe", "workload": workload_to_list(WorkloadDescriptor()),
+        "counters": [1.0] * len(ALL_COUNTERS), "new_anomaly_index": None,
+        "latency": [1.0, 2.0, 3.0, 1.5, 0.5, 6.0, [0.1] * 7, ["L1"]],
+    }
+    record.update(overrides)
+    return record
+
+
+class TestPositionalRecords:
+    """Schema v8: workloads, counters and latency as positional arrays."""
+
+    def test_the_orders_are_the_format(self):
+        assert schema.WORKLOAD_FIELDS == tuple(
+            workload_to_dict(WorkloadDescriptor())
+        )
+        assert schema.ALL_COUNTERS == (
+            "tx_bytes_per_sec", "rx_bytes_per_sec", "tx_packets_per_sec",
+            "rx_packets_per_sec", "pause_duration_us_per_sec",
+            "rx_wqe_cache_miss", "qpc_cache_miss", "mtt_cache_miss",
+            "pcie_internal_backpressure", "pcie_ordering_stall",
+            "rx_buffer_full_events", "internal_incast_events",
+            "cross_socket_pressure", "tx_wqe_fetch_stall",
+        )
+        assert schema.LATENCY_KEYS == (
+            "p50_us", "p90_us", "p99_us", "mean_us", "baseline_us",
+            "inflation", "components", "tags",
+        )
+        assert schema.LATENCY_COMPONENTS == (
+            "serialization_us", "pipeline_us", "pcie_us", "queueing_us",
+            "cache_us", "pause_us", "stall_us",
+        )
+
+    def test_workload_list_is_the_dict_in_field_order(self):
+        workload = WorkloadDescriptor(msg_sizes_bytes=(64, 65536))
+        assert dict(
+            zip(schema.WORKLOAD_FIELDS, workload_to_list(workload))
+        ) == workload_to_dict(workload)
+
+    def test_valid_records(self):
+        assert validate_record(v8_experiment()) == []
+        record = v8_experiment()
+        del record["latency"]  # the latency signal was off
+        assert validate_record(record) == []
+        skip = skip_record(v=8, workload=workload_to_list(WorkloadDescriptor()))
+        assert validate_record(skip) == []
+        isolation = {
+            "v": 8, "t": "isolation",
+            "victim": workload_to_list(WorkloadDescriptor()),
+            "victim_share": 0.5, "alone_gbps": 25.0, "alone_p99_us": 2.5,
+        }
+        assert validate_record(isolation) == []
+
+    def test_array_lengths_are_checked(self):
+        record = v8_experiment()
+        record["workload"] = record["workload"][:-1]
+        record["counters"] = record["counters"][1:]
+        assert validate_record(record) == [
+            "experiment: field 'workload' has 15 elements, expected 16",
+            "experiment: field 'counters' has 13 elements, expected 14",
+        ]
+        record = v8_experiment()
+        record["latency"][6] = [0.1] * 6
+        assert validate_record(record) == [
+            "experiment: field 'latency' element 'components' has 6 "
+            "elements, expected 7",
+        ]
+
+    def test_element_types_are_checked(self):
+        record = v8_experiment()
+        record["workload"][5] = "4096"
+        record["counters"][0] = True
+        record["latency"][6][0] = None
+        assert validate_record(record) == [
+            "experiment: field 'workload' element 'mtu' is str, "
+            "expected int or float",
+            "experiment: field 'counters' element 'tx_bytes_per_sec' is "
+            "bool, expected int or float",
+            "experiment: field 'latency' element 'components' element "
+            "'serialization_us' is NoneType, expected int or float",
+        ]
+
+    def test_the_keyed_shape_is_invalid_at_v8(self):
+        record = v8_experiment(
+            workload=workload_to_dict(WorkloadDescriptor())
+        )
+        assert validate_record(record) == [
+            "experiment: field 'workload' is dict, expected an array of 16"
+        ]
+        skip = skip_record(v=8, workload={})
+        assert validate_record(skip) == [
+            "skip: field 'workload' is dict, expected an array of 16"
+        ]
 
 
 class TestValidateJournal:

@@ -8,6 +8,7 @@ to an unobserved run — telemetry reads, it never steers.
 
 import gzip
 import json
+import tracemalloc
 import urllib.error
 import urllib.request
 from pathlib import Path
@@ -33,6 +34,7 @@ from repro.obs import (
     render_prometheus,
     validate_journal,
 )
+from tests.test_report_stream import FLAT_BYTES_PER_RECORD, synthetic_run
 
 BUDGET_HOURS = 0.3
 SEEDS = (1, 2)
@@ -254,6 +256,46 @@ class TestAggregator:
         assert bad_row["records"] == 2
         assert good_row["records"] == len(lines)
         assert good_row["error"] is None
+
+
+def follow_in_chunks(lines: list, path: Path, chunk: int = 100):
+    """Append ``lines`` to ``path`` ``chunk`` at a time, refreshing one
+    aggregator after each chunk; returns the aggregator."""
+    aggregator = CampaignAggregator([path])
+    with open(path, "wb") as sink:
+        for offset in range(0, len(lines), chunk):
+            sink.write(b"".join(lines[offset:offset + chunk]))
+            sink.flush()
+            aggregator.refresh()
+    return aggregator
+
+
+class TestAggregatorFlatMemory:
+    """Following a journal live holds fold state, not records: peak
+    memory grows by a few floats per record however long the run."""
+
+    @pytest.mark.parametrize("fixture", ("v7.jsonl", "v8.jsonl"))
+    def test_peak_grows_by_a_few_floats_per_record(self, fixture, tmp_path):
+        small, large = 1500, 6000
+        peaks = {}
+        for records in (small, large):
+            source = tmp_path / f"{records}.source.jsonl"
+            synthetic_run(source, records, fixture)
+            lines = source.read_bytes().splitlines(keepends=True)
+            path = tmp_path / f"{records}.jsonl"
+            if records == small:  # imports and caches: not per record
+                follow_in_chunks(lines, tmp_path / "warm.jsonl")
+            tracemalloc.start()
+            try:
+                aggregator = follow_in_chunks(lines, path)
+                peaks[records] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            totals = aggregator.snapshot(now=0.0)["totals"]
+            assert totals["records"] == len(lines)
+            assert totals["complete_runs"] == 1
+        growth = (peaks[large] - peaks[small]) / (large - small)
+        assert growth < FLAT_BYTES_PER_RECORD, f"{growth:.0f} B per record"
 
 
 class TestPrometheusRendering:

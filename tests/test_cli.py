@@ -8,8 +8,9 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis.serialize import workload_to_dict
+from repro.analysis.serialize import workload_to_dict, workload_to_list
 from repro.cli import EXIT_BROKEN_PIPE, main
+from repro.hardware.counters import ALL_COUNTERS
 from repro.hardware.workload import WorkloadDescriptor
 
 
@@ -178,6 +179,11 @@ _EXPERIMENT = {
     "workload": workload_to_dict(WorkloadDescriptor()),
     "counters": {"tx_bytes_per_sec": 1.0}, "new_anomaly_index": None,
 }
+_EXPERIMENT_V8 = {
+    **_EXPERIMENT, "v": 8,
+    "workload": workload_to_list(WorkloadDescriptor()),
+    "counters": [1.0] * len(ALL_COUNTERS),
+}
 
 #: Two-line journals whose lines are valid JSON but not valid records.
 MALFORMED_JOURNALS = {
@@ -198,6 +204,12 @@ MALFORMED_JOURNALS = {
         **_EXPERIMENT,
         "workload": {**_EXPERIMENT["workload"], "qp_type": "XX"},
     }),
+    "v8-workload-one-short": _record(**_RUN_START, v=8) + _record(**{
+        **_EXPERIMENT_V8, "workload": _EXPERIMENT_V8["workload"][:-1],
+    }),
+    "v8-counters-one-short": _record(**_RUN_START, v=8) + _record(**{
+        **_EXPERIMENT_V8, "counters": _EXPERIMENT_V8["counters"][:-1],
+    }),
 }
 
 
@@ -207,7 +219,7 @@ class TestMalformedRecords:
 
     #: ``(journal, command) -> (exit code, line the message names)``;
     #: ``None``: the command does not read the malformed field, or
-    #: (``report``) rejects the journal at schema validation.
+    #: (``report``, ``verify``) rejects the journal at schema validation.
     EXPECTED = {
         ("run_start-without-subsystem", "diff"): (2, 1),
         ("run_start-without-subsystem", "coverage"): (2, 1),
@@ -215,29 +227,48 @@ class TestMalformedRecords:
         ("run_start-without-subsystem", "stats"): (1, None),
         ("run_start-without-subsystem", "report"): (2, None),
         ("run_start-without-subsystem", "report-json"): (2, None),
+        ("run_start-without-subsystem", "verify"): (2, None),
         ("experiment-without-counters", "diff"): (2, 2),
         ("experiment-without-counters", "coverage"): (2, 2),
         ("experiment-without-counters", "top"): (2, 2),
         ("experiment-without-counters", "stats"): (1, 2),
         ("experiment-without-counters", "report"): (2, None),
         ("experiment-without-counters", "report-json"): (2, None),
+        ("experiment-without-counters", "verify"): (2, None),
         ("transition-without-temperature", "diff"): (2, 2),
         ("transition-without-temperature", "coverage"): (0, None),
         ("transition-without-temperature", "top"): (2, 2),
         ("transition-without-temperature", "stats"): (1, None),
         ("transition-without-temperature", "report"): (2, None),
         ("transition-without-temperature", "report-json"): (2, None),
+        ("transition-without-temperature", "verify"): (2, None),
         ("experiment-with-unknown-qp-type", "diff"): (2, 2),
         ("experiment-with-unknown-qp-type", "coverage"): (2, 2),
         ("experiment-with-unknown-qp-type", "top"): (2, 2),
         ("experiment-with-unknown-qp-type", "stats"): (1, None),
         ("experiment-with-unknown-qp-type", "report"): (2, 2),
         ("experiment-with-unknown-qp-type", "report-json"): (2, 2),
+        ("experiment-with-unknown-qp-type", "verify"): (2, 2),
+        ("v8-workload-one-short", "diff"): (2, 2),
+        ("v8-workload-one-short", "coverage"): (2, 2),
+        ("v8-workload-one-short", "top"): (2, 2),
+        ("v8-workload-one-short", "stats"): (1, None),
+        ("v8-workload-one-short", "report"): (2, None),
+        ("v8-workload-one-short", "report-json"): (2, None),
+        ("v8-workload-one-short", "verify"): (2, None),
+        ("v8-counters-one-short", "diff"): (0, None),
+        ("v8-counters-one-short", "coverage"): (0, None),
+        ("v8-counters-one-short", "top"): (0, None),
+        ("v8-counters-one-short", "stats"): (1, 2),
+        ("v8-counters-one-short", "report"): (2, None),
+        ("v8-counters-one-short", "report-json"): (2, None),
+        ("v8-counters-one-short", "verify"): (2, None),
     }
 
     @pytest.mark.parametrize(
         "command",
-        ("diff", "coverage", "top", "stats", "report", "report-json"),
+        ("diff", "coverage", "top", "stats", "report", "report-json",
+         "verify"),
     )
     @pytest.mark.parametrize("journal", sorted(MALFORMED_JOURNALS))
     def test_one_message_not_a_traceback(
@@ -252,6 +283,7 @@ class TestMalformedRecords:
             "stats": ["stats", str(path)],
             "report": ["report", str(path)],
             "report-json": ["report", "--json", str(path)],
+            "verify": ["journal", "verify", str(path)],
         }[command]
         code, line = self.EXPECTED[journal, command]
         assert main(argv) == code
@@ -263,6 +295,8 @@ class TestMalformedRecords:
             assert "cannot read cache store" not in output
         elif command.startswith("report"):
             assert f"journal {path} failed schema validation" in output
+        elif command == "verify":
+            assert f"journal {path}: corrupt (exit 2)" in output
         if command.startswith("report") and code:
             assert captured.out == ""  # nothing rendered before the error
 
@@ -795,7 +829,7 @@ class TestCampaignResume:
         lines = full.read_text().splitlines()
         index = next(i for i, line in enumerate(lines) if '"experiment"' in line)
         record = json.loads(lines[index])
-        record["workload"]["qp_type"] = "XX"
+        record["workload"][0] = "XX"  # qp_type
         lines[index] = json.dumps(record)
         malformed = tmp_path / "malformed.jsonl"
         malformed.write_text("\n".join(lines) + "\n")
@@ -909,7 +943,9 @@ class TestLatencySurfaces:
         records = [
             json.loads(line) for line in journal.read_text().splitlines()
         ]
-        assert any(r["t"] == "latency" for r in records)
+        experiments = [r for r in records if r["t"] == "experiment"]
+        assert experiments and all("latency" in r for r in experiments)
+        assert not any(r["t"] == "latency" for r in records)
 
     def test_no_latency_flag_suppresses_the_stream(
         self, tmp_path, capsys
@@ -921,6 +957,7 @@ class TestLatencySurfaces:
             json.loads(line) for line in path.read_text().splitlines()
         ]
         assert not any(r["t"] == "latency" for r in records)
+        assert not any("latency" in r for r in records)
 
     def test_report_prints_per_run_latency_line(self, journal, capsys):
         assert main(["report", str(journal)]) == 0

@@ -3,8 +3,10 @@
 Its output is compared, byte for byte, with the implementation it
 replaced (kept here as the reference): one that read every record into
 a list, schema-checked the list, and rebuilt a ``SearchReport`` with a
-``TraceEvent`` per experiment.  Its memory must not grow with the
-journal beyond a few floats per record.
+``TraceEvent`` per experiment.  That reference reads the v1–v7 record
+shape, so it rebuilds a v8 journal's reports from the journal's v7 twin
+(:func:`tests.obs.journal_shapes.as_keyed`).  Memory must not grow with
+the journal beyond a few floats per record.
 """
 
 import dataclasses
@@ -36,6 +38,7 @@ from repro.obs.folds import (
 )
 from repro.obs.journal import read_journal_prefix, run_records
 from repro.obs.schema import validate_journal
+from tests.obs.journal_shapes import as_keyed
 
 TESTS = Path(__file__).resolve().parent
 FIXTURES = sorted((TESTS / "obs" / "fixtures").glob("v*.jsonl"))
@@ -114,7 +117,7 @@ def _reference_report(records: list) -> SearchReport:
 
 
 def reference_reports(records: list) -> list[SearchReport]:
-    return [_reference_report(run) for run in run_records(records)]
+    return [_reference_report(run) for run in run_records(as_keyed(records))]
 
 
 def _reference_latency_line(summaries) -> Optional[str]:
@@ -365,7 +368,7 @@ def _render(paths, mode, csv: Path, capsys) -> tuple:
 
 class TestSameOutput:
     def test_the_set_covers_every_fixture_and_corpus_cell(self):
-        assert len(FIXTURES) == 6
+        assert len(FIXTURES) == 7
         assert len(CORPUS) == 24
 
     @pytest.mark.parametrize("mode", MODES)
@@ -390,22 +393,27 @@ class TestSameOutput:
 # -- memory ----------------------------------------------------------------------
 
 
-def _synthetic(path: Path, records: int) -> None:
-    """One run of about ``records`` records: the first v7 run's body
-    (anomalies left out: they are kept, by design) repeated."""
-    lines = _lines(FIXTURES[-1])
-    kinds = [_kind(line) for line in lines]
-    start, end = kinds.index("run_start"), kinds.index("run_end")
-    head, tail = lines[start], lines[end]
-    body = [
-        line for line, kind in zip(lines[start + 1:end], kinds[start + 1:end])
-        if kind != "anomaly"
+def synthetic_run(path: Path, records: int, fixture: str = "v7.jsonl") -> None:
+    """One run of about ``records`` records: a fixture's first run's body
+    (its chain's records; anomalies left out: they are kept, by design)
+    repeated."""
+    lines = _lines(TESTS / "obs" / "fixtures" / fixture)
+    parsed = [json.loads(line) for line in lines]
+    start = next(i for i, r in enumerate(parsed) if r["t"] == "run_start")
+    chain = parsed[start].get("chain")
+    mine = [
+        (line, record) for line, record in zip(lines, parsed)
+        if record.get("chain") == chain
     ]
+    kinds = [record["t"] for _, record in mine]
+    start, end = kinds.index("run_start"), kinds.index("run_end")
+    body = [line for line, record in mine[start + 1:end]
+            if record["t"] != "anomaly"]
     with open(path, "w") as handle:
-        handle.write(head)
+        handle.write(mine[start][0])
         for number in range(records - 2):
             handle.write(body[number % len(body)])
-        handle.write(tail)
+        handle.write(mine[end][0])
 
 
 #: Largest peak-memory growth allowed per added record.
@@ -419,18 +427,21 @@ class TestFlatMemory:
     ):
         small, large = 1500, 6000
         csv = tmp_path / "trajectory.csv"
-        peaks = {}
-        for records in (small, large):
-            path = tmp_path / f"{records}.jsonl"
-            _synthetic(path, records)
-            if records == small:  # imports and caches: not per record
-                _render([path], mode, csv, capsys)
-            tracemalloc.start()
-            try:
-                code, *_ = _render([path], mode, csv, capsys)
-                peaks[records] = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert code == 0
-        growth = (peaks[large] - peaks[small]) / (large - small)
-        assert growth < FLAT_BYTES_PER_RECORD, f"{growth:.0f} B per record"
+        for fixture in ("v7.jsonl", "v8.jsonl"):
+            peaks = {}
+            for records in (small, large):
+                path = tmp_path / f"{records}.jsonl"
+                synthetic_run(path, records, fixture)
+                if records == small:  # imports and caches: not per record
+                    _render([path], mode, csv, capsys)
+                tracemalloc.start()
+                try:
+                    code, *_ = _render([path], mode, csv, capsys)
+                    peaks[records] = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                assert code == 0
+            growth = (peaks[large] - peaks[small]) / (large - small)
+            assert growth < FLAT_BYTES_PER_RECORD, (
+                f"{fixture}: {growth:.0f} B per record"
+            )
