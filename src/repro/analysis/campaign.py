@@ -177,6 +177,29 @@ def completed_runs_from_journal(
     }
 
 
+def check_replayable(completed: dict) -> None:
+    """Raise ``ValueError`` unless every experiment of the resumed runs
+    (seed → report) encodes as a current journal record.
+
+    A resumed campaign replays its completed runs into the new journal
+    after it has computed the missing seeds; an old journal can hold a
+    run the current format cannot (a partial counter snapshot), and
+    this finds it before any seed is computed.
+    """
+    from repro.obs.folds import MALFORMED_RECORD_ERRORS
+    from repro.obs.journal import experiment_record
+
+    for seed, report in completed.items():
+        for position, event in enumerate(report.events):
+            try:
+                experiment_record(event)
+            except MALFORMED_RECORD_ERRORS as error:
+                raise ValueError(
+                    f"resumed seed {seed}'s experiment {position} cannot "
+                    f"be journaled: {type(error).__name__}: {error}"
+                ) from None
+
+
 @dataclasses.dataclass
 class CampaignResult:
     """One approach's multi-seed campaign."""
@@ -249,7 +272,9 @@ def run_campaign(
     (its valid prefix is read crash-tolerantly) or a pre-extracted
     ``{seed: report}`` mapping.  Completed seeds are replayed, missing
     ones recomputed, and the result — including a journal written by
-    ``recorder`` — is bit-identical to an uninterrupted campaign.
+    ``recorder`` — is bit-identical to an uninterrupted campaign.  A
+    completed run the journal cannot hold raises ``ValueError``
+    (:func:`check_replayable`) before any seed is computed.
     """
     if factory is None and approach not in APPROACHES:
         raise KeyError(
@@ -267,6 +292,8 @@ def run_campaign(
             seed: report for seed, report in completed.items()
             if seed in set(seeds)
         }
+        if recorder is not None and recorder.journal is not None:
+            check_replayable(completed)
     todo = [seed for seed in seeds if seed not in completed]
     warm_entries = cache.export_entries() if cache is not None else None
     payloads = [

@@ -72,9 +72,21 @@ def workload_to_dict(workload: WorkloadDescriptor) -> dict:
     }
 
 
+#: A workload's fields in the order :func:`workload_to_dict` keys them
+#: and :func:`workload_to_list` and :func:`workload_from_list` place
+#: them.  It is the journal's v8 workload array
+#: (:data:`repro.obs.schema.WORKLOAD_ARRAY`): a change here is a new
+#: journal version.
+WORKLOAD_FIELDS = (
+    "qp_type", "opcode", "direction", "colocation", "sg_layout", "mtu",
+    "num_qps", "wqe_batch", "sge_per_wqe", "wq_depth", "msg_sizes_bytes",
+    "mrs_per_qp", "mr_bytes", "src_device", "dst_device", "duty_cycle",
+)
+
+
 def workload_to_list(workload: WorkloadDescriptor) -> list:
-    """:func:`workload_to_dict`'s values in its key order, which is
-    :data:`repro.obs.schema.WORKLOAD_FIELDS` (the journal's v8 form)."""
+    """:func:`workload_to_dict`'s values, in :data:`WORKLOAD_FIELDS`
+    order."""
     return [
         workload.qp_type.value,
         workload.opcode.value,

@@ -263,7 +263,6 @@ class BayesOptSearch:
                 tags=result.measurement.tags,
                 workload=workload,
                 kind="mfs",
-                counters=dict(result.measurement.counters),
             )
         )
         return result.measurement

@@ -527,6 +527,7 @@ def _cmd_parallel(args: argparse.Namespace) -> int:
 def _cmd_campaign(args: argparse.Namespace) -> int:
     from repro.analysis.campaign import (
         APPROACHES,
+        check_replayable,
         completed_runs_from_journal,
         run_campaign,
     )
@@ -537,6 +538,7 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
             f"{', '.join(sorted(APPROACHES))}"
         )
         return 2
+    seeds = range(args.seed, args.seed + args.seeds)
     completed = None
     if args.resume:
         from repro.obs.journal import scan_journal
@@ -544,7 +546,11 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         try:
             # One streamed pass for the tail, one fold over the runs.
             _, tail_error = scan_journal(args.resume, lambda record: None)
-            completed = completed_runs_from_journal(args.resume)
+            completed = {
+                seed: report for seed, report
+                in completed_runs_from_journal(args.resume).items()
+                if seed in seeds
+            }
         except OSError as error:
             logger.error(f"cannot read resume journal {args.resume}: {error}")
             return 2
@@ -553,12 +559,19 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
             return 2
         if tail_error is not None:
             logger.warning(tail_error)
+        if args.journal:
+            # Before the new journal is opened: it may be the old one.
+            try:
+                check_replayable(completed)
+            except ValueError as error:
+                logger.error(f"cannot resume into {args.journal}: {error}")
+                return 2
     cache = _open_cache(args)
     recorder = _open_recorder(args)
     result = run_campaign(
         args.approach,
         subsystem=args.subsystem,
-        seeds=range(args.seed, args.seed + args.seeds),
+        seeds=seeds,
         budget_hours=args.hours,
         workers=args.workers,
         cache=cache,

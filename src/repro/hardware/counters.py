@@ -43,6 +43,9 @@ DIAGNOSTIC_COUNTERS = (
     "tx_wqe_fetch_stall",
 )
 
+#: Every counter, in the order of a sample row.  It is also the column
+#: order of the run journal's v8 ``counters`` array
+#: (:mod:`repro.obs.schema`): a change here is a new journal version.
 ALL_COUNTERS = PERFORMANCE_COUNTERS + DIAGNOSTIC_COUNTERS
 
 #: Counters the search should *minimize* (performance) vs *maximize*

@@ -121,10 +121,12 @@ _COUNTER_INDEX = {name: index for index, name in enumerate(ALL_COUNTERS)}
 
 
 def _counter_values(record: dict) -> list:
+    """A v8 record's counter readings: all of them, or none (``[]``, the
+    event kept no snapshot)."""
     values = record["counters"]
-    if len(values) != len(ALL_COUNTERS):
+    if values and len(values) != len(ALL_COUNTERS):
         raise ValueError(
-            f"counters holds {len(values)} values, expected "
+            f"counters holds {len(values)} values, expected 0 or "
             f"{len(ALL_COUNTERS)}"
         )
     return values
@@ -134,8 +136,9 @@ def record_counter(record: dict, name: str):
     """One counter's reading in an experiment record (None: absent)."""
     if not positional(record):
         return record["counters"].get(name)
+    values = _counter_values(record)
     index = _COUNTER_INDEX.get(name)
-    return None if index is None else _counter_values(record)[index]
+    return None if index is None or not values else values[index]
 
 
 def record_counters(record: dict) -> dict:

@@ -210,7 +210,10 @@ def experiment_record(event: TraceEvent) -> dict:
         "tags": list(event.tags),
         "kind": event.kind,
         "workload": workload_to_list(event.workload),
-        "counters": list(_COUNTER_VALUES(event.counters)),
+        # An event with no counter snapshot (a BO+MFS probe) writes [].
+        "counters": (
+            list(_COUNTER_VALUES(event.counters)) if event.counters else []
+        ),
         "new_anomaly_index": event.new_anomaly_index,
     }
     if event.latency is not None:

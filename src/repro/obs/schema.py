@@ -100,12 +100,14 @@ Version 8 writes one record per experiment, and about half the bytes.
 Every workload a record carries (``experiment.workload``,
 ``skip.workload``, ``isolation.victim``) is a positional array in
 :data:`WORKLOAD_FIELDS` order, ``experiment.counters`` one in
-:data:`ALL_COUNTERS` order, and the ``latency`` record is gone: its
-summary rides on the experiment as the optional ``latency`` array, in
-:data:`LATENCY_KEYS` order with the components in
-:data:`LATENCY_COMPONENTS` order.  These orders are constants of this
-module, not of a run, so any v8 record reads on its own (a follower
-resuming mid-file, a fold that keeps no run state).  The per-record
+:data:`ALL_COUNTERS` order (or ``[]``: the event kept no snapshot, as
+a BO+MFS probe, which v1–v7 wrote ``{}``), and the ``latency`` record
+is gone: its summary rides on the experiment as the optional
+``latency`` array, in :data:`LATENCY_KEYS` order with the components
+in :data:`LATENCY_COMPONENTS` order.  These orders are constants of
+this module (the first two imported from the code that owns them),
+not of a run, so any v8 record reads on its own (a follower resuming
+mid-file, a fold that keeps no run state).  The per-record
 ``v`` says which shape a record holds (:func:`positional`); MFS objects
 and every other field keep their v7 shape.
 
@@ -118,6 +120,7 @@ from __future__ import annotations
 
 from typing import Iterable, Optional
 
+from repro.analysis.serialize import WORKLOAD_FIELDS
 from repro.hardware.counters import ALL_COUNTERS
 
 SCHEMA_VERSION = 8
@@ -138,27 +141,18 @@ def positional(record: dict) -> bool:
     return record.get("v") in POSITIONAL_VERSIONS
 
 
-def _exact_types(accepted) -> frozenset:
-    """Types a decoded value of ``accepted`` passes by without a full
-    check (none for an array: :meth:`Positional.problems` checks it)."""
-    if isinstance(accepted, Positional):
-        return frozenset()
-    return frozenset(accepted if isinstance(accepted, tuple) else (accepted,))
-
-
 class Positional:
     """A positional array field: element ``i`` is the value named
     ``names[i]``, of the types ``types[i]`` (a nested ``Positional`` for
-    an array element)."""
+    an array element).  With ``may_be_empty`` an empty array is valid
+    too: the value holds none of the named ones."""
 
-    def __init__(self, fields: dict) -> None:
+    def __init__(self, fields: dict, may_be_empty: bool = False) -> None:
         self.names = tuple(fields)
         self.types = tuple(fields.values())
-        self._exact = tuple(_exact_types(accepted) for accepted in self.types)
-        self._nested = tuple(
-            (index, accepted) for index, accepted in enumerate(self.types)
-            if isinstance(accepted, Positional)
-        )
+        length = len(self.names)
+        #: The lengths a valid value has.
+        self.lengths = (0, length) if may_be_empty else (length,)
 
     def problems(self, value) -> list[str]:
         """What is wrong with ``value``, each to follow the name of the
@@ -168,19 +162,9 @@ class Positional:
                 f" is {type(value).__name__}, expected an array of "
                 f"{len(self.names)}"
             ]
-        if len(value) != len(self.names):
-            return [
-                f" has {len(value)} elements, expected {len(self.names)}"
-            ]
-        for element, exact in zip(value, self._exact):
-            if type(element) not in exact:
-                break
-        else:
-            return [
-                f" element {self.names[index]!r}{problem}"
-                for index, nested in self._nested
-                for problem in nested.problems(value[index])
-            ]
+        if len(value) not in self.lengths:
+            expected = " or ".join(map(str, self.lengths))
+            return [f" has {len(value)} elements, expected {expected}"]
         return [
             f" element {name!r}{problem}"
             for name, accepted, element in zip(self.names, self.types, value)
@@ -188,16 +172,23 @@ class Positional:
         ]
 
 
-#: A workload (``workload_to_dict``'s fields, in this order).
-WORKLOAD_ARRAY = Positional({
+#: A workload field's types (its order is :data:`WORKLOAD_FIELDS`).
+_WORKLOAD_TYPES = {
     "qp_type": str, "opcode": str, "direction": str, "colocation": str,
     "sg_layout": str, "mtu": NUMBER, "num_qps": NUMBER, "wqe_batch": NUMBER,
     "sge_per_wqe": NUMBER, "wq_depth": NUMBER, "msg_sizes_bytes": list,
     "mrs_per_qp": NUMBER, "mr_bytes": NUMBER, "src_device": str,
     "dst_device": str, "duty_cycle": NUMBER,
-})
-#: An experiment's counter readings, one per counter.
-COUNTERS_ARRAY = Positional(dict.fromkeys(ALL_COUNTERS, NUMBER))
+}
+#: A workload.
+WORKLOAD_ARRAY = Positional(
+    {name: _WORKLOAD_TYPES[name] for name in WORKLOAD_FIELDS}
+)
+#: An experiment's counter readings, one per counter, or none at all
+#: (an experiment whose event kept no snapshot, as a BO+MFS probe).
+COUNTERS_ARRAY = Positional(
+    dict.fromkeys(ALL_COUNTERS, NUMBER), may_be_empty=True
+)
 #: The named delays of a latency summary's ``components``.
 LATENCY_COMPONENTS = (
     "serialization_us", "pipeline_us", "pcie_us", "queueing_us",
@@ -211,10 +202,11 @@ LATENCY_ARRAY = Positional({
     "tags": list,
 })
 
-#: The positional orders, with :data:`ALL_COUNTERS` for the counters.
-#: They are the v8 format: a reader decodes an array by position with
-#: these, so a change here is a new version.
-WORKLOAD_FIELDS = WORKLOAD_ARRAY.names
+#: The latency summary's order.  It, :data:`LATENCY_COMPONENTS`,
+#: :data:`WORKLOAD_FIELDS` (which :mod:`repro.analysis.serialize` owns)
+#: and :data:`ALL_COUNTERS` (:mod:`repro.hardware.counters`) are the v8
+#: format: a reader decodes an array by position with them, so a change
+#: to any is a new version.
 LATENCY_KEYS = LATENCY_ARRAY.names
 
 #: SA transition actions the schema admits.
@@ -342,14 +334,24 @@ OPTIONAL_RECORD_FIELDS: dict = {
     "experiment": {"interference": NUMBER},
 }
 
-#: What :data:`POSITIONAL_VERSIONS` change of the two tables above.
+#: The two tables above as :data:`POSITIONAL_VERSIONS` have them: each
+#: workload, counter snapshot and latency summary a positional array.
 POSITIONAL_FIELDS: dict = {
-    "experiment": {"workload": WORKLOAD_ARRAY, "counters": COUNTERS_ARRAY},
-    "isolation": {"victim": WORKLOAD_ARRAY},
+    **RECORD_FIELDS,
+    "experiment": {
+        **RECORD_FIELDS["experiment"],
+        "workload": WORKLOAD_ARRAY,
+        "counters": COUNTERS_ARRAY,
+    },
+    "isolation": {**RECORD_FIELDS["isolation"], "victim": WORKLOAD_ARRAY},
 }
 POSITIONAL_OPTIONAL_FIELDS: dict = {
+    **OPTIONAL_RECORD_FIELDS,
     "skip": {"workload": WORKLOAD_ARRAY},
-    "experiment": {"latency": LATENCY_ARRAY},
+    "experiment": {
+        **OPTIONAL_RECORD_FIELDS["experiment"],
+        "latency": LATENCY_ARRAY,
+    },
 }
 
 
@@ -369,14 +371,16 @@ def validate_record(record, line: Optional[int] = None) -> list[str]:
     if kind not in RECORD_FIELDS:
         errors.append(f"{where}unknown record type {kind!r}")
         return errors
-    required, optional = _CHECKS[kind, positional(record)]
-    for name, accepted, exact in required:
+    required, optional = RECORD_FIELDS, OPTIONAL_RECORD_FIELDS
+    if positional(record):
+        required, optional = POSITIONAL_FIELDS, POSITIONAL_OPTIONAL_FIELDS
+    for name, accepted in required[kind].items():
         if name not in record:
             errors.append(f"{where}{kind}: missing field {name!r}")
-        elif type(record[name]) not in exact:
-            errors.extend(_field_errors(record, kind, name, accepted, where))
-    for name, accepted, exact in optional:
-        if name in record and type(record[name]) not in exact:
+            continue
+        errors.extend(_field_errors(record, kind, name, accepted, where))
+    for name, accepted in optional.get(kind, {}).items():
+        if name in record:
             errors.extend(_field_errors(record, kind, name, accepted, where))
     # ``chain`` (v5) may appear on any record type a population chain
     # writes; validated generically so new record types inherit it.
@@ -390,31 +394,6 @@ def validate_record(record, line: Optional[int] = None) -> list[str]:
                 f"(expected one of {', '.join(TRANSITION_ACTIONS)})"
             )
     return errors
-
-
-def _field_checks(kind: str, is_positional: bool) -> tuple:
-    """A record type's ``(name, accepted, exact)`` field checks, required
-    and optional; ``exact`` holds the types a decoded value passes by."""
-    required = dict(RECORD_FIELDS[kind])
-    optional = dict(OPTIONAL_RECORD_FIELDS.get(kind, {}))
-    if is_positional:
-        required.update(POSITIONAL_FIELDS.get(kind, {}))
-        optional.update(POSITIONAL_OPTIONAL_FIELDS.get(kind, {}))
-    return tuple(
-        tuple(
-            (name, accepted, _exact_types(accepted))
-            for name, accepted in table.items()
-        )
-        for table in (required, optional)
-    )
-
-
-#: ``(kind, positional) -> (required, optional)`` field checks.
-_CHECKS = {
-    (kind, is_positional): _field_checks(kind, is_positional)
-    for kind in RECORD_FIELDS
-    for is_positional in (False, True)
-}
 
 
 def validate_journal(records: Iterable[dict]) -> list[str]:

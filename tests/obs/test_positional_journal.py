@@ -13,6 +13,7 @@ import json
 
 import pytest
 
+from repro.analysis import campaign as campaign_module
 from repro.analysis.campaign import APPROACHES, run_campaign
 from repro.analysis.isolation import default_victim
 from repro.core import Collie
@@ -143,6 +144,57 @@ class TestMixedVersions:
         assert resumed.reports == result.reports
         assert_only_v8(resumed_path)
         assert reports_from_journal(resumed_path) == result.reports
+
+    def test_v7_bayesopt_mfs_prefix_resumes_with_a_journal(self, tmp_path):
+        # BO+MFS probe events keep no counter snapshot: a v7 writer wrote
+        # "counters": {}, and v8 writes [].
+        def campaign(**kwargs):
+            return run_campaign(
+                "bayesopt+mfs", subsystem="H", seeds=self.SEEDS,
+                budget_hours=0.3, **kwargs,
+            )
+
+        path = tmp_path / "full.jsonl"
+        journaled(path, lambda recorder: campaign(recorder=recorder))
+        twin = as_keyed(assert_only_v8(path))
+        prefix = twin[:self.after_second_run_end(twin)]
+        assert any(
+            r["t"] == "experiment" and r["counters"] == {} for r in prefix
+        )
+        prefix_path = tmp_path / "prefix-v7.jsonl"
+        self.write(prefix_path, prefix)
+        resumed_path = tmp_path / "resumed.jsonl"
+        resumed = journaled(resumed_path, lambda recorder: campaign(
+            resume_from=str(prefix_path), recorder=recorder,
+        ))
+        assert resumed.resumed_seeds == (1, 2)
+        assert_only_v8(resumed_path)
+        assert reports_from_journal(resumed_path) == reports_from_journal(path)
+
+    def test_a_run_v8_cannot_hold_fails_before_any_seed_runs(
+        self, full, tmp_path, monkeypatch
+    ):
+        _, path = full
+        twin = as_keyed(read_journal(path))
+        prefix = twin[:self.after_second_run_end(twin)]
+        experiment = next(r for r in prefix if r["t"] == "experiment")
+        del experiment["counters"]["qpc_cache_miss"]  # a partial snapshot
+        partial = tmp_path / "partial-v7.jsonl"
+        self.write(partial, prefix)
+
+        def no_seed(payload):
+            raise AssertionError(f"seed {payload['seed']} was computed")
+
+        monkeypatch.setattr(campaign_module, "_run_seed", no_seed)
+        new = tmp_path / "new.jsonl"
+        with pytest.raises(ValueError, match=(
+            "resumed seed 1's experiment 0 cannot be journaled: "
+            "KeyError: 'qpc_cache_miss'"
+        )):
+            journaled(new, lambda recorder: self.campaign(
+                resume_from=str(partial), recorder=recorder,
+            ))
+        assert new.read_text() == ""
 
     def test_a_v7_then_v8_file_reads_as_one_journal(self, full, tmp_path):
         result, path = full

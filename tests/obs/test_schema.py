@@ -229,13 +229,20 @@ class TestPositionalRecords:
         }
         assert validate_record(isolation) == []
 
+    def test_an_empty_counter_snapshot_is_valid(self):
+        # An event that kept no snapshot (a BO+MFS probe) writes [].
+        assert validate_record(v8_experiment(counters=[])) == []
+        assert validate_record(v8_experiment(workload=[])) == [
+            "experiment: field 'workload' has 0 elements, expected 16",
+        ]
+
     def test_array_lengths_are_checked(self):
         record = v8_experiment()
         record["workload"] = record["workload"][:-1]
         record["counters"] = record["counters"][1:]
         assert validate_record(record) == [
             "experiment: field 'workload' has 15 elements, expected 16",
-            "experiment: field 'counters' has 13 elements, expected 14",
+            "experiment: field 'counters' has 13 elements, expected 0 or 14",
         ]
         record = v8_experiment()
         record["latency"][6] = [0.1] * 6

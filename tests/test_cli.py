@@ -839,6 +839,31 @@ class TestCampaignResume:
         assert "resume journal is corrupt" in err
         assert f"line {index + 1}: malformed 'experiment' record" in err
 
+    def test_resume_into_a_journal_that_cannot_hold_a_run_is_an_error(
+        self, interrupted, tmp_path, capsys
+    ):
+        from repro.obs import read_journal
+        from tests.obs.journal_shapes import as_keyed
+
+        _, torn = interrupted
+        records = as_keyed(read_journal(torn))
+        experiment = next(r for r in records if r["t"] == "experiment")
+        del experiment["counters"]["qpc_cache_miss"]  # v7 may hold this
+        old = tmp_path / "partial-v7.jsonl"
+        old.write_text("".join(json.dumps(r) + "\n" for r in records))
+        new = tmp_path / "new.jsonl"
+        code = main(self.ARGS + ["--resume", str(old), "--journal", str(new)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert (
+            f"cannot resume into {new}: resumed seed 1's experiment 0 "
+            "cannot be journaled: KeyError: 'qpc_cache_miss'"
+        ) in captured.err
+        assert "anomalies/seed" not in captured.out  # no seed was run
+        assert not new.exists()
+        # Without a new journal, nothing is re-encoded.
+        assert main(self.ARGS + ["--resume", str(old)]) == 0
+
 
 class TestResilienceFlags:
     def test_campaign_accepts_the_retry_knobs(self, capsys):
