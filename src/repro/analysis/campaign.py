@@ -6,14 +6,14 @@ approach, a subsystem and a seed count, get back per-seed reports plus
 the Figure 4-style aggregation, ready for
 :func:`repro.analysis.figures.time_to_find_series`.
 
-Campaigns are embarrassingly parallel across seeds: ``workers > 1``
-fans the per-seed runs across a
-:class:`~repro.core.executor.CampaignExecutor` process pool.  Every
-search constructs its RNG from its own seed inside the worker, so the
-reports are bit-identical to a serial campaign (the determinism suite
-pins this).  An optional :class:`~repro.core.evalcache.EvalCache`
-warm-starts every run and absorbs the evaluations they performed,
-enabling cross-run reuse (``--cache`` on the CLI).
+Campaigns are embarrassingly parallel across seeds: the per-seed runs
+go through :func:`~repro.core.executor.fan_out`, across a process pool
+when ``workers > 1``.  Every search constructs its RNG from its own
+seed inside the worker, so the reports are bit-identical to a serial
+campaign (the determinism suite pins this).  An optional
+:class:`~repro.core.evalcache.EvalCache` warm-starts every run and
+absorbs the evaluations they performed, enabling cross-run reuse
+(``--cache`` on the CLI).
 
 That purity is also what makes campaigns *interruptible*: each seed's
 report is a pure function of its payload, and the flight recorder's
@@ -24,7 +24,8 @@ the missing seeds, and produces final reports bit-identical to an
 uninterrupted campaign (extending the ``reports_from_journal``
 determinism guarantee); an attached
 :class:`~repro.core.faults.RetryPolicy` additionally survives crashed
-or hung workers mid-campaign.
+or hung workers mid-campaign.  Without one, the first failed seed ends
+the campaign with :class:`~repro.core.faults.TaskFailed`.
 """
 
 from __future__ import annotations
@@ -37,9 +38,14 @@ from typing import Callable, Optional, Sequence, Union
 
 from repro.analysis.figures import TimeToFindSeries, time_to_find_series
 from repro.core import Collie
-from repro.core.collie import SearchReport
+from repro.core.collie import MergedRuns, SearchReport
 from repro.core.evalcache import EvalCache
-from repro.core.executor import CampaignExecutor, ExecutorStats
+from repro.core.executor import (
+    ExecutorStats,
+    fan_out,
+    worker_cache,
+    worker_result,
+)
 from repro.core.faults import FaultPlan, RetryPolicy
 
 
@@ -126,25 +132,17 @@ def _run_seed(payload: dict) -> dict:
     factory = payload["factory"]
     if factory is None:
         factory = APPROACHES[payload["approach"]]
-    cache = EvalCache() if payload["use_cache"] else None
-    if cache is not None and payload["cache_entries"]:
-        cache.import_entries(payload["cache_entries"])
-    args = (payload["subsystem"], payload["budget_hours"], payload["seed"])
+    cache = worker_cache(payload)
     kwargs: dict = {}
     if cache is not None and _accepts_kwarg(factory, "cache"):
         kwargs["cache"] = cache
-    if not payload.get("latency", True) and _accepts_kwarg(
-        factory, "latency"
-    ):
+    if not payload["latency"] and _accepts_kwarg(factory, "latency"):
         kwargs["latency"] = False
-    report = factory(*args, **kwargs)
-    return {
-        "report": report,
-        "cache_entries": (
-            cache.export_entries(new_only=True) if cache else None
-        ),
-        "cache_stats": cache.stats_dict() if cache else None,
-    }
+    report = factory(
+        payload["subsystem"], payload["budget_hours"], payload["seed"],
+        **kwargs,
+    )
+    return worker_result(cache, report=report)
 
 
 def completed_runs_from_journal(
@@ -201,7 +199,7 @@ def check_replayable(completed: dict) -> None:
 
 
 @dataclasses.dataclass
-class CampaignResult:
+class CampaignResult(MergedRuns):
     """One approach's multi-seed campaign."""
 
     approach: str
@@ -218,19 +216,6 @@ class CampaignResult:
     @property
     def seeds(self) -> int:
         return len(self.reports)
-
-    def per_seed_hits(self) -> list[dict]:
-        return [report.first_hit_times() for report in self.reports]
-
-    def union_tags(self) -> set:
-        tags: set = set()
-        for hits in self.per_seed_hits():
-            tags.update(hits)
-        return tags
-
-    def mean_found(self) -> float:
-        counts = [len(hits) for hits in self.per_seed_hits()]
-        return sum(counts) / len(counts) if counts else 0.0
 
     def series(self, max_anomalies: int = 13) -> TimeToFindSeries:
         return time_to_find_series(
@@ -266,7 +251,9 @@ def run_campaign(
 
     ``retry`` turns on fault-tolerant execution (timeouts, bounded
     retries with deterministic backoff, host quarantine); ``faults``
-    attaches a deterministic injection plan (chaos testing).
+    attaches a deterministic injection plan (chaos testing).  A seed
+    that fails for good raises
+    :class:`~repro.core.faults.TaskFailed`.
 
     ``resume_from`` restarts an interrupted campaign: a journal path
     (its valid prefix is read crash-tolerantly) or a pre-extracted
@@ -295,29 +282,22 @@ def run_campaign(
         if recorder is not None and recorder.journal is not None:
             check_replayable(completed)
     todo = [seed for seed in seeds if seed not in completed]
-    warm_entries = cache.export_entries() if cache is not None else None
-    payloads = [
-        {
-            "approach": approach,
-            "factory": factory,
-            "subsystem": subsystem,
-            "budget_hours": budget_hours,
-            "seed": seed,
-            "use_cache": cache is not None,
-            "cache_entries": warm_entries,
-            "latency": latency,
-        }
-        for seed in todo
-    ]
-    executor = CampaignExecutor(
-        workers=workers,
-        metrics=recorder.metrics if recorder is not None else None,
-        progress=recorder.task_progress if recorder is not None else None,
-        retry=retry,
-        faults=faults,
-        recorder=recorder,
+    outcomes, stats = fan_out(
+        _run_seed,
+        [
+            {
+                "approach": approach,
+                "factory": factory,
+                "subsystem": subsystem,
+                "budget_hours": budget_hours,
+                "seed": seed,
+                "latency": latency,
+            }
+            for seed in todo
+        ],
+        workers=workers, cache=cache, recorder=recorder,
+        retry=retry, faults=faults,
     )
-    outcomes = executor.map(_run_seed, payloads) if payloads else []
     fresh = {
         seed: outcome["report"] for seed, outcome in zip(todo, outcomes)
     }
@@ -326,8 +306,6 @@ def run_campaign(
         for seed in seeds
     ]
     if recorder is not None:
-        if executor.last_stats is not None:
-            recorder.fanout(executor.last_stats)
         if completed:
             recorder.metrics.counter(
                 "campaign.resumed_runs", len(completed)
@@ -337,18 +315,12 @@ def run_campaign(
         # from an uninterrupted campaign.
         for seed, report in zip(seeds, reports):
             recorder.record_report(report, budget_hours, seed=seed)
-    if cache is not None:
-        for outcome in outcomes:
-            if outcome["cache_entries"]:
-                cache.import_entries(outcome["cache_entries"])
-            if outcome["cache_stats"]:
-                cache.merge_stats(outcome["cache_stats"])
     return CampaignResult(
         approach=approach,
         subsystem=subsystem,
         budget_hours=budget_hours,
         reports=reports,
-        executor_stats=executor.last_stats,
+        executor_stats=stats,
         resumed_seeds=tuple(seed for seed in seeds if seed in completed),
     )
 

@@ -228,8 +228,8 @@ def _close_recorder(recorder) -> None:
 def _retry_policy(args: argparse.Namespace):
     """Build the RetryPolicy requested by the resilience flags.
 
-    Returns None when no flag was given — the executor then keeps its
-    legacy fail-fast behaviour.
+    Returns None when no flag was given — the executor then allows no
+    retries, and the first failed task ends the command (exit 1).
     """
     retries = getattr(args, "retries", None)
     timeout = getattr(args, "task_timeout", None)
@@ -323,6 +323,11 @@ def _cmd_search(args: argparse.Namespace) -> int:
                      "drop them or run without --seeds/--chains/"
                      "--tempering")
         return 2
+    if args.profile and (args.seeds > 1 or population):
+        logger.error("--profile records the spans of a single search: "
+                     "the chains of --seeds, --chains and --tempering "
+                     "carry no profiler")
+        return 2
     fanout = args.workers > 1 or _retry_policy(args) is not None
     if fanout and args.seeds == 1:
         logger.error("--workers, --retries, --task-timeout and --backoff "
@@ -404,7 +409,6 @@ def _run_search_population(
     ``--seeds`` delegation) the printed campaign summary matches the
     per-seed process path exactly.
     """
-    from repro.analysis.campaign import CampaignResult
     from repro.core.population import PopulationCollie
 
     ladder = None
@@ -432,25 +436,7 @@ def _run_search_population(
     )
     report = driver.run()
     if campaign_format:
-        result = CampaignResult(
-            approach=_search_approach(args),
-            subsystem=args.subsystem,
-            budget_hours=args.hours,
-            reports=report.reports,
-        )
-        logger.info(
-            f"{result.approach} on subsystem {args.subsystem}: "
-            f"{result.seeds} seeds, "
-            f"{result.mean_found():.1f} anomalies/seed, "
-            f"{sorted(result.union_tags()) or ['-']}"
-        )
-        for seed, seed_report in zip(
-            range(args.seed, args.seed + chains), result.reports
-        ):
-            logger.info(
-                f"  seed {seed}: {len(seed_report.anomalies)} anomalies, "
-                f"{seed_report.experiments} experiments"
-            )
+        _print_seeds(args, report)
     else:
         logger.info(report.summary())
     _close_recorder(recorder)
@@ -458,32 +444,46 @@ def _run_search_population(
     return 0
 
 
+def _print_seeds(args: argparse.Namespace, runs) -> None:
+    """The ``search --seeds N`` summary, in-process or fanned out."""
+    logger.info(
+        f"{_search_approach(args)} on subsystem {args.subsystem}: "
+        f"{len(runs.reports)} seeds, {runs.mean_found():.1f} anomalies/seed, "
+        f"{sorted(runs.union_tags()) or ['-']}"
+    )
+    for seed, report in enumerate(runs.reports, args.seed):
+        logger.info(f"  seed {seed}: {len(report.anomalies)} anomalies, "
+                    f"{report.experiments} experiments")
+
+
+def _fan_out_failed(error, recorder) -> int:
+    """A fanned-out task failed for good: close the journal and the
+    telemetry server, leave the cache store as it was, exit 1."""
+    _close_recorder(recorder)
+    logger.error(str(error))
+    return 1
+
+
 def _run_search_campaign(args: argparse.Namespace, cache, recorder) -> int:
     """``search --seeds N``: the multi-seed campaign path."""
     from repro.analysis.campaign import run_campaign
+    from repro.core.faults import TaskFailed
 
-    approach = _search_approach(args)
-    result = run_campaign(
-        approach,
-        subsystem=args.subsystem,
-        seeds=range(args.seed, args.seed + args.seeds),
-        budget_hours=args.hours,
-        workers=args.workers,
-        cache=cache,
-        recorder=recorder,
-        latency=not args.no_latency,
-        retry=_retry_policy(args),
-    )
-    logger.info(
-        f"{approach} on subsystem {args.subsystem}: "
-        f"{result.seeds} seeds, {result.mean_found():.1f} anomalies/seed, "
-        f"{sorted(result.union_tags()) or ['-']}"
-    )
-    for seed, report in zip(
-        range(args.seed, args.seed + args.seeds), result.reports
-    ):
-        logger.info(f"  seed {seed}: {len(report.anomalies)} anomalies, "
-                    f"{report.experiments} experiments")
+    try:
+        result = run_campaign(
+            _search_approach(args),
+            subsystem=args.subsystem,
+            seeds=range(args.seed, args.seed + args.seeds),
+            budget_hours=args.hours,
+            workers=args.workers,
+            cache=cache,
+            recorder=recorder,
+            latency=not args.no_latency,
+            retry=_retry_policy(args),
+        )
+    except TaskFailed as error:
+        return _fan_out_failed(error, recorder)
+    _print_seeds(args, result)
     if result.executor_stats is not None:
         logger.info(result.executor_stats.describe())
     _close_recorder(recorder)
@@ -492,6 +492,7 @@ def _run_search_campaign(args: argparse.Namespace, cache, recorder) -> int:
 
 
 def _cmd_parallel(args: argparse.Namespace) -> int:
+    from repro.core.faults import TaskFailed
     from repro.core.parallel import ParallelCollie
 
     cache = _open_cache(args)
@@ -508,7 +509,10 @@ def _cmd_parallel(args: argparse.Namespace) -> int:
         retry=_retry_policy(args),
         chains=args.chains,
     )
-    report = fleet.run()
+    try:
+        report = fleet.run()
+    except TaskFailed as error:
+        return _fan_out_failed(error, recorder)
     logger.info(
         f"fleet of {report.machines} machines on subsystem "
         f"{report.subsystem_name}: {len(report.anomalies)} anomalies, "
@@ -531,6 +535,7 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         completed_runs_from_journal,
         run_campaign,
     )
+    from repro.core.faults import TaskFailed
 
     if args.approach not in APPROACHES:
         logger.error(
@@ -568,18 +573,21 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
                 return 2
     cache = _open_cache(args)
     recorder = _open_recorder(args)
-    result = run_campaign(
-        args.approach,
-        subsystem=args.subsystem,
-        seeds=seeds,
-        budget_hours=args.hours,
-        workers=args.workers,
-        cache=cache,
-        recorder=recorder,
-        latency=not args.no_latency,
-        retry=_retry_policy(args),
-        resume_from=completed,
-    )
+    try:
+        result = run_campaign(
+            args.approach,
+            subsystem=args.subsystem,
+            seeds=seeds,
+            budget_hours=args.hours,
+            workers=args.workers,
+            cache=cache,
+            recorder=recorder,
+            latency=not args.no_latency,
+            retry=_retry_policy(args),
+            resume_from=completed,
+        )
+    except TaskFailed as error:
+        return _fan_out_failed(error, recorder)
     if result.resumed_seeds:
         logger.info(
             f"resumed from {args.resume}: replayed "
@@ -1450,7 +1458,9 @@ def build_parser() -> argparse.ArgumentParser:
     parallel.add_argument("--chains", type=_positive_int, default=1,
                           help="SA chains per machine, stepped in "
                                "lockstep over the machine's counter "
-                               "share, each on its own testbed")
+                               "share, each on its own testbed; chain c "
+                               "of machine m seeds at "
+                               "seed*1000 + m*chains + c")
     parallel.add_argument("--cache", metavar="PATH",
                           help="memoize evaluations in this JSON store")
     parallel.add_argument("--no-latency", action="store_true",

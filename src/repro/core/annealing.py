@@ -37,6 +37,9 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 #: so one shared instance costs nothing per iteration).
 _NO_SPAN = nullcontext()
 
+#: Ladder levels an MFS extraction probes per ordered dimension.
+MFS_PROBES_PER_DIMENSION = 2
+
 
 @dataclasses.dataclass(frozen=True)
 class SearchSignal:
@@ -147,7 +150,6 @@ class AnnealingSearch:
         rng: np.random.Generator,
         params: SAParams = SAParams(),
         use_mfs: bool = True,
-        mfs_probes_per_dimension: int = 2,
         recorder: Optional["FlightRecorder"] = None,
     ) -> None:
         self.testbed = testbed
@@ -156,7 +158,6 @@ class AnnealingSearch:
         self.rng = rng
         self.params = params
         self.use_mfs = use_mfs
-        self.mfs_probes_per_dimension = mfs_probes_per_dimension
         #: Optional flight recorder; observes only, never draws RNG.
         self.recorder = recorder
         #: Parallel-tempering hooks, driven by the population driver and
@@ -257,7 +258,7 @@ class AnnealingSearch:
 
         extractor = MFSExtractor(
             self.space, None,
-            probes_per_dimension=self.mfs_probes_per_dimension,
+            probes_per_dimension=MFS_PROBES_PER_DIMENSION,
             metrics=(
                 self.recorder.metrics if self.recorder is not None else None
             ),

@@ -105,6 +105,84 @@ class SearchReport:
         return "\n".join(lines)
 
 
+class MergedRuns:
+    """The merged views of several runs that ran side by side.
+
+    Mixed into every report that holds ``reports`` (one per seed, chain
+    or machine): the runs share one concurrent simulated clock, so the
+    merged elapsed time is the longest run's and each tag's first hit
+    is its earliest across the runs.
+    """
+
+    reports: list
+
+    @property
+    def anomalies(self) -> list[MinimalFeatureSet]:
+        # The baselines' reports keep no MFS set.
+        return [
+            mfs for report in self.reports
+            for mfs in getattr(report, "anomalies", ())
+        ]
+
+    @property
+    def total_experiments(self) -> int:
+        return sum(report.experiments for report in self.reports)
+
+    @property
+    def elapsed_seconds(self) -> float:
+        """Max over runs: they run concurrently in simulated time."""
+        return max(
+            (report.elapsed_seconds for report in self.reports), default=0.0
+        )
+
+    def per_seed_hits(self) -> list[dict]:
+        return [report.first_hit_times() for report in self.reports]
+
+    def first_hit_times(self) -> dict:
+        """Tag → earliest concurrent discovery time across runs."""
+        hits: dict = {}
+        for report_hits in self.per_seed_hits():
+            for tag, seconds in report_hits.items():
+                if tag not in hits or seconds < hits[tag]:
+                    hits[tag] = seconds
+        return hits
+
+    def found_tags(self) -> list[str]:
+        return sorted(self.first_hit_times())
+
+    def union_tags(self) -> set:
+        return set(self.first_hit_times())
+
+    def mean_found(self) -> float:
+        counts = [len(hits) for hits in self.per_seed_hits()]
+        return sum(counts) / len(counts) if counts else 0.0
+
+    def events(self) -> list[TraceEvent]:
+        merged = [event for report in self.reports for event in report.events]
+        return sorted(merged, key=lambda event: event.time_seconds)
+
+
+def rank_by_dispersion(observations: dict) -> tuple[list[str], dict]:
+    """Rank counters by std/mean of their readings, descending (§7.2).
+
+    ``observations`` maps each candidate counter to its readings.  An
+    empty sample or a non-positive mean ranks at 0.  Returns the ranking
+    without the zero-dispersion counters — one that never moved carries
+    no searchable signal — and every counter's dispersion, in ranked
+    order.
+    """
+    dispersions: dict = {}
+    for name, readings in observations.items():
+        values = np.array(readings)
+        mean = values.mean() if values.size else 0.0
+        dispersions[name] = float(values.std() / mean) if mean > 0 else 0.0
+    ranked = sorted(observations, key=dispersions.__getitem__, reverse=True)
+    return (
+        [name for name in ranked if dispersions[name] > 0.0],
+        {name: dispersions[name] for name in ranked},
+    )
+
+
 class Collie:
     """The search tool: workload engine + anomaly monitor + generator."""
 
@@ -118,7 +196,6 @@ class Collie:
         seed: int = 0,
         sa_params: SAParams = SAParams(),
         noise: float = 0.02,
-        mfs_probes_per_dimension: int = 2,
         counters: Optional[tuple] = None,
         cache: Optional["EvalCache"] = None,
         recorder: Optional["FlightRecorder"] = None,
@@ -188,7 +265,6 @@ class Collie:
             self.rng,
             params=sa_params,
             use_mfs=use_mfs,
-            mfs_probes_per_dimension=mfs_probes_per_dimension,
             recorder=recorder,
         )
         self.last_report: Optional[SearchReport] = None
@@ -292,21 +368,8 @@ class Collie:
             counters = measured.measurement.counters
             for name in candidates:
                 observations[name].append(float(counters[name]))
-
-        def dispersion(name: str) -> float:
-            values = np.array(observations[name])
-            if values.size == 0:
-                return 0.0
-            mean = values.mean()
-            if mean <= 0:
-                return 0.0
-            return float(values.std() / mean)
-
-        ranked = sorted(candidates, key=dispersion, reverse=True)
-        # A counter that never moved across ten random probes carries no
-        # searchable signal on this subsystem; spend the budget elsewhere.
-        self._dispersions = {name: dispersion(name) for name in ranked}
-        return [name for name in ranked if dispersion(name) > 0.0]
+        ranking, self._dispersions = rank_by_dispersion(observations)
+        return ranking
 
     def _search_counters(self, state: SearchState, ranking: list[str]):
         """Run one SA pass per counter, in ranking order.

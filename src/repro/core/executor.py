@@ -28,8 +28,19 @@ decision is journaled (``retry``/``quarantine`` records) and counted
 errors and slow-host degradation at reproducible points, which is how
 the chaos suite pins the exact retry/quarantine trajectory.
 
-When process pools are unavailable (restricted sandboxes), the executor
-degrades to an in-process serial loop and records that it did.
+Every ``map`` runs that one scheduling loop: without a policy it
+allows no retries, so the first failure ends the fan-out with
+:class:`~repro.core.faults.TaskFailed` (a worker that dies included)
+and the queued tasks are cancelled.  When process pools are
+unavailable (restricted sandboxes), the loop runs the tasks in-process,
+one after another, and records that it did.
+
+:func:`fan_out` is the one way the program fans runs out: it hands the
+parent's :class:`~repro.core.evalcache.EvalCache` entries to every
+task, runs the map, journals the ``fanout`` record and merges what the
+workers computed back into the parent cache.  Tasks rebuild the warm
+cache with :func:`worker_cache` and pack their result with
+:func:`worker_result`.
 """
 
 from __future__ import annotations
@@ -41,6 +52,7 @@ from concurrent.futures.process import BrokenProcessPool
 from contextlib import nullcontext
 from typing import Callable, Optional, Sequence
 
+from repro.core.evalcache import EvalCache
 from repro.core.faults import (
     FaultPlan,
     FaultSpec,
@@ -111,20 +123,13 @@ class ExecutorStats:
         return line
 
 
-def _timed_call(fn: Callable, payload) -> tuple:
-    """Run one task in the worker, returning (result, in-worker seconds)."""
-    started = time.perf_counter()
-    result = fn(payload)
-    return result, time.perf_counter() - started
-
-
 def _faulted_call(
     fn: Callable,
     payload,
     fault: Optional[FaultSpec],
     slow: Optional[FaultSpec],
 ) -> tuple:
-    """Worker-side twin of :func:`_timed_call` with fault injection.
+    """Run one task attempt in the worker: (result, in-worker seconds).
 
     A failing fault raises before the task body runs (the attempt's
     result is lost either way, so nothing is computed for it); a
@@ -147,10 +152,10 @@ class CampaignExecutor:
     """Deterministic fan-out of campaign tasks across worker processes.
 
     ``workers <= 1`` runs the tasks serially in-process — the reference
-    behaviour the parallel path must reproduce bit-for-bit.  Attaching
-    a ``retry`` policy (or a fault ``plan``) switches ``map`` onto the
-    resilient scheduling loop; without either, the legacy fail-fast
-    paths run unchanged.
+    behaviour the parallel path must reproduce bit-for-bit.  A ``retry``
+    policy sets the retry budget of the scheduling loop, and a fault
+    ``plan`` alone runs under the default :class:`RetryPolicy`; without
+    either, a task's first failure ends the map.
     """
 
     def __init__(
@@ -161,7 +166,6 @@ class CampaignExecutor:
         retry: Optional[RetryPolicy] = None,
         faults: Optional[FaultPlan] = None,
         recorder=None,
-        profiler=None,
     ) -> None:
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
@@ -172,7 +176,8 @@ class CampaignExecutor:
         #: Optional ``progress(done, total)`` callback, invoked in the
         #: parent as each task's result lands (task order).
         self.progress = progress
-        #: Resilience policy; None = legacy fail-fast behaviour.
+        #: Resilience policy; None = no retries (or the default policy
+        #: when a fault plan is attached).
         self.retry = retry
         #: Deterministic fault injection plan (chaos testing).
         self.faults = faults
@@ -180,41 +185,37 @@ class CampaignExecutor:
         #: When set, fault metrics route through it (its registry is
         #: usually the same object as ``metrics`` — never count twice).
         self.recorder = recorder
-        #: Optional obs.SpanProfiler ("pool" spans around each fan-out);
-        #: defaults to the recorder's profiler when one is attached.
-        self.profiler = (
-            profiler if profiler is not None
-            else getattr(recorder, "profiler", None)
-        )
 
     def map(self, fn: Callable, payloads: Sequence) -> list:
         """Apply ``fn`` to every payload; results come back in order.
 
         ``fn`` must be a module-level callable and each payload picklable
         when ``workers > 1`` (the standard multiprocessing contract).
-        Without a retry policy a worker exception propagates to the
-        caller after the pool drains; with one, retryable failures are
-        re-attempted within the policy's budget and only
-        :class:`~repro.core.faults.TaskFailed` (budget exhausted) or a
-        fatal error propagates.
+        Retryable failures are re-attempted within the policy's budget;
+        only :class:`~repro.core.faults.TaskFailed` (budget exhausted)
+        or a fatal error propagates, and the queued tasks are
+        cancelled.
         """
         payloads = list(payloads)
         stats = ExecutorStats(
             workers=min(self.workers, max(len(payloads), 1)),
             tasks=len(payloads),
         )
+        if self.retry is not None:
+            policy = self.retry
+        elif self.faults is not None:  # an empty plan is falsy
+            policy = RetryPolicy()
+        else:
+            policy = RetryPolicy(max_retries=0)
+        plan = self.faults if self.faults is not None else FaultPlan()
+        profiler = getattr(self.recorder, "profiler", None)
         started = time.perf_counter()
-        resilient = self.retry is not None or self.faults is not None
-        with (
-            self.profiler.span("pool")
-            if self.profiler is not None else _NO_SPAN
-        ):
-            if resilient and payloads:
-                results = self._run_resilient(fn, payloads, stats)
-            elif self.workers <= 1 or len(payloads) <= 1:
-                results = self._run_serial(fn, payloads, stats)
-            else:
-                results = self._run_pooled(fn, payloads, stats)
+        with profiler.span("pool") if profiler is not None else _NO_SPAN:
+            scheduler = _ResilientRun(self, fn, payloads, stats, policy, plan)
+            try:
+                results = scheduler.run()
+            finally:
+                scheduler.shutdown()
         stats.wall_seconds = time.perf_counter() - started
         self.last_stats = stats
         if self.metrics is not None:
@@ -222,17 +223,6 @@ class CampaignExecutor:
             self.metrics.gauge("executor.workers", stats.workers)
             self.metrics.observe("executor.wall_seconds", stats.wall_seconds)
             self.metrics.observe("executor.busy_seconds", stats.busy_seconds)
-        return results
-
-    # -- strategies ----------------------------------------------------------
-
-    def _run_serial(self, fn, payloads, stats: ExecutorStats) -> list:
-        results = []
-        for payload in payloads:
-            result, seconds = _timed_call(fn, payload)
-            stats.busy_seconds += seconds
-            results.append(result)
-            self._task_done(len(results), stats, seconds)
         return results
 
     def _make_pool(self, tasks: int):
@@ -243,44 +233,6 @@ class CampaignExecutor:
         except (OSError, PermissionError, ValueError):
             return None
 
-    def _run_pooled(self, fn, payloads, stats: ExecutorStats) -> list:
-        pool = self._make_pool(len(payloads))
-        if pool is None:
-            # No process support here (restricted sandbox): same results,
-            # serially — the determinism contract makes this transparent.
-            stats.fell_back_serial = True
-            return self._run_serial(fn, payloads, stats)
-        with pool:
-            futures = [
-                pool.submit(_timed_call, fn, payload) for payload in payloads
-            ]
-            results = []
-            for future in futures:  # submit order == task order
-                result, seconds = future.result()
-                stats.busy_seconds += seconds
-                results.append(result)
-                self._task_done(len(results), stats, seconds)
-        return results
-
-    # -- the resilient scheduling loop ---------------------------------------
-
-    def _run_resilient(self, fn, payloads, stats: ExecutorStats) -> list:
-        """Retry/timeout/backoff/quarantine scheduling.
-
-        Tasks are sharded round-robin over virtual hosts (one per worker
-        slot).  Attempts run in the pool when available; failures are
-        handled *in task order* in the parent, which makes every retry,
-        backoff and quarantine decision deterministic for a given fault
-        plan regardless of real completion order.
-        """
-        policy = self.retry if self.retry is not None else RetryPolicy()
-        plan = self.faults if self.faults is not None else FaultPlan()
-        scheduler = _ResilientRun(self, fn, payloads, stats, policy, plan)
-        try:
-            return scheduler.run()
-        finally:
-            scheduler.shutdown()
-
     def _task_done(
         self, done: int, stats: ExecutorStats, seconds: float
     ) -> None:
@@ -290,7 +242,7 @@ class CampaignExecutor:
             # Liveness for the telemetry plane (a no-op unless the
             # recorder asked for heartbeats).  The worker slot is
             # derived from the deterministic task-order index, so
-            # serial, pooled and resilient paths report identically.
+            # serial and pooled runs report identically.
             self.recorder.heartbeat(
                 (done - 1) % stats.workers, done, stats.tasks
             )
@@ -332,6 +284,66 @@ class CampaignExecutor:
         elif self.metrics is not None:
             self.metrics.counter("faults.quarantines")
             self.metrics.counter("faults.redistributed", redistributed)
+
+
+def fan_out(
+    task: Callable,
+    payloads: Sequence[dict],
+    *,
+    workers: int = 1,
+    cache: Optional[EvalCache] = None,
+    recorder=None,
+    retry: Optional[RetryPolicy] = None,
+    faults: Optional[FaultPlan] = None,
+) -> tuple[list, Optional[ExecutorStats]]:
+    """Run ``task`` over ``payloads`` in worker processes, in task order.
+
+    Each payload is stamped with the parent ``cache``'s entries
+    (``cache_entries``, None without a cache), the map runs, the
+    ``recorder`` journals the ``fanout`` record, and every worker's new
+    entries and stats merge back into ``cache``.  Returns the results
+    and the executor's stats; no payloads run nothing, write nothing
+    and return ``([], None)``.
+    """
+    if not payloads:
+        return [], None
+    entries = cache.export_entries() if cache is not None else None
+    executor = CampaignExecutor(
+        workers=workers,
+        metrics=recorder.metrics if recorder is not None else None,
+        progress=recorder.task_progress if recorder is not None else None,
+        retry=retry,
+        faults=faults,
+        recorder=recorder,
+    )
+    results = executor.map(
+        task, [dict(payload, cache_entries=entries) for payload in payloads]
+    )
+    if recorder is not None:
+        recorder.fanout(executor.last_stats)
+    if cache is not None:
+        for result in results:
+            cache.import_entries(result["cache_entries"])
+            cache.merge_stats(result["cache_stats"])
+    return results, executor.last_stats
+
+
+def worker_cache(payload: dict) -> Optional[EvalCache]:
+    """The warm cache a :func:`fan_out` task starts from (or None)."""
+    if payload["cache_entries"] is None:
+        return None
+    cache = EvalCache()
+    cache.import_entries(payload["cache_entries"])
+    return cache
+
+
+def worker_result(cache: Optional[EvalCache], **result) -> dict:
+    """A task's result plus what its cache learned, for the parent."""
+    result["cache_entries"] = (
+        cache.export_entries(new_only=True) if cache is not None else None
+    )
+    result["cache_stats"] = cache.stats_dict() if cache is not None else None
+    return result
 
 
 def _error_kind(error: Exception) -> str:

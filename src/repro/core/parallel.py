@@ -10,11 +10,13 @@ by earliest discovery; wall-clock time is the *maximum* machine clock
 (they run concurrently), so a counter that previously shared a 10-hour
 budget with eight siblings now gets hours of dedicated attention.
 
-With ``workers > 1`` the machines really do run concurrently: each
-machine is one task for the :class:`~repro.core.executor.CampaignExecutor`
-process pool.  Every machine's RNG and clock are built inside the worker
-from the machine's own seed, so the merged report is bit-identical to a
-serial fleet run.
+The machines go through :func:`~repro.core.executor.fan_out`, one task
+each; with ``workers > 1`` they really do run concurrently.  Every
+machine's RNG and clock are built inside the worker from the machine's
+own seed, so the merged report is bit-identical to a serial fleet run.
+Machine ``m`` of a fleet with ``chains`` chains per machine runs chain
+``c`` at ``seed * 1000 + m * chains + c``, so no two chains of a fleet
+share a seed.
 """
 
 from __future__ import annotations
@@ -24,12 +26,20 @@ from typing import Optional
 
 import numpy as np
 
-from repro.core.annealing import SAParams, TraceEvent
-from repro.core.collie import SearchReport
+from repro.core.collie import (
+    RANKING_PROBES,
+    MergedRuns,
+    SearchReport,
+    rank_by_dispersion,
+)
 from repro.core.evalcache import EvalCache
-from repro.core.executor import CampaignExecutor, ExecutorStats
+from repro.core.executor import (
+    ExecutorStats,
+    fan_out,
+    worker_cache,
+    worker_result,
+)
 from repro.core.faults import FaultPlan, RetryPolicy
-from repro.core.mfs import MinimalFeatureSet
 from repro.core.population import PopulationCollie
 from repro.core.space import SearchSpace
 from repro.hardware.counters import DIAGNOSTIC_COUNTERS
@@ -38,40 +48,12 @@ from repro.hardware.subsystems import Subsystem, get_subsystem
 
 
 @dataclasses.dataclass
-class ParallelReport:
+class ParallelReport(MergedRuns):
     """Merged outcome of a machine fleet."""
 
     subsystem_name: str
     machines: int
     reports: list[SearchReport]
-    elapsed_seconds: float  #: max over machines (concurrent execution).
-
-    @property
-    def anomalies(self) -> list[MinimalFeatureSet]:
-        merged: list[MinimalFeatureSet] = []
-        for report in self.reports:
-            merged.extend(report.anomalies)
-        return merged
-
-    def first_hit_times(self) -> dict:
-        """Tag → earliest concurrent discovery time across machines."""
-        hits: dict = {}
-        for report in self.reports:
-            for tag, seconds in report.first_hit_times().items():
-                if tag not in hits or seconds < hits[tag]:
-                    hits[tag] = seconds
-        return hits
-
-    def found_tags(self) -> list[str]:
-        return sorted(self.first_hit_times())
-
-    @property
-    def total_experiments(self) -> int:
-        return sum(r.experiments for r in self.reports)
-
-    def events(self) -> list[TraceEvent]:
-        merged = [e for r in self.reports for e in r.events]
-        return sorted(merged, key=lambda e: e.time_seconds)
 
 
 def _run_machine(payload: dict) -> dict:
@@ -87,32 +69,17 @@ def _run_machine(payload: dict) -> dict:
     report per chain, each bit-identical to a standalone run of that
     seed.  With one chain that is the single Collie trajectory.
     """
-    cache = EvalCache() if payload["use_cache"] else None
-    if cache is not None and payload["cache_entries"]:
-        cache.import_entries(payload["cache_entries"])
+    cache = worker_cache(payload)
     reports = PopulationCollie(
         payload["subsystem"],
         chains=payload["chains"],
-        space=payload["space"],
         counters=payload["share"],
         budget_hours=payload["budget_hours"],
         seed=payload["seed"],
-        sa_params=payload["sa_params"],
-        noise=payload["noise"],
         cache=cache,
         latency=payload["latency"],
     ).run().reports
-    return {
-        "reports": reports,
-        "cache_entries": (
-            cache.export_entries(new_only=True)
-            if payload["use_cache"] and cache else None
-        ),
-        "cache_stats": (
-            cache.stats_dict()
-            if payload["use_cache"] and cache else None
-        ),
-    }
+    return worker_result(cache, reports=reports)
 
 
 class ParallelCollie:
@@ -124,9 +91,6 @@ class ParallelCollie:
         machines: int = 3,
         budget_hours: float = 10.0,
         seed: int = 0,
-        space: Optional[SearchSpace] = None,
-        sa_params: SAParams = SAParams(),
-        noise: float = 0.02,
         workers: int = 1,
         cache: Optional[EvalCache] = None,
         recorder=None,
@@ -145,21 +109,14 @@ class ParallelCollie:
         self.machines = machines
         self.budget_hours = budget_hours
         self.seed = seed
-        self.space = space or SearchSpace.for_subsystem(subsystem)
-        self.sa_params = sa_params
-        self.noise = noise
+        self.space = SearchSpace.for_subsystem(subsystem)
+        self.workers = workers
         #: Optional flight recorder.  A recorder's journal handle cannot
         #: cross the process boundary, so the fleet journals post-hoc:
         #: each machine's report is replayed into the journal on return.
         self.recorder = recorder
-        self.executor = CampaignExecutor(
-            workers=workers,
-            metrics=recorder.metrics if recorder is not None else None,
-            progress=recorder.task_progress if recorder is not None else None,
-            retry=retry,
-            faults=faults,
-            recorder=recorder,
-        )
+        self.retry = retry
+        self.faults = faults
         #: Parent-side cache: warm-starts every machine and absorbs
         #: their entries/stats after the fleet completes.
         self.cache = cache
@@ -167,31 +124,22 @@ class ParallelCollie:
         self.latency = latency
         #: SA chains per machine: each machine steps a lockstep
         #: population over its counter share (chain ``c`` of machine
-        #: ``m`` seeds at ``seed * 1000 + m + c``) and contributes one
-        #: report per chain to the merge.
+        #: ``m`` seeds at ``seed * 1000 + m * chains + c``) and
+        #: contributes one report per chain to the merge.
         self.chains = chains
-
-    @property
-    def executor_stats(self) -> Optional[ExecutorStats]:
-        return self.executor.last_stats
+        #: Fan-out accounting of the last :meth:`run` (None before one).
+        self.executor_stats: Optional[ExecutorStats] = None
 
     def _rank_counters(self) -> list[str]:
         """Shared ranking pass: 10 random probes, std/mean descending."""
         rng = np.random.default_rng(self.seed)
-        model = SteadyStateModel(self.subsystem, noise=self.noise)
+        model = SteadyStateModel(self.subsystem)
         observations: dict = {name: [] for name in DIAGNOSTIC_COUNTERS}
-        for _ in range(10):
+        for _ in range(RANKING_PROBES):
             measurement = model.evaluate(self.space.random(rng), rng)
             for name in DIAGNOSTIC_COUNTERS:
                 observations[name].append(float(measurement.counters[name]))
-
-        def dispersion(name: str) -> float:
-            values = np.array(observations[name])
-            mean = values.mean()
-            return float(values.std() / mean) if mean > 0 else 0.0
-
-        ranked = sorted(DIAGNOSTIC_COUNTERS, key=dispersion, reverse=True)
-        return [name for name in ranked if dispersion(name) > 0.0]
+        return rank_by_dispersion(observations)[0]
 
     def _partition(self, ranked: list[str]) -> list[tuple[str, ...]]:
         """Round-robin counter shares, one per machine."""
@@ -201,49 +149,35 @@ class ParallelCollie:
         return [tuple(share) for share in shares if share]
 
     def run(self) -> ParallelReport:
-        ranked = self._rank_counters()
-        warm_entries = (
-            self.cache.export_entries() if self.cache is not None else None
+        shares = self._partition(self._rank_counters())
+        outcomes, self.executor_stats = fan_out(
+            _run_machine,
+            [
+                {
+                    "subsystem": self.subsystem,
+                    "share": share,
+                    "budget_hours": self.budget_hours,
+                    "seed": self.seed * 1000 + machine * self.chains,
+                    "latency": self.latency,
+                    "chains": self.chains,
+                }
+                for machine, share in enumerate(shares)
+            ],
+            workers=self.workers, cache=self.cache, recorder=self.recorder,
+            retry=self.retry, faults=self.faults,
         )
-        payloads = [
-            {
-                "subsystem": self.subsystem,
-                "space": self.space,
-                "share": share,
-                "budget_hours": self.budget_hours,
-                "seed": self.seed * 1000 + machine,
-                "sa_params": self.sa_params,
-                "noise": self.noise,
-                "use_cache": self.cache is not None,
-                "cache_entries": warm_entries,
-                "latency": self.latency,
-                "chains": self.chains,
-            }
-            for machine, share in enumerate(self._partition(ranked))
+        reports = [
+            report for outcome in outcomes for report in outcome["reports"]
         ]
-        outcomes = self.executor.map(_run_machine, payloads)
-        reports: list[SearchReport] = []
-        seeds: list[int] = []
-        for machine, outcome in enumerate(outcomes):
-            for chain, report in enumerate(outcome["reports"]):
-                reports.append(report)
-                seeds.append(self.seed * 1000 + machine + chain)
         if self.recorder is not None:
-            if self.executor.last_stats is not None:
-                self.recorder.fanout(self.executor.last_stats)
-            for report, report_seed in zip(reports, seeds):
+            # Report ``m * chains + c`` is chain ``c`` of machine ``m``.
+            for index, report in enumerate(reports):
                 self.recorder.record_report(
-                    report, self.budget_hours, seed=report_seed,
+                    report, self.budget_hours,
+                    seed=self.seed * 1000 + index,
                 )
-        if self.cache is not None:
-            for outcome in outcomes:
-                if outcome["cache_entries"]:
-                    self.cache.import_entries(outcome["cache_entries"])
-                if outcome["cache_stats"]:
-                    self.cache.merge_stats(outcome["cache_stats"])
         return ParallelReport(
             subsystem_name=self.subsystem.name,
             machines=self.machines,
             reports=reports,
-            elapsed_seconds=max(r.elapsed_seconds for r in reports),
         )

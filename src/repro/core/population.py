@@ -40,16 +40,15 @@ from __future__ import annotations
 import dataclasses
 from typing import Optional
 
-from repro.core.annealing import SAParams, SearchSignal, TraceEvent
-from repro.core.collie import Collie, SearchReport
+from repro.core.annealing import SAParams, SearchSignal
+from repro.core.collie import Collie, MergedRuns, SearchReport
 from repro.core.evalcache import EvalCache
-from repro.core.mfs import MinimalFeatureSet
 from repro.core.space import SearchSpace
 from repro.hardware.subsystems import Subsystem, get_subsystem
 
 
 @dataclasses.dataclass
-class PopulationReport:
+class PopulationReport(MergedRuns):
     """Merged outcome of one population run."""
 
     subsystem_name: str
@@ -59,38 +58,6 @@ class PopulationReport:
     exchanges: int  #: replica swaps performed (tempering only).
     mode: str  #: ``independent`` or ``tempering``.
     temperature_ladder: Optional[tuple] = None
-
-    @property
-    def elapsed_seconds(self) -> float:
-        """Max over chains: they run concurrently in simulated time."""
-        return max((r.elapsed_seconds for r in self.reports), default=0.0)
-
-    @property
-    def anomalies(self) -> list[MinimalFeatureSet]:
-        merged: list[MinimalFeatureSet] = []
-        for report in self.reports:
-            merged.extend(report.anomalies)
-        return merged
-
-    @property
-    def total_experiments(self) -> int:
-        return sum(r.experiments for r in self.reports)
-
-    def first_hit_times(self) -> dict:
-        """Tag → earliest concurrent discovery time across chains."""
-        hits: dict = {}
-        for report in self.reports:
-            for tag, seconds in report.first_hit_times().items():
-                if tag not in hits or seconds < hits[tag]:
-                    hits[tag] = seconds
-        return hits
-
-    def found_tags(self) -> list[str]:
-        return sorted(self.first_hit_times())
-
-    def events(self) -> list[TraceEvent]:
-        merged = [e for r in self.reports for e in r.events]
-        return sorted(merged, key=lambda e: e.time_seconds)
 
     def summary(self) -> str:
         label = (
@@ -122,12 +89,9 @@ class PopulationCollie:
         chains: int = 4,
         budget_hours: float = 10.0,
         seed: int = 0,
-        space: Optional[SearchSpace] = None,
         counter_mode: str = "diag",
         use_mfs: bool = True,
-        sa_params: SAParams = SAParams(),
         noise: float = 0.02,
-        mfs_probes_per_dimension: int = 2,
         counters: Optional[tuple] = None,
         cache: Optional[EvalCache] = None,
         recorder=None,
@@ -163,7 +127,8 @@ class PopulationCollie:
         self.recorder = recorder
         #: The user's cache, shared by every chain (``None`` without one).
         self.cache = cache
-        space = space or SearchSpace.for_subsystem(subsystem)
+        space = SearchSpace.for_subsystem(subsystem)
+        sa_params = SAParams()
 
         def rung_params(rung: float) -> SAParams:
             # Scale the whole schedule to the rung, preserving the
@@ -197,7 +162,6 @@ class PopulationCollie:
                     else sa_params
                 ),
                 noise=noise,
-                mfs_probes_per_dimension=mfs_probes_per_dimension,
                 counters=counters,
                 cache=cache,
                 recorder=chain_recorder,

@@ -207,19 +207,7 @@ class FlightRecorder:
 
     def experiment(self, event, state) -> None:
         """One measured experiment (a freshly appended TraceEvent)."""
-        self.metrics.counter("search.experiments", kind=event.kind)
-        self.metrics.counter("search.symptoms", symptom=event.symptom)
-        if event.latency is not None:
-            self.metrics.observe(
-                "search.latency_p99_us", event.latency["p99_us"]
-            )
-        interference = getattr(event, "interference", None)
-        if interference is not None:
-            self.metrics.observe("isolation.interference", interference)
-        if self.coverage is not None:
-            self.coverage.visit(event.workload)
-        if self.journal is not None:
-            self._write(experiment_record(event))
+        self._observe(event)
         self._experiments_seen += 1
         if (
             self.progress_every
@@ -300,16 +288,12 @@ class FlightRecorder:
                 "fell_back_serial": stats.fell_back_serial,
                 # Resilience accounting (extra fields; schema-v2 readers
                 # and v1 validators both tolerate them).
-                "retries": getattr(stats, "retries", 0),
-                "timeouts": getattr(stats, "timeouts", 0),
-                "injected_faults": getattr(stats, "injected_faults", 0),
-                "backoff_seconds": getattr(stats, "backoff_seconds", 0.0),
-                "quarantined_hosts": list(
-                    getattr(stats, "quarantined_hosts", ())
-                ),
-                "redistributed_tasks": getattr(
-                    stats, "redistributed_tasks", 0
-                ),
+                "retries": stats.retries,
+                "timeouts": stats.timeouts,
+                "injected_faults": stats.injected_faults,
+                "backoff_seconds": stats.backoff_seconds,
+                "quarantined_hosts": list(stats.quarantined_hosts),
+                "redistributed_tasks": stats.redistributed_tasks,
             })
 
     def task_progress(self, done: int, total: int) -> None:
@@ -404,19 +388,7 @@ class FlightRecorder:
         )
         self.ranking(getattr(report, "counter_ranking", []))
         for event in report.events:
-            self.metrics.counter("search.experiments", kind=event.kind)
-            self.metrics.counter("search.symptoms", symptom=event.symptom)
-            if event.latency is not None:
-                self.metrics.observe(
-                    "search.latency_p99_us", event.latency["p99_us"]
-                )
-            interference = getattr(event, "interference", None)
-            if interference is not None:
-                self.metrics.observe("isolation.interference", interference)
-            if self.coverage is not None:
-                self.coverage.visit(event.workload)
-            if self.journal is not None:
-                self._write(experiment_record(event))
+            self._observe(event)
         for index, mfs in enumerate(anomalies):
             self.anomaly(index, None, mfs)
         for _ in range(skipped):
@@ -433,6 +405,22 @@ class FlightRecorder:
         )
 
     # -- internals ---------------------------------------------------------
+
+    def _observe(self, event) -> None:
+        """Metrics, coverage visit and journal record of one experiment."""
+        self.metrics.counter("search.experiments", kind=event.kind)
+        self.metrics.counter("search.symptoms", symptom=event.symptom)
+        if event.latency is not None:
+            self.metrics.observe(
+                "search.latency_p99_us", event.latency["p99_us"]
+            )
+        interference = getattr(event, "interference", None)
+        if interference is not None:
+            self.metrics.observe("isolation.interference", interference)
+        if self.coverage is not None:
+            self.coverage.visit(event.workload)
+        if self.journal is not None:
+            self._write(experiment_record(event))
 
     def _progress_snapshot(self, time_seconds: float, state) -> None:
         progress_logger.info(

@@ -94,3 +94,65 @@ class TestRestrictedSpace:
         report = collie.run()
         for event in report.events:
             assert event.workload.qp_type is QPType.RC
+
+
+@pytest.fixture(scope="module")
+def chain_reports():
+    from repro.core.population import PopulationCollie
+
+    return PopulationCollie(
+        "H", chains=3, budget_hours=0.3, seed=1
+    ).run().reports
+
+
+def _population(reports):
+    from repro.core.population import PopulationReport
+
+    return PopulationReport(
+        subsystem_name="H", chains=len(reports), reports=reports,
+        generations=0, exchanges=0, mode="independent",
+    )
+
+
+def _fleet(reports):
+    from repro.core.parallel import ParallelReport
+
+    return ParallelReport(
+        subsystem_name="H", machines=len(reports), reports=reports
+    )
+
+
+def _campaign(reports):
+    from repro.analysis.campaign import CampaignResult
+
+    return CampaignResult(
+        approach="collie", subsystem="H", budget_hours=0.3, reports=reports
+    )
+
+
+@pytest.mark.parametrize("merge", [_population, _fleet, _campaign])
+def test_every_report_type_merges_runs_the_same_way(merge, chain_reports):
+    merged = merge(chain_reports)
+    per_run = [report.first_hit_times() for report in chain_reports]
+    earliest: dict = {}
+    for hits in per_run:
+        for tag, seconds in hits.items():
+            earliest[tag] = min(seconds, earliest.get(tag, seconds))
+    assert merged.anomalies == [
+        mfs for report in chain_reports for mfs in report.anomalies
+    ]
+    assert merged.total_experiments == sum(
+        report.experiments for report in chain_reports
+    )
+    assert merged.elapsed_seconds == max(
+        report.elapsed_seconds for report in chain_reports
+    )
+    assert merged.per_seed_hits() == per_run
+    assert merged.first_hit_times() == earliest
+    assert merged.found_tags() == sorted(earliest)
+    assert merged.union_tags() == set(earliest)
+    assert merged.mean_found() == sum(map(len, per_run)) / len(per_run)
+    assert merged.events() == sorted(
+        (event for report in chain_reports for event in report.events),
+        key=lambda event: event.time_seconds,
+    )

@@ -1,10 +1,13 @@
 """CampaignExecutor: ordering, stats, serial/pooled equivalence."""
 
+import os
+
 import pytest
 
-from repro.core.executor import CampaignExecutor, ExecutorStats
-from repro.core.faults import RetryPolicy
-from repro.obs import MetricsRegistry
+from repro.core.evalcache import EvalCache
+from repro.core.executor import CampaignExecutor, ExecutorStats, fan_out
+from repro.core.faults import RetryPolicy, TaskFailed, WorkerCrash
+from repro.obs import FlightRecorder, MetricsRegistry, RunJournal
 
 
 def square(payload):
@@ -29,6 +32,10 @@ def describe_payload(payload):
 
 def boom(payload):
     raise RuntimeError(f"task {payload} failed")
+
+
+def die(payload):
+    os._exit(3)  # the worker process dies without a word
 
 
 class TestSerial:
@@ -80,6 +87,16 @@ class TestPooled:
         with pytest.raises(RuntimeError, match="failed"):
             executor.map(boom, [1, 2])
 
+    def test_dead_worker_fails_the_task_without_a_retry_policy(self):
+        """No policy allows no retries: a worker that dies ends the map
+        with TaskFailed from WorkerCrash, not BrokenProcessPool."""
+        _require_pool()
+        executor = CampaignExecutor(workers=2)
+        with pytest.raises(TaskFailed) as excinfo:
+            executor.map(die, [1, 2])
+        assert excinfo.value.attempts == 1
+        assert isinstance(excinfo.value.last_error, WorkerCrash)
+
 
 class TestEdgeCases:
     def test_zero_tasks(self):
@@ -121,6 +138,20 @@ class TestEdgeCases:
         with pytest.raises(Exception, match="(?i)pickle"):
             executor.map(unpicklable_result, [1, 2])
         assert metrics.counters_with_prefix("faults.") == {}
+
+
+class TestFanOut:
+    def test_no_payloads_run_nothing_and_write_no_record(self, tmp_path):
+        path = tmp_path / "empty.jsonl"
+        recorder = FlightRecorder(journal=RunJournal(path))
+        cache = EvalCache()
+        assert fan_out(
+            square, [], workers=2, cache=cache, recorder=recorder
+        ) == ([], None)
+        recorder.close()
+        assert path.read_text() == ""
+        assert recorder.metrics.counters_with_prefix("executor.") == {}
+        assert len(cache) == 0
 
 
 class TestStatsSurface:

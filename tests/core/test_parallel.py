@@ -3,7 +3,9 @@
 import pytest
 
 from repro.core import Collie
-from repro.core.parallel import ParallelCollie, ParallelReport
+from repro.core.evalcache import EvalCache
+from repro.core.parallel import ParallelCollie
+from repro.obs import FlightRecorder, RunJournal, read_journal
 from tests.core.test_determinism import report_key
 
 
@@ -81,18 +83,50 @@ class TestMultiChainFleet:
         keys = [report_key(r) for r in serial_report.reports]
         assert keys == [report_key(r) for r in pooled_report.reports]
         # Chain c of machine m is a standalone search of the machine's
-        # share at seed * 1000 + m + c.
+        # share at seed * 1000 + m * chains + c.
         shares = serial._partition(serial._rank_counters())
         standalone = [
             Collie(
                 serial.subsystem, counters=share, budget_hours=0.2,
-                seed=5000 + machine + chain,
+                seed=5000 + machine * 2 + chain,
             ).run()
             for machine, share in enumerate(shares)
             for chain in range(2)
         ]
         assert len(shares) == 2
         assert keys == [report_key(r) for r in standalone]
+
+    def test_no_two_chains_of_a_fleet_share_a_seed(self, tmp_path):
+        path = tmp_path / "fleet.jsonl"
+        recorder = FlightRecorder(journal=RunJournal(path))
+        ParallelCollie(
+            "H", machines=3, chains=2, budget_hours=0.1, seed=1,
+            recorder=recorder,
+        ).run()
+        recorder.close()
+        seeds = [
+            record["seed"] for record in read_journal(path)
+            if record["t"] == "run_start"
+        ]
+        assert seeds == [1000, 1001, 1002, 1003, 1004, 1005]
+
+
+class TestCachedFleet:
+    def test_worker_count_changes_neither_reports_nor_cache(self):
+        def fleet(workers):
+            cache = EvalCache()
+            report = ParallelCollie(
+                "H", machines=2, budget_hours=0.2, seed=5,
+                workers=workers, cache=cache,
+            ).run()
+            return report, cache
+
+        serial, serial_cache = fleet(1)
+        pooled, pooled_cache = fleet(2)
+        assert [report_key(r) for r in serial.reports] \
+            == [report_key(r) for r in pooled.reports]
+        assert len(serial_cache) > 0
+        assert serial_cache.export_entries() == pooled_cache.export_entries()
 
 
 class TestScaling:

@@ -462,6 +462,26 @@ class TestPopulationSearch:
         assert code == 2
         assert "--chains >= 2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags", [
+        ["--seeds", "2"],
+        ["--seeds", "2", "--workers", "2"],
+        ["--chains", "3"],
+        ["--chains", "2", "--tempering"],
+    ])
+    def test_profile_of_chains_is_rejected_before_running(
+        self, flags, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.chdir(tmp_path)
+        code = main(["search", "F", "--hours", "1", "--seed", "1",
+                     "--profile", "--journal", "run.jsonl", *flags])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "--profile records the spans of a single search" in (
+            captured.err
+        )
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == []
+
     def test_report_renders_population_journal_runs_complete(
         self, tmp_path, capsys
     ):
@@ -884,6 +904,28 @@ class TestResilienceFlags:
                      "--retries", "1"])
         assert code == 0
         assert "machines" in capsys.readouterr().out
+
+    def test_a_failed_fan_out_is_one_message_not_a_traceback(
+        self, tmp_path, capsys
+    ):
+        from tests.core.test_executor import _require_pool
+
+        _require_pool()
+        journal = tmp_path / "run.jsonl"
+        cache = tmp_path / "cache.json"
+        code = main(["campaign", "collie", "--subsystem", "H",
+                     "--hours", "0.3", "--seed", "1", "--seeds", "2",
+                     "--workers", "2", "--retries", "0",
+                     "--task-timeout", "0.000001",
+                     "--journal", str(journal), "--cache", str(cache)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(
+            "task 0 failed after 1 attempt(s): TaskTimeout: "
+        )
+        assert "Traceback" not in err
+        assert journal.read_text() == ""  # closed, and no seed finished
+        assert not cache.exists()  # the store is left as it was
 
 
 class TestStatsOnJournal:
