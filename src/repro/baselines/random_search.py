@@ -72,10 +72,9 @@ class RandomSearch:
         #: run is bit-identical to an unrecorded one).
         self.recorder = recorder
         metrics = recorder.metrics if recorder is not None else None
-        profiler = recorder.profiler if recorder is not None else None
         self.testbed = Testbed(
             subsystem, clock=self.clock, noise=noise, cache=cache,
-            metrics=metrics, profiler=profiler,
+            metrics=metrics,
         )
         self.monitor = AnomalyMonitor(subsystem, metrics=metrics)
         self.rng = np.random.default_rng(seed)

@@ -47,7 +47,8 @@ Observability: ``search``/``parallel``/``campaign`` accept
 ``--journal PATH`` (structured JSONL flight-recorder journal, see
 :mod:`repro.obs`), ``--progress N`` (a live progress line every N
 experiments / completed tasks), ``--coverage`` (workload-space
-occupancy tracking), ``--profile`` (wall-clock span profiling) and
+occupancy tracking), ``--profile`` (wall-clock spans of each pipeline
+layer, in this process only) and
 ``--export-metrics PORT`` (a live HTTP telemetry endpoint: Prometheus
 text at ``/metrics``, a JSON worker table at ``/status``, plus
 schema-v7 heartbeat records when combined with ``--journal``).  Output goes through :mod:`logging`
@@ -178,7 +179,8 @@ def _open_recorder(args: argparse.Namespace):
         heartbeats=export_port is not None,
     )
     if profile:
-        recorder.profiler = SpanProfiler(metrics=recorder.metrics)
+        # main() uninstalls it too, should the command raise.
+        args.profiler = recorder.profiler = SpanProfiler().install()
     if export_port is not None:
         from repro.obs import CampaignAggregator, TelemetryServer
 
@@ -206,6 +208,8 @@ def _close_recorder(recorder) -> None:
             "fault events: "
             + ", ".join(f"{key}={value:g}" for key, value in faults.items())
         )
+    if recorder.profiler is not None:
+        recorder.profiler.uninstall()
     recorder.close()
     if recorder.coverage is not None:
         logger.info("")
@@ -322,11 +326,6 @@ def _cmd_search(args: argparse.Namespace) -> int:
         logger.error("--output and --recipes describe a single search: "
                      "drop them or run without --seeds/--chains/"
                      "--tempering")
-        return 2
-    if args.profile and (args.seeds > 1 or population):
-        logger.error("--profile records the spans of a single search: "
-                     "the chains of --seeds, --chains and --tempering "
-                     "carry no profiler")
         return 2
     fanout = args.workers > 1 or _retry_policy(args) is not None
     if fanout and args.seeds == 1:
@@ -1345,8 +1344,9 @@ def _add_observability_flags(subparser: argparse.ArgumentParser) -> None:
     )
     subparser.add_argument(
         "--profile", action="store_true",
-        help="profile wall-clock spans and print the self-time table "
-             "at the end (journaled as schema-v3 'spans' records)",
+        help="time every call of each pipeline layer and print the "
+             "self-time table at the end (journaled as schema-v3 "
+             "'spans' records; needs --workers 1)",
     )
     subparser.add_argument(
         "--export-metrics", type=_port, default=None, metavar="PORT",
@@ -1749,6 +1749,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     args = build_parser().parse_args(argv)
     setup_logging(level=args.log_level, json_format=args.log_json)
+    if getattr(args, "profile", False) and args.workers > 1:
+        logger.error("--profile times this process only, and worker "
+                     "processes record no spans: use --workers 1")
+        return 2
     try:
         return args.func(args)
     except BrokenPipeError:
@@ -1758,6 +1762,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return EXIT_BROKEN_PIPE
+    finally:
+        # --profile's wrappers never outlive the command, even one that
+        # raised before closing its recorder.
+        if getattr(args, "profiler", None) is not None:
+            args.profiler.uninstall()
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via __main__

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import dataclasses
-from contextlib import nullcontext
 from typing import TYPE_CHECKING, Optional
 
 import numpy as np
@@ -15,9 +14,6 @@ from repro.hardware.workload import WorkloadDescriptor
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.evalcache import EvalCache
-
-#: Reusable no-op context for profiler-disabled span sites.
-_NO_SPAN = nullcontext()
 
 
 @dataclasses.dataclass(frozen=True)
@@ -59,7 +55,6 @@ class Testbed:
         functional_check: bool = False,
         cache: Optional["EvalCache"] = None,
         metrics=None,
-        profiler=None,
         victim: Optional[WorkloadDescriptor] = None,
         victim_share: float = 0.5,
     ) -> None:
@@ -81,8 +76,6 @@ class Testbed:
         self.victim_share = victim_share
         #: Optional obs.MetricsRegistry accounting experiment costs.
         self.metrics = metrics
-        #: Optional obs.SpanProfiler ("solve" spans around evaluation).
-        self.profiler = profiler
         #: Functional bursts catch malformed workloads but cost real CPU;
         #: searches (thousands of experiments) disable them and rely on
         #: the space's coercion invariants, which the test suite verifies.
@@ -121,12 +114,8 @@ class Testbed:
         started = self.clock.now
         setup = self.engine.setup_seconds(workload)
         measure = self.engine.measurement_seconds()
-        span = (
-            self.profiler.span("solve")
-            if self.profiler is not None else _NO_SPAN
-        )
         if self.metrics is not None:
-            with self.metrics.timer("testbed.measure_wall", phase=phase), span:
+            with self.metrics.timer("testbed.measure_wall", phase=phase):
                 measurement = self.engine.measure(
                     workload, rng=rng,
                     functional_check=self.functional_check, phase=phase,
@@ -135,11 +124,10 @@ class Testbed:
             self.metrics.observe("testbed.setup_seconds", setup)
             self.metrics.observe("testbed.measurement_seconds", measure)
         else:
-            with span:
-                measurement = self.engine.measure(
-                    workload, rng=rng,
-                    functional_check=self.functional_check, phase=phase,
-                )
+            measurement = self.engine.measure(
+                workload, rng=rng,
+                functional_check=self.functional_check, phase=phase,
+            )
         self.clock.advance(setup + measure)
         self.experiments_run += 1
         return ExperimentResult(

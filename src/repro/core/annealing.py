@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from contextlib import nullcontext
 from typing import TYPE_CHECKING, Callable, Optional
 
 import numpy as np
@@ -32,10 +31,6 @@ from repro.hardware.workload import WorkloadDescriptor
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.obs.recorder import FlightRecorder
-
-#: Reusable no-op context for profiler-disabled span sites (stateless,
-#: so one shared instance costs nothing per iteration).
-_NO_SPAN = nullcontext()
 
 #: Ladder levels an MFS extraction probes per ordered dimension.
 MFS_PROBES_PER_DIMENSION = 2
@@ -268,9 +263,7 @@ class AnnealingSearch:
             known=state.anomalies,
         )
         if self.recorder is not None:
-            profiler = self.recorder.profiler
-            span = profiler.span("mfs") if profiler is not None else _NO_SPAN
-            with self.recorder.metrics.timer("mfs.construct_wall"), span:
+            with self.recorder.metrics.timer("mfs.construct_wall"):
                 mfs = yield from self._extract(
                     state, stepper, signal, deadline
                 )
@@ -322,7 +315,6 @@ class AnnealingSearch:
         clock = self.testbed.clock
         best: Optional[tuple[float, WorkloadDescriptor]] = None
         recorder = self.recorder
-        profiler = recorder.profiler if recorder is not None else None
 
         def out_of_time() -> bool:
             return clock.now >= deadline or clock.expired
@@ -398,54 +390,48 @@ class AnnealingSearch:
                     self.exchange_state = (
                         signal.counter, current, energy_value
                     )
-                with (
-                    profiler.span("iteration")
-                    if profiler is not None else _NO_SPAN
-                ):
-                    candidate = self.space.mutate(current, self.rng)
-                    # Label the move for mutation-effectiveness
-                    # diagnostics; pure value comparison, no RNG.
-                    mutated = (
-                        changed_dimensions(current, candidate)
-                        if recorder is not None else ()
-                    )
-                    if self.use_mfs and match_any(state.anomalies, candidate):
-                        state.skipped += 1
-                        if recorder is not None:
-                            recorder.skip(clock.now, candidate)
-                        continue
-                    yield candidate
-                    measured = self._measure(
-                        state, candidate, signal, kind="search"
-                    )
-                    cand_value = signal.value(measured.measurement)
-                    if (yield from self._handle_anomaly(
-                        state, candidate, measured, signal, deadline
-                    )):
-                        record_transition("restart", temperature)
-                        seeded = yield from reseed(prefer_best=True)
-                        if seeded is None:
-                            return
-                        current, energy_value = seeded
-                        continue
-                    track_best(cand_value, candidate)
-                    delta = signal.delta_energy(energy_value, cand_value)
-                    if delta < 0:
+                candidate = self.space.mutate(current, self.rng)
+                # Label the move for mutation-effectiveness diagnostics;
+                # pure value comparison, no RNG.
+                mutated = (
+                    changed_dimensions(current, candidate)
+                    if recorder is not None else ()
+                )
+                if self.use_mfs and match_any(state.anomalies, candidate):
+                    state.skipped += 1
+                    if recorder is not None:
+                        recorder.skip(clock.now, candidate)
+                    continue
+                yield candidate
+                measured = self._measure(
+                    state, candidate, signal, kind="search"
+                )
+                cand_value = signal.value(measured.measurement)
+                if (yield from self._handle_anomaly(
+                    state, candidate, measured, signal, deadline
+                )):
+                    record_transition("restart", temperature)
+                    seeded = yield from reseed(prefer_best=True)
+                    if seeded is None:
+                        return
+                    current, energy_value = seeded
+                    continue
+                track_best(cand_value, candidate)
+                delta = signal.delta_energy(energy_value, cand_value)
+                if delta < 0:
+                    current, energy_value = candidate, cand_value
+                    record_transition("improve", temperature, delta, mutated)
+                else:
+                    prob = math.exp(-delta / max(temperature, 1e-9))
+                    if self.rng.random() < prob:
                         current, energy_value = candidate, cand_value
                         record_transition(
-                            "improve", temperature, delta, mutated
+                            "accept", temperature, delta, mutated
                         )
                     else:
-                        prob = math.exp(-delta / max(temperature, 1e-9))
-                        if self.rng.random() < prob:
-                            current, energy_value = candidate, cand_value
-                            record_transition(
-                                "accept", temperature, delta, mutated
-                            )
-                        else:
-                            record_transition(
-                                "reject", temperature, delta, mutated
-                            )
+                        record_transition(
+                            "reject", temperature, delta, mutated
+                        )
             temperature *= self.params.alpha
             if temperature < self.params.t_min:
                 # Relaxed schedule (§5.1): reheat instead of terminating —

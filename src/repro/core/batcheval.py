@@ -30,7 +30,6 @@ scalar path, which is cheaper for a single row.
 from __future__ import annotations
 
 import time
-from contextlib import nullcontext
 from typing import TYPE_CHECKING, Optional
 
 import numpy as np
@@ -46,9 +45,6 @@ from repro.hardware.model import (
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.hardware.workload import WorkloadDescriptor
     from repro.obs.metrics import MetricsRegistry
-
-#: Reusable no-op context for profiler-disabled span sites.
-_NO_SPAN = nullcontext()
 
 
 # No caller in src/; kept because perfbench/tracer.py wraps it by name.
@@ -155,18 +151,9 @@ class BatchEvaluator:
         self,
         model: SteadyStateModel,
         metrics: Optional["MetricsRegistry"] = None,
-        profiler=None,
     ) -> None:
         self.model = model
         self.metrics = metrics
-        #: Optional obs.SpanProfiler ("batch" spans on vectorized solves).
-        self.profiler = profiler
-
-    def _span(self):
-        return (
-            self.profiler.span("batch")
-            if self.profiler is not None else _NO_SPAN
-        )
 
     def _count_points(self, n: int, mode: str) -> None:
         if self.metrics is not None and n:
@@ -208,8 +195,7 @@ class BatchEvaluator:
             to_solve = [unique[i] for i in missing]
             for workload in to_solve:
                 model._validate(workload)
-            with self._span():
-                solved = model.solve_points(to_solve)
+            solved = model.solve_points(to_solve)
             for i, solve in zip(missing, solved):
                 solves[i] = solve
             if cache is not None:
@@ -262,8 +248,7 @@ class BatchEvaluator:
         if not to_solve:
             return 0
         started = time.perf_counter()
-        with self._span():
-            solved = model.solve_points(to_solve)
+        solved = model.solve_points(to_solve)
         cache.put_many(model.subsystem, to_solve, solved)
         cache.charge("solve", time.perf_counter() - started)
         if self.metrics is not None:

@@ -18,7 +18,6 @@ into the plain SA baseline of Figure 5.
 from __future__ import annotations
 
 import dataclasses
-from contextlib import nullcontext
 from typing import TYPE_CHECKING, Optional
 
 import numpy as np
@@ -44,9 +43,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 #: §7.2: "we first generate 10 random points" to rank counters.
 RANKING_PROBES = 10
-
-#: Reusable no-op context for profiler-disabled span sites.
-_NO_SPAN = nullcontext()
 
 
 @dataclasses.dataclass
@@ -226,11 +222,8 @@ class Collie:
         #: bit-identical to an unrecorded one.
         self.recorder = recorder
         metrics = recorder.metrics if recorder is not None else None
-        profiler = recorder.profiler if recorder is not None else None
-        self.profiler = profiler
         if recorder is not None and cache is not None:
             cache.observer = recorder.cache_event
-            cache.profiler = profiler
         #: Isolation mode: a pinned victim turns the run into an
         #: adversarial-neighbor search — every searched point is an
         #: attacker co-running next to the victim, and verdicts come
@@ -240,8 +233,7 @@ class Collie:
         self.victim_share = victim_share
         self.testbed = Testbed(
             subsystem, clock=self.clock, noise=noise, cache=cache,
-            metrics=metrics, profiler=profiler,
-            victim=victim, victim_share=victim_share,
+            metrics=metrics, victim=victim, victim_share=victim_share,
         )
         #: ``latency=False`` (``--no-latency``) disables the tail-latency
         #: trigger AND latency journaling: the run is then bit-identical
@@ -310,18 +302,11 @@ class Collie:
                     self.victim, self.victim_share,
                     self.testbed.victim_floor,
                 )
-        profiler = self.profiler
-        with (
-            profiler.span("search") if profiler is not None else _NO_SPAN
-        ):
-            state = SearchState()
-            with (
-                profiler.span("rank") if profiler is not None else _NO_SPAN
-            ):
-                ranking = yield from self._rank_counters(state)
-            if self.recorder is not None:
-                self.recorder.ranking(ranking, self._dispersions)
-            yield from self._search_counters(state, ranking)
+        state = SearchState()
+        ranking = yield from self._rank_counters(state)
+        if self.recorder is not None:
+            self.recorder.ranking(ranking, self._dispersions)
+        yield from self._search_counters(state, ranking)
         self.last_report = SearchReport(
             subsystem_name=self.subsystem.name,
             counter_mode=self.counter_mode,
@@ -389,13 +374,9 @@ class Collie:
                 self.clock.remaining / slots_left,
             )
             deadline = self.clock.now + slice_seconds
-            with (
-                self.profiler.span("pass")
-                if self.profiler is not None else _NO_SPAN
-            ):
-                yield from self.search.iter_pass(
-                    state, SearchSignal(counter), deadline
-                )
+            yield from self.search.iter_pass(
+                state, SearchSignal(counter), deadline
+            )
 
     # -- §7.3 developer workflows -----------------------------------------
 

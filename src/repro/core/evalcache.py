@@ -28,8 +28,7 @@ import hashlib
 import json
 import os
 import threading
-import time
-from contextlib import nullcontext, suppress
+from contextlib import suppress
 from typing import IO, TYPE_CHECKING, Callable, Optional
 
 from repro.hardware.model import DirectionRates
@@ -43,9 +42,6 @@ FORMAT_VERSION = 1
 
 #: Phase label used when callers don't attribute their evaluations.
 DEFAULT_PHASE = "search"
-
-#: Reusable no-op context for profiler-disabled span sites.
-_NO_SPAN = nullcontext()
 
 #: The store's one encoder.  ``encode`` of a whole value takes the C
 #: encoder (``json.dump`` to a file never does), and ``sort_keys`` with
@@ -164,9 +160,6 @@ class EvalCache:
         #: Optional hit/miss observer, ``observer(phase, hit)`` — wired by
         #: the flight recorder.  Called outside the lock (it may do IO).
         self.observer: Optional[Callable[[str, bool], None]] = None
-        #: Optional obs.SpanProfiler ("cache" spans on lookups) — wired
-        #: by the flight recorder, like the observer.
-        self.profiler = None
         if path is not None and os.path.exists(path):
             self.load(path)
 
@@ -209,24 +202,18 @@ class EvalCache:
         phase: str = DEFAULT_PHASE,
     ) -> Optional[CachedSolve]:
         """Return the memoized solve for a point, recording hit/miss."""
-        with (
-            self.profiler.span("cache")
-            if self.profiler is not None else _NO_SPAN
-        ):
-            key = self.key(subsystem, workload)
-            with self._lock:
-                stats = self._phases.setdefault(phase, PhaseStats())
-                entry = self._entries.get(key)
-                if entry is None and key in self._raw_entries:
-                    entry = _solve_from_dict(
-                        self._raw_entries.pop(key), subsystem
-                    )
-                    if entry is not None:
-                        self._entries[key] = entry
-                if entry is None:
-                    stats.misses += 1
-                else:
-                    stats.hits += 1
+        key = self.key(subsystem, workload)
+        with self._lock:
+            stats = self._phases.setdefault(phase, PhaseStats())
+            entry = self._entries.get(key)
+            if entry is None and key in self._raw_entries:
+                entry = _solve_from_dict(self._raw_entries.pop(key), subsystem)
+                if entry is not None:
+                    self._entries[key] = entry
+            if entry is None:
+                stats.misses += 1
+            else:
+                stats.hits += 1
         if self.observer is not None:
             self.observer(phase, entry is not None)
         return entry
@@ -281,27 +268,23 @@ class EvalCache:
         a sequence of scalar ``lookup`` calls would.
         """
         out: list[Optional[CachedSolve]] = []
-        with (
-            self.profiler.span("cache")
-            if self.profiler is not None else _NO_SPAN
-        ):
-            fingerprint = self._fingerprint(subsystem)
-            keys = [f"{fingerprint}|{canonical_point(w)}" for w in workloads]
-            with self._lock:
-                stats = self._phases.setdefault(phase, PhaseStats())
-                for key in keys:
-                    entry = self._entries.get(key)
-                    if entry is None and key in self._raw_entries:
-                        entry = _solve_from_dict(
-                            self._raw_entries.pop(key), subsystem
-                        )
-                        if entry is not None:
-                            self._entries[key] = entry
-                    if entry is None:
-                        stats.misses += 1
-                    else:
-                        stats.hits += 1
-                    out.append(entry)
+        fingerprint = self._fingerprint(subsystem)
+        keys = [f"{fingerprint}|{canonical_point(w)}" for w in workloads]
+        with self._lock:
+            stats = self._phases.setdefault(phase, PhaseStats())
+            for key in keys:
+                entry = self._entries.get(key)
+                if entry is None and key in self._raw_entries:
+                    entry = _solve_from_dict(
+                        self._raw_entries.pop(key), subsystem
+                    )
+                    if entry is not None:
+                        self._entries[key] = entry
+                if entry is None:
+                    stats.misses += 1
+                else:
+                    stats.hits += 1
+                out.append(entry)
         if self.observer is not None:
             for entry in out:
                 self.observer(phase, entry is not None)
@@ -327,10 +310,6 @@ class EvalCache:
         """Attribute real wall time to one phase (solver or fan-out)."""
         with self._lock:
             self._phases.setdefault(phase, PhaseStats()).seconds += seconds
-
-    def timed(self, phase: str) -> "_PhaseTimer":
-        """Context manager charging its real elapsed time to ``phase``."""
-        return _PhaseTimer(self, phase)
 
     # -- statistics ----------------------------------------------------------
 
@@ -519,22 +498,6 @@ def describe_stats(stats: dict) -> str:
             f"{float(phase.get('seconds', 0.0)):8.3f}s wall"
         )
     return "\n".join(lines)
-
-
-class _PhaseTimer:
-    """``with cache.timed("solve"):`` — charges real elapsed seconds."""
-
-    def __init__(self, cache: EvalCache, phase: str) -> None:
-        self._cache = cache
-        self._phase = phase
-        self._started = 0.0
-
-    def __enter__(self) -> "_PhaseTimer":
-        self._started = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self._cache.charge(self._phase, time.perf_counter() - self._started)
 
 
 # -- (de)serialisation of solve entries --------------------------------------

@@ -49,7 +49,6 @@ import concurrent.futures
 import dataclasses
 import time
 from concurrent.futures.process import BrokenProcessPool
-from contextlib import nullcontext
 from typing import Callable, Optional, Sequence
 
 from repro.core.evalcache import EvalCache
@@ -64,9 +63,6 @@ from repro.core.faults import (
     WorkerCrash,
     raise_fault,
 )
-
-#: Reusable no-op context for profiler-disabled span sites.
-_NO_SPAN = nullcontext()
 
 
 @dataclasses.dataclass
@@ -171,7 +167,8 @@ class CampaignExecutor:
             raise ValueError(f"workers must be >= 1, got {workers}")
         self.workers = workers
         self.last_stats: Optional[ExecutorStats] = None
-        #: Optional obs.MetricsRegistry accounting fan-out wall time.
+        #: Optional obs.MetricsRegistry timing each task (the fan-out as
+        #: a whole is counted once, by ``FlightRecorder.fanout``).
         self.metrics = metrics
         #: Optional ``progress(done, total)`` callback, invoked in the
         #: parent as each task's result lands (task order).
@@ -208,21 +205,14 @@ class CampaignExecutor:
         else:
             policy = RetryPolicy(max_retries=0)
         plan = self.faults if self.faults is not None else FaultPlan()
-        profiler = getattr(self.recorder, "profiler", None)
         started = time.perf_counter()
-        with profiler.span("pool") if profiler is not None else _NO_SPAN:
-            scheduler = _ResilientRun(self, fn, payloads, stats, policy, plan)
-            try:
-                results = scheduler.run()
-            finally:
-                scheduler.shutdown()
+        scheduler = _ResilientRun(self, fn, payloads, stats, policy, plan)
+        try:
+            results = scheduler.run()
+        finally:
+            scheduler.shutdown()
         stats.wall_seconds = time.perf_counter() - started
         self.last_stats = stats
-        if self.metrics is not None:
-            self.metrics.counter("executor.tasks", stats.tasks)
-            self.metrics.gauge("executor.workers", stats.workers)
-            self.metrics.observe("executor.wall_seconds", stats.wall_seconds)
-            self.metrics.observe("executor.busy_seconds", stats.busy_seconds)
         return results
 
     def _make_pool(self, tasks: int):
@@ -411,9 +401,16 @@ class _ResilientRun:
 
     def _submit(self, task: int) -> None:
         fault, slow = self._attempt_faults(task)
-        self.futures[task] = self.pool.submit(
-            _faulted_call, self.fn, self.payloads[task], fault, slow
-        )
+        try:
+            future = self.pool.submit(
+                _faulted_call, self.fn, self.payloads[task], fault, slow
+            )
+        except BrokenProcessPool as error:
+            # A worker died before this submit: the task's wait rebuilds
+            # the pool, as for a future that died with it.
+            future = concurrent.futures.Future()
+            future.set_exception(error)
+        self.futures[task] = future
 
     def _wait(self, task: int):
         """Result of the task's outstanding pooled attempt."""

@@ -176,12 +176,10 @@ class PopulationCollie:
             # Each chain Collie re-wired the shared cache's observer to
             # its own recorder view; route cache events through the
             # unstamped parent instead (they are population-global, not
-            # attributable to the chain that happened to be built last),
-            # and drop the profiler (chains suspend mid-span).
+            # attributable to the chain that happened to be built last).
             cache.observer = (
                 recorder.cache_event if recorder is not None else None
             )
-            cache.profiler = None
         if ladder is not None:
             # Exchange sweeps walk the ladder hottest → coldest.
             self._ladder_order = sorted(

@@ -24,8 +24,10 @@ The *search observatory* builds the read side on top of the journal:
 * :mod:`repro.obs.sadiag` — SA diagnostics: per-temperature-epoch
   acceptance rates, per-dimension mutation effectiveness,
   time-to-first-anomaly, per-chain splits for population journals;
-* :mod:`repro.obs.profiler` — hierarchical wall-clock span profiler
-  with Chrome trace-event export and a terminal self-time table.
+* :mod:`repro.obs.profiler` — ``--profile``'s layer spans: one table
+  of each pipeline layer's public calls, wrapped from outside while
+  installed, with Chrome trace-event export and a terminal self-time
+  table.
 
 The *telemetry plane* streams the journal while it is still being
 written (the substrate for the ``repro serve`` campaign daemon):

@@ -1,12 +1,14 @@
-"""Hierarchical span profiler: where a search's wall-clock went.
+"""Layer span profiler: where a search's wall-clock went, by layer.
 
-A :class:`SpanProfiler` records nested wall-clock spans
-(``search > pass > iteration > solve`` …) as ``(path, start, duration)``
-tuples relative to the profiler's origin.  Like the rest of the
-observatory it is purely observational: spans use ``time.perf_counter``
-only — never the simulated clock, never the RNG — so a profiled search
-is bit-identical to an unprofiled one, and every instrumented site pays
-a single ``profiler is not None`` check when disabled.
+A :class:`SpanProfiler` times the pipeline from outside.  ``install()``
+wraps every public call :data:`LAYERS` names, in place; each call then
+appends one ``(path, start, duration)`` event, where ``path`` joins the
+layers of the calls enclosing it (``annealing/testbed/model``) and
+``start`` is relative to the profiler's origin.  ``uninstall()`` puts
+every original back.  The search code holds no profiler: spans use
+``time.perf_counter`` only — never the simulated clock, never the RNG —
+so a profiled search is bit-identical to an unprofiled one, and a run
+that does not install one pays nothing.
 
 The recorded events render three ways:
 
@@ -21,11 +23,11 @@ The recorded events render three ways:
 
 from __future__ import annotations
 
-import threading
+import functools
+import importlib
+import inspect
+import sys
 import time
-from typing import Optional
-
-from repro.obs.metrics import MetricsRegistry
 
 #: Path separator between nested span names.
 SEP = "/"
@@ -33,74 +35,153 @@ SEP = "/"
 #: Events per journaled ``spans`` record (keeps lines bounded).
 SPANS_CHUNK = 512
 
+#: layer -> the ``(module, attribute)`` public calls timed as its spans:
+#: the search-side layers of ``perfbench/tracer.py``, under its names,
+#: and the fan-out.  Every caller of these runs on the command's own
+#: thread (the telemetry server's thread calls none of them).
+LAYERS: dict = {
+    "space": (
+        ("repro.core.space", "SearchSpace.random"),
+        ("repro.core.space", "SearchSpace.mutate"),
+    ),
+    "features": (("repro.hardware.features", "extract_features"),),
+    "rules": (("repro.hardware.rules", "fired_rules"),),
+    "model": (("repro.hardware.model", "SteadyStateModel.evaluate"),),
+    "latency": (("repro.hardware.model", "latency_for_solve"),),
+    "counters": (
+        ("repro.hardware.counters", "VendorMonitor.sample_window"),
+        ("repro.hardware.counters", "average_counters"),
+    ),
+    "evalcache": tuple(
+        ("repro.core.evalcache", f"EvalCache.{name}")
+        for name in ("lookup", "store", "save")
+    ),
+    "monitor": (
+        ("repro.core.monitor", "AnomalyMonitor.classify"),
+        ("repro.core.monitor", "IsolationMonitor.classify"),
+    ),
+    "testbed": (("repro.cluster.testbed", "Testbed.run"),),
+    "mfs": (
+        ("repro.core.mfs", "match_any"),
+        ("repro.core.mfs", "MFSExtractor.construct_steps"),
+    ),
+    "annealing": (
+        ("repro.core.collie", "Collie.run"),
+        ("repro.core.population", "PopulationCollie.run"),
+    ),
+    "executor": (("repro.core.executor", "CampaignExecutor.map"),),
+    "recorder": tuple(
+        ("repro.obs.recorder", f"FlightRecorder.{name}")
+        for name in ("experiment", "transition", "skip", "anomaly",
+                     "run_end")
+    ),
+    "journal": (
+        ("repro.obs.journal", "RunJournal.write"),
+        ("repro.obs.journal", "experiment_record"),
+        ("repro.obs.journal", "latency_record"),
+    ),
+}
+
 
 class SpanProfiler:
-    """Thread-safe collector of hierarchical wall-clock spans."""
+    """Per-call wall-clock spans of every :data:`LAYERS` call."""
 
-    def __init__(self, metrics: Optional[MetricsRegistry] = None):
-        self.metrics = metrics
-        self._lock = threading.Lock()
-        self._local = threading.local()
+    def __init__(self) -> None:
         self._events: list[tuple[str, float, float]] = []
+        #: Paths of the calls in progress, innermost last.
+        self._stack: list[str] = []
+        #: ``(owner, name, original, wrapped)`` per installed wrapper.
+        self._installed: list[tuple] = []
         self._origin = time.perf_counter()
 
-    # -- recording ----------------------------------------------------------
+    # -- wrapping -----------------------------------------------------------
 
-    def span(self, name: str) -> "_Span":
-        """Context manager timing one span nested under the current one."""
-        return _Span(self, name)
+    def install(self) -> "SpanProfiler":
+        """Wrap every :data:`LAYERS` call in place.
 
-    def _stack(self) -> list[str]:
-        stack = getattr(self._local, "stack", None)
-        if stack is None:
-            stack = self._local.stack = []
-        return stack
+        Methods are replaced on their class.  Modules bind ``from x
+        import f`` names at import time, so a module function is
+        replaced in its own module and in every loaded ``repro`` module
+        that imported it.
+        """
+        for layer, targets in LAYERS.items():
+            for module_name, attribute in targets:
+                module = importlib.import_module(module_name)
+                owner_name, _, name = attribute.rpartition(".")
+                owner = getattr(module, owner_name) if owner_name else module
+                original = getattr(owner, name)
+                wrapped = functools.wraps(original)(
+                    self._timed_generator(layer, original)
+                    if inspect.isgeneratorfunction(original)
+                    else self._timed(layer, original)
+                )
+                setattr(owner, name, wrapped)
+                if not owner_name:
+                    _rebind(original, wrapped)
+                self._installed.append((owner, name, original, wrapped))
+        return self
 
-    def _record(self, path: str, start: float, duration: float) -> None:
-        with self._lock:
-            self._events.append((path, start, duration))
-        if self.metrics is not None:
-            self.metrics.observe("span.seconds", duration, span=path)
+    def uninstall(self) -> None:
+        """Put back every attribute and alias :meth:`install` replaced,
+        including aliases bound by modules imported since."""
+        while self._installed:
+            owner, name, original, wrapped = self._installed.pop()
+            setattr(owner, name, original)
+            if inspect.ismodule(owner):
+                _rebind(wrapped, original)
+
+    def _timed(self, layer: str, fn):
+        """``fn``, appending one event per call."""
+        stack = self._stack
+        events = self._events
+        origin = self._origin
+        clock = time.perf_counter
+
+        def timed(*args, **kwargs):
+            path = f"{stack[-1]}{SEP}{layer}" if stack else layer
+            stack.append(path)
+            start = clock()
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                end = clock()
+                stack.pop()
+                events.append((path, start - origin, end - start))
+
+        return timed
+
+    def _timed_generator(self, layer: str, fn):
+        """Generator ``fn`` whose every resumption is one event, so a
+        suspended generator holds no open span."""
+
+        def timed(*args, **kwargs):
+            send = self._timed(layer, fn(*args, **kwargs).send)
+            sent = None
+            while True:
+                try:
+                    item = send(sent)
+                except StopIteration as stop:
+                    return stop.value
+                sent = yield item
+
+        return timed
 
     # -- access -------------------------------------------------------------
 
     def events(self) -> list[tuple[str, float, float]]:
         """All recorded ``(path, start, duration)`` events so far."""
-        with self._lock:
-            return list(self._events)
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._events)
+        return list(self._events)
 
 
-class _Span:
-    """One active span; records itself on ``__exit__``."""
-
-    __slots__ = ("_profiler", "_name", "_path", "_start")
-
-    def __init__(self, profiler: SpanProfiler, name: str):
-        self._profiler = profiler
-        self._name = name
-
-    def __enter__(self) -> "_Span":
-        stack = self._profiler._stack()
-        parent = stack[-1] if stack else ""
-        self._path = f"{parent}{SEP}{self._name}" if parent else self._name
-        stack.append(self._path)
-        self._start = time.perf_counter()
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        end = time.perf_counter()
-        stack = self._profiler._stack()
-        if stack and stack[-1] == self._path:
-            stack.pop()
-        self._profiler._record(
-            self._path, self._start - self._profiler._origin,
-            end - self._start,
-        )
-        return False
+def _rebind(old, new) -> None:
+    """Point every loaded ``repro`` module's name for ``old`` at ``new``."""
+    for module_name, module in list(sys.modules.items()):
+        if module is None or module_name.partition(".")[0] != "repro":
+            continue
+        namespace = vars(module)
+        for key, value in list(namespace.items()):
+            if value is old:
+                namespace[key] = new
 
 
 # -- analysis ---------------------------------------------------------------

@@ -34,7 +34,7 @@ from repro.obs.journal import (
     isolation_record,
 )
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.profiler import SpanProfiler, spans_records
+from repro.obs.profiler import spans_records
 
 #: Progress lines go through this logger at INFO (CLI surfaces enable it).
 progress_logger = logging.getLogger("repro.obs.progress")
@@ -48,7 +48,6 @@ class FlightRecorder:
         journal: Optional[RunJournal] = None,
         metrics: Optional[MetricsRegistry] = None,
         progress_every: int = 0,
-        profiler: Optional[SpanProfiler] = None,
         track_coverage: bool = False,
         heartbeats: bool = False,
     ) -> None:
@@ -56,9 +55,10 @@ class FlightRecorder:
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         #: Emit a progress snapshot every N experiments (0 = never).
         self.progress_every = progress_every
-        #: Optional span profiler the hot paths thread through (the
-        #: observatory); spans flush to the journal at run_end/close.
-        self.profiler = profiler
+        #: Optional installed :class:`~repro.obs.profiler.SpanProfiler`
+        #: (set by the CLI's ``--profile``); its spans flush to the
+        #: journal at run_end/close.
+        self.profiler = None
         #: Track 4-D workload-space coverage (one tracker per run).
         self.track_coverage = track_coverage
         self.coverage: Optional[CoverageTracker] = None
@@ -93,14 +93,13 @@ class FlightRecorder:
         The population driver hands each SA chain its own view: records
         land interleaved in the one journal, each stamped with the
         chain id.  Views never own the journal — only the parent's
-        :meth:`close` closes it — and carry no profiler (spans would
-        interleave wrongly across chains suspended mid-iteration).
+        :meth:`close` closes it — and carry no profiler: only the
+        parent journals spans, those of every chain.
         """
         view = FlightRecorder(
             journal=self.journal,
             metrics=self.metrics,
             progress_every=self.progress_every,
-            profiler=None,
             track_coverage=self.track_coverage,
             heartbeats=self.heartbeats,
         )

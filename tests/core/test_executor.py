@@ -1,6 +1,8 @@
 """CampaignExecutor: ordering, stats, serial/pooled equivalence."""
 
+import concurrent.futures
 import os
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
@@ -95,6 +97,35 @@ class TestPooled:
         with pytest.raises(TaskFailed) as excinfo:
             executor.map(die, [1, 2])
         assert excinfo.value.attempts == 1
+        assert isinstance(excinfo.value.last_error, WorkerCrash)
+
+    def test_a_worker_dying_before_the_next_submit_fails_the_task(
+        self, monkeypatch
+    ):
+        """The first task's worker dies before the second task is
+        submitted, so the submit itself raises BrokenProcessPool."""
+
+        class BrokenAfterFirstSubmit:
+            broken = False
+
+            def submit(self, fn, *args):
+                if self.broken:
+                    raise BrokenProcessPool("a worker died")
+                self.broken = True
+                future = concurrent.futures.Future()
+                future.set_exception(BrokenProcessPool("a worker died"))
+                return future
+
+            def shutdown(self, wait=True, cancel_futures=False):
+                pass
+
+        monkeypatch.setattr(
+            CampaignExecutor, "_make_pool",
+            lambda self, tasks: BrokenAfterFirstSubmit(),
+        )
+        with pytest.raises(TaskFailed) as excinfo:
+            CampaignExecutor(workers=2).map(square, [1, 2])
+        assert excinfo.value.task == 0
         assert isinstance(excinfo.value.last_error, WorkerCrash)
 
 

@@ -9,11 +9,12 @@ clock reading.  Property-tested across all eight Table 1 subsystems.
 import os
 import tempfile
 
-import numpy as np
 from hypothesis import given, settings, strategies as st
 
+from repro.canary.corpus import canonical_journal_bytes
+from repro.cli import main
 from repro.core import Collie
-from repro.obs import FlightRecorder, RunJournal, SpanProfiler
+from repro.obs import FlightRecorder, RunJournal, SpanProfiler, read_journal
 
 BUDGET_HOURS = 0.3
 
@@ -42,10 +43,13 @@ def test_full_observatory_is_invisible_to_the_search(letter, seed):
             progress_every=7,
             track_coverage=True,
         )
-        recorder.profiler = SpanProfiler(metrics=recorder.metrics)
-        observed, observed_rng, observed_clock = run_search(
-            letter, seed, recorder
-        )
+        recorder.profiler = SpanProfiler().install()
+        try:
+            observed, observed_rng, observed_clock = run_search(
+                letter, seed, recorder
+            )
+        finally:
+            recorder.profiler.uninstall()
         recorder.close()
     finally:
         os.unlink(path)
@@ -57,3 +61,16 @@ def test_full_observatory_is_invisible_to_the_search(letter, seed):
     assert len(recorder.profiler.events()) > 0
     assert recorder.coverage is not None
     assert recorder.coverage.experiments == reference.experiments
+
+
+def test_a_profiled_journal_is_its_bare_twin_plus_spans(tmp_path, capsys):
+    base = ["search", "F", "--hours", "0.5", "--seed", "1", "--progress", "5"]
+    bare, profiled = tmp_path / "bare.jsonl", tmp_path / "profiled.jsonl"
+    assert main([*base, "--journal", str(bare)]) == 0
+    assert main([*base, "--journal", str(profiled), "--profile"]) == 0
+    capsys.readouterr()
+    records = read_journal(str(profiled))
+    assert any(record["t"] == "spans" for record in records)
+    assert canonical_journal_bytes(
+        [record for record in records if record["t"] != "spans"]
+    ) == canonical_journal_bytes(read_journal(str(bare)))

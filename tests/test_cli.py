@@ -462,26 +462,6 @@ class TestPopulationSearch:
         assert code == 2
         assert "--chains >= 2" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("flags", [
-        ["--seeds", "2"],
-        ["--seeds", "2", "--workers", "2"],
-        ["--chains", "3"],
-        ["--chains", "2", "--tempering"],
-    ])
-    def test_profile_of_chains_is_rejected_before_running(
-        self, flags, tmp_path, monkeypatch, capsys
-    ):
-        monkeypatch.chdir(tmp_path)
-        code = main(["search", "F", "--hours", "1", "--seed", "1",
-                     "--profile", "--journal", "run.jsonl", *flags])
-        assert code == 2
-        captured = capsys.readouterr()
-        assert "--profile records the spans of a single search" in (
-            captured.err
-        )
-        assert captured.out == ""
-        assert list(tmp_path.iterdir()) == []
-
     def test_report_renders_population_journal_runs_complete(
         self, tmp_path, capsys
     ):
@@ -496,6 +476,47 @@ class TestPopulationSearch:
         assert "2 run(s)" in out
         assert "run 1:" in out and "run 2:" in out
         assert "[CRASHED — partial]" not in out
+
+
+class TestProfileFlag:
+    """``--profile`` times every layer of whatever runs in this process."""
+
+    @pytest.mark.parametrize("flags", [
+        ["--seeds", "2"],
+        ["--chains", "3"],
+        ["--chains", "2", "--tempering"],
+    ], ids=["seeds", "chains", "tempering"])
+    def test_profile_of_chains_journals_layer_spans(
+        self, flags, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.chdir(tmp_path)
+        code = main(["search", "F", "--hours", "1", "--seed", "1",
+                     "--profile", "--journal", "run.jsonl", *flags])
+        assert code == 0
+        capsys.readouterr()
+        assert main(["profile", "run.jsonl"]) == 0
+        rows = capsys.readouterr().out.splitlines()
+        assert any(row.startswith("annealing/testbed ") for row in rows)
+        assert "account for 100.0%" in rows[-1]
+
+    @pytest.mark.parametrize("argv", [
+        ["search", "F", "--seeds", "2"],
+        ["parallel", "H", "--machines", "2"],
+        ["campaign", "collie", "--subsystem", "H", "--seeds", "2"],
+    ], ids=["search", "parallel", "campaign"])
+    def test_profile_with_worker_processes_is_rejected_before_running(
+        self, argv, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.chdir(tmp_path)
+        code = main([*argv, "--hours", "1", "--workers", "2",
+                     "--profile", "--journal", "run.jsonl"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "worker processes record no spans: use --workers 1" in (
+            captured.err
+        )
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestParallel:
@@ -528,6 +549,22 @@ class TestCampaign:
         out = capsys.readouterr().out
         assert "random on subsystem H" in out
         assert "2 seeds" in out
+
+    def test_run_end_counts_the_fan_out_once(self, tmp_path, capsys):
+        journal = tmp_path / "c.jsonl"
+        code = main(["campaign", "collie", "--subsystem", "H",
+                     "--hours", "0.3", "--seeds", "3",
+                     "--cache", str(tmp_path / "c.json"),
+                     "--journal", str(journal)])
+        assert code == 0
+        capsys.readouterr()
+        run_ends = [json.loads(line)
+                    for line in journal.read_text().splitlines()
+                    if '"t":"run_end"' in line]
+        metrics = run_ends[-1]["metrics"]
+        assert metrics["counters"]["executor.tasks"] == 3.0
+        assert metrics["histograms"]["executor.wall_seconds"]["count"] == 1
+        assert metrics["histograms"]["executor.busy_seconds"]["count"] == 1
 
     def test_unknown_approach_rejected(self, capsys):
         code = main(["campaign", "gradient-descent"])
