@@ -70,9 +70,7 @@ def observed_side(directory, tag):
     """Wall seconds with heartbeats + aggregator + a busy scraper."""
     path = os.path.join(directory, f"observed-{tag}.jsonl")
     recorder = FlightRecorder(journal=RunJournal(path), heartbeats=True)
-    server = TelemetryServer(
-        metrics=recorder.metrics, aggregator=CampaignAggregator([path]),
-    ).start()
+    server = TelemetryServer(aggregator=CampaignAggregator([path])).start()
     stop = threading.Event()
     scrapes = [0]
 

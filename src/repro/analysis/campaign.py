@@ -306,10 +306,6 @@ def run_campaign(
         for seed in seeds
     ]
     if recorder is not None:
-        if completed:
-            recorder.metrics.counter(
-                "campaign.resumed_runs", len(completed)
-            )
         # Replay every run in seed order — resumed and fresh alike — so
         # the new journal is complete and re-renders identically to one
         # from an uninterrupted campaign.

@@ -71,12 +71,10 @@ class RandomSearch:
         #: Optional flight recorder; purely observational (a recorded
         #: run is bit-identical to an unrecorded one).
         self.recorder = recorder
-        metrics = recorder.metrics if recorder is not None else None
         self.testbed = Testbed(
-            subsystem, clock=self.clock, noise=noise, cache=cache,
-            metrics=metrics,
+            subsystem, clock=self.clock, noise=noise, cache=cache
         )
-        self.monitor = AnomalyMonitor(subsystem, metrics=metrics)
+        self.monitor = AnomalyMonitor(subsystem)
         self.rng = np.random.default_rng(seed)
 
     def run(self) -> BaselineReport:

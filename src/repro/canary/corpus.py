@@ -14,15 +14,14 @@ at recording time (informational: names the code that produced the
 baseline), and per-cell integrity hashes of the *uncompressed* journal
 bytes.
 
-Cells are stored in *canonical* form: real-wall-clock content (the
-``*_wall`` and ``executor.*`` timing histograms inside
-``run_end``/``snapshot`` metrics dumps, the elapsed-time fields on
-``fanout``/``retry`` records, ``heartbeat`` liveness records — the
-only nondeterministic content a deterministic search emits) is zeroed
-or dropped, invocation counts kept.  Together with deterministic
-gzip members (zeroed mtime, no filename), re-recording an unchanged
-matrix produces byte-identical corpus files — the corpus diffs cleanly
-in version control.
+Cells are stored in *canonical* form: host time, the only
+nondeterministic content a deterministic search emits, is neutralised
+by record kind (:func:`canonical_journal_bytes`).  Together with
+deterministic gzip members (zeroed mtime, no filename), re-recording
+an unchanged matrix produces byte-identical corpus files — the corpus
+diffs cleanly in version control.  (Cells recorded before schema v9
+also carry ``metrics`` dumps in their ``run_end`` records, whose
+``*_wall`` and ``executor.*`` timers were zeroed when recorded.)
 """
 
 from __future__ import annotations
@@ -77,74 +76,38 @@ def _journal_sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-#: Histogram stat fields zeroed by canonicalization (count is kept:
-#: *how often* a timer fired is deterministic, how long is not).
-_WALL_STATS = ("min", "max", "sum", "mean", "p50", "p90", "p99")
+#: Record kinds made only of host time, dropped by canonicalization:
+#: ``heartbeat`` liveness (``--export-metrics``) and ``spans`` layer
+#: timings (``--profile``).
+_HOST_TIME_KINDS = ("heartbeat", "spans")
 
-#: Top-level record fields that carry real elapsed time (the campaign
-#: executor's ``fanout``/``retry`` envelopes), zeroed by canonicalization.
-_WALL_FIELDS = ("wall_seconds", "busy_seconds", "backoff_seconds")
-
-
-def _is_wall_histogram(name: str) -> bool:
-    """Whether a metrics histogram measures real (not simulated) time.
-
-    The ``*_wall`` span timers and every ``executor.*`` histogram time
-    the host machine; everything else in the registry is driven by the
-    simulated clock and identical run to run.
-    """
-    base = name.split("{", 1)[0]
-    return "_wall" in base or base.startswith("executor.")
-
-
-def _neutralize_wall_clock(record: dict) -> dict:
-    """Zero the wall-clock content of one record."""
-    if any(field in record for field in _WALL_FIELDS):
-        record = dict(record)
-        for field in _WALL_FIELDS:
-            if field in record:
-                record[field] = 0.0
-    metrics = record.get("metrics")
-    if not isinstance(metrics, dict):
-        return record
-    histograms = metrics.get("histograms")
-    if not isinstance(histograms, dict):
-        return record
-    new_histograms = {}
-    for name, stats in histograms.items():
-        if _is_wall_histogram(name) and isinstance(stats, dict):
-            stats = {
-                key: (0.0 if key in _WALL_STATS else value)
-                for key, value in stats.items()
-            }
-        new_histograms[name] = stats
-    record = dict(record)
-    record["metrics"] = {**metrics, "histograms": new_histograms}
-    return record
+#: Record kinds whose envelope carries host time (the campaign
+#: executor's), and those fields, zeroed by canonicalization.
+_ENVELOPE_KINDS = ("fanout", "retry")
+_ENVELOPE_SECONDS = ("wall_seconds", "busy_seconds", "backoff_seconds")
 
 
 def canonical_journal_bytes(records: list) -> bytes:
-    """Re-serialize a journal with nondeterministic content neutralized.
+    """Re-serialize a journal with host time neutralized, by record kind.
 
     The search itself is deterministic (simulated clock, seeded RNG);
-    the only run-to-run variation in a journal is real wall-clock time
-    leaking in: the ``*_wall`` span timers and ``executor.*`` timing
-    histograms dumped inside ``run_end``/``snapshot`` records, the
-    elapsed-time envelope fields on campaign ``fanout``/``retry``
-    records, and v7 ``heartbeat`` liveness records (wall-clock by
-    definition — dropped entirely).  Canonical form zeroes the former
-    (keeping invocation counts) and omits the latter, so canonical
-    bytes are a pure function of search behaviour: a campaign run with
-    the telemetry plane attached canonicalizes identically to a bare
-    run.
+    the only run-to-run variation in a journal is host time: the
+    ``heartbeat`` and ``spans`` records, which are nothing else and
+    are dropped, and the envelope seconds of ``fanout`` and ``retry``
+    records, which are zeroed.  Canonical bytes are then a pure
+    function of search behaviour: a run observed by the telemetry
+    plane, or profiled, canonicalizes identically to a bare run.
     """
-    lines = [
-        json.dumps(
-            _neutralize_wall_clock(record), separators=(",", ":")
-        )
-        for record in records
-        if record.get("t") != "heartbeat"
-    ]
+    lines = []
+    for record in records:
+        kind = record.get("t")
+        if kind in _HOST_TIME_KINDS:
+            continue
+        if kind in _ENVELOPE_KINDS:
+            record = {**record, **{
+                field: 0.0 for field in _ENVELOPE_SECONDS if field in record
+            }}
+        lines.append(json.dumps(record, separators=(",", ":")))
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 

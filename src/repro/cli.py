@@ -49,9 +49,10 @@ Observability: ``search``/``parallel``/``campaign`` accept
 experiments / completed tasks), ``--coverage`` (workload-space
 occupancy tracking), ``--profile`` (wall-clock spans of each pipeline
 layer, in this process only) and
-``--export-metrics PORT`` (a live HTTP telemetry endpoint: Prometheus
-text at ``/metrics``, a JSON worker table at ``/status``, plus
-schema-v7 heartbeat records when combined with ``--journal``).  Output goes through :mod:`logging`
+``--export-metrics PORT`` (with ``--journal``: a live HTTP telemetry
+endpoint serving the journal's folds as Prometheus text at
+``/metrics`` and a JSON worker table at ``/status``, plus schema-v7
+heartbeat records in the journal).  Output goes through :mod:`logging`
 (configured by ``--log-level``/``--log-json``): INFO and below to
 stdout, WARNING and above to stderr.
 
@@ -184,12 +185,10 @@ def _open_recorder(args: argparse.Namespace):
     if export_port is not None:
         from repro.obs import CampaignAggregator, TelemetryServer
 
-        aggregator = (
-            CampaignAggregator([journal_path]) if journal_path else None
-        )
+        # main() has checked that --export-metrics comes with --journal:
+        # /metrics renders the folds of that journal.
         server = TelemetryServer(
-            metrics=recorder.metrics, aggregator=aggregator,
-            port=export_port,
+            aggregator=CampaignAggregator([journal_path]), port=export_port,
         ).start()
         recorder.telemetry = server
         logger.info(
@@ -202,12 +201,6 @@ def _open_recorder(args: argparse.Namespace):
 def _close_recorder(recorder) -> None:
     if recorder is None:
         return
-    faults = recorder.metrics.counters_with_prefix("faults.")
-    if faults:
-        logger.info(
-            "fault events: "
-            + ", ".join(f"{key}={value:g}" for key, value in faults.items())
-        )
     if recorder.profiler is not None:
         recorder.profiler.uninstall()
     recorder.close()
@@ -1350,10 +1343,10 @@ def _add_observability_flags(subparser: argparse.ArgumentParser) -> None:
     )
     subparser.add_argument(
         "--export-metrics", type=_port, default=None, metavar="PORT",
-        help="serve live telemetry over HTTP on 127.0.0.1:PORT "
-             "(/metrics Prometheus text, /status JSON; PORT 0 picks an "
-             "ephemeral port); with --journal, also journals schema-v7 "
-             "heartbeat records and aggregates live rollups from it",
+        help="serve the --journal's live rollups over HTTP on "
+             "127.0.0.1:PORT (/metrics Prometheus text, /status JSON; "
+             "PORT 0 picks an ephemeral port) and journal schema-v7 "
+             "heartbeat records; needs --journal",
     )
 
 
@@ -1752,6 +1745,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if getattr(args, "profile", False) and args.workers > 1:
         logger.error("--profile times this process only, and worker "
                      "processes record no spans: use --workers 1")
+        return 2
+    if getattr(args, "export_metrics", None) is not None and not args.journal:
+        logger.error("--export-metrics serves the folds of the run's "
+                     "journal: add --journal")
         return 2
     try:
         return args.func(args)

@@ -54,7 +54,6 @@ class Testbed:
         noise: float = 0.02,
         functional_check: bool = False,
         cache: Optional["EvalCache"] = None,
-        metrics=None,
         victim: Optional[WorkloadDescriptor] = None,
         victim_share: float = 0.5,
     ) -> None:
@@ -74,8 +73,6 @@ class Testbed:
         #: untouched.
         self.victim = victim
         self.victim_share = victim_share
-        #: Optional obs.MetricsRegistry accounting experiment costs.
-        self.metrics = metrics
         #: Functional bursts catch malformed workloads but cost real CPU;
         #: searches (thousands of experiments) disable them and rely on
         #: the space's coercion invariants, which the test suite verifies.
@@ -114,20 +111,10 @@ class Testbed:
         started = self.clock.now
         setup = self.engine.setup_seconds(workload)
         measure = self.engine.measurement_seconds()
-        if self.metrics is not None:
-            with self.metrics.timer("testbed.measure_wall", phase=phase):
-                measurement = self.engine.measure(
-                    workload, rng=rng,
-                    functional_check=self.functional_check, phase=phase,
-                )
-            self.metrics.counter("testbed.experiments", phase=phase)
-            self.metrics.observe("testbed.setup_seconds", setup)
-            self.metrics.observe("testbed.measurement_seconds", measure)
-        else:
-            measurement = self.engine.measure(
-                workload, rng=rng,
-                functional_check=self.functional_check, phase=phase,
-            )
+        measurement = self.engine.measure(
+            workload, rng=rng,
+            functional_check=self.functional_check, phase=phase,
+        )
         self.clock.advance(setup + measure)
         self.experiments_run += 1
         return ExperimentResult(

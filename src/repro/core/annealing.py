@@ -252,23 +252,13 @@ class AnnealingSearch:
             return False
 
         extractor = MFSExtractor(
-            self.space, None,
-            probes_per_dimension=MFS_PROBES_PER_DIMENSION,
-            metrics=(
-                self.recorder.metrics if self.recorder is not None else None
-            ),
+            self.space, None, probes_per_dimension=MFS_PROBES_PER_DIMENSION
         )
         stepper = extractor.construct_steps(
             workload, verdict.symptom, at_seconds=self.testbed.clock.now,
             known=state.anomalies,
         )
-        if self.recorder is not None:
-            with self.recorder.metrics.timer("mfs.construct_wall"):
-                mfs = yield from self._extract(
-                    state, stepper, signal, deadline
-                )
-        else:
-            mfs = yield from self._extract(state, stepper, signal, deadline)
+        mfs = yield from self._extract(state, stepper, signal, deadline)
         if mfs is None:
             return False  # re-find of a known anomaly; keep climbing
         state.anomalies.append(mfs)

@@ -30,7 +30,7 @@ scalar path, which is cheaper for a single row.
 from __future__ import annotations
 
 import time
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -44,7 +44,6 @@ from repro.hardware.model import (
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.hardware.workload import WorkloadDescriptor
-    from repro.obs.metrics import MetricsRegistry
 
 
 # No caller in src/; kept because perfbench/tracer.py wraps it by name.
@@ -143,21 +142,12 @@ def _measurements_from_rows(
 class BatchEvaluator:
     """Deduplicating, cache-aware batched front end to the solver.
 
-    A one-point call takes the scalar code path and counts under
-    ``batcheval.points{mode=scalar}``; larger calls are vectorized.
+    A one-point call takes the scalar code path; larger calls are
+    vectorized.
     """
 
-    def __init__(
-        self,
-        model: SteadyStateModel,
-        metrics: Optional["MetricsRegistry"] = None,
-    ) -> None:
+    def __init__(self, model: SteadyStateModel) -> None:
         self.model = model
-        self.metrics = metrics
-
-    def _count_points(self, n: int, mode: str) -> None:
-        if self.metrics is not None and n:
-            self.metrics.counter("batcheval.points", float(n), mode=mode)
 
     # -- solving --------------------------------------------------------------
 
@@ -175,7 +165,6 @@ class BatchEvaluator:
         """
         model = self.model
         if len(workloads) <= 1:
-            self._count_points(len(workloads), "scalar")
             return [model._solve(w, phase) for w in workloads]
         keys = [canonical_point(w) for w in workloads]
         index_of: dict = {}
@@ -203,19 +192,10 @@ class BatchEvaluator:
                 cache.charge(
                     "solve", time.perf_counter() - solve_started
                 )
-        if self.metrics is not None:
-            self.metrics.observe(
-                "batcheval.batch_size", float(len(unique)), phase=phase
-            )
-        self._count_points(len(workloads), "vectorized")
         return [solves[index_of[key]] for key in keys]
 
     # No caller in src/; kept because perfbench/tracer.py wraps it by name.
-    def presolve(
-        self,
-        workloads: "list[WorkloadDescriptor]",
-        phase: str = DEFAULT_PHASE,
-    ) -> int:
+    def presolve(self, workloads: "list[WorkloadDescriptor]") -> int:
         """Back-fill the cache for upcoming points; returns solves done.
 
         Stat-less by design: membership is checked with ``peek_many``
@@ -251,11 +231,6 @@ class BatchEvaluator:
         solved = model.solve_points(to_solve)
         cache.put_many(model.subsystem, to_solve, solved)
         cache.charge("solve", time.perf_counter() - started)
-        if self.metrics is not None:
-            self.metrics.observe(
-                "batcheval.batch_size", float(len(to_solve)), phase=phase
-            )
-        self._count_points(len(to_solve), "vectorized")
         return len(to_solve)
 
     # -- full evaluation ------------------------------------------------------
@@ -278,22 +253,11 @@ class BatchEvaluator:
         """
         model = self.model
         if len(workloads) <= 1:
-            self._count_points(len(workloads), "scalar")
             return [
                 model.evaluate(
                     w, rng=r, sample_seconds=sample_seconds, phase=phase
                 )
                 for w, r in zip(workloads, rngs)
             ]
-        started = time.perf_counter()
         solves = self.solve_many(workloads, phase=phase)
-        measurements = observe_each(
-            model, workloads, solves, rngs, sample_seconds
-        )
-        if self.metrics is not None:
-            self.metrics.observe(
-                "batcheval.point_wall",
-                (time.perf_counter() - started) / len(workloads),
-                phase=phase,
-            )
-        return measurements
+        return observe_each(model, workloads, solves, rngs, sample_seconds)

@@ -216,12 +216,10 @@ class Collie:
         #: Memoized evaluation (transparent: results are bit-identical
         #: with or without it; MFS probing is where it pays off most).
         self.cache = cache
-        #: Optional flight recorder; its metrics registry is threaded
-        #: through the monitor, testbed and cache, its journal through
-        #: the annealing loop.  Purely observational: a recorded run is
-        #: bit-identical to an unrecorded one.
+        #: Optional flight recorder, journaling through the annealing
+        #: loop and the cache's observer.  Purely observational: a
+        #: recorded run is bit-identical to an unrecorded one.
         self.recorder = recorder
-        metrics = recorder.metrics if recorder is not None else None
         if recorder is not None and cache is not None:
             cache.observer = recorder.cache_event
         #: Isolation mode: a pinned victim turns the run into an
@@ -233,7 +231,7 @@ class Collie:
         self.victim_share = victim_share
         self.testbed = Testbed(
             subsystem, clock=self.clock, noise=noise, cache=cache,
-            metrics=metrics, victim=victim, victim_share=victim_share,
+            victim=victim, victim_share=victim_share,
         )
         #: ``latency=False`` (``--no-latency``) disables the tail-latency
         #: trigger AND latency journaling: the run is then bit-identical
@@ -243,13 +241,10 @@ class Collie:
             from repro.core.monitor import IsolationMonitor
 
             self.monitor: AnomalyMonitor = IsolationMonitor(
-                subsystem, self.testbed.victim_floor,
-                metrics=metrics, latency=latency,
+                subsystem, self.testbed.victim_floor, latency=latency,
             )
         else:
-            self.monitor = AnomalyMonitor(
-                subsystem, metrics=metrics, latency=latency
-            )
+            self.monitor = AnomalyMonitor(subsystem, latency=latency)
         self.search = AnnealingSearch(
             self.testbed,
             self.space,

@@ -23,7 +23,7 @@ per worker slot), a host that keeps failing is quarantined after
 ``quarantine_after`` failed attempts, and its shard is redistributed
 across the remaining healthy hosts.  Every retry and quarantine
 decision is journaled (``retry``/``quarantine`` records) and counted
-(``faults.*`` metrics).  A seeded
+in the map's :class:`ExecutorStats` (the ``fanout`` record).  A seeded
 :class:`~repro.core.faults.FaultPlan` injects crashes, hangs, transient
 errors and slow-host degradation at reproducible points, which is how
 the chaos suite pins the exact retry/quarantine trajectory.
@@ -157,7 +157,6 @@ class CampaignExecutor:
     def __init__(
         self,
         workers: int = 1,
-        metrics=None,
         progress: Optional[Callable[[int, int], None]] = None,
         retry: Optional[RetryPolicy] = None,
         faults: Optional[FaultPlan] = None,
@@ -167,9 +166,6 @@ class CampaignExecutor:
             raise ValueError(f"workers must be >= 1, got {workers}")
         self.workers = workers
         self.last_stats: Optional[ExecutorStats] = None
-        #: Optional obs.MetricsRegistry timing each task (the fan-out as
-        #: a whole is counted once, by ``FlightRecorder.fanout``).
-        self.metrics = metrics
         #: Optional ``progress(done, total)`` callback, invoked in the
         #: parent as each task's result lands (task order).
         self.progress = progress
@@ -179,8 +175,6 @@ class CampaignExecutor:
         #: Deterministic fault injection plan (chaos testing).
         self.faults = faults
         #: Optional FlightRecorder journaling retry/quarantine records.
-        #: When set, fault metrics route through it (its registry is
-        #: usually the same object as ``metrics`` — never count twice).
         self.recorder = recorder
 
     def map(self, fn: Callable, payloads: Sequence) -> list:
@@ -223,11 +217,7 @@ class CampaignExecutor:
         except (OSError, PermissionError, ValueError):
             return None
 
-    def _task_done(
-        self, done: int, stats: ExecutorStats, seconds: float
-    ) -> None:
-        if self.metrics is not None:
-            self.metrics.observe("executor.task_seconds", seconds)
+    def _task_done(self, done: int, stats: ExecutorStats) -> None:
         if self.recorder is not None:
             # Liveness for the telemetry plane (a no-op unless the
             # recorder asked for heartbeats).  The worker slot is
@@ -239,14 +229,7 @@ class CampaignExecutor:
         if self.progress is not None:
             self.progress(done, stats.tasks)
 
-    # -- fault-event fan-in (journal via recorder, else bare metrics) --------
-
-    def _on_injected(self, spec: FaultSpec, stats: ExecutorStats) -> None:
-        stats.injected_faults += 1
-        if self.recorder is not None:
-            self.recorder.injected_fault(spec.kind)
-        elif self.metrics is not None:
-            self.metrics.counter("faults.injected", kind=spec.kind)
+    # -- fault-event fan-in (stats, and the journal via the recorder) --------
 
     def _on_retry(
         self, task: int, host: int, attempt: int, error: Exception,
@@ -259,9 +242,6 @@ class CampaignExecutor:
             stats.timeouts += 1
         if self.recorder is not None:
             self.recorder.retry(task, host, attempt, kind, backoff)
-        elif self.metrics is not None:
-            self.metrics.counter("faults.retries", kind=kind)
-            self.metrics.observe("faults.backoff_seconds", backoff)
 
     def _on_quarantine(
         self, host: int, failures: int, redistributed: int,
@@ -271,9 +251,6 @@ class CampaignExecutor:
         stats.redistributed_tasks += redistributed
         if self.recorder is not None:
             self.recorder.quarantine(host, failures, redistributed)
-        elif self.metrics is not None:
-            self.metrics.counter("faults.quarantines")
-            self.metrics.counter("faults.redistributed", redistributed)
 
 
 def fan_out(
@@ -300,7 +277,6 @@ def fan_out(
     entries = cache.export_entries() if cache is not None else None
     executor = CampaignExecutor(
         workers=workers,
-        metrics=recorder.metrics if recorder is not None else None,
         progress=recorder.task_progress if recorder is not None else None,
         retry=retry,
         faults=faults,
@@ -337,7 +313,7 @@ def worker_result(cache: Optional[EvalCache], **result) -> dict:
 
 
 def _error_kind(error: Exception) -> str:
-    """Stable short label of a retryable failure (journal/metrics key)."""
+    """Stable short label of a retryable failure (``retry.error``)."""
     from repro.core.faults import TransientEvalError
 
     if isinstance(error, TaskHang):
@@ -393,10 +369,7 @@ class _ResilientRun:
         self.dispatched_host[task] = host
         fault = self.plan.fault_for(task, host, attempt)
         slow = self.plan.slowdown_for(task, host, attempt)
-        if fault is not None:
-            self.executor._on_injected(fault, self.stats)
-        if slow is not None:
-            self.executor._on_injected(slow, self.stats)
+        self.stats.injected_faults += (fault is not None) + (slow is not None)
         return fault, slow
 
     def _submit(self, task: int) -> None:
@@ -512,6 +485,6 @@ class _ResilientRun:
                 self.completed[task] = True
                 self.stats.busy_seconds += seconds
                 done += 1
-                self.executor._task_done(done, self.stats, seconds)
+                self.executor._task_done(done, self.stats)
                 break
         return self.results

@@ -351,6 +351,4 @@ class FaultyTestbed(Testbed):
         spec = self.plan.eval_fault_for(index, self.attempt, task=self.task)
         if spec is not None:
             self.faults_raised += 1
-            if self.metrics is not None:
-                self.metrics.counter("faults.injected", kind=spec.kind)
             raise_fault(spec)

@@ -202,15 +202,12 @@ class MFSExtractor:
         probes_per_dimension: int = 4,
         validate_box: bool = True,
         same_symptom_only: bool = True,
-        metrics=None,
     ) -> None:
         if probes_per_dimension < 2:
             raise ValueError("need at least 2 probes per dimension")
         self.space = space
         self.classify = classify
         self.probes_per_dimension = probes_per_dimension
-        #: Optional obs.MetricsRegistry counting probe experiments.
-        self.metrics = metrics
         #: Ablation toggles (see ``bench_mfs_ablation``): adversarial box
         #: validation and same-symptom probing are this implementation's
         #: additions over the paper's plain per-dimension probing.
@@ -414,8 +411,6 @@ class MFSExtractor:
         """One probe (a sub-generator): yield the point, receive the
         symptom, return whether the anomaly survived."""
         self.experiments += 1
-        if self.metrics is not None:
-            self.metrics.counter("mfs.probes")
         symptom = yield workload
         if self.same_symptom_only:
             return symptom == self._target_symptom

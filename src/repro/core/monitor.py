@@ -139,7 +139,6 @@ class AnomalyMonitor:
         pause_threshold: float = PAUSE_RATIO_THRESHOLD,
         throughput_fraction: float = THROUGHPUT_FRACTION,
         stability_cv: float = 0.2,
-        metrics=None,
         latency: bool = True,
         latency_multiple: float = LATENCY_INFLATION_MULTIPLE,
     ) -> None:
@@ -147,8 +146,6 @@ class AnomalyMonitor:
         self.pause_threshold = pause_threshold
         self.throughput_fraction = throughput_fraction
         self.stability_cv = stability_cv
-        #: Optional obs.MetricsRegistry tallying verdicts by symptom.
-        self.metrics = metrics
         #: Whether the tail-latency trigger participates in verdicts.
         self.latency = latency
         self.latency_multiple = latency_multiple
@@ -198,8 +195,6 @@ class AnomalyMonitor:
             symptom = LATENCY_INFLATION
         else:
             symptom = HEALTHY
-        if self.metrics is not None:
-            self.metrics.counter("monitor.verdicts", symptom=symptom)
         return AnomalyVerdict(
             symptom=symptom,
             pause_ratio=pause_ratio,
@@ -253,8 +248,8 @@ class IsolationMonitor(AnomalyMonitor):
     pause frames is the worst isolation failure); the latency trigger
     again runs last, so it only promotes co-runs the throughput signals
     call healthy.  Every verdict carries ``interference`` — shared
-    throughput over fair share — which the flight recorder feeds into
-    the ``isolation.*`` metrics.
+    throughput over fair share — which every ``experiment`` record of
+    an isolation run journals (the ``Isolation`` fold reads it).
     """
 
     def __init__(
@@ -264,7 +259,6 @@ class IsolationMonitor(AnomalyMonitor):
         pause_threshold: float = PAUSE_RATIO_THRESHOLD,
         throughput_fraction: float = THROUGHPUT_FRACTION,
         stability_cv: float = 0.2,
-        metrics=None,
         latency: bool = True,
         latency_multiple: float = LATENCY_INFLATION_MULTIPLE,
     ) -> None:
@@ -273,7 +267,6 @@ class IsolationMonitor(AnomalyMonitor):
             pause_threshold=pause_threshold,
             throughput_fraction=throughput_fraction,
             stability_cv=stability_cv,
-            metrics=metrics,
             latency=latency,
             latency_multiple=latency_multiple,
         )
@@ -329,8 +322,6 @@ class IsolationMonitor(AnomalyMonitor):
             symptom = VICTIM_LATENCY
         else:
             symptom = HEALTHY
-        if self.metrics is not None:
-            self.metrics.counter("monitor.verdicts", symptom=symptom)
         return AnomalyVerdict(
             symptom=symptom,
             pause_ratio=pause_ratio,

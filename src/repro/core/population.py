@@ -146,7 +146,7 @@ class PopulationCollie:
                 # A 1-chain population records through the parent
                 # directly (no chain stamps: the journal is the legacy
                 # single-run journal); multi-chain runs get stamped
-                # per-chain views sharing the parent's journal/metrics.
+                # per-chain views sharing the parent's journal.
                 chain_recorder = (
                     recorder if chains == 1 else recorder.for_chain(chain)
                 )

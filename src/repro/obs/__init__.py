@@ -3,12 +3,10 @@
 Collie's value is *explaining* why a subsystem misbehaves; this package
 makes the search itself explainable while in flight:
 
-* :mod:`repro.obs.metrics` — a labeled counter/gauge/histogram registry
-  plus a span/timer API, instrumenting the SA loop, the anomaly
-  monitor, MFS probing, the evaluation cache and the campaign executor;
 * :mod:`repro.obs.journal` — a versioned, structured JSONL run journal
-  from which a :class:`~repro.core.collie.SearchReport` (and the
-  Figure 4–6 inputs) can be re-rendered bit-identically;
+  of events, from which a :class:`~repro.core.collie.SearchReport`
+  (and the Figure 4–6 inputs) can be re-rendered bit-identically, and
+  which every view folds: no live tally is kept beside it;
 * :mod:`repro.obs.recorder` — the :class:`FlightRecorder` façade the
   hot paths call into (a ``None`` recorder costs one identity check);
 * :mod:`repro.obs.logging` — the CLI-side ``logging`` setup helper
@@ -18,7 +16,7 @@ The *search observatory* builds the read side on top of the journal:
 
 * :mod:`repro.obs.folds` — every journal metric, defined once as an
   incremental fold that the post-hoc readers and the live aggregator
-  share;
+  share (their histograms are :mod:`repro.obs.metrics` summaries);
 * :mod:`repro.obs.coverage` — 4-D workload-space occupancy maps
   (visited vs MFS-skipped buckets per dimension);
 * :mod:`repro.obs.sadiag` — SA diagnostics: per-temperature-epoch
@@ -37,9 +35,10 @@ written (the substrate for the ``repro serve`` campaign daemon):
 * :mod:`repro.obs.aggregate` — live multiplexing of per-worker /
   per-chain journals into one rollup, fed through the same folds
   (heartbeat liveness, TTFA, coverage, cache hit rate, latency p99);
-* :mod:`repro.obs.export` — Prometheus text exposition of any metrics
-  registry plus aggregator rollups, served by a stdlib ``http.server``
-  thread (``/metrics`` + ``/status``, the ``--export-metrics`` flag);
+* :mod:`repro.obs.export` — Prometheus text exposition of the
+  aggregator's rollups of the run's own journal, served by a stdlib
+  ``http.server`` thread (``/metrics`` + ``/status``, the
+  ``--export-metrics`` flag);
 * :mod:`repro.obs.dashboard` — the plain-ANSI ``repro top`` renderer.
 
 Everything is off by default and adds no work to a run that does not
@@ -57,7 +56,6 @@ _SUBMODULES = {
     "CoverageTracker": "coverage",
     "FlightRecorder": "recorder",
     "JournalFollower": "stream",
-    "MetricsRegistry": "metrics",
     "RunJournal": "journal",
     "SCHEMA_VERSION": "schema",
     "SUPPORTED_VERSIONS": "schema",

@@ -17,10 +17,15 @@ Like the recorder, the tracker only observes — it consumes no RNG
 draws and never advances the simulated clock, so a coverage-tracked
 search is bit-identical to an untracked one.
 
-Live tracking attaches via ``FlightRecorder(track_coverage=True)``;
-:func:`coverage_from_records` recomputes the same maps post-hoc from
-any journal's ``experiment``/``skip``/``anomaly`` records (v1 journals
-included — their skip records just lack the workload detail).
+A tracker is the per-run state of the :class:`~repro.obs.folds.Coverage`
+fold: :func:`coverage_from_records` (and ``repro coverage``) computes
+the maps from any journal's ``experiment``/``skip``/``anomaly`` records
+(v1 journals included — their skip records just lack the workload
+detail), and ``--coverage`` prints the tracker the
+:class:`~repro.obs.recorder.FlightRecorder` feeds the same events as
+they happen (``FlightRecorder(track_coverage=True)``).  Trackers are
+never journaled: v3–v8 journals carry ``coverage`` records that no
+reader reads, and v9 journals none.
 """
 
 from __future__ import annotations
@@ -183,7 +188,7 @@ class CoverageTracker:
         }
 
     def summary(self) -> dict:
-        """Everything the coverage journal record and renderer need."""
+        """Totals plus every dimension's :meth:`dimension_summary`."""
         return {
             "experiments": self.experiments,
             "skips": self.skips,
@@ -203,20 +208,6 @@ class CoverageTracker:
             for dimension, labels in self.buckets.items()
         ]
         return sum(fractions) / len(fractions) if fractions else 0.0
-
-    def as_record(self, time_seconds: float) -> dict:
-        """Schema-v3 ``coverage`` journal record."""
-        return {
-            "t": "coverage",
-            "time_seconds": float(time_seconds),
-            "experiments": self.experiments,
-            "skips": self.skips,
-            "unique_points": self.unique_points,
-            "dimensions": {
-                dimension: self.dimension_summary(dimension)
-                for dimension in self.dimensions
-            },
-        }
 
     def render(self) -> str:
         """Per-group occupancy tables plus the touched-vs-skipped summary."""

@@ -1,13 +1,14 @@
-"""Prometheus-text exporter: scrape a live run's metrics over HTTP.
+"""Prometheus-text exporter: scrape a live run's journal folds over HTTP.
 
 Two pieces:
 
 * :func:`render_prometheus` — pure rendering of a
-  :class:`~repro.obs.metrics.MetricsRegistry` snapshot (and, when
-  given, a :class:`~repro.obs.aggregate.CampaignAggregator` snapshot)
-  into the Prometheus text exposition format (v0.0.4): counters as
-  ``*_total``, gauges as gauges, histogram summaries as
-  ``{quantile=...}`` series plus ``_count``/``_sum``;
+  :class:`~repro.obs.aggregate.CampaignAggregator` snapshot into the
+  Prometheus text exposition format (v0.0.4): the campaign rollups
+  (``repro_campaign_*``, counters as ``*_total``) and one
+  ``repro_worker_*`` row per heartbeat slot.  Every number is a fold
+  of the run's own journal, the same folds ``repro report`` and
+  ``journal diff`` run after the fact; nothing else is exported;
 * :class:`TelemetryServer` — a stdlib ``http.server`` thread serving
   ``GET /metrics`` (text exposition) and ``GET /status`` (the
   aggregator snapshot as JSON: per-worker liveness table, per-source
@@ -29,30 +30,6 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Optional
 
 logger = logging.getLogger("repro.obs.export")
-
-#: Quantiles a histogram summary exposes (matching ``as_dict``).
-_QUANTILES = (("0.5", "p50"), ("0.9", "p90"), ("0.99", "p99"))
-
-
-def _metric_name(name: str, prefix: str = "repro") -> str:
-    """Prometheus-legal metric name: dots and dashes become underscores."""
-    cleaned = "".join(
-        ch if ch.isalnum() or ch == "_" else "_" for ch in name
-    )
-    return f"{prefix}_{cleaned}" if prefix else cleaned
-
-
-def _parse_series_key(key: str) -> tuple[str, dict]:
-    """Invert :func:`repro.obs.metrics.render_key`: name + label dict."""
-    name, brace, rest = key.partition("{")
-    if not brace:
-        return name, {}
-    labels = {}
-    for part in rest.rstrip("}").split(","):
-        label, _, value = part.partition("=")
-        if label:
-            labels[label] = value
-    return name, labels
 
 
 def _escape_label(value: str) -> str:
@@ -79,98 +56,65 @@ def render_prometheus(
     aggregate_snapshot: Optional[dict] = None,
     prefix: str = "repro",
 ) -> str:
-    """Render registry + aggregator snapshots as text exposition.
+    """Render a ``CampaignAggregator.snapshot()`` as text exposition.
 
-    Both inputs are the plain-dict snapshots the rest of the repo
-    already produces (``MetricsRegistry.snapshot()``,
-    ``CampaignAggregator.snapshot()``), so journaled ``run_end``
-    metrics dumps render just as well as live registries.
+    ``metrics_snapshot`` is unused: it stays only because callers pass
+    the aggregate second (``perfbench/child.py`` calls
+    ``render_prometheus({}, snapshot)``).
     """
+    if aggregate_snapshot is None:
+        return ""
     lines: list[str] = []
-    snapshot = metrics_snapshot or {}
     emitted_types: set = set()
 
-    def emit(name: str, kind: str, labels: dict, value) -> None:
+    def emit(metric: str, kind: str, labels: dict, value) -> None:
         if value is None:
             return
+        name = f"{prefix}_{metric}" if prefix else metric
         if name not in emitted_types:
             lines.append(f"# TYPE {name} {kind}")
             emitted_types.add(name)
         lines.append(_series(name, labels, float(value)))
 
-    for key, value in snapshot.get("counters", {}).items():
-        raw, labels = _parse_series_key(key)
-        emit(_metric_name(raw, prefix) + "_total", "counter", labels, value)
-    for key, value in snapshot.get("gauges", {}).items():
-        raw, labels = _parse_series_key(key)
-        emit(_metric_name(raw, prefix), "gauge", labels, value)
-    for key, summary in snapshot.get("histograms", {}).items():
-        raw, labels = _parse_series_key(key)
-        name = _metric_name(raw, prefix)
-        for quantile, stat in _QUANTILES:
-            emit(
-                name, "summary",
-                dict(labels, quantile=quantile), summary.get(stat),
-            )
-        emit(name + "_count", "counter", labels, summary.get("count"))
-        emit(name + "_sum", "counter", labels, summary.get("sum"))
-
-    if aggregate_snapshot is not None:
-        totals = aggregate_snapshot.get("totals", {})
-        campaign = {
-            "campaign_experiments_total": ("counter", "experiments"),
-            "campaign_anomalies_total": ("counter", "anomalies"),
-            "campaign_skips_total": ("counter", "skips"),
-            "campaign_runs_total": ("counter", "runs"),
-            "campaign_complete_runs_total": ("counter", "complete_runs"),
-            "campaign_ttfa_seconds": (
-                "gauge", "time_to_first_anomaly_seconds"
-            ),
-            "campaign_coverage_fraction": ("gauge", "coverage_fraction"),
-            "campaign_cache_hit_rate": ("gauge", "cache_hit_rate"),
-            "campaign_latency_p99_us": ("gauge", "latency_p99_us"),
-            "campaign_workers_alive": ("gauge", "workers_alive"),
-        }
-        for metric, (kind, key) in campaign.items():
-            emit(_metric_name(metric, prefix), kind, {}, totals.get(key))
-        for row in aggregate_snapshot.get("workers", ()):
-            labels = {
-                "source": row["source"], "worker": str(row["worker"]),
-            }
-            emit(
-                _metric_name("worker_up", prefix), "gauge",
-                labels, 1.0 if row["alive"] else 0.0,
-            )
-            emit(
-                _metric_name("worker_heartbeat_age_seconds", prefix),
-                "gauge", labels, row["age_seconds"],
-            )
-            emit(
-                _metric_name("worker_tasks_done", prefix), "gauge",
-                labels, row["done"],
-            )
+    totals = aggregate_snapshot.get("totals", {})
+    campaign = {
+        "campaign_experiments_total": ("counter", "experiments"),
+        "campaign_anomalies_total": ("counter", "anomalies"),
+        "campaign_skips_total": ("counter", "skips"),
+        "campaign_runs_total": ("counter", "runs"),
+        "campaign_complete_runs_total": ("counter", "complete_runs"),
+        "campaign_ttfa_seconds": ("gauge", "time_to_first_anomaly_seconds"),
+        "campaign_coverage_fraction": ("gauge", "coverage_fraction"),
+        "campaign_cache_hit_rate": ("gauge", "cache_hit_rate"),
+        "campaign_latency_p99_us": ("gauge", "latency_p99_us"),
+        "campaign_workers_alive": ("gauge", "workers_alive"),
+    }
+    for metric, (kind, key) in campaign.items():
+        emit(metric, kind, {}, totals.get(key))
+    for row in aggregate_snapshot.get("workers", ()):
+        labels = {"source": row["source"], "worker": str(row["worker"])}
+        emit("worker_up", "gauge", labels, 1.0 if row["alive"] else 0.0)
+        emit("worker_heartbeat_age_seconds", "gauge", labels,
+             row["age_seconds"])
+        emit("worker_tasks_done", "gauge", labels, row["done"])
     return "\n".join(lines) + ("\n" if lines else "")
 
 
 class TelemetryServer:
     """Background HTTP thread exposing ``/metrics`` and ``/status``.
 
-    ``metrics`` is a live :class:`~repro.obs.metrics.MetricsRegistry`
-    (snapshotted per scrape — it is thread-safe by construction);
-    ``aggregator`` is an optional
-    :class:`~repro.obs.aggregate.CampaignAggregator`, refreshed at
-    scrape time on the server thread so no background polling runs
-    between scrapes.
+    ``aggregator`` is the :class:`~repro.obs.aggregate.CampaignAggregator`
+    following the run's journal (``None`` serves empty bodies),
+    refreshed at scrape time on the server thread so no background
+    polling runs between scrapes.
     """
 
     def __init__(
         self,
-        metrics=None,
         aggregator=None,
         port: int = 0,
         host: str = "127.0.0.1",
     ) -> None:
-        self.metrics = metrics
         self.aggregator = aggregator
         # One scrape at a time: the aggregator's fold is not re-entrant
         # and ThreadingHTTPServer handles requests concurrently.
@@ -211,13 +155,10 @@ class TelemetryServer:
 
     def scrape_metrics(self) -> str:
         with self._scrape_lock:
-            if self.aggregator is not None:
-                self.aggregator.refresh()
-            return render_prometheus(
-                self.metrics.snapshot() if self.metrics is not None else {},
-                self.aggregator.snapshot()
-                if self.aggregator is not None else None,
-            )
+            if self.aggregator is None:
+                return render_prometheus()
+            self.aggregator.refresh()
+            return render_prometheus({}, self.aggregator.snapshot())
 
     def scrape_status(self) -> str:
         with self._scrape_lock:

@@ -1,9 +1,13 @@
 """The flight recorder: the façade every instrumented hot path calls.
 
-A :class:`FlightRecorder` bundles the three observability channels —
-metrics registry, JSONL run journal, periodic progress lines — behind
-one object that the search machinery receives as an optional
-``recorder`` parameter.  Design rules the hot paths rely on:
+A :class:`FlightRecorder` turns the search's events into JSONL run
+journal records and periodic progress lines, behind one object that
+the search machinery receives as an optional ``recorder`` parameter.
+It keeps no tally of its own: every number a view shows is a fold of
+the journal (:mod:`repro.obs.folds`).  The one fold state it holds is
+``--coverage``'s per-run :class:`~repro.obs.coverage.CoverageTracker`
+(the ``Coverage`` fold's), printed at the end instead of journaled.
+Design rules the hot paths rely on:
 
 * **zero-cost when absent** — every call site guards with a single
   ``recorder is not None`` check, so an uninstrumented run does no
@@ -33,7 +37,6 @@ from repro.obs.journal import (
     experiment_record,
     isolation_record,
 )
-from repro.obs.metrics import MetricsRegistry
 from repro.obs.profiler import spans_records
 
 #: Progress lines go through this logger at INFO (CLI surfaces enable it).
@@ -41,34 +44,30 @@ progress_logger = logging.getLogger("repro.obs.progress")
 
 
 class FlightRecorder:
-    """Metrics + journal + live progress for one search campaign."""
+    """Journal + live progress for one search campaign."""
 
     def __init__(
         self,
         journal: Optional[RunJournal] = None,
-        metrics: Optional[MetricsRegistry] = None,
         progress_every: int = 0,
         track_coverage: bool = False,
         heartbeats: bool = False,
     ) -> None:
         self.journal = journal
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
         #: Emit a progress snapshot every N experiments (0 = never).
         self.progress_every = progress_every
         #: Optional installed :class:`~repro.obs.profiler.SpanProfiler`
         #: (set by the CLI's ``--profile``); its spans flush to the
         #: journal at run_end/close.
         self.profiler = None
-        #: Track 4-D workload-space coverage (one tracker per run).
+        #: Track 4-D workload-space coverage (one tracker per run, for
+        #: ``--coverage``'s end-of-run table; never journaled).
         self.track_coverage = track_coverage
         self.coverage: Optional[CoverageTracker] = None
         #: Journal schema-v7 ``heartbeat`` records as fan-out tasks
         #: complete (live telemetry only).  Off by default: heartbeats
-        #: carry wall clock, the one nondeterministic field the journal
-        #: admits, so only surfaces that strip them (the exporter /
-        #: dashboard plane) turn this on.  Wall time never enters the
-        #: metrics registry — ``run_end`` embeds a registry snapshot,
-        #: and that must stay bit-identical to an untelemetered run.
+        #: are host time, which only the exporter / dashboard plane
+        #: reads and canonical journal bytes drop.
         self.heartbeats = heartbeats
         #: Optional attached :class:`~repro.obs.export.TelemetryServer`
         #: (owned by the CLI: opened with the recorder, closed with it).
@@ -88,7 +87,7 @@ class FlightRecorder:
         self._last_snapshot_experiments: Optional[int] = None
 
     def for_chain(self, chain: int) -> "FlightRecorder":
-        """A chain-stamped view sharing this recorder's journal/metrics.
+        """A chain-stamped view sharing this recorder's journal.
 
         The population driver hands each SA chain its own view: records
         land interleaved in the one journal, each stamped with the
@@ -98,7 +97,6 @@ class FlightRecorder:
         """
         view = FlightRecorder(
             journal=self.journal,
-            metrics=self.metrics,
             progress_every=self.progress_every,
             track_coverage=self.track_coverage,
             heartbeats=self.heartbeats,
@@ -122,7 +120,6 @@ class FlightRecorder:
         seed: Optional[int],
         space=None,
     ) -> None:
-        self.metrics.counter("search.runs")
         self._last_snapshot_experiments = None
         if self.track_coverage:
             self.coverage = (
@@ -147,7 +144,6 @@ class FlightRecorder:
         compare against, so a reader can interpret the run's
         ``interference`` values without re-solving anything.
         """
-        self.metrics.counter("isolation.runs")
         if self.journal is not None:
             self._write(isolation_record(victim, victim_share, floor))
 
@@ -187,10 +183,7 @@ class FlightRecorder:
                     "experiments": experiments,
                     "anomalies": anomalies,
                     "skipped": skipped,
-                    "metrics": self.metrics.snapshot(),
                 })
-            if self.coverage is not None:
-                self._write(self.coverage.as_record(elapsed_seconds))
             self._flush_spans()
             self._write({
                 "t": "run_end",
@@ -199,7 +192,6 @@ class FlightRecorder:
                 "skipped": skipped,
                 "anomalies": anomalies,
                 "counter_ranking": list(counter_ranking),
-                "metrics": self.metrics.snapshot(),
             })
 
     # -- search events (live instrumentation) ------------------------------
@@ -224,13 +216,6 @@ class FlightRecorder:
         changed (schema v3) — the raw material of the observatory's
         per-dimension mutation-effectiveness diagnostics.
         """
-        self.metrics.counter("sa.transitions", action=action)
-        self.metrics.gauge("sa.temperature", temperature)
-        self.metrics.observe("sa.delta_energy", delta)
-        for dimension in mutated:
-            self.metrics.counter("sa.mutations", dimension=dimension)
-            if action == "improve":
-                self.metrics.counter("sa.improvements", dimension=dimension)
         if self.journal is not None:
             self._write({
                 "t": "transition",
@@ -243,7 +228,6 @@ class FlightRecorder:
 
     def skip(self, time_seconds: float, workload=None) -> None:
         """A candidate matched a known MFS; no experiment was run."""
-        self.metrics.counter("search.skips")
         if self.coverage is not None:
             self.coverage.skip(workload)
         if self.journal is not None:
@@ -254,9 +238,6 @@ class FlightRecorder:
 
     def anomaly(self, index: int, event_index: Optional[int], mfs) -> None:
         """A new MFS entered the anomaly set."""
-        self.metrics.counter("search.anomalies")
-        self.metrics.counter("mfs.extractions")
-        self.metrics.counter("mfs.probe_experiments", mfs.probe_experiments)
         if self.coverage is not None:
             self.coverage.mark_mfs(mfs)
         if self.journal is not None:
@@ -264,8 +245,6 @@ class FlightRecorder:
 
     def cache_event(self, phase: str, hit: bool) -> None:
         """One evaluation-cache lookup (wired as the cache's observer)."""
-        outcome = "hit" if hit else "miss"
-        self.metrics.counter("cache.lookups", phase=phase, outcome=outcome)
         if self.journal is not None:
             self._write({"t": "cache", "phase": phase, "hit": hit})
 
@@ -273,10 +252,6 @@ class FlightRecorder:
 
     def fanout(self, stats) -> None:
         """Executor accounting of one completed fan-out."""
-        self.metrics.counter("executor.tasks", stats.tasks)
-        self.metrics.observe("executor.wall_seconds", stats.wall_seconds)
-        self.metrics.observe("executor.busy_seconds", stats.busy_seconds)
-        self.metrics.gauge("executor.workers", stats.workers)
         if self.journal is not None:
             self._write({
                 "t": "fanout",
@@ -303,11 +278,10 @@ class FlightRecorder:
     def heartbeat(self, worker: int, done: int, total: int) -> None:
         """Executor liveness for the live-telemetry plane (schema v7).
 
-        Journal-only by design: the ``wall_time`` envelope field is the
-        single nondeterministic value the journal ever carries, and it
-        must never reach the metrics registry (``snapshot``/``run_end``
-        records embed registry dumps, which stay bit-identical to a
-        bare run).  No-op unless :attr:`heartbeats` was requested.
+        The ``wall_time`` envelope field is host time, so canonical
+        journal bytes drop the whole record
+        (:func:`~repro.canary.corpus.canonical_journal_bytes`).  No-op
+        unless :attr:`heartbeats` was requested.
         """
         if not self.heartbeats or self.journal is None:
             return
@@ -321,17 +295,11 @@ class FlightRecorder:
 
     # -- resilience events (executor retry/quarantine decisions) -----------
 
-    def injected_fault(self, kind: str) -> None:
-        """The fault plan injected one fault (chaos runs only)."""
-        self.metrics.counter("faults.injected", kind=kind)
-
     def retry(
         self, task: int, host: int, attempt: int, error: str,
         backoff_seconds: float,
     ) -> None:
         """A failed task attempt is being re-run."""
-        self.metrics.counter("faults.retries", kind=error)
-        self.metrics.observe("faults.backoff_seconds", backoff_seconds)
         if self.journal is not None:
             self._write({
                 "t": "retry",
@@ -346,8 +314,6 @@ class FlightRecorder:
         self, host: int, failures: int, redistributed: int
     ) -> None:
         """A persistently failing virtual host left the rotation."""
-        self.metrics.counter("faults.quarantines")
-        self.metrics.counter("faults.redistributed", redistributed)
         if self.journal is not None:
             self._write({
                 "t": "quarantine",
@@ -391,13 +357,7 @@ class FlightRecorder:
         for index, mfs in enumerate(anomalies):
             self.anomaly(index, None, mfs)
         for _ in range(skipped):
-            self.metrics.counter("search.skips")
-            if self.coverage is not None:
-                self.coverage.skip(None)
-            if self.journal is not None:
-                self._write({
-                    "t": "skip", "time_seconds": report.elapsed_seconds,
-                })
+            self.skip(report.elapsed_seconds)
         self._run_end_totals(
             report.elapsed_seconds, report.experiments, skipped,
             len(anomalies), getattr(report, "counter_ranking", []),
@@ -406,16 +366,7 @@ class FlightRecorder:
     # -- internals ---------------------------------------------------------
 
     def _observe(self, event) -> None:
-        """Metrics, coverage visit and journal record of one experiment."""
-        self.metrics.counter("search.experiments", kind=event.kind)
-        self.metrics.counter("search.symptoms", symptom=event.symptom)
-        if event.latency is not None:
-            self.metrics.observe(
-                "search.latency_p99_us", event.latency["p99_us"]
-            )
-        interference = getattr(event, "interference", None)
-        if interference is not None:
-            self.metrics.observe("isolation.interference", interference)
+        """Coverage visit and journal record of one experiment."""
         if self.coverage is not None:
             self.coverage.visit(event.workload)
         if self.journal is not None:
@@ -435,11 +386,8 @@ class FlightRecorder:
                 "experiments": state.experiments,
                 "anomalies": len(state.anomalies),
                 "skipped": state.skipped,
-                "metrics": self.metrics.snapshot(),
             })
             self._last_snapshot_experiments = state.experiments
-            if self.coverage is not None:
-                self._write(self.coverage.as_record(time_seconds))
 
     def _flush_spans(self) -> None:
         """Journal any profiler events not yet written (chunked)."""

@@ -32,11 +32,13 @@ Record types:
 ``cache``
     One evaluation-cache lookup (phase + hit/miss).
 ``snapshot``
-    Periodic progress: totals so far plus a metrics-registry dump.
+    Periodic progress: totals so far (up to v8 plus a dump of the
+    writer's live metrics registry).
 ``run_end``
     Authoritative totals of the finished run (the reconstruction
     prefers these over recomputing; their absence means a crashed run,
-    which still reconstructs from the experiment records alone).
+    which still reconstructs from the experiment records alone).  Up to
+    v8 it also carries the registry dump as ``metrics``.
 ``fanout``
     Executor accounting of one multi-seed / fleet fan-out.
 ``retry``
@@ -49,8 +51,11 @@ Record types:
     its accumulated failure count and how many of its pending tasks
     were redistributed to healthy hosts.
 ``coverage``
-    Periodic workload-space coverage: per-dimension occupancy over the
-    4-D space plus totals (experiments, MFS skips, unique points).
+    v3–v8 only.  Periodic workload-space coverage: per-dimension
+    occupancy over the 4-D space plus totals (experiments, MFS skips,
+    unique points).  No reader ever used it: the ``Coverage`` fold
+    recomputes the same maps from the experiment, skip and anomaly
+    records.
 ``spans``
     A chunk of profiler span events, each ``[path, start, duration]``
     in profiler-relative wall-clock seconds.
@@ -111,6 +116,16 @@ mid-file, a fold that keeps no run state).  The per-record
 ``v`` says which shape a record holds (:func:`positional`); MFS objects
 and every other field keep their v7 shape.
 
+Version 9 records events only, in v8's positional shape.  ``run_end``
+and ``snapshot`` no longer carry a ``metrics`` dump, and ``coverage``
+records are no longer written: every number they held is a fold of
+the event records (:mod:`repro.obs.folds`), and no reader read them.
+The dump also leaked host time (the ``*_wall`` timers and
+``executor.*`` seconds) into records that are otherwise a pure
+function of the search, and, because chains shared the writer's
+registry, a population chain's ``run_end`` counted every chain.  A
+v9 journal reads exactly as the v8 journal of the same search does.
+
 Older journals remain valid (the validator accepts every version in
 ``SUPPORTED_VERSIONS``; optional fields are only type-checked when
 present).
@@ -123,13 +138,13 @@ from typing import Iterable, Optional
 from repro.analysis.serialize import WORKLOAD_FIELDS
 from repro.hardware.counters import ALL_COUNTERS
 
-SCHEMA_VERSION = 8
+SCHEMA_VERSION = 9
 
 #: Versions the validator (and readers) accept.
-SUPPORTED_VERSIONS = (1, 2, 3, 4, 5, 6, 7, 8)
+SUPPORTED_VERSIONS = (1, 2, 3, 4, 5, 6, 7, 8, 9)
 
 #: Versions whose records carry positional arrays.
-POSITIONAL_VERSIONS = (8,)
+POSITIONAL_VERSIONS = (8, 9)
 
 NUMBER = (int, float)
 MAYBE_INT = (int, type(None))
@@ -137,7 +152,7 @@ MAYBE_DICT = (dict, type(None))
 
 
 def positional(record: dict) -> bool:
-    """Whether ``record`` holds the positional (v8) shape."""
+    """Whether ``record`` holds the positional (v8 and later) shape."""
     return record.get("v") in POSITIONAL_VERSIONS
 
 
@@ -353,6 +368,18 @@ POSITIONAL_OPTIONAL_FIELDS: dict = {
         "latency": LATENCY_ARRAY,
     },
 }
+#: v9's required fields: v8's, less the ``metrics`` dumps.
+EVENT_FIELDS: dict = {
+    **POSITIONAL_FIELDS,
+    **{
+        kind: {
+            name: accepted
+            for name, accepted in RECORD_FIELDS[kind].items()
+            if name != "metrics"
+        }
+        for kind in ("snapshot", "run_end")
+    },
+}
 
 
 def validate_record(record, line: Optional[int] = None) -> list[str]:
@@ -372,7 +399,9 @@ def validate_record(record, line: Optional[int] = None) -> list[str]:
         errors.append(f"{where}unknown record type {kind!r}")
         return errors
     required, optional = RECORD_FIELDS, OPTIONAL_RECORD_FIELDS
-    if positional(record):
+    if version == 9:
+        required, optional = EVENT_FIELDS, POSITIONAL_OPTIONAL_FIELDS
+    elif positional(record):
         required, optional = POSITIONAL_FIELDS, POSITIONAL_OPTIONAL_FIELDS
     for name, accepted in required[kind].items():
         if name not in record:

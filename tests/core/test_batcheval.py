@@ -26,7 +26,6 @@ from repro.core.space import SearchSpace
 from repro.hardware.model import SteadyStateModel, solve_batch
 from repro.hardware.subsystems import get_subsystem
 from repro.hardware.workload import WorkloadDescriptor
-from repro.obs.metrics import MetricsRegistry
 from repro.workloads.appendix import settings_for_subsystem
 
 LETTERS = "ABCDEFGH"
@@ -213,14 +212,15 @@ class TestEvaluateManyBitIdentity:
             )
             assert monitor.classify(measurement) == monitor.classify(scalar)
 
-    def test_one_point_call_routes_scalar(self):
-        """Every one-point entry takes the scalar path, counted as such."""
+    def test_one_point_call_routes_scalar(self, monkeypatch):
+        """Every one-point entry takes the scalar path: the vectorized
+        solver is never called."""
         subsystem = get_subsystem("F")
         point = random_points("F", seed=1, count=1)[0]
-        metrics = MetricsRegistry()
-        evaluator = BatchEvaluator(
-            SteadyStateModel(subsystem), metrics=metrics
-        )
+        model = SteadyStateModel(subsystem)
+        vectorized = []
+        monkeypatch.setattr(model, "solve_points", vectorized.append)
+        evaluator = BatchEvaluator(model)
         scalar_rng = np.random.default_rng(1)
         scalar = SteadyStateModel(subsystem).evaluate(point, scalar_rng)
         rng = np.random.default_rng(1)
@@ -231,8 +231,7 @@ class TestEvaluateManyBitIdentity:
         assert_solves_identical(
             solve, SteadyStateModel(subsystem)._solve(point, "search")
         )
-        assert metrics.value("batcheval.points", mode="scalar") == 2.0
-        assert metrics.value("batcheval.points", mode="vectorized") == 0.0
+        assert vectorized == []
 
 
 class TestNegativeNoise:

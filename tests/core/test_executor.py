@@ -9,7 +9,7 @@ import pytest
 from repro.core.evalcache import EvalCache
 from repro.core.executor import CampaignExecutor, ExecutorStats, fan_out
 from repro.core.faults import RetryPolicy, TaskFailed, WorkerCrash
-from repro.obs import FlightRecorder, MetricsRegistry, RunJournal
+from repro.obs import FlightRecorder, RunJournal
 
 
 def square(payload):
@@ -131,7 +131,7 @@ class TestPooled:
 
 class TestEdgeCases:
     def test_zero_tasks(self):
-        executor = CampaignExecutor(workers=4, metrics=MetricsRegistry())
+        executor = CampaignExecutor(workers=4)
         assert executor.map(square, []) == []
         stats = executor.last_stats
         assert stats.tasks == 0
@@ -160,15 +160,17 @@ class TestEdgeCases:
         with pytest.raises(Exception, match="(?i)pickle"):
             executor.map(unpicklable_result, [1, 2])
 
-    def test_pickling_failure_is_fatal_not_retried(self):
+    def test_pickling_failure_is_fatal_not_retried(self, tmp_path):
         _require_pool()
-        metrics = MetricsRegistry()
+        path = tmp_path / "pickle.jsonl"
+        recorder = FlightRecorder(journal=RunJournal(path))
         executor = CampaignExecutor(
-            workers=2, retry=RetryPolicy(max_retries=3), metrics=metrics
+            workers=2, retry=RetryPolicy(max_retries=3), recorder=recorder
         )
         with pytest.raises(Exception, match="(?i)pickle"):
             executor.map(unpicklable_result, [1, 2])
-        assert metrics.counters_with_prefix("faults.") == {}
+        recorder.close()
+        assert path.read_text() == ""  # no retry, no quarantine
 
 
 class TestFanOut:
@@ -181,7 +183,6 @@ class TestFanOut:
         ) == ([], None)
         recorder.close()
         assert path.read_text() == ""
-        assert recorder.metrics.counters_with_prefix("executor.") == {}
         assert len(cache) == 0
 
 

@@ -30,7 +30,6 @@ from repro.core.space import SearchSpace
 from repro.obs import (
     SCHEMA_VERSION,
     FlightRecorder,
-    MetricsRegistry,
     RunJournal,
     read_journal,
     validate_journal,
@@ -225,15 +224,15 @@ class TestFaultyTestbed:
         assert retried_results == clean_results
         assert retried.clock.now == clean.clock.now
 
-    def test_injection_counts_into_metrics(self):
-        metrics = MetricsRegistry()
+    def test_injection_counts_into_faults_raised(self):
         plan = FaultPlan(faults=(
             FaultSpec(kind="transient", experiment=0),
         ))
-        testbed = FaultyTestbed("F", plan, metrics=metrics)
+        testbed = FaultyTestbed("F", plan)
         with pytest.raises(TransientEvalError):
             testbed.run(_workloads(1)[0])
-        assert metrics.value("faults.injected", kind="transient") == 1
+        assert testbed.faults_raised == 1
+        assert testbed.experiments_run == 0
 
 
 # -- the resilient executor --------------------------------------------------
@@ -393,17 +392,24 @@ class TestQuarantine:
         assert stats.quarantined_hosts == (1, 3)
         assert stats.redistributed_tasks == 4
 
-    def test_last_healthy_host_is_never_quarantined(self):
-        metrics = MetricsRegistry()
+    def test_last_healthy_host_is_never_quarantined(self, tmp_path):
+        # map raises, so it leaves no stats: read its journal instead.
+        path = tmp_path / "last-host.jsonl"
+        recorder = FlightRecorder(journal=RunJournal(path))
         plan = FaultPlan.broken_hosts([0])
         executor = CampaignExecutor(
             workers=1, retry=RetryPolicy(max_retries=2, quarantine_after=1),
-            faults=plan, metrics=metrics,
+            faults=plan, recorder=recorder,
         )
         with pytest.raises(TaskFailed):
             executor.map(square, [1, 2])
-        assert metrics.value("faults.quarantines") == 0
-        assert metrics.value("faults.retries", kind="crash") == 2
+        recorder.close()
+        records = read_journal(path)
+        assert not [r for r in records if r["t"] == "quarantine"]
+        retries = [r for r in records if r["t"] == "retry"]
+        assert [(r["task"], r["host"], r["error"]) for r in retries] == [
+            (0, 0, "crash"), (0, 0, "crash"),
+        ]
 
     def test_redistributed_tasks_move_to_healthy_hosts(self, monkeypatch):
         plan = FaultPlan.broken_hosts([1])
@@ -432,7 +438,6 @@ class TestFaultObservability:
             workers=2,
             retry=RetryPolicy(max_retries=2, quarantine_after=1),
             faults=plan,
-            metrics=recorder.metrics,
             recorder=recorder,
         )
         force_serial(executor, monkeypatch)
@@ -450,28 +455,11 @@ class TestFaultObservability:
             "v": SCHEMA_VERSION, "t": "quarantine", "host": 1,
             "failures": 1, "redistributed": 2,
         }]
-        # Metrics route through the recorder exactly once (the executor
-        # holds both the recorder and its registry — no double counting).
-        assert recorder.metrics.value("faults.retries", kind="crash") == 1
-        assert recorder.metrics.value("faults.quarantines") == 1
-        assert recorder.metrics.value("faults.redistributed") == 2
-
-    def test_bare_metrics_count_without_a_recorder(self):
-        metrics = MetricsRegistry()
-        plan = FaultPlan(faults=(
-            FaultSpec(kind="transient", task=0, attempt=0),
-        ))
-        executor = CampaignExecutor(
-            retry=RetryPolicy(), faults=plan, metrics=metrics
-        )
-        executor.map(square, [1, 2])
-        assert metrics.value("faults.injected", kind="transient") == 1
-        assert metrics.value("faults.retries", kind="transient") == 1
-        faults = metrics.counters_with_prefix("faults.")
-        assert set(faults) == {
-            "faults.injected{kind=transient}",
-            "faults.retries{kind=transient}",
-        }
+        # The journal and the map's stats count the same events.
+        stats = executor.last_stats
+        assert stats.retries == len(retries)
+        assert stats.quarantined_hosts == (1,)
+        assert stats.redistributed_tasks == 2
 
 
 # -- chaos campaigns over every subsystem ------------------------------------

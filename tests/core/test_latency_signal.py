@@ -16,7 +16,7 @@ Three contracts from the latency tentpole:
    with zero pauses: only the latency trigger flags them, the MFS is
    sound (reproducer round-trip), and the journal names the quirk.
 
-Journals are compared in the v1–v7 record shape: a fresh (v8) journal
+Journals are compared in the v1–v7 record shape: a fresh (v9) journal
 is read as its v7 twin (:func:`tests.obs.journal_shapes.as_keyed`), where
 the latency stream is the ``latency`` records again.
 """
@@ -56,44 +56,18 @@ def _journal_records(tmp_path, filename, letter, **collie_kwargs):
 
 
 def _canonical(records):
-    """Strip what legitimately differs across versions and machines.
-
-    The ``v`` stamp moves with the schema; wall-clock histograms are
-    real elapsed time (zeroed in the committed fixture); simulated-time
-    histograms keep every moment but drop p50/p90/p99, which the
-    percentile-interpolation fix changed deliberately (the regression
-    test in tests/obs/test_metrics.py pins the new values).  Verdict
-    tallies (``monitor.verdicts{...}``) are dropped too: the fixture
-    predates the classify-dedup change, which counts one classification
-    per measurement instead of re-classifying on the anomaly path — the
-    search trajectory itself is still compared record for record.
-    """
-    out = []
-    for record in records:
-        record = {k: v for k, v in record.items() if k != "v"}
-        if isinstance(record.get("metrics"), dict):
-            metrics = json.loads(json.dumps(record["metrics"]))
-            metrics["counters"] = {
-                name: value
-                for name, value in metrics.get("counters", {}).items()
-                if not name.startswith("monitor.verdicts")
-            }
-            for name, histogram in metrics.get("histograms", {}).items():
-                if "wall" in name:
-                    metrics["histograms"][name] = {
-                        "count": histogram.get("count")
-                    }
-                else:
-                    for quantile in ("p50", "p90", "p99"):
-                        histogram.pop(quantile, None)
-            record = {**record, "metrics": metrics}
-        out.append(record)
-    return out
+    """Strip what legitimately differs across versions: the ``v`` stamp
+    moves with the schema, and ``run_end`` carried a ``metrics`` dump up
+    to v8, which v9 journals no longer write."""
+    return [
+        {k: v for k, v in record.items() if k not in ("v", "metrics")}
+        for record in records
+    ]
 
 
 def _strip_latency_stream(records):
-    """Drop latency records, L-tags and latency metrics — the only three
-    places an enabled run is allowed to differ from a disabled one."""
+    """Drop latency records and L-tags — the only two places an enabled
+    run is allowed to differ from a disabled one."""
     out = []
     for record in records:
         if record.get("t") == "latency":
@@ -106,15 +80,6 @@ def _strip_latency_stream(records):
                     if not (tag.startswith("L") and tag[1:].isdigit())
                 ],
             }
-        if isinstance(record.get("metrics"), dict):
-            metrics = json.loads(json.dumps(record["metrics"]))
-            for family in ("counters", "histograms"):
-                metrics[family] = {
-                    name: value
-                    for name, value in metrics.get(family, {}).items()
-                    if "latency" not in name
-                }
-            record = {**record, "metrics": metrics}
         out.append(record)
     return out
 
@@ -155,11 +120,8 @@ class TestDisabledModeBitIdentity:
             pytest.skip(f"{letter}: latency verdict fired at quick budget")
         assert any(r.get("t") == "latency" for r in enabled)
         assert not any(r.get("t") == "latency" for r in disabled)
-        # _canonical flattens wall-clock histograms (real elapsed time,
-        # never comparable across two processes); everything simulated
-        # must match record for record.
-        assert _canonical(_strip_latency_stream(enabled)) \
-            == _canonical(disabled)
+        # Everything else must match record for record.
+        assert _strip_latency_stream(enabled) == disabled
 
 
 class TestBatchScalarLatencyIdentity:

@@ -14,6 +14,7 @@ import json
 import pytest
 
 from repro.analysis.campaign import run_campaign
+from repro.cli import main
 from repro.core.annealing import SearchSignal
 from repro.core.collie import Collie
 from repro.core.evalcache import EvalCache
@@ -27,29 +28,6 @@ from repro.obs import (
 from tests.core.test_determinism import report_key
 
 SUBSYSTEMS = ["A", "B", "C", "D", "E", "F", "G", "H"]
-
-
-def _canonical(records):
-    """Journal records with wall-clock histograms flattened to counts.
-
-    Wall-clock histograms measure *real* elapsed time, which differs
-    between any two runs of the same trajectory; their event counts are
-    deterministic and stay in the comparison.  Every other byte of the
-    journal — simulated clock, RNG-driven workloads, metrics counters,
-    record order — must match exactly.
-    """
-    out = []
-    for record in records:
-        if isinstance(record.get("metrics"), dict):
-            metrics = json.loads(json.dumps(record["metrics"]))
-            for name, histogram in metrics.get("histograms", {}).items():
-                if "wall" in name:
-                    metrics["histograms"][name] = {
-                        "count": histogram.get("count")
-                    }
-            record = {**record, "metrics": metrics}
-        out.append(record)
-    return out
 
 
 class TestOneChainIsLegacy:
@@ -79,8 +57,8 @@ class TestOneChainIsLegacy:
         ).run()
         recorder.close()
 
-        legacy = _canonical(read_journal(legacy_path))
-        population = _canonical(read_journal(population_path))
+        legacy = read_journal(legacy_path)
+        population = read_journal(population_path)
         assert population == legacy
         # No chain stamps on a 1-chain journal: it *is* the legacy one.
         assert not any("chain" in record for record in population)
@@ -111,6 +89,34 @@ class TestChainsAreIndependent:
             == [report_key(r) for r in second.reports]
         )
         assert first.generations == second.generations
+
+    def test_each_chain_journals_its_solo_run_end(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        """Chain c's ``run_end``, less its chain stamp, is the one its
+        solo twin (seed + c) journals: no total counts the other
+        chains (up to v8, the shared registry dump counted them all)."""
+        monkeypatch.chdir(tmp_path)
+
+        def run_ends(path, *flags):
+            assert main(["search", "H", "--hours", "0.3", *flags,
+                         "--journal", path]) == 0
+            with open(path) as handle:
+                return [record for record in map(json.loads, handle)
+                        if record["t"] == "run_end"]
+
+        chains = {
+            record.pop("chain"): record
+            for record in run_ends(
+                "chains.jsonl", "--seed", "2", "--chains", "3"
+            )
+        }
+        assert sorted(chains) == [0, 1, 2]
+        for chain, record in chains.items():
+            assert [record] == run_ends(
+                f"solo{chain}.jsonl", "--seed", str(2 + chain)
+            )
+        capsys.readouterr()
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_population_equals_seed_campaign(self, workers):
@@ -156,13 +162,7 @@ class TestPopulationJournal:
         assert driver.cache is None
         ends = [r for r in read_journal(path) if r["t"] == "run_end"]
         assert len(ends) == 3
-        for record in ends:
-            series = [
-                name for family in record["metrics"].values()
-                for name in family
-            ]
-            assert series
-            assert not [s for s in series if s.startswith("batcheval.")]
+        assert not [r for r in ends if "metrics" in r]
 
     def test_user_cache_lookups_are_the_chains_own(self, tmp_path):
         path = tmp_path / "cached.jsonl"

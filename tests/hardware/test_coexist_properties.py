@@ -225,20 +225,6 @@ class TestNoAttackerBitIdentity:
             rng_solo.bit_generator.state == rng_corun.bit_generator.state
         )
 
-    @staticmethod
-    def _normalize_wall_clock(record):
-        """Zero the only nondeterministic journal content: wall-clock
-        spans in the run_end metrics snapshot (present on solo main
-        too; unrelated to the co-run seam)."""
-        if record.get("t") != "run_end":
-            return record
-        record = dict(record, elapsed_seconds=0.0)
-        histograms = record.get("metrics", {}).get("histograms", {})
-        for name in list(histograms):
-            if "_wall" in name or "_seconds" in name:
-                histograms[name] = None
-        return record
-
     def test_solo_journal_bytes_identical_and_isolation_free(self, tmp_path):
         """A search without --victim journals byte-identically whether or
         not the victim parameter is spelled out, and never writes the
@@ -264,11 +250,7 @@ class TestNoAttackerBitIdentity:
             [json.loads(line) for line in p.read_bytes().splitlines()]
             for p in paths
         )
-        assert len(first) == len(second)
-        for a, b in zip(first, second):
-            assert self._normalize_wall_clock(a) == (
-                self._normalize_wall_clock(b)
-            )
+        assert first == second
         assert all(r["t"] != "isolation" for r in first)
         assert all(
             "interference" not in r

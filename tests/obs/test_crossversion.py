@@ -1,6 +1,6 @@
 """Cross-version journal reads: old journals must keep working.
 
-``tests/obs/fixtures/v1.jsonl`` … ``v6.jsonl`` are committed
+``tests/obs/fixtures/v1.jsonl`` … ``v9.jsonl`` are committed
 older-version forms of real recorded search journals (subsystem F):
 v1 predates the resilience records, v2 has ``retry``/``quarantine``
 but no observatory ``coverage``/``spans``, v3 has the observatory
@@ -9,9 +9,11 @@ population journal (chain stamps + latency records), v6 is an
 isolation (adversarial-neighbor) journal with the ``isolation``
 preamble and per-experiment ``interference`` stamps, v7 is a
 telemetered two-seed campaign journal carrying live-telemetry
-``heartbeat`` records, and v8 is the v5 search written as positional
+``heartbeat`` records, v8 is the v5 search written as positional
 arrays with no ``latency`` records (``search F --hours 0.15 --seed 1
---chains 2``, wall-clock fields zeroed).  Every reader —
+--chains 2``, wall-clock fields zeroed), and v9 is that same search
+journaled as events only: no ``metrics`` dump in its ``run_end``
+records (nor any wall-clock field to zero).  Every reader —
 validator, report reconstruction, metrics, the canary's invariant
 pass — must accept all of them forever: the canary corpus is
 committed once and read by every future version of the code.
@@ -60,15 +62,16 @@ FIXTURE_COVERAGE_FRACTIONS = {
     6: 0.6382688492063491,
     7: 0.6500868055555555,
     8: 0.6500868055555555,
+    9: 0.6500868055555555,
 }
 
 #: Fixture version → how many search reports its journal reconstructs
-#: (v5 and v8 are two-chain population journals, v7 a two-seed
+#: (v5, v8 and v9 are two-chain population journals, v7 a two-seed
 #: campaign; the rest are single runs).
-FIXTURE_REPORT_COUNTS = {1: 1, 2: 1, 3: 1, 5: 2, 6: 1, 7: 2, 8: 2}
+FIXTURE_REPORT_COUNTS = {1: 1, 2: 1, 3: 1, 5: 2, 6: 1, 7: 2, 8: 2, 9: 2}
 
 
-@pytest.mark.parametrize("version", (1, 2, 3, 5, 6, 7, 8))
+@pytest.mark.parametrize("version", (1, 2, 3, 5, 6, 7, 8, 9))
 class TestOldJournalsStillWork:
     def test_validates_under_current_schema(self, version):
         records = fixture_records(version)
@@ -213,6 +216,25 @@ class TestPositionalJournalSurfaces:
         )
 
 
+class TestEventJournalSurfaces:
+    """v9-specific: the v8 search, less what no reader read."""
+
+    def test_records_are_v8s_less_the_metrics_dumps(self):
+        v8, v9 = fixture_records(8), fixture_records(9)
+        assert [
+            {k: v for k, v in record.items() if k not in ("v", "metrics")}
+            for record in v8
+        ] == [{k: v for k, v in r.items() if k != "v"} for r in v9]
+        assert not [r for r in v9 if "metrics" in r or r["t"] == "coverage"]
+
+    def test_reads_exactly_like_v8(self, capsys):
+        v8, v9 = fixture_records(8), fixture_records(9)
+        assert reports_from_records(v9) == reports_from_records(v8)
+        assert journal_metrics(v9) == journal_metrics(v8)
+        paths = [os.path.join(FIXTURES, f"v{v}.jsonl") for v in (8, 9)]
+        assert main(["journal", "diff", *paths]) == 0
+
+
 class TestPreTelemetryReaderSkipsWithNote:
     """A pre-v7 reader sees ``heartbeat`` as an unknown record kind."""
 
@@ -280,7 +302,8 @@ class TestVersionStampProperty:
         for index, record in enumerate(records):
             stamp = stamps[index % len(stamps)]
             stamped.append(
-                as_positional(record) if stamp == 8 else {**record, "v": stamp}
+                as_positional(record, stamp) if stamp >= 8
+                else {**record, "v": stamp}
             )
         assert validate_journal(stamped) == []
         baseline = journal_metrics(records)

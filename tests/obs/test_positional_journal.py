@@ -1,12 +1,13 @@
-"""Schema v8 journals rebuild the searches that wrote them.
+"""Positional journals rebuild the searches that wrote them.
 
 Each execution mode that journals — a solo search, a population, an
 isolation search, campaigns journaled after the fact, a resumed
-campaign — writes only v8 records (one per experiment, no ``latency``
-records), and :func:`~repro.obs.journal.reports_from_journal` gives
-back reports equal to the in-memory ones, latency summaries and victim
-interference included.  A journal whose older runs are v7 and newer
-ones v8 reads the same way.
+campaign — writes only current-schema records in the positional shape
+v8 introduced (one per experiment, no ``latency`` records), and
+:func:`~repro.obs.journal.reports_from_journal` gives back reports
+equal to the in-memory ones, latency summaries and victim interference
+included.  A journal whose older runs are v7 and newer ones positional
+reads the same way.  ("v8" in the names below is that shape.)
 """
 
 import json
@@ -20,6 +21,7 @@ from repro.core import Collie
 from repro.core.population import PopulationCollie
 from repro.obs import (
     VERIFY_OK,
+    SCHEMA_VERSION,
     FlightRecorder,
     RunJournal,
     journal_summary,
@@ -39,9 +41,9 @@ def journaled(path, run):
         recorder.close()
 
 
-def assert_only_v8(path) -> list:
+def assert_only_current(path) -> list:
     records = read_journal(path)
-    assert {record["v"] for record in records} == {8}
+    assert {record["v"] for record in records} == {SCHEMA_VERSION}
     assert "latency" not in journal_summary(records)["by_type"]
     assert verify_journal(path)[0] == VERIFY_OK
     return records
@@ -53,7 +55,7 @@ class TestRebuiltEqualsInMemory:
         report = journaled(path, lambda recorder: Collie.for_subsystem(
             "F", budget_hours=1.0, seed=2, recorder=recorder,
         ).run())
-        assert_only_v8(path)
+        assert_only_current(path)
         assert any(event.latency is not None for event in report.events)
         assert reports_from_journal(path) == [report]
 
@@ -62,7 +64,7 @@ class TestRebuiltEqualsInMemory:
         population = journaled(path, lambda recorder: PopulationCollie(
             "F", chains=3, budget_hours=0.5, seed=1, recorder=recorder,
         ).run())
-        assert_only_v8(path)
+        assert_only_current(path)
         assert reports_from_journal(path) == population.reports
 
     def test_isolation_search(self, tmp_path):
@@ -71,7 +73,7 @@ class TestRebuiltEqualsInMemory:
             "F", budget_hours=2.0, seed=2, recorder=recorder,
             victim=default_victim(), victim_share=0.5,
         ).run())
-        records = assert_only_v8(path)
+        records = assert_only_current(path)
         (preamble,) = [r for r in records if r["t"] == "isolation"]
         assert isinstance(preamble["victim"], list)
         assert any(event.interference is not None for event in report.events)
@@ -86,7 +88,7 @@ class TestRebuiltEqualsInMemory:
             )
             for approach in APPROACHES
         ])
-        assert_only_v8(path)
+        assert_only_current(path)
         written = [report for result in results for report in result.reports]
         rebuilt = reports_from_journal(path)
         assert len(rebuilt) == len(written) == len(APPROACHES)
@@ -100,7 +102,8 @@ class TestRebuiltEqualsInMemory:
 
 
 class TestMixedVersions:
-    """A v7 campaign prefix resumed by v8 code, and a file holding both."""
+    """A v7 campaign prefix resumed by current code, and a file holding
+    both."""
 
     SEEDS = (1, 2, 3)
 
@@ -142,12 +145,12 @@ class TestMixedVersions:
         ))
         assert resumed.resumed_seeds == (1, 2)
         assert resumed.reports == result.reports
-        assert_only_v8(resumed_path)
+        assert_only_current(resumed_path)
         assert reports_from_journal(resumed_path) == result.reports
 
     def test_v7_bayesopt_mfs_prefix_resumes_with_a_journal(self, tmp_path):
         # BO+MFS probe events keep no counter snapshot: a v7 writer wrote
-        # "counters": {}, and v8 writes [].
+        # "counters": {}, and the positional shape writes [].
         def campaign(**kwargs):
             return run_campaign(
                 "bayesopt+mfs", subsystem="H", seeds=self.SEEDS,
@@ -156,7 +159,7 @@ class TestMixedVersions:
 
         path = tmp_path / "full.jsonl"
         journaled(path, lambda recorder: campaign(recorder=recorder))
-        twin = as_keyed(assert_only_v8(path))
+        twin = as_keyed(assert_only_current(path))
         prefix = twin[:self.after_second_run_end(twin)]
         assert any(
             r["t"] == "experiment" and r["counters"] == {} for r in prefix
@@ -168,7 +171,7 @@ class TestMixedVersions:
             resume_from=str(prefix_path), recorder=recorder,
         ))
         assert resumed.resumed_seeds == (1, 2)
-        assert_only_v8(resumed_path)
+        assert_only_current(resumed_path)
         assert reports_from_journal(resumed_path) == reports_from_journal(path)
 
     def test_a_run_v8_cannot_hold_fails_before_any_seed_runs(
@@ -202,11 +205,12 @@ class TestMixedVersions:
         twin = as_keyed(records)
         cut = self.after_second_run_end(records)
         mixed = tmp_path / "mixed.jsonl"
-        # Runs 1 and 2 as a v7 writer wrote them, run 3 as v8 writes it.
+        # Runs 1 and 2 as a v7 writer wrote them, run 3 as the current
+        # writer writes it.
         self.write(
             mixed, twin[:self.after_second_run_end(twin)] + records[cut:]
         )
-        assert {r["v"] for r in read_journal(mixed)} == {7, 8}
+        assert {r["v"] for r in read_journal(mixed)} == {7, SCHEMA_VERSION}
         assert verify_journal(mixed)[0] == VERIFY_OK
         assert reports_from_journal(mixed) == result.reports
         resumed = self.campaign(resume_from=str(mixed))

@@ -62,7 +62,7 @@ def current_bindings():
 
 @pytest.fixture(scope="module")
 def profiled():
-    """One small profiled search: its events, report and recorder."""
+    """One small profiled search: its events and report."""
     recorder = FlightRecorder()
     recorder.profiler = SpanProfiler().install()
     try:
@@ -71,12 +71,12 @@ def profiled():
         ).run()
     finally:
         recorder.profiler.uninstall()
-    return recorder.profiler.events(), report, recorder
+    return recorder.profiler.events(), report
 
 
 class TestRecording:
     def test_paths_nest_under_the_active_span(self, profiled):
-        events, _, _ = profiled
+        events, _ = profiled
         paths = {path for path, _, _ in events}
         assert "annealing/testbed/model" in paths
         assert "annealing/testbed/model/features" in paths
@@ -89,7 +89,7 @@ class TestRecording:
                 assert SEP.join(layers[:-1]) in paths
 
     def test_counts_match_the_call_structure(self, profiled):
-        events, report, _ = profiled
+        events, report = profiled
         totals = span_totals(events)
         assert totals["annealing"]["count"] == 1
         testbed = sum(
@@ -104,24 +104,16 @@ class TestRecording:
     def test_a_suspended_extraction_holds_no_open_span(self, profiled):
         """Each resumption of the MFS generator is its own span, so
         the probes it yields are measured outside it."""
-        events, report, _ = profiled
+        events, report = profiled
         paths = {path for path, _, _ in events}
         assert report.anomalies and "annealing/mfs" in paths
         assert not any(path.startswith("annealing/mfs/testbed")
                        for path in paths)
 
-    def test_spans_leave_the_metrics_alone(self, profiled):
-        _, _, recorder = profiled
-        snapshot = recorder.metrics.snapshot()
-        assert not any(
-            name.startswith("span.")
-            for family in snapshot.values() for name in family
-        )
-
 
 class TestSelfTimes:
     def test_self_times_telescope_to_the_root_wall_clock(self, profiled):
-        events, _, _ = profiled
+        events, _ = profiled
         wall = measured_wall_seconds(events)
         accounted = sum(self_times(events).values())
         # Exact telescoping: every parent's self time is its total
@@ -130,7 +122,7 @@ class TestSelfTimes:
         assert wall == span_totals(events)["annealing"]["total"]
 
     def test_parent_self_excludes_children(self, profiled):
-        events, _, _ = profiled
+        events, _ = profiled
         totals = span_totals(events)
         selves = self_times(events)
         testbed = "annealing/testbed"

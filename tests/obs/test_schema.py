@@ -70,17 +70,17 @@ class TestValidateRecord:
 
 
 class TestSchemaVersions:
-    def test_current_version_is_eight(self):
-        assert SCHEMA_VERSION == 8
-        assert SUPPORTED_VERSIONS == (1, 2, 3, 4, 5, 6, 7, 8)
+    def test_current_version_is_nine(self):
+        assert SCHEMA_VERSION == 9
+        assert SUPPORTED_VERSIONS == (1, 2, 3, 4, 5, 6, 7, 8, 9)
 
     def test_older_journals_still_validate(self):
-        for version in (1, 2, 3, 4, 5, 6, 7):
+        for version in (1, 2, 3, 4, 5, 6, 7, 8):
             assert validate_record(skip_record(v=version)) == []
 
     def test_future_version_rejected(self):
-        errors = validate_record(skip_record(v=9))
-        assert any("unsupported schema version 9" in e for e in errors)
+        errors = validate_record(skip_record(v=10))
+        assert any("unsupported schema version 10" in e for e in errors)
 
 
 class TestPopulationRecords:
@@ -276,6 +276,35 @@ class TestPositionalRecords:
         assert validate_record(skip) == [
             "skip: field 'workload' is dict, expected an array of 16"
         ]
+
+
+def run_end_record(version, **overrides):
+    record = {
+        "v": version, "t": "run_end", "elapsed_seconds": 60.0,
+        "experiments": 3, "skipped": 0, "anomalies": 1,
+        "counter_ranking": [],
+    }
+    record.update(overrides)
+    return record
+
+
+class TestEventRecords:
+    """Schema v9: v8's shape, with no ``metrics`` dump."""
+
+    def test_v9_totals_carry_no_metrics(self):
+        assert validate_record(run_end_record(9)) == []
+        snapshot = {
+            "v": 9, "t": "snapshot", "time_seconds": 60.0,
+            "experiments": 3, "anomalies": 1, "skipped": 0,
+        }
+        assert validate_record(snapshot) == []
+        assert validate_record(v8_experiment(v=9)) == []
+
+    def test_v8_totals_still_need_their_dump(self):
+        assert validate_record(run_end_record(8)) == [
+            "run_end: missing field 'metrics'"
+        ]
+        assert validate_record(run_end_record(8, metrics=None)) == []
 
 
 class TestValidateJournal:

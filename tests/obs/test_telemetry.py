@@ -23,7 +23,6 @@ from repro.core import Collie
 from repro.obs import (
     CampaignAggregator,
     FlightRecorder,
-    MetricsRegistry,
     RunJournal,
     TelemetryServer,
     journal_summary,
@@ -97,18 +96,6 @@ class TestHeartbeats:
         recorder.heartbeat(0, 1, 2)
         recorder.close()
         assert read_journal(path) == []
-
-    def test_wall_time_never_enters_the_metrics_registry(
-        self, campaign_journals
-    ):
-        """Heartbeat wall time is an envelope field: no registry series
-        (dumped into run_end/snapshot records) may derive from it."""
-        _, telem = campaign_journals
-        for record in read_journal(telem):
-            metrics = record.get("metrics") or {}
-            for group in metrics.values():
-                if isinstance(group, dict):
-                    assert not any("heartbeat" in k for k in group)
 
 
 class TestAggregator:
@@ -299,26 +286,6 @@ class TestAggregatorFlatMemory:
 
 
 class TestPrometheusRendering:
-    def test_registry_series_shapes(self):
-        registry = MetricsRegistry()
-        registry.counter("search.runs")
-        registry.gauge("executor.workers", 2)
-        for value in (1.0, 2.0, 3.0):
-            registry.observe("search.latency_p99_us", value)
-        text = render_prometheus(registry.snapshot())
-        assert "# TYPE repro_search_runs_total counter" in text
-        assert "repro_search_runs_total 1" in text
-        assert "repro_executor_workers 2" in text
-        assert 'repro_search_latency_p99_us{quantile="0.5"} 1.75' in text
-        assert "repro_search_latency_p99_us_count 3" in text
-        assert "repro_search_latency_p99_us_sum 6" in text
-
-    def test_labeled_series_survive_round_trip(self):
-        registry = MetricsRegistry()
-        registry.counter("search.experiments", kind="mfs")
-        text = render_prometheus(registry.snapshot())
-        assert 'repro_search_experiments_total{kind="mfs"} 1' in text
-
     def test_campaign_rollups_and_worker_liveness(self, campaign_journals):
         _, telem = campaign_journals
         agg = CampaignAggregator([telem])
@@ -339,18 +306,22 @@ class TestPrometheusRendering:
 class TestTelemetryServer:
     def test_scrape_metrics_and_status_over_http(self, campaign_journals):
         _, telem = campaign_journals
-        registry = MetricsRegistry()
-        registry.counter("search.runs")
-        server = TelemetryServer(
-            metrics=registry, aggregator=CampaignAggregator([telem])
-        ).start()
+        aggregator = CampaignAggregator([telem])
+        server = TelemetryServer(aggregator=aggregator).start()
         try:
             with urllib.request.urlopen(server.url("/metrics")) as resp:
                 assert resp.status == 200
                 assert "text/plain" in resp.headers["Content-Type"]
                 body = resp.read().decode()
-            assert "repro_search_runs_total 1" in body
-            assert "repro_campaign_experiments_total" in body
+            # /metrics is the aggregator's folds of the journal, only.
+            experiments = aggregator.snapshot()["totals"]["experiments"]
+            assert f"repro_campaign_experiments_total {experiments}" in body
+            assert all(
+                line.startswith(("# TYPE repro_campaign_",
+                                 "# TYPE repro_worker_",
+                                 "repro_campaign_", "repro_worker_"))
+                for line in body.splitlines()
+            )
             with urllib.request.urlopen(server.url("/status")) as resp:
                 status = json.load(resp)
             assert status["totals"]["runs"] == len(SEEDS)
@@ -359,7 +330,7 @@ class TestTelemetryServer:
             server.close()
 
     def test_unknown_path_is_404(self):
-        server = TelemetryServer(metrics=MetricsRegistry()).start()
+        server = TelemetryServer().start()
         try:
             with pytest.raises(urllib.error.HTTPError) as excinfo:
                 urllib.request.urlopen(server.url("/nope"))

@@ -395,6 +395,9 @@ class TestSearch:
              "act on a --seeds campaign only"),
             (["--chains", "2", "--retries", "1", "--journal", "run.jsonl"],
              "act on a --seeds campaign only"),
+            (["--export-metrics", "0"],
+             "--export-metrics serves the folds of the run's journal: "
+             "add --journal"),
         ],
     )
     def test_flags_the_search_path_would_drop_are_rejected(
@@ -558,13 +561,10 @@ class TestCampaign:
                      "--journal", str(journal)])
         assert code == 0
         capsys.readouterr()
-        run_ends = [json.loads(line)
-                    for line in journal.read_text().splitlines()
-                    if '"t":"run_end"' in line]
-        metrics = run_ends[-1]["metrics"]
-        assert metrics["counters"]["executor.tasks"] == 3.0
-        assert metrics["histograms"]["executor.wall_seconds"]["count"] == 1
-        assert metrics["histograms"]["executor.busy_seconds"]["count"] == 1
+        fanouts = [json.loads(line)
+                   for line in journal.read_text().splitlines()
+                   if '"t":"fanout"' in line]
+        assert [record["tasks"] for record in fanouts] == [3]
 
     def test_unknown_approach_rejected(self, capsys):
         code = main(["campaign", "gradient-descent"])

@@ -368,7 +368,7 @@ def _render(paths, mode, csv: Path, capsys) -> tuple:
 
 class TestSameOutput:
     def test_the_set_covers_every_fixture_and_corpus_cell(self):
-        assert len(FIXTURES) == 7
+        assert len(FIXTURES) == 8
         assert len(CORPUS) == 24
 
     @pytest.mark.parametrize("mode", MODES)
