@@ -113,7 +113,7 @@ class SensitivityAnalyzer:
             )
         points = []
         for value in self.space.ordered_choices(dimension):
-            probe = self.space.with_value(workload, dimension, value)
+            probe = self.space.with_values(workload, {dimension: value})
             if getattr(probe, dimension) != value:
                 continue  # coercion clamped the value away
             sample = self._measure(probe)

@@ -103,7 +103,7 @@ def cell_victim(records) -> tuple:
     for record in records:
         if record.get("t") == "isolation":
             return (
-                record_workload(record, "victim"),
+                record_workload(record),
                 float(record["victim_share"]),
             )
     return None, 0.5

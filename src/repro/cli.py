@@ -643,10 +643,8 @@ def _report_one(
 ) -> int:
     """Render one journal (appends to ``payloads`` under ``--json``).
 
-    One streamed pass: each record is schema-checked as it arrives and,
-    while none has failed, folded; nothing is printed until the pass
-    ends, and schema errors anywhere outrank a record the folds cannot
-    read.
+    One checked pass (:func:`~repro.obs.journal.scan_checked`), as
+    ``journal verify``; nothing is printed until it ends.
     """
     from repro.analysis.figures import counter_trace
     from repro.obs.folds import (
@@ -655,35 +653,21 @@ def _report_one(
         RecordCounts,
         RecordParse,
         RunReports,
-        dispatcher,
     )
-    from repro.obs.journal import scan_journal
-    from repro.obs.schema import validate_record
+    from repro.obs.journal import scan_checked
 
     emit_json = getattr(args, "json", False)
+    parse = RecordParse()
     if emit_json:
-        parse = RecordParse()  # one workload parse per record, not two
         reports = RunReports(parse=parse)
         metrics = JournalMetrics(parse)
         folds = (*metrics.folds, reports)
     else:
-        reports = RunReports(latency=True, counter=args.counter)
-        counts, isolation = RecordCounts(), Isolation()
+        reports = RunReports(latency=True, counter=args.counter, parse=parse)
+        counts, isolation = RecordCounts(), Isolation(parse)
         folds = (counts, isolation, reports)
-    fold = dispatcher(*folds)
-    errors: list[str] = []
-    malformed: list[ValueError] = []
-    records = 0
-
-    def step(record: dict) -> None:
-        nonlocal records
-        records += 1
-        errors.extend(validate_record(record, line=records))
-        if not errors and not malformed:
-            fold(record)
-
     try:
-        _, tail_error = scan_journal(path, step, malformed.append)
+        records, tail_error, errors = scan_checked(path, *folds, parse=parse)
     except OSError as error:
         logger.error(f"cannot read journal {path}: {error}")
         return 2
@@ -706,9 +690,6 @@ def _report_one(
             f"journal {path} failed schema validation "
             f"({len(errors)} error(s))"
         )
-        return 2
-    if malformed:
-        logger.error(f"{malformed[0]}")
         return 2
     runs = reports.runs()
     if emit_json:
@@ -787,10 +768,7 @@ def _report_one(
 
 def _report_isolation(isolation) -> None:
     """Log the co-run context of an isolation journal (no-op for solo)."""
-    from repro.obs.folds import record_workload
-
-    for record in isolation.preambles:
-        victim = record_workload(record, "victim")
+    for victim, record in isolation.preambles:
         logger.info(
             f"isolation run: victim {victim.summary()} — "
             f"share {record['victim_share']:g}, alone "

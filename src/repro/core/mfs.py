@@ -356,7 +356,7 @@ class MFSExtractor:
             default_label = getattr(default, "value", default)
             if current == default_label:
                 continue
-            candidate = self.space.with_value(reduced, dimension, default)
+            candidate = self.space.with_values(reduced, {dimension: default})
             if _dimension_values(candidate)[dimension] != default_label:
                 continue  # coercion refused the simplification
             if (yield from self._check(candidate)):
@@ -367,10 +367,9 @@ class MFSExtractor:
         # the anomaly needs them).
         if len(set(reduced.msg_sizes_bytes)) > 1:
             for size in (max(reduced.msg_sizes_bytes), min(reduced.msg_sizes_bytes)):
-                uniform = self.space.with_value(
-                    reduced, "msg_pattern",
-                    (size,) * len(reduced.msg_sizes_bytes),
-                )
+                uniform = self.space.with_values(reduced, {
+                    "msg_pattern": (size,) * len(reduced.msg_sizes_bytes),
+                })
                 if (yield from self._check(uniform)):
                     reduced = uniform
                     break
@@ -426,7 +425,7 @@ class MFSExtractor:
             label = getattr(value, "value", value)
             if label == original:
                 continue
-            probe = self.space.with_value(witness, dimension, value)
+            probe = self.space.with_values(witness, {dimension: value})
             if _dimension_values(probe)[dimension] != label:
                 # Coercion rolled the change back (e.g. READ on UD):
                 # this alternative is not expressible, skip it.
@@ -458,7 +457,9 @@ class MFSExtractor:
             probe_indices = self._probe_indices(len(ladder), origin_index)
 
         def test(index: int):
-            probe = self.space.with_value(witness, dimension, ladder[index])
+            probe = self.space.with_values(
+                witness, {dimension: ladder[index]}
+            )
             if _dimension_values(probe)[dimension] != ladder[index]:
                 return None  # coercion clamped the value (e.g. MR budget)
             return (yield from self._check(probe))
@@ -568,12 +569,10 @@ class MFSExtractor:
             return values[0] if rng.random() < 0.5 else values[-1]
 
         def sample_in_box() -> Optional[WorkloadDescriptor]:
-            probe = witness
-            for dim in ORDERED_DIMENSIONS:
-                values = allowed_values(dim)
-                probe = self.space.with_value(
-                    probe, dim, pick_adversarial(dim, values)
-                )
+            values = {
+                dim: pick_adversarial(dim, allowed_values(dim))
+                for dim in ORDERED_DIMENSIONS
+            }
             if "avg_msg" in conditions:
                 cond = conditions["avg_msg"]
                 sizes = [
@@ -582,10 +581,8 @@ class MFSExtractor:
                 ]
                 if sizes:
                     size = sizes[rng.integers(len(sizes))]
-                    probe = self.space.with_value(
-                        probe, "msg_pattern",
-                        (size,) * len(witness.msg_sizes_bytes),
-                    )
+                    values["msg_pattern"] = (size,) * len(witness.msg_sizes_bytes)
+            probe = self.space.with_values(witness, values)
             # Coercion may have clamped values back outside the box; a
             # non-matching sample proves nothing, so retry-by-skip.
             candidate = MinimalFeatureSet(
@@ -643,8 +640,8 @@ class MFSExtractor:
             )
             repaired = probe
             for dim in candidates:
-                reset = self.space.with_value(
-                    repaired, dim, witness_values[dim]
+                reset = self.space.with_values(
+                    repaired, {dim: witness_values[dim]}
                 )
                 if (yield from self._check(reset)):
                     return bound_out(dim, float(probe_values[dim]))
@@ -687,9 +684,9 @@ class MFSExtractor:
             return (yield from self._probe_uniform_sizes(witness)), False
         uniform_results = {}
         for size in (min(sizes), max(sizes)):
-            probe = self.space.with_value(
-                witness, "msg_pattern", (size,) * len(witness.msg_sizes_bytes)
-            )
+            probe = self.space.with_values(witness, {
+                "msg_pattern": (size,) * len(witness.msg_sizes_bytes),
+            })
             uniform_results[size] = yield from self._check(probe)
         if not any(uniform_results.values()):
             if witness.mixes_small_and_large:
@@ -715,7 +712,7 @@ class MFSExtractor:
 
         def test(index: int):
             pattern = (ladder[index],) * len(witness.msg_sizes_bytes)
-            probe = self.space.with_value(witness, "msg_pattern", pattern)
+            probe = self.space.with_values(witness, {"msg_pattern": pattern})
             if probe.msg_sizes_bytes[0] != ladder[index]:
                 return None  # UD clipped the size to the MTU
             return (yield from self._check(probe))

@@ -339,15 +339,16 @@ class SearchSpace:
             if options:
                 raw[dimension] = options[rng.integers(len(options))]
 
-    def with_value(
-        self, workload: WorkloadDescriptor, dimension: str, value
+    def with_values(
+        self, workload: WorkloadDescriptor, values: dict
     ) -> WorkloadDescriptor:
-        """Replace one dimension (used by MFS probing), then coerce."""
+        """Replace dimensions (used by MFS probing), then coerce once."""
         raw = self._to_raw(workload)
-        if dimension == PATTERN_DIMENSION:
-            raw["msg_sizes_bytes"] = tuple(value)
-        else:
-            raw[dimension] = value
+        for dimension, value in values.items():
+            if dimension == PATTERN_DIMENSION:
+                raw["msg_sizes_bytes"] = tuple(value)
+            else:
+                raw[dimension] = value
         return self.coerce(raw)
 
     # -- legality -----------------------------------------------------------

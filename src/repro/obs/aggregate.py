@@ -45,6 +45,7 @@ from repro.obs.folds import (
     dispatcher,
     malformed_record,
 )
+from repro.obs.journal import open_journal_text
 from repro.obs.metrics import HistogramSummary
 from repro.obs.stream import JournalFollower
 
@@ -117,7 +118,7 @@ def _line_of(path: str, number: int) -> int:
     """The 1-based line of a journal's ``number``-th record (blank lines
     count as lines, not records).  Re-reads the file: error path only."""
     line = 0
-    with open(path, "rb") as handle:
+    with open_journal_text(path) as handle:
         for line, raw in enumerate(handle, 1):
             number -= bool(raw.strip())
             if not number:

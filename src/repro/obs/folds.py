@@ -82,38 +82,47 @@ def malformed_record(where: str, record, error: Exception) -> ValueError:
 
 # -- field accessors: the one place a record's version picks its shape -------
 
-def record_workload(
-    record: dict, field: str = "workload"
-) -> WorkloadDescriptor:
-    """The workload in ``record[field]``: ``workload`` of an experiment
-    or skip, ``victim`` of an isolation preamble."""
+def record_workload(record: dict) -> WorkloadDescriptor:
+    """The workload a record carries: an experiment's or skip's
+    ``workload``, an isolation preamble's ``victim``."""
+    values = record["victim" if record.get("t") == "isolation" else "workload"]
     if positional(record):
-        return workload_from_list(record[field])
-    return workload_from_dict(record[field])
+        return workload_from_list(values)
+    return workload_from_dict(values)
 
 
 class RecordParse:
-    """The parsed workload and MFS of the record being stepped: folds
-    of one pass that share a ``RecordParse`` parse each record once."""
+    """The parsed workload or MFS of the record being stepped: folds of
+    one pass that share a ``RecordParse`` parse each record once (the
+    only values a schema-valid record can still fail on)."""
 
     def __init__(self) -> None:
-        self._workload: tuple = (None, None)  #: (record, workload)
-        self._mfs: tuple = (None, None)  #: (record, mfs)
+        self._parsed: tuple = (None, None)  #: (record, workload or mfs)
+
+    def step(self, record: dict) -> None:
+        """Parse the workload or MFS ``record`` carries, if any."""
+        kind = record.get("t")
+        if kind == "anomaly":
+            self.mfs(record)
+        elif kind in ("experiment", "isolation") or (
+            kind == "skip" and "workload" in record
+        ):
+            self.workload(record)
 
     def workload(self, record: dict) -> WorkloadDescriptor:
-        """:func:`record_workload` of an experiment or skip."""
-        last, workload = self._workload
+        """:func:`record_workload`."""
+        last, workload = self._parsed
         if last is not record:
             workload = record_workload(record)
-            self._workload = (record, workload)
+            self._parsed = (record, workload)
         return workload
 
     def mfs(self, record: dict) -> MinimalFeatureSet:
         """An ``anomaly`` record's MFS."""
-        last, mfs = self._mfs
+        last, mfs = self._parsed
         if last is not record:
             mfs = mfs_from_dict(record["mfs"])
-            self._mfs = (record, mfs)
+            self._parsed = (record, mfs)
         return mfs
 
 
@@ -185,26 +194,6 @@ def latency_summary(values: Sequence) -> dict:
         "components": dict(components),
         "tags": list(tags),
     }
-
-
-def parse_record(record: dict) -> None:
-    """Parse everything a reader parses of ``record`` — its workload,
-    counters, latency summary or MFS — raising what that reader would
-    (one of :data:`MALFORMED_RECORD_ERRORS`)."""
-    kind = record.get("t")
-    if kind == "experiment":
-        record_workload(record)
-        record_counters(record)
-    elif kind == "skip" and "workload" in record:
-        record_workload(record)
-    elif kind == "isolation":
-        record_workload(record, "victim")
-    elif kind == "anomaly":
-        mfs_from_dict(record["mfs"])
-    if kind in ("experiment", "latency"):
-        latency = record_latency(record)
-        if latency is not None:
-            latency_summary(latency)
 
 
 def dispatcher(*folds: Fold) -> Callable[[dict], None]:
@@ -883,19 +872,22 @@ class Latency(Fold):
 
 class Isolation(Fold):
     """Isolation preambles and the worst (minimum, finite) victim
-    interference over the co-run experiments."""
+    interference over the co-run experiments (``parse``: shared with
+    the pass's other folds)."""
 
     kinds = frozenset({"isolation", "experiment"})
 
-    def __init__(self) -> None:
-        self.preambles: list[dict] = []  #: the ``isolation`` records.
+    def __init__(self, parse: Optional[RecordParse] = None) -> None:
+        self.parse = parse if parse is not None else RecordParse()
+        #: ``(victim, record)`` of each ``isolation`` record.
+        self.preambles: list[tuple[WorkloadDescriptor, dict]] = []
         self.experiments = 0
         #: ``(interference, time_seconds)`` of the worst co-run experiment.
         self.worst: Optional[tuple] = None
 
     def step(self, record: dict) -> None:
         if record.get("t") == "isolation":
-            self.preambles.append(record)
+            self.preambles.append((self.parse.workload(record), record))
             return
         value = record.get("interference")
         if value is None or not math.isfinite(float(value)):
@@ -1013,7 +1005,7 @@ class JournalMetrics:
     def __init__(self, parse: Optional[RecordParse] = None) -> None:
         self.folds = (
             RecordCounts(), FirstAnomaly(), Coverage(parse), Elapsed(),
-            Annealing(), Spans(), MFSShapes(), Latency(), Isolation(),
+            Annealing(), Spans(), MFSShapes(), Latency(), Isolation(parse),
         )
         (self.counts, self.ttfa, self.coverage, self.elapsed, self.annealing,
          self.spans, self.shapes, self.latency, self.isolation) = self.folds

@@ -29,11 +29,13 @@ from repro.core.annealing import TraceEvent
 from repro.core.collie import SearchReport
 from repro.obs.folds import (
     MALFORMED_RECORD_ERRORS,
+    Fold,
     PerRun,
     RecordCounts,
+    RecordParse,
     RunReports,
+    dispatcher,
     malformed_record,
-    parse_record,
     run_folds,
 )
 from repro.obs.schema import (
@@ -41,6 +43,7 @@ from repro.obs.schema import (
     LATENCY_COMPONENTS,
     LATENCY_KEYS,
     SCHEMA_VERSION,
+    validate_record,
 )
 
 
@@ -97,7 +100,7 @@ class RunJournal:
 
 
 #: Leading bytes of every gzip member (RFC 1952).
-_GZIP_MAGIC = b"\x1f\x8b"
+GZIP_MAGIC = b"\x1f\x8b"
 
 
 def open_journal_text(path: Union[str, os.PathLike]) -> IO[str]:
@@ -110,8 +113,8 @@ def open_journal_text(path: Union[str, os.PathLike]) -> IO[str]:
     """
     path = os.fspath(path)
     with open(path, "rb") as probe:
-        magic = probe.read(len(_GZIP_MAGIC))
-    if magic == _GZIP_MAGIC:
+        magic = probe.read(len(GZIP_MAGIC))
+    if magic == GZIP_MAGIC:
         return gzip.open(path, "rt", encoding="utf-8")
     return open(path, encoding="utf-8")
 
@@ -185,6 +188,39 @@ def scan_journal(
     if pending_error is not None:
         return count, pending_error + " (truncated tail dropped)"
     return count, None
+
+
+def scan_checked(
+    path: Union[str, os.PathLike], *folds: Fold,
+    parse: Optional[RecordParse] = None,
+) -> tuple[int, Optional[str], list[str]]:
+    """:func:`scan_journal` behind the schema: the one pass of ``repro
+    report`` and ``journal verify``, ``(records, tail_error, errors)``.
+
+    Every record is schema-checked.  While none has failed, ``parse``
+    (the :class:`~repro.obs.folds.RecordParse` the folds share) parses
+    its workload, victim or MFS, and then ``folds`` step it.  Schema
+    errors anywhere outrank the first record that will not parse;
+    without any, that record raises ``ValueError``, as corruption does.
+    """
+    parse = parse if parse is not None else RecordParse()
+    fold = dispatcher(*folds)
+    errors: list[str] = []
+    malformed: list[ValueError] = []
+    records = 0
+
+    def step(record) -> None:
+        nonlocal records
+        records += 1
+        errors.extend(validate_record(record, line=records))
+        if not errors and not malformed:
+            parse.step(record)
+            fold(record)
+
+    _, tail_error = scan_journal(path, step, malformed.append)
+    if malformed and not errors:
+        raise malformed[0]
+    return records, tail_error, errors
 
 
 # -- record constructors (the write side the recorder uses) ------------------
@@ -331,36 +367,19 @@ def verify_journal(path: Union[str, os.PathLike]) -> tuple[int, list[str]]:
     (truncated final line and/or a ``run_start`` with no ``run_end``);
     :data:`VERIFY_CORRUPT` — the file is unreadable, corrupt before
     its final line, fails schema validation, or holds a record the
-    readers cannot parse (:func:`~repro.obs.folds.parse_record`; schema
-    errors anywhere outrank it, as in ``repro report``).
+    readers cannot parse (:func:`scan_checked`, as ``repro report``).
     """
-    from repro.obs.schema import validate_record
-
     counts = RecordCounts()
-    errors: list[str] = []
-    malformed: list[ValueError] = []
-    line = 0
-
-    def check(record: dict) -> None:
-        nonlocal line
-        line += 1
-        errors.extend(validate_record(record, line=line))
-        if not errors and not malformed:
-            parse_record(record)
-            counts.step(record)
-
     messages: list[str] = []
     try:
-        count, tail_error = scan_journal(path, check, malformed.append)
+        records, tail_error, errors = scan_checked(path, counts)
     except OSError as error:
         return VERIFY_CORRUPT, [f"cannot read journal: {error}"]
     except ValueError as error:
         return VERIFY_CORRUPT, [str(error)]
     if errors:
         return VERIFY_CORRUPT, errors
-    if malformed:
-        return VERIFY_CORRUPT, [str(malformed[0])]
-    if not count:
+    if not records:
         messages.append("journal is empty")
         if tail_error is not None:
             messages.append(tail_error)

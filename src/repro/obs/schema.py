@@ -129,6 +129,17 @@ v9 journal reads exactly as the v8 journal of the same search does.
 Older journals remain valid (the validator accepts every version in
 ``SUPPORTED_VERSIONS``; optional fields are only type-checked when
 present).
+
+A field's spec may also say what its array or object holds: a
+:class:`Positional` array names and types each element, and an
+:class:`Elements` field types all of them.  With these the schema
+states every value the readers' folds rely on: ``experiment.tags`` and
+``transition.mutated`` hold strings, ``spans.events`` holds
+``[path, start, duration]`` triples, and a v1–v7 experiment's
+``counters`` map counter names to numbers.  What a schema-valid record
+can still fail on is what only a parse can check, once, through the
+:class:`~repro.obs.folds.RecordParse` its readers share: an
+experiment's or skip's workload, an isolation victim, an anomaly's MFS.
 """
 
 from __future__ import annotations
@@ -156,7 +167,16 @@ def positional(record: dict) -> bool:
     return record.get("v") in POSITIONAL_VERSIONS
 
 
-class Positional:
+class Spec:
+    """A field spec that checks what a value holds, beyond its type."""
+
+    def problems(self, value) -> list[str]:
+        """What is wrong with ``value``, each to follow the name of the
+        field that holds it (empty: nothing)."""
+        raise NotImplementedError
+
+
+class Positional(Spec):
     """A positional array field: element ``i`` is the value named
     ``names[i]``, of the types ``types[i]`` (a nested ``Positional`` for
     an array element).  With ``may_be_empty`` an empty array is valid
@@ -170,8 +190,6 @@ class Positional:
         self.lengths = (0, length) if may_be_empty else (length,)
 
     def problems(self, value) -> list[str]:
-        """What is wrong with ``value``, each to follow the name of the
-        field that holds it (empty: nothing)."""
         if not isinstance(value, list):
             return [
                 f" is {type(value).__name__}, expected an array of "
@@ -186,6 +204,30 @@ class Positional:
             for problem in _problems(element, accepted)
         ]
 
+
+class Elements(Spec):
+    """A ``list`` or ``dict`` field each of whose elements (a ``dict``'s
+    values) has the types ``accepted`` (a nested ``Positional`` for an
+    array element)."""
+
+    def __init__(self, container: type, accepted) -> None:
+        self.container = container
+        self.accepted = accepted
+
+    def problems(self, value) -> list[str]:
+        problems = _problems(value, self.container)
+        if problems or not value:
+            return problems
+        items = value.items() if isinstance(value, dict) else enumerate(value)
+        return [
+            f" element {key!r}{problem}"
+            for key, element in items
+            for problem in _problems(element, self.accepted)
+        ]
+
+
+#: A string array (the fields whose elements key a fold's tallies).
+STRING_ARRAY = Elements(list, str)
 
 #: A workload field's types (its order is :data:`WORKLOAD_FIELDS`).
 _WORKLOAD_TYPES = {
@@ -248,10 +290,10 @@ RECORD_FIELDS: dict = {
         "counter": str,
         "counter_value": NUMBER,
         "symptom": str,
-        "tags": list,
+        "tags": STRING_ARRAY,
         "kind": str,
         "workload": dict,
-        "counters": dict,
+        "counters": Elements(dict, NUMBER),
         "new_anomaly_index": MAYBE_INT,
     },
     "anomaly": {
@@ -314,7 +356,9 @@ RECORD_FIELDS: dict = {
         "dimensions": dict,
     },
     "spans": {
-        "events": list,
+        "events": Elements(list, Positional(
+            {"path": str, "start": NUMBER, "duration": NUMBER}
+        )),
     },
     "latency": {
         "time_seconds": NUMBER,
@@ -344,7 +388,7 @@ RECORD_FIELDS: dict = {
 #: Record type → {field: accepted types} for fields that MAY appear.
 #: Absent is fine (older writers); present-but-mistyped is an error.
 OPTIONAL_RECORD_FIELDS: dict = {
-    "transition": {"mutated": list},
+    "transition": {"mutated": STRING_ARRAY},
     "skip": {"workload": dict},
     "experiment": {"interference": NUMBER},
 }
@@ -389,7 +433,8 @@ def validate_record(record, line: Optional[int] = None) -> list[str]:
         return [f"{where}record is not an object"]
     errors = []
     version = record.get("v")
-    if version not in SUPPORTED_VERSIONS:
+    # Not ``True`` or ``9.0``, which compare equal to a version.
+    if type(version) is not int or version not in SUPPORTED_VERSIONS:
         errors.append(
             f"{where}unsupported schema version {version!r} "
             f"(expected one of {SUPPORTED_VERSIONS})"
@@ -445,7 +490,7 @@ def _field_errors(record, kind, name, accepted, where) -> list[str]:
 
 
 def _problems(value, accepted) -> list[str]:
-    if isinstance(accepted, Positional):
+    if isinstance(accepted, Spec):
         return accepted.problems(value)
     # bool is an int subclass; don't let True satisfy an int field.
     if isinstance(value, bool) and bool not in (

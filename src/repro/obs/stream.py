@@ -20,16 +20,22 @@ follower therefore:
   JSON — a *completed* bad line is mid-file corruption, not a torn
   tail (the same distinction ``read_journal_prefix`` draws).
 
-Followers read plain journals only: gzip journals are finished
-artifacts (the canary corpus), never appended to.
+A gzip journal (a canary corpus cell) is a finished artifact, never
+appended to: the first poll that finds the file sniffs its magic bytes,
+as :func:`~repro.obs.journal.open_journal_text` does, and reads a gzip
+journal whole.
 """
 
 from __future__ import annotations
 
+import gzip
 import json
 import os
 import time
+import zlib
 from typing import Callable, Iterator, Optional, Union
+
+from repro.obs.journal import GZIP_MAGIC
 
 
 class JournalFollower:
@@ -49,17 +55,29 @@ class JournalFollower:
         self.offset = offset
         #: Records yielded so far (across every poll).
         self.records_seen = 0
+        #: Whether the file is gzip (None: no poll has found it yet).
+        self.gzip: Optional[bool] = None
 
     def poll(self) -> list[dict]:
         """Every record completed since the last poll (maybe empty).
 
         Reads from :attr:`offset`, parses the newline-terminated lines,
         and leaves any unterminated tail unconsumed for the next poll.
+        A gzip journal's offset counts decompressed bytes, and only its
+        first poll reads anything.
         """
+        if self.gzip:
+            return []
         try:
             with open(self.path, "rb") as handle:
-                handle.seek(self.offset)
-                chunk = handle.read()
+                if self.gzip is None:
+                    self.gzip = handle.read(len(GZIP_MAGIC)) == GZIP_MAGIC
+                    handle.seek(0)
+                if self.gzip:
+                    chunk = _decompressed(self.path, handle)[self.offset:]
+                else:
+                    handle.seek(self.offset)
+                    chunk = handle.read()
         except FileNotFoundError:
             return []
         if not chunk:
@@ -86,6 +104,14 @@ class JournalFollower:
         self.offset = consumed
         self.records_seen += len(records)
         return records
+
+
+def _decompressed(path: str, handle) -> bytes:
+    """A gzip journal's bytes (a damaged file raises ``ValueError``)."""
+    try:
+        return gzip.decompress(handle.read())
+    except (OSError, EOFError, zlib.error) as error:
+        raise ValueError(f"{path}: corrupt gzip journal: {error}") from error
 
 
 def follow_journal(

@@ -198,21 +198,19 @@ class TestMutation:
 class TestWithValue:
     def test_sets_ordered_dimension(self, space, rng):
         workload = space.random(rng)
-        probe = space.with_value(workload, "num_qps", 4096)
+        probe = space.with_values(workload, {"num_qps": 4096})
         assert probe.num_qps == 4096
 
     def test_sets_pattern(self, space, rng):
         workload = space.random(rng)
         pattern = (2048,) * space.pattern_length
-        probe = space.with_value(workload, "msg_pattern", pattern)
+        probe = space.with_values(workload, {"msg_pattern": pattern})
         if probe.qp_type is not QPType.UD or probe.mtu >= 2048:
             assert probe.msg_sizes_bytes == pattern
 
     def test_coercion_can_roll_back_invalid_values(self, space, rng):
-        base = space.with_value(
-            space.random(rng), "qp_type", QPType.UD
-        )
-        probe = space.with_value(base, "opcode", Opcode.READ)
+        base = space.with_values(space.random(rng), {"qp_type": QPType.UD})
+        probe = space.with_values(base, {"opcode": Opcode.READ})
         assert probe.opcode is Opcode.SEND  # UD cannot READ
 
 

@@ -82,6 +82,14 @@ class TestSchemaVersions:
         errors = validate_record(skip_record(v=10))
         assert any("unsupported schema version 10" in e for e in errors)
 
+    def test_a_version_is_an_int(self):
+        # ``True == 1`` and ``9.0 == 9``, but neither is a version.
+        for version in (True, 9.0):
+            assert validate_record(skip_record(v=version)) == [
+                f"unsupported schema version {version!r} "
+                f"(expected one of {SUPPORTED_VERSIONS})"
+            ]
+
 
 class TestPopulationRecords:
     def test_chain_stamp_validates_on_any_record(self):
@@ -275,6 +283,51 @@ class TestPositionalRecords:
         skip = skip_record(v=8, workload={})
         assert validate_record(skip) == [
             "skip: field 'workload' is dict, expected an array of 16"
+        ]
+
+
+class TestElementTypes:
+    """The elements the readers' folds key a tally by or unpack."""
+
+    def test_tags_and_mutated_dimensions_are_strings(self):
+        assert validate_record(v8_experiment(v=9, tags=["A1"])) == []
+        assert validate_record(v8_experiment(v=9, tags=["A1", {}])) == [
+            "experiment: field 'tags' element 1 is dict, expected str",
+        ]
+        transition = {
+            "v": 9, "t": "transition", "time_seconds": 0.0,
+            "action": "accept", "temperature": 1.0, "delta": 0.0,
+            "mutated": ["mtu", ["num_qps"]],
+        }
+        assert validate_record(transition) == [
+            "transition: field 'mutated' element 1 is list, expected str",
+        ]
+
+    def test_span_events_are_triples(self):
+        spans = {"v": 9, "t": "spans", "events": [["cli", 0.0, 1.5], [1]]}
+        assert validate_record(spans) == [
+            "spans: field 'events' element 1 has 1 elements, expected 3",
+        ]
+        spans["events"][1] = [None, 0.0, 1]
+        assert validate_record(spans) == [
+            "spans: field 'events' element 1 element 'path' is NoneType, "
+            "expected str",
+        ]
+
+    def test_v7_counter_readings_are_numbers(self):
+        experiment = v8_experiment(
+            v=7, workload=workload_to_dict(WorkloadDescriptor()),
+            counters={"tx_bytes_per_sec": 1.0, "qpc_cache_miss": "fast"},
+        )
+        del experiment["latency"]
+        assert validate_record(experiment) == [
+            "experiment: field 'counters' element 'qpc_cache_miss' is str, "
+            "expected int or float",
+        ]
+
+    def test_the_container_message_is_unchanged(self):
+        assert validate_record(v8_experiment(tags={})) == [
+            "experiment: field 'tags' is dict, expected list",
         ]
 
 

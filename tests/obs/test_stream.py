@@ -1,5 +1,6 @@
 """Tail-following a live journal: no record lost, duplicated or torn."""
 
+import gzip
 import json
 import threading
 
@@ -52,6 +53,26 @@ class TestTornTail:
         follower = JournalFollower(path)
         with pytest.raises(ValueError, match="corrupt journal line at byte"):
             follower.poll()
+
+
+class TestGzipJournal:
+    def test_read_whole_at_the_first_poll(self, tmp_path):
+        plain = tmp_path / "run.jsonl"
+        with open(plain, "wb") as handle:
+            for n in range(3):
+                write_line(handle, {"n": n})
+        zipped = tmp_path / "run.jsonl.gz"
+        zipped.write_bytes(gzip.compress(plain.read_bytes()))
+        follower = JournalFollower(zipped)
+        assert follower.poll() == JournalFollower(plain).poll()
+        assert follower.poll() == []
+        assert follower.records_seen == 3
+
+    def test_a_truncated_gzip_journal_is_corruption(self, tmp_path):
+        zipped = tmp_path / "run.jsonl.gz"
+        zipped.write_bytes(gzip.compress(b'{"n": 0}\n' * 50)[:-12])
+        with pytest.raises(ValueError, match="corrupt gzip journal"):
+            JournalFollower(zipped).poll()
 
 
 class TestResume:

@@ -1,5 +1,6 @@
 """The command-line interface."""
 
+import gzip
 import json
 import os
 import subprocess
@@ -184,8 +185,20 @@ _EXPERIMENT_V8 = {
     "workload": workload_to_list(WorkloadDescriptor()),
     "counters": [1.0] * len(ALL_COUNTERS),
 }
+_WORKLOAD_XX = ["XX", *workload_to_list(WorkloadDescriptor())[1:]]
+_RUN_END = {"t": "run_end", "elapsed_seconds": 20.0, "experiments": 1,
+            "skipped": 0, "anomalies": 0, "counter_ranking": []}
 
-#: Two-line journals whose lines are valid JSON but not valid records.
+
+def _v9_run(record: dict) -> str:
+    """A complete v9 run around ``record``."""
+    return "".join(
+        _record(**{**fields, "v": 9})
+        for fields in (_RUN_START, record, _RUN_END)
+    )
+
+
+#: Journals whose lines are valid JSON but not valid records.
 MALFORMED_JOURNALS = {
     "run_start-without-subsystem": (
         _record(**{k: v for k, v in _RUN_START.items() if k != "subsystem"})
@@ -210,7 +223,50 @@ MALFORMED_JOURNALS = {
     "v8-counters-one-short": _record(**_RUN_START, v=8) + _record(**{
         **_EXPERIMENT_V8, "counters": _EXPERIMENT_V8["counters"][:-1],
     }),
+    # Schema-valid: only the workload's enum value is unknown.
+    "skip-with-unknown-qp-type": _v9_run(
+        {"t": "skip", "time_seconds": 20.0, "workload": _WORKLOAD_XX}
+    ),
+    "isolation-victim-with-unknown-qp-type": _v9_run({
+        "t": "isolation", "victim": _WORKLOAD_XX, "victim_share": 0.5,
+        "alone_gbps": 100.0, "alone_p99_us": 2.0,
+    }),
+    # An element the folds would key a tally by, or unpack.
+    "experiment-tags-holding-an-object": _v9_run({
+        **_EXPERIMENT_V8, "symptom": "pause frame", "tags": [{"tag": "A1"}],
+    }),
+    "transition-mutated-holding-an-object": _v9_run({
+        "t": "transition", "time_seconds": 20.0, "action": "accept",
+        "temperature": 1.0, "delta": 0.0, "mutated": [{"dimension": "mtu"}],
+    }),
+    "spans-event-of-one-element": _v9_run({"t": "spans", "events": [[1]]}),
+    "v7-counter-value-not-a-number": "".join(_record(**fields) for fields in (
+        _RUN_START,
+        {**_EXPERIMENT, "counters": {"tx_bytes_per_sec": "fast"}},
+        {**_RUN_END, "metrics": None},
+    )),
 }
+
+_MALFORMED_ARGV = {
+    "diff": ["journal", "diff", "{path}", "{path}"],
+    "coverage": ["coverage", "{path}"],
+    "top": ["top", "--once", "{path}"],
+    "stats": ["stats", "{path}"],
+    "profile": ["profile", "{path}"],
+    "report": ["report", "{path}"],
+    "report-json": ["report", "--json", "{path}"],
+    "verify": ["journal", "verify", "{path}"],
+}
+
+
+def _run_on_malformed(journal: str, command: str, tmp_path, capsys):
+    """``(path, exit code, captured output)`` of ``command`` run on a
+    malformed journal."""
+    path = tmp_path / f"{journal}.jsonl"
+    path.write_text(MALFORMED_JOURNALS[journal])
+    argv = [arg.format(path=path) for arg in _MALFORMED_ARGV[command]]
+    code = main(argv)
+    return path, code, capsys.readouterr()
 
 
 class TestMalformedRecords:
@@ -263,6 +319,48 @@ class TestMalformedRecords:
         ("v8-counters-one-short", "report"): (2, None),
         ("v8-counters-one-short", "report-json"): (2, None),
         ("v8-counters-one-short", "verify"): (2, None),
+        ("skip-with-unknown-qp-type", "diff"): (2, 2),
+        ("skip-with-unknown-qp-type", "coverage"): (2, 2),
+        ("skip-with-unknown-qp-type", "top"): (2, 2),
+        ("skip-with-unknown-qp-type", "stats"): (0, None),
+        ("skip-with-unknown-qp-type", "report"): (2, 2),
+        ("skip-with-unknown-qp-type", "report-json"): (2, 2),
+        ("skip-with-unknown-qp-type", "verify"): (2, 2),
+        ("isolation-victim-with-unknown-qp-type", "diff"): (2, 2),
+        ("isolation-victim-with-unknown-qp-type", "coverage"): (2, 2),
+        ("isolation-victim-with-unknown-qp-type", "top"): (0, None),
+        ("isolation-victim-with-unknown-qp-type", "stats"): (0, None),
+        ("isolation-victim-with-unknown-qp-type", "report"): (2, 2),
+        ("isolation-victim-with-unknown-qp-type", "report-json"): (2, 2),
+        ("isolation-victim-with-unknown-qp-type", "verify"): (2, 2),
+        ("experiment-tags-holding-an-object", "diff"): (0, None),
+        ("experiment-tags-holding-an-object", "coverage"): (0, None),
+        ("experiment-tags-holding-an-object", "top"): (0, None),
+        ("experiment-tags-holding-an-object", "stats"): (0, None),
+        ("experiment-tags-holding-an-object", "report"): (2, None),
+        ("experiment-tags-holding-an-object", "report-json"): (2, None),
+        ("experiment-tags-holding-an-object", "verify"): (2, None),
+        ("transition-mutated-holding-an-object", "diff"): (2, 2),
+        ("transition-mutated-holding-an-object", "coverage"): (0, None),
+        ("transition-mutated-holding-an-object", "top"): (2, 2),
+        ("transition-mutated-holding-an-object", "stats"): (0, None),
+        ("transition-mutated-holding-an-object", "report"): (2, None),
+        ("transition-mutated-holding-an-object", "report-json"): (2, None),
+        ("transition-mutated-holding-an-object", "verify"): (2, None),
+        ("spans-event-of-one-element", "diff"): (2, 2),
+        ("spans-event-of-one-element", "coverage"): (0, None),
+        ("spans-event-of-one-element", "top"): (0, None),
+        ("spans-event-of-one-element", "stats"): (0, None),
+        ("spans-event-of-one-element", "report"): (2, None),
+        ("spans-event-of-one-element", "report-json"): (2, None),
+        ("spans-event-of-one-element", "verify"): (2, None),
+        ("v7-counter-value-not-a-number", "diff"): (0, None),
+        ("v7-counter-value-not-a-number", "coverage"): (0, None),
+        ("v7-counter-value-not-a-number", "top"): (0, None),
+        ("v7-counter-value-not-a-number", "stats"): (1, 2),
+        ("v7-counter-value-not-a-number", "report"): (2, None),
+        ("v7-counter-value-not-a-number", "report-json"): (2, None),
+        ("v7-counter-value-not-a-number", "verify"): (2, None),
     }
 
     @pytest.mark.parametrize(
@@ -274,20 +372,11 @@ class TestMalformedRecords:
     def test_one_message_not_a_traceback(
         self, journal, command, tmp_path, capsys
     ):
-        path = tmp_path / f"{journal}.jsonl"
-        path.write_text(MALFORMED_JOURNALS[journal])
-        argv = {
-            "diff": ["journal", "diff", str(path), str(path)],
-            "coverage": ["coverage", str(path)],
-            "top": ["top", "--once", str(path)],
-            "stats": ["stats", str(path)],
-            "report": ["report", str(path)],
-            "report-json": ["report", "--json", str(path)],
-            "verify": ["journal", "verify", str(path)],
-        }[command]
+        path, exit_code, captured = _run_on_malformed(
+            journal, command, tmp_path, capsys
+        )
         code, line = self.EXPECTED[journal, command]
-        assert main(argv) == code
-        captured = capsys.readouterr()
+        assert exit_code == code
         output = captured.out + captured.err
         assert "Traceback" not in output
         if line is not None:
@@ -299,6 +388,24 @@ class TestMalformedRecords:
             assert f"journal {path}: corrupt (exit 2)" in output
         if command.startswith("report") and code:
             assert captured.out == ""  # nothing rendered before the error
+
+    @pytest.mark.parametrize("journal", sorted(MALFORMED_JOURNALS))
+    def test_the_checked_readers_agree(self, journal, tmp_path, capsys):
+        """``report``, ``report --json`` and ``journal verify`` read a
+        journal through one checked pass: they exit alike, and a journal
+        ``journal verify`` passes holds no record another reader calls
+        malformed."""
+        codes = {
+            command: _run_on_malformed(journal, command, tmp_path, capsys)[1]
+            for command in ("report", "report-json", "verify")
+        }
+        if not codes["verify"]:
+            for command in ("diff", "coverage", "top", "stats", "profile"):
+                _, _, captured = _run_on_malformed(
+                    journal, command, tmp_path, capsys
+                )
+                assert "malformed" not in captured.out + captured.err, command
+        assert len(set(codes.values())) == 1, codes
 
     def test_schema_errors_outrank_a_record_the_folds_cannot_read(
         self, tmp_path, capsys
@@ -1168,6 +1275,22 @@ class TestTop:
         corrupt.write_text(lines[0] + "{not json\n" + "".join(lines[1:]))
         assert main(["top", "--once", str(journal), str(corrupt)]) == 2
         assert f"! {corrupt}: corrupt journal line" in capsys.readouterr().out
+
+    def test_top_once_reads_a_gzip_journal(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        fixture = Path(__file__).resolve().parent / "obs" / "fixtures"
+        records = (fixture / "v9.jsonl").read_bytes()
+        frames = []
+        for folder, data in (("plain", records),
+                             ("gzip", gzip.compress(records))):
+            (tmp_path / folder).mkdir()
+            (tmp_path / folder / "v9.jsonl").write_bytes(data)
+            monkeypatch.chdir(tmp_path / folder)  # one name in both frames
+            assert main(["top", "--once", "v9.jsonl"]) == 0
+            frames.append(capsys.readouterr().out)
+        assert "experiments" in frames[0]
+        assert frames[1] == frames[0]
 
     def test_top_once_with_baseline_shows_drift(self, journal, capsys):
         assert main(["top", str(journal), "--once",
