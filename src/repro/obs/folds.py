@@ -118,10 +118,25 @@ class RecordParse:
         return workload
 
     def mfs(self, record: dict) -> MinimalFeatureSet:
-        """An ``anomaly`` record's MFS."""
+        """An ``anomaly`` record's MFS: its interval bounds are numbers
+        or null and its memberships allow strings (``ValueError``
+        otherwise)."""
         last, mfs = self._parsed
         if last is not record:
             mfs = mfs_from_dict(record["mfs"])
+            for interval in mfs.intervals:
+                for bound in (interval.low, interval.high):
+                    if bound is not None and type(bound) not in (int, float):
+                        raise ValueError(
+                            f"interval {interval.dimension!r} has bound "
+                            f"{bound!r}, not a number or null"
+                        )
+            for membership in mfs.memberships:
+                if not all(type(value) is str for value in membership.allowed):
+                    raise ValueError(
+                        f"membership {membership.dimension!r} allows "
+                        f"{list(membership.allowed)!r}, not strings"
+                    )
             self._parsed = (record, mfs)
         return mfs
 

@@ -18,11 +18,13 @@ compare equal).
 
 from __future__ import annotations
 
+import contextlib
 import gzip
 import json
 import operator
 import os
-from typing import IO, Callable, Iterable, Optional, Union
+import zlib
+from typing import IO, Callable, Iterable, Iterator, Optional, Union
 
 from repro.analysis.serialize import mfs_to_dict, workload_to_list
 from repro.core.annealing import TraceEvent
@@ -103,6 +105,20 @@ class RunJournal:
 GZIP_MAGIC = b"\x1f\x8b"
 
 
+@contextlib.contextmanager
+def gzip_damage_as_value_error(
+    path: Union[str, os.PathLike],
+) -> Iterator[None]:
+    """Turn what reading a damaged gzip journal raises (a bad header, a
+    stream cut short, corrupt deflate data) into ``ValueError``."""
+    try:
+        yield
+    except (gzip.BadGzipFile, EOFError, zlib.error) as error:
+        raise ValueError(
+            f"{os.fspath(path)}: corrupt gzip journal: {error}"
+        ) from error
+
+
 def open_journal_text(path: Union[str, os.PathLike]) -> IO[str]:
     """Open a journal for reading, decompressing gzip transparently.
 
@@ -143,6 +159,7 @@ def scan_journal(
     path: Union[str, os.PathLike],
     step: Callable[[dict], None],
     malformed: Optional[Callable[[ValueError], None]] = None,
+    blank: Optional[Callable[[int], None]] = None,
 ) -> tuple[int, Optional[str]]:
     """Stream a journal's valid prefix into ``step``, record by record.
 
@@ -154,14 +171,18 @@ def scan_journal(
     corruption, and raises ``ValueError``; so does a record ``step``
     cannot read (one of :data:`~repro.obs.folds.MALFORMED_RECORD_ERRORS`),
     naming its file, line and type — or, when ``malformed`` is given,
-    that ``ValueError`` goes to ``malformed`` and the scan goes on.
+    that ``ValueError`` goes to ``malformed`` and the scan goes on.  A
+    damaged gzip journal raises ``ValueError`` too.  ``blank`` hears
+    the number of each blank line skipped.
     """
     count = 0
     pending_error: Optional[str] = None
-    with open_journal_text(path) as handle:
+    with open_journal_text(path) as handle, gzip_damage_as_value_error(path):
         for line_number, line in enumerate(handle, 1):
             stripped = line.strip()
             if not stripped:
+                if blank is not None:
+                    blank(line_number)
                 continue
             if pending_error is not None:
                 # The bad line was not the last one: real corruption.
@@ -202,22 +223,28 @@ def scan_checked(
     its workload, victim or MFS, and then ``folds`` step it.  Schema
     errors anywhere outrank the first record that will not parse;
     without any, that record raises ``ValueError``, as corruption does.
+    Both name the file line.
     """
     parse = parse if parse is not None else RecordParse()
     fold = dispatcher(*folds)
     errors: list[str] = []
     malformed: list[ValueError] = []
+    blanks: list[int] = []
     records = 0
 
     def step(record) -> None:
         nonlocal records
         records += 1
-        errors.extend(validate_record(record, line=records))
-        if not errors and not malformed:
+        if validate_record(record):
+            # Only a failing record needs its file line: the records
+            # and blank lines before it.
+            line = records + len(blanks)
+            errors.extend(validate_record(record, line=line))
+        elif not errors and not malformed:
             parse.step(record)
             fold(record)
 
-    _, tail_error = scan_journal(path, step, malformed.append)
+    _, tail_error = scan_journal(path, step, malformed.append, blanks.append)
     if malformed and not errors:
         raise malformed[0]
     return records, tail_error, errors

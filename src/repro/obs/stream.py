@@ -32,10 +32,9 @@ import gzip
 import json
 import os
 import time
-import zlib
 from typing import Callable, Iterator, Optional, Union
 
-from repro.obs.journal import GZIP_MAGIC
+from repro.obs.journal import GZIP_MAGIC, gzip_damage_as_value_error
 
 
 class JournalFollower:
@@ -108,10 +107,8 @@ class JournalFollower:
 
 def _decompressed(path: str, handle) -> bytes:
     """A gzip journal's bytes (a damaged file raises ``ValueError``)."""
-    try:
+    with gzip_damage_as_value_error(path):
         return gzip.decompress(handle.read())
-    except (OSError, EOFError, zlib.error) as error:
-        raise ValueError(f"{path}: corrupt gzip journal: {error}") from error
 
 
 def follow_journal(

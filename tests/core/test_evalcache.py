@@ -1,15 +1,22 @@
 """Memoized experiment evaluation: bit-identity, keys, persistence."""
 
+import base64
 import dataclasses
 import json
 import os
+import shutil
+import struct
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.analysis.campaign import run_campaign
+from repro.analysis.serialize import workload_from_list, workload_to_list
+from repro.cli import main
 from repro.core.evalcache import (
     FORMAT_VERSION,
     EvalCache,
@@ -17,10 +24,22 @@ from repro.core.evalcache import (
     describe_stats,
     subsystem_fingerprint,
 )
+from repro.core.executor import worker_cache, worker_result
 from repro.core.space import SearchSpace
-from repro.hardware.features import extract_features
+from repro.hardware.coexist import CoRunModel
+from repro.hardware.counters import ALL_COUNTERS
+from repro.hardware.features import (
+    CATEGORICAL_FEATURES,
+    FEATURE_NAMES,
+    extract_features,
+)
 from repro.hardware.model import SteadyStateModel
+from repro.hardware.rules import FiredRule
 from repro.hardware.subsystems import get_subsystem
+
+#: A format-1 store: what ``search H --hours 0.3 --seed 2 --cache`` saved
+#: before format 2 (46 entries, one hit).
+FORMAT1_STORE = Path(__file__).parent / "fixtures" / "cache_v1_H_seed2.json"
 
 LETTERS = "ABCDEFGH"
 
@@ -129,8 +148,7 @@ class TestKeys:
         cache = EvalCache()
 
         def true_key(subsystem):
-            fingerprint = subsystem_fingerprint(subsystem)
-            return f"{fingerprint}|{canonical_point(point)}"
+            return subsystem_fingerprint(subsystem), point
 
         for _ in range(200):
             copy = dataclasses.replace(original)
@@ -176,15 +194,19 @@ class TestDiskStore:
         SteadyStateModel(subsystem, cache=cache).evaluate(
             point, np.random.default_rng(0)
         )
+        solve = cache.lookup(subsystem, point)
+        gone = dataclasses.replace(
+            subsystem.rnic.rules[0], tag="GONE-AFTER-FIX"
+        )
+        cache.store(subsystem, point, dataclasses.replace(
+            solve, fired=(*solve.fired, FiredRule(rule=gone, factor=1.0))
+        ))
         cache.save()
 
-        payload = json.loads((tmp_path / "cache.json").read_text())
-        for entry in payload["entries"].values():
-            entry["fired"] = [{"tag": "GONE-AFTER-FIX", "factor": 1.0}]
-        (tmp_path / "cache.json").write_text(json.dumps(payload))
-
         warm = EvalCache(path=path)
+        assert warm.loaded_entries == 1
         assert warm.lookup(subsystem, point) is None  # dropped, not replayed
+        assert len(warm) == 0
         served = SteadyStateModel(subsystem, cache=warm).evaluate(
             point, np.random.default_rng(0)
         )
@@ -207,13 +229,13 @@ class TestDiskStore:
         for point in points[3:]:
             model.evaluate(point, np.random.default_rng(0))
         # Poison the last new entry in store order: the encoder raises
-        # after at least the other two new entries have been written.
-        last = max(points[3:], key=lambda point: cache.key(subsystem, point))
+        # after the other two new entries have been written.
+        last = points[-1]
         solve = cache.lookup(subsystem, last)
         cache.store(subsystem, last, dataclasses.replace(
             solve, features={**solve.features, "bad": object()}
         ))
-        with pytest.raises(TypeError, match="not JSON serializable"):
+        with pytest.raises(ValueError, match="cannot store 39 features"):
             cache.save()
 
         assert path.read_bytes() == previous
@@ -246,11 +268,45 @@ class TestDiskStore:
         assert "probe" in describe_stats(stats)
 
 
+def _exact(solve):
+    """A solve's every field, each float as its IEEE bytes (so NaN and
+    -0.0 compare), features in order and counters by name."""
+
+    def bits(value):
+        if isinstance(value, float):
+            return "float", struct.pack("<d", value)
+        return type(value).__name__, value
+
+    return (
+        [tuple(map(bits, dataclasses.astuple(d))) for d in solve.directions],
+        [(fired.rule, bits(fired.factor)) for fired in solve.fired],
+        [(name, bits(value)) for name, value in solve.features.items()],
+        {name: bits(value) for name, value in solve.ideal_counters.items()},
+    )
+
+
+def _packed_values(solve):
+    """The floats a store line packs, restated from the format's
+    definition: each direction's six rates, the numeric features in
+    FEATURE_NAMES order, the ideal counters in ALL_COUNTERS order and
+    the fired factors."""
+    values = []
+    for direction in solve.directions:
+        values += dataclasses.astuple(direction)[1:]
+    values += [
+        solve.features[name] for name in FEATURE_NAMES
+        if name not in CATEGORICAL_FEATURES
+    ]
+    values += [solve.ideal_counters[name] for name in ALL_COUNTERS]
+    values += [fired.factor for fired in solve.fired]
+    return values
+
+
 class TestStoreFormat:
-    """``save`` streams the bytes a one-shot ``json.dumps`` would write."""
+    """Format 2: a header line, then one packed line per entry."""
 
     @pytest.mark.parametrize("letter", ["F", "H"])
-    def test_save_matches_the_one_shot_encoding(self, tmp_path, letter):
+    def test_save_writes_the_v2_layout(self, tmp_path, letter):
         subsystem = get_subsystem(letter)
         points = [random_point(letter, seed) for seed in range(9)]
         first = tmp_path / "first.json"
@@ -259,15 +315,10 @@ class TestStoreFormat:
         for point in points[:6]:
             model.evaluate(point, np.random.default_rng(0))
         donor.save()
-        payload = json.loads(first.read_text())
-        stale_key = donor.key(subsystem, points[0])
-        payload["entries"][stale_key]["fired"].append(
-            {"tag": "GONE-AFTER-FIX", "factor": 1.0}
-        )
-        first.write_text(json.dumps(payload))
+        loaded = first.read_text().splitlines()[1:]
 
-        # points[0..3]: loaded, never looked up (points[0] stale);
-        # points[4..5]: loaded and rehydrated; points[6..8]: fresh.
+        # points[0..3]: loaded, never looked up; points[4..5]: loaded
+        # and unpacked; points[6..8]: fresh.
         cache = EvalCache(path=str(first))
         model = SteadyStateModel(subsystem, cache=cache)
         for point in points[4:]:
@@ -276,21 +327,295 @@ class TestStoreFormat:
         path = tmp_path / "second.json"
         cache.save(str(path))
 
-        assert path.read_text() == json.dumps(
-            {
-                "format_version": 1,
-                "entries": cache.export_entries(),
-                "stats": cache.stats_dict(),
-            },
-            sort_keys=True,
-        )
+        header, *lines = path.read_text().splitlines()
+        assert json.loads(header) == {
+            "format_version": FORMAT_VERSION, "stats": cache.stats_dict()
+        }
+        assert FORMAT_VERSION == 2
+        assert lines[:6] == loaded  # loaded lines go out as they came in
+        assert lines == cache.export_entries()
+        assert len(lines) == len(points)
+        for point, line in zip(points, lines):
+            solve = cache.lookup(subsystem, point)
+            fingerprint, workload, count, categorical, tags, packed = (
+                json.loads(line)
+            )
+            assert fingerprint == subsystem_fingerprint(subsystem)
+            assert workload == workload_to_list(point)
+            assert count == len(solve.directions)
+            assert categorical == [
+                solve.features[name] for name in CATEGORICAL_FEATURES
+            ]
+            assert tags == [fired.rule.tag for fired in solve.fired]
+            values = _packed_values(solve)
+            assert base64.b64decode(packed) == struct.pack(
+                f"<{len(values)}d", *values
+            )
         reloaded = EvalCache(path=str(path))
         assert reloaded.loaded_entries == len(points)
-        assert reloaded.lookup(subsystem, points[0]) is None
-        for point in points[1:]:
-            served = reloaded.lookup(subsystem, point)
-            assert served is not None
-            assert served == cache.lookup(subsystem, point)
+        for point in points:
+            assert _exact(reloaded.lookup(subsystem, point)) == _exact(
+                cache.lookup(subsystem, point)
+            )
+
+
+class TestCodec:
+    """A store line holds a solve bit for bit, or refuses it."""
+
+    @pytest.mark.parametrize("letter", LETTERS)
+    def test_solo_and_corun_solves_round_trip(self, letter):
+        subsystem = get_subsystem(letter)
+        victim = random_point(letter, 99)
+        points = [random_point(letter, seed) for seed in range(12)]
+        for corun in (False, True):
+            donor = EvalCache()
+            if corun:
+                model = CoRunModel(subsystem, victim, 0.5, cache=donor)
+            else:
+                model = SteadyStateModel(subsystem, cache=donor)
+            for point in points:
+                model.evaluate(point, np.random.default_rng(0))
+            receiver = EvalCache()
+            assert receiver.import_entries(donor.export_entries()) == len(
+                donor
+            )
+            for point in points:
+                served = receiver.lookup(model.subsystem, point)
+                assert _exact(served) == _exact(
+                    donor.lookup(model.subsystem, point)
+                )
+
+    def test_nan_and_negative_zero_survive(self):
+        subsystem = get_subsystem("F")
+        point = random_point("F", 1)
+        donor = EvalCache()
+        SteadyStateModel(subsystem, cache=donor).evaluate(
+            point, np.random.default_rng(0)
+        )
+        solve = donor.lookup(subsystem, point)
+        odd = dataclasses.replace(
+            solve,
+            features={**solve.features, "avg_msg": -0.0,
+                      "qpc_miss": float("nan")},
+            ideal_counters={**solve.ideal_counters,
+                            "rx_wqe_cache_miss": float("-inf")},
+        )
+        donor.store(subsystem, point, odd)
+        receiver = EvalCache()
+        receiver.import_entries(donor.export_entries())
+        assert _exact(receiver.lookup(subsystem, point)) == _exact(odd)
+
+    @pytest.mark.parametrize(
+        "change,message",
+        [
+            (lambda s: {"features": {
+                k: v for k, v in s.features.items() if k != "duty_cycle"
+            }}, "cannot store 37 features"),
+            (lambda s: {"features": {
+                ("duty" if k == "duty_cycle" else k): v
+                for k, v in s.features.items()
+            }}, "without 'duty_cycle'"),
+            (lambda s: {"ideal_counters": {
+                **s.ideal_counters, "extra_counter": 1.0
+            }}, "cannot store 15 counters"),
+            (lambda s: {"features": {**s.features, "avg_msg": "big"}},
+             "cannot store a solve"),
+            (lambda s: {"directions": tuple(
+                dataclasses.replace(d, name="up") for d in s.directions
+            )}, "cannot store directions"),
+        ],
+    )
+    def test_a_solve_the_line_cannot_hold_is_refused(self, change, message):
+        subsystem = get_subsystem("F")
+        point = random_point("F", 1)
+        cache = EvalCache()
+        SteadyStateModel(subsystem, cache=cache).evaluate(
+            point, np.random.default_rng(0)
+        )
+        solve = cache.lookup(subsystem, point)
+        cache.store(
+            subsystem, point, dataclasses.replace(solve, **change(solve))
+        )
+        with pytest.raises(ValueError, match=message):
+            cache.export_entries()
+
+
+class TestDescriptorKeys:
+    """The table's key is the descriptor: for the points a space emits,
+    it merges exactly the points ``canonical_point`` merges."""
+
+    @pytest.mark.parametrize("duty_cycles", [None, (0.25, 0.5, 1.0)])
+    @pytest.mark.parametrize("letter", LETTERS)
+    def test_descriptors_equal_exactly_when_canonical_points_do(
+        self, letter, duty_cycles
+    ):
+        overrides = {} if duty_cycles is None else {
+            "duty_cycles": duty_cycles
+        }
+        space = SearchSpace.for_subsystem(get_subsystem(letter), **overrides)
+        rng = np.random.default_rng(7)
+        points = []
+        for _ in range(20):
+            point = space.random(rng)
+            points += [point, space.mutate(point, rng),
+                       dataclasses.replace(point)]
+        for a in points:
+            for b in points:
+                same = canonical_point(a) == canonical_point(b)
+                assert (a == b) == same
+                if same:
+                    assert hash(a) == hash(b)
+
+
+def _format1_payload():
+    return json.loads(FORMAT1_STORE.read_text())
+
+
+def _search_lines(output: str) -> list[str]:
+    """A search's printed lines, less the ones ``--cache`` adds."""
+    return [
+        line for line in output.splitlines()
+        if line.strip()
+        and not line.startswith(("cache", "lookups", "  phase"))
+    ]
+
+
+class TestFormat1Store:
+    """Format-1 stores stay readable; the next save writes format 2."""
+
+    def test_the_fixture_warm_starts_with_every_hit(self, tmp_path, capsys):
+        store = tmp_path / "v1.json"
+        shutil.copy(FORMAT1_STORE, store)
+        assert main(["search", "H", "--hours", "0.3", "--seed", "2"]) == 0
+        cold = capsys.readouterr().out
+        assert main(["search", "H", "--hours", "0.3", "--seed", "2",
+                     "--cache", str(store)]) == 0
+        warm = capsys.readouterr().out
+        assert "warm-started with 46 entries" in warm
+        assert "100.0% hit rate" in warm
+        assert _search_lines(warm) == _search_lines(cold)
+        header = json.loads(store.read_text().splitlines()[0])
+        assert header["format_version"] == 2
+        assert header["stats"]["entries"] == 46
+
+    def test_load_stats_reads_both_formats(self, tmp_path):
+        v1 = EvalCache.load_stats(str(FORMAT1_STORE))
+        assert (v1["entries"], v1["hits"], v1["misses"]) == (46, 1, 46)
+        path = tmp_path / "v2.json"
+        EvalCache(path=str(FORMAT1_STORE)).save(str(path))
+        v2 = EvalCache.load_stats(str(path))
+        assert (v2["entries"], v2["hits"], v2["misses"]) == (46, 0, 0)
+
+    def test_stale_tags_and_unparsable_keys_drop_their_entries(
+        self, tmp_path, capsys
+    ):
+        payload = _format1_payload()
+        entries = payload["entries"]
+        stale = next(key for key, entry in entries.items() if entry["fired"])
+        entries[stale]["fired"][0]["tag"] = "GONE-AFTER-FIX"
+        fingerprint = stale.split("|", 1)[0]
+        entries[f"{fingerprint}|not|a|point"] = entries[stale]
+        store = tmp_path / "v1.json"
+        store.write_text(json.dumps(payload))
+        assert EvalCache(path=str(store)).loaded_entries == 46
+        assert main(["search", "H", "--hours", "0.3", "--seed", "2",
+                     "--cache", str(store)]) == 0
+        assert "lookups: 47 (46 hits, 1 misses" in capsys.readouterr().out
+
+
+def _v2_store(tmp_path) -> Path:
+    subsystem = get_subsystem("H")
+    path = tmp_path / "cache.json"
+    cache = EvalCache(path=str(path))
+    model = SteadyStateModel(subsystem, cache=cache)
+    for seed in range(3):
+        model.evaluate(random_point("H", seed), np.random.default_rng(0))
+    cache.save()
+    return path
+
+
+def _damage(path: Path, damage: str) -> None:
+    header, *lines = path.read_text().splitlines()
+    if damage == "torn-last-line":
+        path.write_text("\n".join([header, *lines])[:-40])
+        return
+    if damage == "unknown-format-version":
+        header = json.dumps({"format_version": 3, "stats": {}})
+    else:
+        entry = json.loads(lines[-1])
+        packed = base64.b64decode(entry[5])
+        entry[5] = (
+            "!" + entry[5][1:] if damage == "bad-base64"
+            else base64.b64encode(packed + bytes(8)).decode("ascii")
+        )
+        lines[-1] = json.dumps(entry)
+    path.write_text("\n".join([header, *lines]) + "\n")
+
+
+class TestDamagedStore:
+    @pytest.mark.parametrize("damage", [
+        "torn-last-line", "bad-base64", "wrong-packed-length",
+        "unknown-format-version",
+    ])
+    def test_a_damaged_store_exits_2(self, tmp_path, capsys, damage):
+        path = _v2_store(tmp_path)
+        _damage(path, damage)
+        with pytest.raises(SystemExit) as exc:
+            main(["search", "H", "--hours", "0.2", "--cache", str(path)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"cannot load cache store {path}: ")
+        assert err.count("\n") == 1  # one line, no traceback
+
+    def test_format1_entries_that_are_not_an_object_are_rejected(
+        self, tmp_path
+    ):
+        path = tmp_path / "v1.json"
+        path.write_text(json.dumps({"format_version": 1, "entries": []}))
+        with pytest.raises(ValueError, match="entries are not an object"):
+            EvalCache(path=str(path))
+
+    def test_messages_name_what_is_wrong(self, tmp_path):
+        path = _v2_store(tmp_path)
+        _damage(path, "wrong-packed-length")
+        with pytest.raises(ValueError, match="line 4: packed values hold"):
+            EvalCache(path=str(path))
+        _damage(path, "unknown-format-version")
+        with pytest.raises(ValueError, match="unsupported cache format 3"):
+            EvalCache.load_stats(str(path))
+
+
+class TestHandOff:
+    """``fan_out`` carries store lines both ways."""
+
+    def test_a_worker_hands_back_only_what_it_solved(self):
+        subsystem = get_subsystem("H")
+        parent = EvalCache(path=str(FORMAT1_STORE))
+        cache = worker_cache({"cache_entries": parent.export_entries()})
+        assert len(cache) == 46
+        loaded = workload_from_list(json.loads(cache.export_entries()[0])[1])
+        fresh = random_point("H", 12345)
+        model = SteadyStateModel(subsystem, cache=cache)
+        model.evaluate(loaded, np.random.default_rng(0))
+        model.evaluate(fresh, np.random.default_rng(0))
+        assert cache.phase_stats()["search"].hits == 1
+        result = worker_result(cache)
+        assert result["cache_entries"] == [cache.export_entries()[-1]]
+        assert parent.import_entries(result["cache_entries"]) == 1
+
+    def test_serial_and_pooled_hand_offs_give_the_same_entries(self):
+        from tests.core.test_executor import _require_pool
+
+        _require_pool()
+        exported = []
+        for workers in (1, 2):
+            cache = EvalCache(path=str(FORMAT1_STORE))
+            run_campaign("collie", subsystem="H", seeds=(2, 3),
+                         budget_hours=0.2, workers=workers, cache=cache)
+            exported.append(cache.export_entries())
+        serial, pooled = exported
+        assert serial == pooled
+        assert len(serial) > 46
 
 
 class TestTransportAndStats:

@@ -188,6 +188,13 @@ _EXPERIMENT_V8 = {
 _WORKLOAD_XX = ["XX", *workload_to_list(WorkloadDescriptor())[1:]]
 _RUN_END = {"t": "run_end", "elapsed_seconds": 20.0, "experiments": 1,
             "skipped": 0, "anomalies": 0, "counter_ranking": []}
+_ANOMALY = {"t": "anomaly", "index": 0, "event_index": None, "mfs": {
+    "symptom": "pause frame",
+    "witness": workload_to_dict(WorkloadDescriptor()),
+    "intervals": [{"dimension": "num_qps", "low": 8.0, "high": None}],
+    "memberships": [{"dimension": "qp_type", "allowed": ["RC"]}],
+    "requires_mix": False, "found_at_seconds": 20.0, "probe_experiments": 3,
+}}
 
 
 def _v9_run(record: dict) -> str:
@@ -245,6 +252,21 @@ MALFORMED_JOURNALS = {
         {**_EXPERIMENT, "counters": {"tx_bytes_per_sec": "fast"}},
         {**_RUN_END, "metrics": None},
     )),
+    # Line 3 (the second record): schema errors name the file line.
+    "experiment-time-not-a-number-after-a-blank-line": _v9_run(
+        {**_EXPERIMENT_V8, "time_seconds": "x"}
+    ).replace("\n", "\n\n", 1),
+    # Schema-valid: only the MFS's values are of the wrong type.
+    "anomaly-bound-not-a-number": _v9_run(
+        {**_ANOMALY, "mfs": {**_ANOMALY["mfs"], "intervals": [
+            {"dimension": "num_qps", "low": "big", "high": None},
+        ]}}
+    ),
+    "anomaly-membership-allowing-a-number": _v9_run(
+        {**_ANOMALY, "mfs": {**_ANOMALY["mfs"], "memberships": [
+            {"dimension": "mtu", "allowed": [4096]},
+        ]}}
+    ),
 }
 
 _MALFORMED_ARGV = {
@@ -361,6 +383,32 @@ class TestMalformedRecords:
         ("v7-counter-value-not-a-number", "report"): (2, None),
         ("v7-counter-value-not-a-number", "report-json"): (2, None),
         ("v7-counter-value-not-a-number", "verify"): (2, None),
+        ("experiment-time-not-a-number-after-a-blank-line", "diff"): (0, None),
+        ("experiment-time-not-a-number-after-a-blank-line",
+         "coverage"): (0, None),
+        ("experiment-time-not-a-number-after-a-blank-line", "top"): (0, None),
+        ("experiment-time-not-a-number-after-a-blank-line",
+         "stats"): (0, None),
+        ("experiment-time-not-a-number-after-a-blank-line",
+         "report"): (2, None),
+        ("experiment-time-not-a-number-after-a-blank-line",
+         "report-json"): (2, None),
+        ("experiment-time-not-a-number-after-a-blank-line",
+         "verify"): (2, None),
+        ("anomaly-bound-not-a-number", "diff"): (2, 2),
+        ("anomaly-bound-not-a-number", "coverage"): (2, 2),
+        ("anomaly-bound-not-a-number", "top"): (2, 2),
+        ("anomaly-bound-not-a-number", "stats"): (0, None),
+        ("anomaly-bound-not-a-number", "report"): (2, 2),
+        ("anomaly-bound-not-a-number", "report-json"): (2, 2),
+        ("anomaly-bound-not-a-number", "verify"): (2, 2),
+        ("anomaly-membership-allowing-a-number", "diff"): (2, 2),
+        ("anomaly-membership-allowing-a-number", "coverage"): (2, 2),
+        ("anomaly-membership-allowing-a-number", "top"): (2, 2),
+        ("anomaly-membership-allowing-a-number", "stats"): (0, None),
+        ("anomaly-membership-allowing-a-number", "report"): (2, 2),
+        ("anomaly-membership-allowing-a-number", "report-json"): (2, 2),
+        ("anomaly-membership-allowing-a-number", "verify"): (2, 2),
     }
 
     @pytest.mark.parametrize(
@@ -407,6 +455,20 @@ class TestMalformedRecords:
                 assert "malformed" not in captured.out + captured.err, command
         assert len(set(codes.values())) == 1, codes
 
+    @pytest.mark.parametrize("command", ("report", "report-json", "verify"))
+    def test_schema_errors_name_the_file_line(
+        self, command, tmp_path, capsys
+    ):
+        _, code, captured = _run_on_malformed(
+            "experiment-time-not-a-number-after-a-blank-line", command,
+            tmp_path, capsys,
+        )
+        assert code == 2
+        assert (
+            "line 3: experiment: field 'time_seconds' is str, expected int "
+            "or float"
+        ) in captured.err + captured.out
+
     def test_schema_errors_outrank_a_record_the_folds_cannot_read(
         self, tmp_path, capsys
     ):
@@ -419,6 +481,38 @@ class TestMalformedRecords:
         err = capsys.readouterr().err
         assert "line 4: transition: missing field 'temperature'" in err
         assert "malformed" not in err
+
+
+class TestTruncatedGzipJournal:
+    """A gzip journal cut short is corruption: one message, no
+    traceback."""
+
+    #: ``command -> (argv, exit code)``; ``stats`` exits 1 on every
+    #: corrupt journal.
+    COMMANDS = {
+        "report": (["report", "{path}"], 2),
+        "report-json": (["report", "--json", "{path}"], 2),
+        "verify": (["journal", "verify", "{path}"], 2),
+        "diff": (["journal", "diff", "{fixture}", "{path}"], 2),
+        "coverage": (["coverage", "{path}"], 2),
+        "stats": (["stats", "{path}"], 1),
+    }
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_one_message_not_a_traceback(self, command, tmp_path, capsys):
+        fixture = Path(__file__).parent / "obs" / "fixtures" / "v9.jsonl"
+        path = tmp_path / "v9.jsonl.gz"
+        path.write_bytes(gzip.compress(fixture.read_bytes())[:-40])
+        argv, expected = self.COMMANDS[command]
+        code = main([arg.format(path=path, fixture=fixture) for arg in argv])
+        captured = capsys.readouterr()
+        output = captured.out + captured.err
+        assert code == expected
+        assert "Traceback" not in output
+        assert output.count(f"{path}: corrupt gzip journal: ") == 1
+        assert len(captured.err.splitlines()) == 1
+        if command.startswith("report"):
+            assert captured.out == ""
 
 
 class TestReplay:
