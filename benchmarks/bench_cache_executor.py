@@ -10,8 +10,7 @@ this bench re-checks it on the full-budget campaign).
 
 On single-core hosts process fan-out cannot buy wall time, so the 2x
 bound is asserted only when at least 3 CPUs are available; the cache's
-serial benefit (skipped functional bursts and solver calls) is asserted
-everywhere.
+serial benefit (skipped solver calls) is asserted everywhere.
 """
 
 import os

@@ -82,7 +82,7 @@ class RandomSearch:
         if recorder is not None:
             recorder.run_start(
                 self.subsystem.name, "random", False,
-                self.budget_hours, self.seed, space=self.space,
+                self.budget_hours, self.seed,
             )
         state = SearchState()
         while not self.clock.expired:

@@ -46,9 +46,10 @@ Commands mirror how the paper's operators use Collie:
 Observability: ``search``/``parallel``/``campaign`` accept
 ``--journal PATH`` (structured JSONL flight-recorder journal, see
 :mod:`repro.obs`), ``--progress N`` (a live progress line every N
-experiments / completed tasks), ``--coverage`` (workload-space
-occupancy tracking), ``--profile`` (wall-clock spans of each pipeline
-layer, in this process only) and
+experiments / completed tasks), ``--coverage`` (with ``--journal``:
+the journal's workload-space occupancy tables at the end),
+``--profile`` (wall-clock spans of each pipeline layer, in this
+process only) and
 ``--export-metrics PORT`` (with ``--journal``: a live HTTP telemetry
 endpoint serving the journal's folds as Prometheus text at
 ``/metrics`` and a JSON worker table at ``/status``, plus schema-v7
@@ -158,25 +159,24 @@ def _close_cache(cache) -> None:
 def _open_recorder(args: argparse.Namespace):
     """Build the FlightRecorder requested by the observability flags.
 
-    Any of ``--journal``/``--progress``/``--coverage``/``--profile``
-    turns the recorder on; without them this returns None and the hot
+    Any of ``--journal``/``--progress``/``--profile`` turns the
+    recorder on; without them this returns None and the hot
     paths pay only a ``recorder is not None`` check per site.
     """
     journal_path = getattr(args, "journal", None)
     progress = getattr(args, "progress", 0)
-    coverage = getattr(args, "coverage", False)
     profile = getattr(args, "profile", False)
     export_port = getattr(args, "export_metrics", None)
     if (
-        not journal_path and not progress and not coverage
-        and not profile and export_port is None
+        not journal_path and not progress and not profile
+        and export_port is None
     ):
         return None
     from repro.obs import FlightRecorder, RunJournal, SpanProfiler
 
     journal = RunJournal(journal_path) if journal_path else None
     recorder = FlightRecorder(
-        journal=journal, progress_every=progress, track_coverage=coverage,
+        journal=journal, progress_every=progress,
         heartbeats=export_port is not None,
     )
     if profile:
@@ -198,15 +198,24 @@ def _open_recorder(args: argparse.Namespace):
     return recorder
 
 
-def _close_recorder(recorder) -> None:
+def _close_recorder(recorder, coverage: bool = False) -> None:
+    """Close the journal and print the end-of-run views: ``coverage``
+    (``--coverage``, which main() pairs with ``--journal``) folds the
+    journal just written, as ``repro coverage`` does."""
     if recorder is None:
         return
     if recorder.profiler is not None:
         recorder.profiler.uninstall()
     recorder.close()
-    if recorder.coverage is not None:
-        logger.info("")
-        logger.info(recorder.coverage.render())
+    if coverage:
+        from repro.obs.folds import Coverage
+
+        fold = Coverage()
+        if _fold_journal_or_none(recorder.journal.path, fold) is not None:
+            for lines in _coverage_tables(fold.runs()):
+                logger.info("")
+                for line in lines:
+                    logger.info(line)
     if recorder.profiler is not None:
         from repro.obs import render_span_table
 
@@ -378,7 +387,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
     if args.output:
         save_report(report, args.output)
         logger.info(f"\nreport saved to {args.output}")
-    _close_recorder(recorder)
+    _close_recorder(recorder, args.coverage)
     _close_cache(cache)
     return 0
 
@@ -431,7 +440,7 @@ def _run_search_population(
         _print_seeds(args, report)
     else:
         logger.info(report.summary())
-    _close_recorder(recorder)
+    _close_recorder(recorder, args.coverage)
     _close_cache(cache)
     return 0
 
@@ -478,7 +487,7 @@ def _run_search_campaign(args: argparse.Namespace, cache, recorder) -> int:
     _print_seeds(args, result)
     if result.executor_stats is not None:
         logger.info(result.executor_stats.describe())
-    _close_recorder(recorder)
+    _close_recorder(recorder, args.coverage)
     _close_cache(cache)
     return 0
 
@@ -515,7 +524,7 @@ def _cmd_parallel(args: argparse.Namespace) -> int:
         logger.info(f"  {index}: {mfs.describe()}")
     if fleet.executor_stats is not None:
         logger.info(fleet.executor_stats.describe())
-    _close_recorder(recorder)
+    _close_recorder(recorder, args.coverage)
     _close_cache(cache)
     return 0
 
@@ -596,7 +605,7 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         logger.info(f"  found: {tag}")
     if result.executor_stats is not None:
         logger.info(result.executor_stats.describe())
-    _close_recorder(recorder)
+    _close_recorder(recorder, args.coverage)
     _close_cache(cache)
     return 0
 
@@ -877,6 +886,14 @@ def _cmd_journal_diff(args: argparse.Namespace) -> int:
     return 0 if result.ok else 1
 
 
+def _coverage_tables(trackers):
+    """Each run's coverage lines: ``run i:`` when there are several,
+    then its table (``coverage`` and ``--coverage`` print these)."""
+    for index, tracker in enumerate(trackers, 1):
+        header = [f"run {index}:"] if len(trackers) > 1 else []
+        yield header + [tracker.render()]
+
+
 def _cmd_coverage(args: argparse.Namespace) -> int:
     """``coverage``: render a journal's workload-space occupancy maps."""
     from repro.obs.folds import Coverage, Isolation, Latency
@@ -890,10 +907,9 @@ def _cmd_coverage(args: argparse.Namespace) -> int:
     if not trackers:
         logger.warning(f"no runs found in {args.journal}")
         return 1
-    for index, tracker in enumerate(trackers, 1):
-        if len(trackers) > 1:
-            logger.info(f"run {index}:")
-        logger.info(tracker.render())
+    for lines in _coverage_tables(trackers):
+        for line in lines:
+            logger.info(line)
         logger.info("")
     panel = latency.render()
     if panel is not None:
@@ -964,7 +980,8 @@ def _stats_on_journal(path: str) -> Optional[int]:
     to its cache-store error path).  Partial/crashed runs are surfaced
     explicitly — a truncated journal must never read as a finished one.
     A file whose first record is a journal record is a journal: a
-    corrupt line or malformed record after that is reported, exit 1.
+    corrupt line or malformed record after that is reported, exit 2, as
+    the other journal readers do; crashed runs and a torn tail exit 1.
     """
     from repro.obs.folds import RecordCounts, Traffic, dispatcher
     from repro.obs.journal import scan_journal
@@ -988,7 +1005,7 @@ def _stats_on_journal(path: str) -> Optional[int]:
         if not is_journal:
             return None
         logger.error(f"journal {path} is corrupt: {error}")
-        return 1
+        return 2
     if not count:
         return None
     shape = counts.result()
@@ -1310,8 +1327,8 @@ def _add_observability_flags(subparser: argparse.ArgumentParser) -> None:
     )
     subparser.add_argument(
         "--coverage", action="store_true",
-        help="track 4-D workload-space coverage and print the "
-             "per-dimension occupancy tables at the end",
+        help="print each run's 4-D workload-space occupancy tables, "
+             "folded from the --journal, at the end; needs --journal",
     )
     subparser.add_argument(
         "--profile", action="store_true",
@@ -1726,6 +1743,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 2
     if getattr(args, "export_metrics", None) is not None and not args.journal:
         logger.error("--export-metrics serves the folds of the run's "
+                     "journal: add --journal")
+        return 2
+    if getattr(args, "coverage", False) and not args.journal:
+        logger.error("--coverage prints the Coverage fold of the run's "
                      "journal: add --journal")
         return 2
     try:

@@ -1,5 +1,8 @@
-"""Collie's core: search space, workload engine, anomaly monitor, MFS
-algorithm, simulated-annealing search, and the top-level orchestration.
+"""Collie's core: search space, anomaly monitor, MFS algorithm,
+simulated-annealing search, and the top-level orchestration.  A search
+prices each point on a :class:`~repro.cluster.testbed.Testbed`, which
+hands it to the steady-state model; :mod:`repro.core.tracing` is the one
+driver that pushes a point's traffic through :mod:`repro.verbs`.
 
 The quickest route in::
 
@@ -16,7 +19,6 @@ from repro import lazy_attribute
 _SUBMODULES = {
     "Collie": "collie",
     "SearchReport": "collie",
-    "WorkloadEngine": "engine",
     "EvalCache": "evalcache",
     "CampaignExecutor": "executor",
     "ExecutorStats": "executor",

@@ -290,7 +290,7 @@ class Collie:
         if self.recorder is not None:
             self.recorder.run_start(
                 self.subsystem.name, self.counter_mode, self.use_mfs,
-                self.budget_hours, self.seed, space=self.space,
+                self.budget_hours, self.seed,
             )
             if self.victim is not None:
                 self.recorder.isolation(

@@ -2,7 +2,7 @@
 
 Every search algorithm in the repo — Collie's SA, random fuzzing,
 BayesOpt, the GA baseline — and every multi-seed campaign funnels
-through the same deterministic pipeline: space point → workload engine →
+through the same deterministic pipeline: space point → testbed →
 steady-state solver → counters.  MFS necessity probing deliberately
 revisits near-identical points, and cross-run workflows (warm-started
 campaigns, before/after-fix diffing) re-evaluate the very same points.
@@ -250,20 +250,6 @@ class EvalCache:
 
     # -- lookup / store ------------------------------------------------------
 
-    def contains(
-        self, subsystem: "Subsystem", workload: WorkloadDescriptor
-    ) -> bool:
-        """Whether a point is memoized, without touching hit/miss stats.
-
-        The engine uses this to skip the functional burst for known
-        points: the burst is deterministic validation (it consumes no
-        RNG draws), and a memoized point already passed it when its
-        entry was created — skipping it cannot change any observable.
-        """
-        key = (self._fingerprint(subsystem), workload)
-        with self._lock:
-            return key in self._entries
-
     def lookup(
         self,
         subsystem: "Subsystem",
@@ -305,7 +291,7 @@ class EvalCache:
         subsystem: "Subsystem",
         workloads: "list[WorkloadDescriptor]",
     ) -> list[bool]:
-        """Vector ``contains``: membership per point, no stats recorded.
+        """Membership per point, no stats recorded.
 
         One fingerprint computation and one lock acquisition for the
         whole batch — this is what the presolver uses to find the points

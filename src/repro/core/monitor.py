@@ -25,7 +25,7 @@ coefficient of variation of the per-second ``tx_bytes_per_sec`` readings
 is at most ``stability_cv`` (``AnomalyVerdict.stable``).  No verdict
 depends on it; the time a testbed waits for traffic to settle is charged
 to the simulated clock instead
-(:meth:`~repro.core.engine.WorkloadEngine.measurement_seconds`).
+(:data:`~repro.cluster.testbed.MEASUREMENT_SECONDS`).
 """
 
 from __future__ import annotations

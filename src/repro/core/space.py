@@ -414,10 +414,9 @@ class SearchSpace:
     def _nearest_index(ladder: Sequence[int], value: int) -> int:
         """Index of the ladder rung nearest ``value`` in log space.
 
-        Hot on both sides of the journal: coverage tracking buckets
-        every visited experiment, and every read surface (``coverage``,
-        ``journal diff``, the live aggregator) re-buckets the whole
-        history.  Ladders are sorted, so the nearest rung is one of the
+        Hot on the journal's read side: every surface that folds
+        coverage (``coverage``, ``--coverage``, ``journal diff``, the
+        live aggregator) buckets the whole history.  Ladders are sorted, so the nearest rung is one of the
         two bisection neighbors — two ``log2`` calls instead of one per
         rung.  A custom unsorted ladder falls back to the full scan.
         """

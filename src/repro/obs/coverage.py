@@ -13,19 +13,15 @@ itself, or the mean request size for ``avg_msg``), so a tracker
 buckets each distinct value once, the first time it sees it, and
 counts every later point by table lookup.
 
-Like the recorder, the tracker only observes — it consumes no RNG
-draws and never advances the simulated clock, so a coverage-tracked
-search is bit-identical to an untracked one.
-
 A tracker is the per-run state of the :class:`~repro.obs.folds.Coverage`
-fold: :func:`coverage_from_records` (and ``repro coverage``) computes
-the maps from any journal's ``experiment``/``skip``/``anomaly`` records
-(v1 journals included — their skip records just lack the workload
-detail), and ``--coverage`` prints the tracker the
-:class:`~repro.obs.recorder.FlightRecorder` feeds the same events as
-they happen (``FlightRecorder(track_coverage=True)``).  Trackers are
-never journaled: v3–v8 journals carry ``coverage`` records that no
-reader reads, and v9 journals none.
+fold, the maps' one definition: :func:`coverage_from_records` (and
+``repro coverage``) computes them from any journal's
+``experiment``/``skip``/``anomaly`` records (v1 journals included —
+their skip records just lack the workload detail), and ``--coverage``
+prints the trackers of the journal the run just wrote, as ``repro
+coverage`` does.  A search never runs a tracker, and trackers are never
+journaled: v3–v8 journals carry ``coverage`` records that no reader
+reads, and v9 journals none.
 """
 
 from __future__ import annotations

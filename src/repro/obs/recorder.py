@@ -4,10 +4,8 @@ A :class:`FlightRecorder` turns the search's events into JSONL run
 journal records and periodic progress lines, behind one object that
 the search machinery receives as an optional ``recorder`` parameter.
 It keeps no tally of its own: every number a view shows is a fold of
-the journal (:mod:`repro.obs.folds`).  The one fold state it holds is
-``--coverage``'s per-run :class:`~repro.obs.coverage.CoverageTracker`
-(the ``Coverage`` fold's), printed at the end instead of journaled.
-Design rules the hot paths rely on:
+the journal (:mod:`repro.obs.folds`).  Design rules the hot paths rely
+on:
 
 * **zero-cost when absent** — every call site guards with a single
   ``recorder is not None`` check, so an uninstrumented run does no
@@ -30,7 +28,6 @@ import time
 from typing import Optional
 
 from repro.analysis.serialize import workload_to_list
-from repro.obs.coverage import CoverageTracker
 from repro.obs.journal import (
     RunJournal,
     anomaly_record,
@@ -50,7 +47,6 @@ class FlightRecorder:
         self,
         journal: Optional[RunJournal] = None,
         progress_every: int = 0,
-        track_coverage: bool = False,
         heartbeats: bool = False,
     ) -> None:
         self.journal = journal
@@ -60,10 +56,6 @@ class FlightRecorder:
         #: (set by the CLI's ``--profile``); its spans flush to the
         #: journal at run_end/close.
         self.profiler = None
-        #: Track 4-D workload-space coverage (one tracker per run, for
-        #: ``--coverage``'s end-of-run table; never journaled).
-        self.track_coverage = track_coverage
-        self.coverage: Optional[CoverageTracker] = None
         #: Journal schema-v7 ``heartbeat`` records as fan-out tasks
         #: complete (live telemetry only).  Off by default: heartbeats
         #: are host time, which only the exporter / dashboard plane
@@ -98,7 +90,6 @@ class FlightRecorder:
         view = FlightRecorder(
             journal=self.journal,
             progress_every=self.progress_every,
-            track_coverage=self.track_coverage,
             heartbeats=self.heartbeats,
         )
         view.chain = chain
@@ -118,14 +109,8 @@ class FlightRecorder:
         use_mfs: bool,
         budget_hours: float,
         seed: Optional[int],
-        space=None,
     ) -> None:
         self._last_snapshot_experiments = None
-        if self.track_coverage:
-            self.coverage = (
-                CoverageTracker(space) if space is not None
-                else CoverageTracker.for_subsystem(subsystem_name)
-            )
         if self.journal is not None:
             self._write({
                 "t": "run_start",
@@ -228,8 +213,6 @@ class FlightRecorder:
 
     def skip(self, time_seconds: float, workload=None) -> None:
         """A candidate matched a known MFS; no experiment was run."""
-        if self.coverage is not None:
-            self.coverage.skip(workload)
         if self.journal is not None:
             record = {"t": "skip", "time_seconds": time_seconds}
             if workload is not None:
@@ -238,8 +221,6 @@ class FlightRecorder:
 
     def anomaly(self, index: int, event_index: Optional[int], mfs) -> None:
         """A new MFS entered the anomaly set."""
-        if self.coverage is not None:
-            self.coverage.mark_mfs(mfs)
         if self.journal is not None:
             self._write(anomaly_record(index, event_index, mfs))
 
@@ -366,9 +347,7 @@ class FlightRecorder:
     # -- internals ---------------------------------------------------------
 
     def _observe(self, event) -> None:
-        """Coverage visit and journal record of one experiment."""
-        if self.coverage is not None:
-            self.coverage.visit(event.workload)
+        """Journal record of one experiment."""
         if self.journal is not None:
             self._write(experiment_record(event))
 

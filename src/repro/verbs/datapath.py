@@ -3,9 +3,9 @@
 This layer really moves bytes between registered memory regions with full
 access and bounds checking, generating completions with the statuses real
 hardware would produce (including receiver-not-ready handling).  The
-workload engine runs a short functional burst through it before handing a
-workload to the performance model, so malformed search points fail the same
-way they would on a real testbed.
+traffic tracer (:mod:`repro.core.tracing`) runs a scaled slice of a
+workload through it, so a malformed workload shape fails the same way it
+would on a real testbed.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ _WC_OPCODES = {
 #: This is *not* the performance model — :mod:`repro.hardware.model`
 #: owns rates and tail distributions — just enough deterministic
 #: accounting that every CQE carries a completion latency and
-#: head-of-line blocking inside the functional burst is observable.
+#: head-of-line blocking inside a traced slice is observable.
 WQE_TICK_US = 0.5
 
 #: Bytes-proportional term of the attribution, µs per KiB of payload.

@@ -45,10 +45,9 @@ class QPNumberAllocator:
     Real RoCE scopes QPNs per device and disambiguates by GID; sharing
     one allocator across every context of a fabric gives the same
     no-aliasing property without modelling GIDs.  Callers that need
-    *reproducible* numbering independent of process history — the
-    workload engine's functional bursts, anything running under process
-    fan-out — pass a fresh allocator per experiment instead of relying
-    on the process-global default.
+    *reproducible* numbering independent of process history — anything
+    running under process fan-out — pass a fresh allocator instead of
+    relying on the process-global default.
     """
 
     FIRST_QPN = 0x11

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from repro.cluster.clock import SimulatedClock
-from repro.cluster.testbed import Testbed
+from repro.cluster.testbed import MEASUREMENT_SECONDS, Testbed, setup_seconds
 from repro.core.space import SearchSpace
-from repro.hardware.workload import WorkloadDescriptor
+from repro.hardware.workload import Colocation, Direction, WorkloadDescriptor
 
 
 class TestTestbed:
@@ -43,7 +43,43 @@ class TestTestbed:
         testbed.run(WorkloadDescriptor())
         assert testbed.experiments_run == 2
 
-    def test_functional_check_mode_catches_shape_early(self):
-        testbed = Testbed("F", functional_check=True)
-        result = testbed.run(WorkloadDescriptor(num_qps=2, wqe_batch=4))
+    def test_run_returns_the_model_measurement(self):
+        testbed = Testbed("F")
+        result = testbed.run(
+            WorkloadDescriptor(), rng=np.random.default_rng(0)
+        )
+        assert result.measurement.subsystem_name == "F"
         assert result.measurement.directions[0].achieved_msgs_per_sec > 0
+        assert result.setup_seconds == setup_seconds(WorkloadDescriptor())
+        assert result.measurement_seconds == MEASUREMENT_SECONDS
+
+
+class TestCostModel:
+    def test_setup_grows_with_qps_and_mrs(self):
+        base = setup_seconds(WorkloadDescriptor())
+        many_qps = setup_seconds(WorkloadDescriptor(num_qps=8192))
+        many_mrs = setup_seconds(
+            WorkloadDescriptor(num_qps=128, mrs_per_qp=1024)
+        )
+        assert many_qps > base
+        assert many_mrs > base
+
+    def test_bidirectional_doubles_qp_cost(self):
+        uni = setup_seconds(WorkloadDescriptor(num_qps=4096))
+        bi = setup_seconds(
+            WorkloadDescriptor(num_qps=4096,
+                               direction=Direction.BIDIRECTIONAL)
+        )
+        assert bi > uni
+
+    def test_total_cost_stays_in_paper_range(self):
+        total = setup_seconds(
+            WorkloadDescriptor(num_qps=16384, mrs_per_qp=8)
+        ) + MEASUREMENT_SECONDS
+        assert total <= 60.0
+
+    def test_loopback_workload_cost(self):
+        cost = setup_seconds(
+            WorkloadDescriptor(colocation=Colocation.MIXED_LOOPBACK)
+        )
+        assert cost >= 12.0

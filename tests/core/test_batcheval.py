@@ -324,9 +324,8 @@ class TestBulkCacheApi:
         assert present[0] is True
         assert cache.hits == 0 and cache.misses == 0
         assert cache.phase_stats() == {}
-        # peek agrees with contains
-        for point, hit in zip(points, present):
-            assert hit == cache.contains(subsystem, point)
+        # Only the stored point is present; random_points repeats it.
+        assert present == [point == points[0] for point in points]
 
     def test_get_many_fires_observer_per_point_in_order(self):
         subsystem = get_subsystem("F")

@@ -142,7 +142,7 @@ class TestSharedStateAudit:
     """No module-level mutable state may leak between experiments."""
 
     def _burst_qpns(self, topology):
-        """QP numbers observed by one two-host functional burst."""
+        """QP numbers of one two-host setup sharing a fresh allocator."""
         qpns = QPNumberAllocator()
         host_a = Host("audit-a", topology, qpn_allocator=qpns)
         host_b = Host("audit-b", topology, qpn_allocator=qpns)
@@ -160,7 +160,7 @@ class TestSharedStateAudit:
         topology = get_subsystem("H").topology
         first = self._burst_qpns(topology)
         # Interleave unrelated fabric activity: a full testbed run plus
-        # a stray burst. Neither may shift the next burst's numbering.
+        # a stray setup. Neither may shift the next setup's numbering.
         Testbed(get_subsystem("H")).run(
             SearchSpace.for_subsystem(get_subsystem("H")).random(
                 np.random.default_rng(0)

@@ -1,9 +1,11 @@
 """Traffic tracing: functional slices on the predicted timeline."""
 
+import numpy as np
 import pytest
 
+from repro.core.space import SearchSpace
 from repro.core.tracing import TrafficTracer
-from repro.hardware.workload import WorkloadDescriptor
+from repro.hardware.workload import SGLayout, WorkloadDescriptor
 from repro.verbs.constants import Opcode, QPType
 from repro.workloads.appendix import setting
 
@@ -98,3 +100,72 @@ class TestRenderPaths:
     def test_events_of_unknown_kind_is_empty(self, tracer):
         log = tracer.trace(WorkloadDescriptor(), messages=2)
         assert log.events_of("retransmit") == []
+
+
+def completions(log) -> set:
+    return {r.detail for r in log.events_of("complete")}
+
+
+class TestFunctionalSlice:
+    """A traced slice runs the workload's shape through repro.verbs:
+    legal shapes complete, illegal placements fail loudly."""
+
+    @pytest.mark.parametrize(
+        "qp_type,opcode",
+        [
+            (QPType.RC, Opcode.WRITE),
+            (QPType.RC, Opcode.READ),
+            (QPType.RC, Opcode.SEND),
+            (QPType.UC, Opcode.WRITE),
+            (QPType.UC, Opcode.SEND),
+            (QPType.UD, Opcode.SEND),
+        ],
+    )
+    def test_every_transport_opcode_combination_runs(
+        self, tracer, qp_type, opcode
+    ):
+        workload = WorkloadDescriptor(
+            qp_type=qp_type, opcode=opcode, mtu=2048,
+            msg_sizes_bytes=(1024, 512, 2048, 64)
+            if qp_type is QPType.UD else (4096, 512, 65536, 64),
+            wqe_batch=4, sge_per_wqe=2, num_qps=8,
+        )
+        log = tracer.trace(workload, messages=8)
+        assert len(log.events_of("post")) == 8
+        assert completions(log) == {"SUCCESS"}
+        # Scaled down: 8 QPs of the workload, MAX_QPS in the slice.
+        assert {r.qp_index for r in log.records} == set(
+            range(TrafficTracer.MAX_QPS)
+        )
+
+    def test_mixed_sg_layout_runs(self, tracer):
+        workload = WorkloadDescriptor(
+            sge_per_wqe=3, sg_layout=SGLayout.MIXED,
+            msg_sizes_bytes=(128, 65536, 1024),
+        )
+        log = tracer.trace(workload, messages=6)
+        assert completions(log) == {"SUCCESS"}
+        assert all("3-entry SG" in r.detail for r in log.events_of("post"))
+
+    def test_gpu_placement_runs_on_gpu_hosts(self, tracer):
+        log = tracer.trace(
+            WorkloadDescriptor(src_device="gpu0", dst_device="gpu0"),
+            messages=4,
+        )
+        assert completions(log) == {"SUCCESS"}
+        assert {r.detail for r in log.events_of("deliver")} == {"-> gpu0"}
+
+    def test_unknown_placement_fails(self):
+        with pytest.raises(ValueError, match="no memory device 'gpu0'"):
+            TrafficTracer("H").trace(WorkloadDescriptor(src_device="gpu0"))
+
+    @pytest.mark.parametrize("letter", "ABCDEFGH")
+    def test_random_space_points_are_functionally_legal(self, letter):
+        """Any coerced search point of any subsystem survives the verbs
+        layer."""
+        tracer = TrafficTracer(letter)
+        space = SearchSpace.for_subsystem(tracer.subsystem)
+        rng = np.random.default_rng(0)
+        for _ in range(40):
+            log = tracer.trace(space.random(rng), messages=8)
+            assert completions(log) == {"SUCCESS"}

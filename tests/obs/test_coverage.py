@@ -30,7 +30,7 @@ from repro.obs import (
 from repro.obs.coverage import point_key
 from repro.obs.folds import Latency, run_folds
 
-BUDGET_HOURS = 0.5
+BUDGET_HOURS = 1.0  # H seed 2: 158 experiments, 2 skips, 4 anomalies
 SEED = 2
 
 
@@ -343,29 +343,34 @@ class TestJournalRoundTrip:
     @pytest.fixture(scope="class")
     def recorded(self, tmp_path_factory):
         path = tmp_path_factory.mktemp("coverage") / "run.jsonl"
-        recorder = FlightRecorder(
-            journal=RunJournal(path), track_coverage=True
-        )
-        Collie.for_subsystem(
+        recorder = FlightRecorder(journal=RunJournal(path))
+        report = Collie.for_subsystem(
             "H", budget_hours=BUDGET_HOURS, seed=SEED, recorder=recorder
         ).run()
-        live = recorder.coverage
         recorder.close()
-        return live, path
+        return report, path
 
-    def test_live_and_posthoc_coverage_agree(self, recorded):
-        live, path = recorded
+    def test_journal_coverage_counts_the_report(self, recorded):
+        """The journal carries every point, skip and MFS the coverage
+        maps bucket."""
+        report, path = recorded
         trackers = coverage_from_records(read_journal(path))
         assert len(trackers) == 1
         posthoc = trackers[0]
-        assert posthoc.experiments == live.experiments
-        assert posthoc.skips == live.skips
-        assert posthoc.unique_points == live.unique_points
-        assert posthoc.summary() == live.summary()
+        direct = CoverageTracker.for_subsystem("H")
+        for event in report.events:
+            direct.visit(event.workload)
+        for mfs in report.anomalies:
+            direct.mark_mfs(mfs)
+        assert posthoc.experiments == direct.experiments == report.experiments
+        assert posthoc.skips == report.skipped_points
+        assert posthoc.unique_points == direct.unique_points
+        assert posthoc.visited == direct.visited
+        assert posthoc.mfs_admitted == direct.mfs_admitted
 
     def test_journal_contains_no_coverage_records(self, recorded):
-        """Since v9 the live tracker is printed, not journaled:
-        ``repro coverage`` folds the same maps from the records."""
+        """The maps are folded from the event records (``repro
+        coverage``, ``--coverage``), never journaled."""
         _, path = recorded
         assert "coverage" not in {r["t"] for r in read_journal(path)}
 

@@ -1,8 +1,7 @@
 """The observatory's prime directive: observation changes nothing.
 
-A search run with the full observatory enabled (journal + coverage
-tracking + span profiler + progress lines) must be bit-identical to an
-unobserved run: same SearchReport, same final RNG state, same simulated
+A search run with the full observatory enabled (journal + span profiler
++ progress lines) must be bit-identical to an unobserved run: same SearchReport, same final RNG state, same simulated
 clock reading.  Property-tested across all eight Table 1 subsystems.
 """
 
@@ -14,7 +13,13 @@ from hypothesis import given, settings, strategies as st
 from repro.canary.corpus import canonical_journal_bytes
 from repro.cli import main
 from repro.core import Collie
-from repro.obs import FlightRecorder, RunJournal, SpanProfiler, read_journal
+from repro.obs import (
+    FlightRecorder,
+    RunJournal,
+    SpanProfiler,
+    coverage_from_records,
+    read_journal,
+)
 
 BUDGET_HOURS = 0.3
 
@@ -38,11 +43,7 @@ def test_full_observatory_is_invisible_to_the_search(letter, seed):
     handle, path = tempfile.mkstemp(suffix=".jsonl")
     os.close(handle)
     try:
-        recorder = FlightRecorder(
-            journal=RunJournal(path),
-            progress_every=7,
-            track_coverage=True,
-        )
+        recorder = FlightRecorder(journal=RunJournal(path), progress_every=7)
         recorder.profiler = SpanProfiler().install()
         try:
             observed, observed_rng, observed_clock = run_search(
@@ -51,16 +52,19 @@ def test_full_observatory_is_invisible_to_the_search(letter, seed):
         finally:
             recorder.profiler.uninstall()
         recorder.close()
+        coverage = coverage_from_records(read_journal(path))
     finally:
         os.unlink(path)
 
     assert observed == reference
     assert observed_rng == rng_state
     assert observed_clock == clock
-    # The observatory actually observed: spans recorded, coverage live.
+    # The observatory actually observed: spans recorded, and the
+    # journal's coverage fold counts every experiment.
     assert len(recorder.profiler.events()) > 0
-    assert recorder.coverage is not None
-    assert recorder.coverage.experiments == reference.experiments
+    assert [tracker.experiments for tracker in coverage] == [
+        reference.experiments
+    ]
 
 
 def test_a_profiled_journal_is_its_bare_twin_plus_spans(tmp_path, capsys):

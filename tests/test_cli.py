@@ -309,7 +309,7 @@ class TestMalformedRecords:
         ("experiment-without-counters", "diff"): (2, 2),
         ("experiment-without-counters", "coverage"): (2, 2),
         ("experiment-without-counters", "top"): (2, 2),
-        ("experiment-without-counters", "stats"): (1, 2),
+        ("experiment-without-counters", "stats"): (2, 2),
         ("experiment-without-counters", "report"): (2, None),
         ("experiment-without-counters", "report-json"): (2, None),
         ("experiment-without-counters", "verify"): (2, None),
@@ -337,7 +337,7 @@ class TestMalformedRecords:
         ("v8-counters-one-short", "diff"): (0, None),
         ("v8-counters-one-short", "coverage"): (0, None),
         ("v8-counters-one-short", "top"): (0, None),
-        ("v8-counters-one-short", "stats"): (1, 2),
+        ("v8-counters-one-short", "stats"): (2, 2),
         ("v8-counters-one-short", "report"): (2, None),
         ("v8-counters-one-short", "report-json"): (2, None),
         ("v8-counters-one-short", "verify"): (2, None),
@@ -379,7 +379,7 @@ class TestMalformedRecords:
         ("v7-counter-value-not-a-number", "diff"): (0, None),
         ("v7-counter-value-not-a-number", "coverage"): (0, None),
         ("v7-counter-value-not-a-number", "top"): (0, None),
-        ("v7-counter-value-not-a-number", "stats"): (1, 2),
+        ("v7-counter-value-not-a-number", "stats"): (2, 2),
         ("v7-counter-value-not-a-number", "report"): (2, None),
         ("v7-counter-value-not-a-number", "report-json"): (2, None),
         ("v7-counter-value-not-a-number", "verify"): (2, None),
@@ -487,15 +487,14 @@ class TestTruncatedGzipJournal:
     """A gzip journal cut short is corruption: one message, no
     traceback."""
 
-    #: ``command -> (argv, exit code)``; ``stats`` exits 1 on every
-    #: corrupt journal.
+    #: ``command -> (argv, exit code)``.
     COMMANDS = {
         "report": (["report", "{path}"], 2),
         "report-json": (["report", "--json", "{path}"], 2),
         "verify": (["journal", "verify", "{path}"], 2),
         "diff": (["journal", "diff", "{fixture}", "{path}"], 2),
         "coverage": (["coverage", "{path}"], 2),
-        "stats": (["stats", "{path}"], 1),
+        "stats": (["stats", "{path}"], 2),
     }
 
     @pytest.mark.parametrize("command", sorted(COMMANDS))
@@ -718,6 +717,78 @@ class TestProfileFlag:
         captured = capsys.readouterr()
         assert "worker processes record no spans: use --workers 1" in (
             captured.err
+        )
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == []
+
+
+class TestCoverageFlag:
+    """``--coverage`` prints the ``Coverage`` fold of the run's journal:
+    the tables ``repro coverage JOURNAL`` prints, one per run."""
+
+    @staticmethod
+    def journal_tables(path, capsys) -> list:
+        """The tables ``repro coverage`` prints for ``path``, in order."""
+        from repro.obs import coverage_from_records, read_journal
+
+        trackers = coverage_from_records(read_journal(path))
+        capsys.readouterr()
+        assert main(["coverage", str(path)]) == 0
+        out = capsys.readouterr().out
+        tables = [tracker.render() for tracker in trackers]
+        if len(tables) == 1:
+            assert out.startswith(f"{tables[0]}\n\n")
+        else:
+            assert out.startswith("".join(
+                f"run {index}:\n{table}\n\n"
+                for index, table in enumerate(tables, 1)
+            ))
+        return tables
+
+    def test_a_single_search_prints_one_unlabelled_table(
+        self, tmp_path, capsys
+    ):
+        path = tmp_path / "run.jsonl"
+        assert main(["search", "F", "--hours", "0.5", "--seed", "1",
+                     "--journal", str(path), "--coverage"]) == 0
+        out = capsys.readouterr().out
+        [table] = self.journal_tables(path, capsys)
+        assert f"\n\n{table}\njournal saved to {path}" in out
+        assert "run 1:" not in out
+
+    @pytest.mark.parametrize("argv", [
+        ["search", "F", "--hours", "0.5", "--seed", "1", "--chains", "3"],
+        ["campaign", "collie", "--subsystem", "H", "--hours", "0.3",
+         "--seed", "1", "--seeds", "2"],
+    ], ids=["chains", "campaign"])
+    def test_every_run_prints_its_labelled_table(
+        self, argv, tmp_path, capsys
+    ):
+        path = tmp_path / "runs.jsonl"
+        assert main([*argv, "--journal", str(path), "--coverage"]) == 0
+        out = capsys.readouterr().out
+        tables = self.journal_tables(path, capsys)
+        assert len(tables) == int(argv[-1])
+        assert "".join(
+            f"\nrun {index}:\n{table}\n"
+            for index, table in enumerate(tables, 1)
+        ) + f"journal saved to {path}" in out
+
+    @pytest.mark.parametrize("argv", [
+        ["search", "F"],
+        ["search", "F", "--chains", "2"],
+        ["parallel", "H", "--machines", "2"],
+        ["campaign", "collie", "--subsystem", "H", "--seeds", "2"],
+    ], ids=["search", "chains", "parallel", "campaign"])
+    def test_coverage_without_a_journal_is_rejected_before_running(
+        self, argv, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.chdir(tmp_path)
+        assert main([*argv, "--hours", "1", "--coverage"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "--coverage prints the Coverage fold of the run's journal: "
+            "add --journal\n"
         )
         assert captured.out == ""
         assert list(tmp_path.iterdir()) == []
